@@ -290,6 +290,8 @@ def _cmd_simulate(args) -> int:
         x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
     except ValueError:
         return _fail("--x0 must be a comma-separated list of numbers")
+    if not np.all(np.isfinite(x0)):
+        return _fail("--x0 entries must be finite")
     if x0.shape != (state_set.dim,):
         return _fail(f"--x0 needs {state_set.dim} entries")
     if gauge(state_set, x0) > 1.0 + 1e-9:
@@ -405,10 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_x0(argv):
+    """Attach the value of `--x0` to the flag, so that a first entry with a
+    minus sign is not read as an option."""
+    joined = []
+    values = iter(argv)
+    for arg in values:
+        if arg == "--x0":
+            arg = "--x0=" + next(values, "")
+        joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_x0(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     return args.func(args)

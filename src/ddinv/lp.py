@@ -5,6 +5,19 @@ free variables into differences of nonnegative pairs, and adding slacks.
 Pricing is deterministic: Dantzig's rule with lowest-index tie breaking,
 falling back to Bland's rule after a run of degenerate pivots so cycling
 cannot occur. Doubly bounded variables contribute an extra range row.
+
+The tableau is assembled once into a single array: structural columns, slack
+and artificial identities, right-hand side and cost row. After phase one the
+artificial columns are dropped by moving the right-hand side next to the
+last real column and narrowing the view, not by building a new tableau.
+
+A pivot subtracts other[i] * row[j] from every entry tab[i, j]. Where the
+pivot row is zero that product is zero and the entry keeps its value, so a
+pivot row with few nonzeros (the robust programs have 3-5%) updates only its
+nonzero columns and leaves the rest alone. Every entry that changes is
+computed by the same expression as in the dense update, hence pricing, ratio
+tests and the returned point are the same; at most the sign of an exact zero
+differs, and the pricing and ratio tests compare the two as equal.
 """
 
 from __future__ import annotations
@@ -19,6 +32,10 @@ TOL_FEAS = 1e-8
 TOL_PIVOT = 1e-10
 BLAND_AFTER = 12
 ITER_FACTOR = 50
+# a pivot row with at most this share of nonzero columns updates only those;
+# measured break-even against the dense update on tableaux of 120x200 to
+# 2574x2734 lay between 0.11 and 0.23 of the columns
+SPARSE_PIVOT_SHARE = 0.2
 
 
 class LpStatus(enum.Enum):
@@ -118,10 +135,19 @@ def lp_to_text(lp: LinearProgram) -> str:
 
 
 def _pivot(tab, row, col):
+    """Make column col a unit column with its one on row `row`.
+
+    Every entry that changes becomes tab[i, j] - other[i] * tab[row, j].
+    When the pivot row has few nonzeros only those columns are touched;
+    elsewhere the product is zero and the entry stays as it was."""
     tab[row] /= tab[row, col]
     other = tab[:, col].copy()
     other[row] = 0.0
-    tab -= np.outer(other, tab[row])
+    if np.count_nonzero(tab[row]) <= SPARSE_PIVOT_SHARE * tab.shape[1]:
+        cols = np.flatnonzero(tab[row])
+        tab[:, cols] -= np.outer(other, tab[row, cols])
+    else:
+        tab -= np.outer(other, tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
 
@@ -170,92 +196,76 @@ def _run_simplex(tab, basis, nrows, iter_cap):
     return "iteration_limit"
 
 
+def _standard_columns(lp: LinearProgram):
+    """Variable transform z[i] = offset[i] + sign * s for each structural
+    column s, in variable order: a free variable becomes a +/- pair, a
+    variable with one finite bound is shifted (and mirrored for an upper
+    bound), and a doubly bounded one is shifted and gets a range row.
+    Returns (offsets, column variable, column sign, range columns, widths)."""
+    lo, hi = lp.lower_bounds, lp.upper_bounds
+    lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
+    free = lo_inf & hi_inf
+    offsets = np.where(lo_inf, np.where(hi_inf, 0.0, hi), lo)
+    counts = 1 + free
+    col_var = np.repeat(np.arange(lp.num_vars), counts)
+    first = np.cumsum(counts) - counts
+    col_sign = np.ones(col_var.size)
+    col_sign[first[free] + 1] = -1.0
+    col_sign[first[lo_inf & ~hi_inf]] = -1.0
+    ranged = ~lo_inf & ~hi_inf
+    return offsets, col_var, col_sign, first[ranged], (hi - lo)[ranged]
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex. Pure feasibility problems (all-zero objective) stop
     after phase one and report FEASIBLE; anything else reports OPTIMAL,
     INFEASIBLE, UNBOUNDED or ITERATION_LIMIT."""
-    n = lp.num_vars
-
-    # variable transform: z[i] = offset[i] + sign * s for each structural column
-    columns = []
-    offsets = np.zeros(n)
-    range_rows = []
-    for i in range(n):
-        lo, hi = lp.lower_bounds[i], lp.upper_bounds[i]
-        if np.isinf(lo) and np.isinf(hi):
-            columns.append((i, 1.0))
-            columns.append((i, -1.0))
-        elif np.isinf(hi):
-            offsets[i] = lo
-            columns.append((i, 1.0))
-        elif np.isinf(lo):
-            offsets[i] = hi
-            columns.append((i, -1.0))
-        else:
-            offsets[i] = lo
-            range_rows.append((len(columns), hi - lo))
-            columns.append((i, 1.0))
-
+    offsets, col_var, col_sign, range_cols, range_widths = _standard_columns(lp)
     n_eq = lp.eq_lhs.shape[0]
     n_in = lp.ineq_lhs.shape[0]
-    n_rng = len(range_rows)
+    n_rng = range_cols.size
     nrows = n_eq + n_in + n_rng
-    nstruct = len(columns)
+    nstruct = col_var.size
+    n_slack = n_in + n_rng
+    n_real = nstruct + n_slack
 
-    body = np.zeros((nrows, nstruct))
+    # rows whose slack survives with +1 start with that slack basic; the
+    # rest (equalities, inequalities flipped for a negative right-hand
+    # side) get an artificial
     rhs = np.zeros(nrows)
-    stacked = np.vstack([lp.eq_lhs, lp.ineq_lhs]) if nrows else np.zeros((0, n))
-    for ci, (i, sign) in enumerate(columns):
-        body[: n_eq + n_in, ci] = sign * stacked[:, i]
     rhs[:n_eq] = lp.eq_rhs - lp.eq_lhs @ offsets
     rhs[n_eq : n_eq + n_in] = lp.ineq_rhs - lp.ineq_lhs @ offsets
-    for k, (ci, width) in enumerate(range_rows):
-        body[n_eq + n_in + k, ci] = 1.0
-        rhs[n_eq + n_in + k] = width
-
-    # slack block for inequality and range rows
-    n_slack = n_in + n_rng
-    slack = np.zeros((nrows, n_slack))
-    for k in range(n_slack):
-        slack[n_eq + k, k] = 1.0
-    full = np.hstack([body, slack])
-
+    rhs[n_eq + n_in :] = range_widths
     flip = rhs < 0
-    full[flip] *= -1.0
-    rhs = np.where(flip, -rhs, rhs)
+    slack_basic = ~flip
+    slack_basic[:n_eq] = False
+    art_rows = np.flatnonzero(~slack_basic)
+    n_art = art_rows.size
+    ncols = n_real + n_art
 
-    # rows whose slack survived with +1 start with that slack basic,
-    # the rest (equalities, flipped inequalities) get an artificial
-    basis = np.full(nrows, -1, dtype=int)
-    need_artificial = []
-    for r in range(nrows):
-        if r >= n_eq and not flip[r]:
-            basis[r] = nstruct + (r - n_eq)
-        else:
-            need_artificial.append(r)
-    n_art = len(need_artificial)
-    art = np.zeros((nrows, n_art))
-    for k, r in enumerate(need_artificial):
-        art[r, k] = 1.0
-        basis[r] = nstruct + n_slack + k
-
-    ncols = nstruct + n_slack + n_art
+    # one tableau: [structural | slack | artificial | rhs], cost row last
     tab = np.zeros((nrows + 1, ncols + 1))
-    tab[:nrows, :nstruct] = full[:, :nstruct]
-    tab[:nrows, nstruct : nstruct + n_slack] = full[:, nstruct:]
-    tab[:nrows, nstruct + n_slack : ncols] = art
-    tab[:nrows, -1] = rhs
+    tab[:n_eq, :nstruct] = lp.eq_lhs[:, col_var] * col_sign
+    tab[n_eq : n_eq + n_in, :nstruct] = lp.ineq_lhs[:, col_var] * col_sign
+    tab[n_eq + n_in + np.arange(n_rng), range_cols] = 1.0
+    slack_idx = np.arange(n_slack)
+    tab[n_eq + slack_idx, nstruct + slack_idx] = 1.0
+    tab[np.flatnonzero(flip), :n_real] *= -1.0
+    tab[:nrows, -1] = np.where(flip, -rhs, rhs)
+    basis = np.full(nrows, -1, dtype=int)
+    slack_rows = np.flatnonzero(slack_basic)
+    basis[slack_rows] = nstruct + slack_rows - n_eq
+    art_cols = n_real + np.arange(n_art)
+    tab[art_rows, art_cols] = 1.0
+    basis[art_rows] = art_cols
 
     iter_cap = ITER_FACTOR * (nrows + ncols)
 
     # phase one: minimize the sum of artificials
     if n_art:
-        cost = np.zeros(ncols + 1)
-        cost[nstruct + n_slack : ncols] = 1.0
-        for r in range(nrows):
-            if basis[r] >= nstruct + n_slack:
-                cost -= tab[r]
-        tab[-1] = cost
+        tab[-1, n_real:ncols] = 1.0
+        for r in art_rows:
+            tab[-1] -= tab[r]
         outcome = _run_simplex(tab, basis, nrows, iter_cap)
         if outcome != "optimal":
             return LpSolution(LpStatus.ITERATION_LIMIT)
@@ -263,39 +273,38 @@ def solve(lp: LinearProgram) -> LpSolution:
             return LpSolution(LpStatus.INFEASIBLE)
         # remove artificials from the basis; rows that cannot pivot are redundant
         drop_rows = []
-        for r in range(nrows):
-            if basis[r] < nstruct + n_slack:
-                continue
-            candidates = np.where(np.abs(tab[r, : nstruct + n_slack]) > TOL_PIVOT)[0]
+        for r in np.flatnonzero(basis >= n_real):
+            candidates = np.where(np.abs(tab[r, :n_real]) > TOL_PIVOT)[0]
             if candidates.size:
                 _pivot(tab, r, int(candidates[0]))
                 basis[r] = int(candidates[0])
             else:
                 drop_rows.append(r)
+        # the right-hand side moves next to the last real column and the
+        # artificial columns fall outside the view
+        tab[:, n_real] = tab[:, -1]
+        tab = tab[:, : n_real + 1]
+        ncols = n_real
         if drop_rows:
-            keep = [r for r in range(nrows) if r not in set(drop_rows)]
+            dropped = set(drop_rows)
+            keep = [r for r in range(nrows) if r not in dropped]
             tab = tab[keep + [nrows]]
             basis = basis[keep]
             nrows = len(keep)
-        tab = np.hstack([tab[:, : nstruct + n_slack], tab[:, -1:]])
-        ncols = nstruct + n_slack
 
     def extract():
         values = np.zeros(ncols)
-        rhs_now = np.maximum(tab[:nrows, -1], 0.0)
-        values[basis[:nrows]] = rhs_now
+        values[basis[:nrows]] = np.maximum(tab[:nrows, -1], 0.0)
         z = offsets.copy()
-        for ci, (i, sign) in enumerate(columns):
-            z[i] += sign * values[ci]
+        np.add.at(z, col_var, col_sign * values[:nstruct])
         return z
 
     if not np.any(lp.objective):
         return LpSolution(LpStatus.FEASIBLE, primal=extract())
 
     # phase two
-    struct_cost = np.array([sign * lp.objective[i] for i, sign in columns])
     cost = np.zeros(ncols + 1)
-    cost[:nstruct] = struct_cost
+    cost[:nstruct] = lp.objective[col_var] * col_sign
     for r in range(nrows):
         if cost[basis[r]] != 0.0:
             cost = cost - cost[basis[r]] * tab[r]

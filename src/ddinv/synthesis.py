@@ -238,25 +238,25 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     shift_cols = s_h @ disturbance.vertices.T  # (n_s, n_d), column i is S d_i
     # worst additive disturbance per set row
     d_shift = shift_cols.max(axis=1)
-    ineq = []
-    ineq_rhs = []
-    for vert in state_set.vertices:
-        for j in range(1, T + 1):
-            for i in range(n_d):
-                prop = base.copy()
-                prop[:, j - 1] -= T * shift_cols[:, i]
-                ineq.append(np.kron(vert[None, :], prop))
-                ineq_rhs.append(1.0 - d_shift)
+    # prop[j, i] is base with column j shifted by T S d_i; a row block is
+    # kron(vertex, prop[j, i]), blocks ordered by vertex, then j, then i
+    prop = np.empty((T, n_d, n_s, T))
+    prop[...] = base
+    cols = np.arange(T)
+    prop[cols, :, :, cols] = base.T[:, None, :] - (T * shift_cols).T[None, :, :]
+    verts = state_set.vertices
+    robust_rows = (verts[:, None, None, None, :, None]
+                   * prop[None, :, :, :, None, :]).reshape(-1, nvars)
     admiss = input_set.h_matrix @ data.u0t
-    for vert in state_set.vertices:
-        ineq.append(np.kron(vert[None, :], admiss))
-        ineq_rhs.append(np.ones(admiss.shape[0]))
+    admiss_rows = (verts[:, None, :, None] * admiss[None, :, None, :]).reshape(-1, nvars)
+    ineq_rhs = np.concatenate([np.tile(1.0 - d_shift, verts.shape[0] * T * n_d),
+                               np.ones(admiss_rows.shape[0])])
 
     consistency = np.kron(np.eye(n), data.x0t)
     return lp.LinearProgram(
         num_vars=nvars, objective=np.zeros(nvars),
         eq_lhs=consistency, eq_rhs=np.eye(n).ravel(),
-        ineq_lhs=np.vstack(ineq), ineq_rhs=np.concatenate(ineq_rhs))
+        ineq_lhs=np.vstack([robust_rows, admiss_rows]), ineq_rhs=ineq_rhs)
 
 
 def extract_gain(data: ExperimentData, g_matrix) -> np.ndarray:

@@ -77,9 +77,8 @@ def check_admissibility(gain, cset: PolyhedralCSet, input_set: InputPolytope,
     worst violation being max over vertices and input rows of U K s - 1."""
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
     u_h = input_set.h_matrix
-    worst = -np.inf
-    for vert in cset.vertices:
-        worst = max(worst, float(np.max(u_h @ (gain @ vert)) - 1.0))
+    # np.max keeps a NaN, so a NaN gain fails the check
+    worst = float(np.max([np.max(u_h @ (gain @ vert)) - 1.0 for vert in cset.vertices]))
     return worst <= tol, worst
 
 
@@ -109,15 +108,15 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
     shift = s_h @ disturbance.vertices.T
     d_worst = shift.max(axis=1)
     base = s_h @ data.x1t @ g_matrix
-    worst = 0.0
-    for vert in cset.vertices:
-        nominal = base @ vert
-        gs = g_matrix @ vert
-        for i in range(disturbance.vertices.shape[0]):
-            # subtracting the column spike changes row r by T * shift[r, i] * gs[j]
-            for j in range(T):
-                rows = nominal - T * shift[:, i] * gs[j] + d_worst
-                worst = max(worst, float(np.max(rows)))
+    nominal = np.array([base @ vert for vert in cset.vertices])
+    gs = np.array([g_matrix @ vert for vert in cset.vertices])
+    # subtracting the column spike j changes row r by T * shift[r, i] * gs[j];
+    # rows[v, i, j] over (vertex, disturbance vertex, sample)
+    rows = (nominal[:, None, None, :]
+            - (T * shift.T)[None, :, None, :] * gs[:, None, :, None]
+            + d_worst)
+    # np.maximum keeps a NaN, so a NaN anywhere fails the check
+    worst = float(np.maximum(0.0, np.max(rows)))
     return worst <= 1.0 + tol, worst
 
 

@@ -112,3 +112,57 @@ def polygon_rows_from_vertices(verts_ccw):
         normal = np.array([edge[1], -edge[0]])  # outward for ccw order
         rows.append(normal / (normal @ v))
     return np.array(rows)
+
+
+def dense_pivot(tab, row, col):
+    """Pivot on (row, col) by one dense rank-1 update of the whole tableau."""
+    tab[row] /= tab[row, col]
+    other = tab[:, col].copy()
+    other[row] = 0.0
+    tab -= np.outer(other, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+
+
+def robust_rows_loop(data, state_set, input_set, disturbance):
+    """Inequality rows of the robust program, one Kronecker block per
+    (vertex, sample, disturbance vertex) and then one admissibility block
+    per vertex. Returns (lhs, rhs)."""
+    T = data.samples
+    s_h = state_set.h_matrix
+    base = s_h @ data.x1t
+    shift_cols = s_h @ disturbance.vertices.T
+    d_shift = shift_cols.max(axis=1)
+    lhs = []
+    rhs = []
+    for vert in state_set.vertices:
+        for j in range(1, T + 1):
+            for i in range(disturbance.vertices.shape[0]):
+                prop = base.copy()
+                prop[:, j - 1] -= T * shift_cols[:, i]
+                lhs.append(np.kron(vert[None, :], prop))
+                rhs.append(1.0 - d_shift)
+    admiss = input_set.h_matrix @ data.u0t
+    for vert in state_set.vertices:
+        lhs.append(np.kron(vert[None, :], admiss))
+        rhs.append(np.ones(admiss.shape[0]))
+    return np.vstack(lhs), np.concatenate(rhs)
+
+
+def robust_data_worst_loop(data, g_matrix, cset, disturbance):
+    """Worst shifted propagation of the robust data conditions, one
+    (vertex, disturbance vertex, sample) triple at a time."""
+    s_h = cset.h_matrix
+    T = data.samples
+    shift = s_h @ disturbance.vertices.T
+    d_worst = shift.max(axis=1)
+    base = s_h @ data.x1t @ g_matrix
+    worst = 0.0
+    for vert in cset.vertices:
+        nominal = base @ vert
+        gs = g_matrix @ vert
+        for i in range(disturbance.vertices.shape[0]):
+            for j in range(T):
+                rows = nominal - T * shift[:, i] * gs[j] + d_worst
+                worst = max(worst, float(np.max(rows)))
+    return worst

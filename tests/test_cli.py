@@ -204,6 +204,29 @@ def test_simulate_rejects_outside_start(tmp_path, demo_problem):
                      "--steps", "5", "--out", str(tmp_path / "run")]) == 1
 
 
+def test_simulate_accepts_negative_first_entry(tmp_path, demo_problem):
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", demo_problem, cert_path, "--x0", "-0.1,0.05",
+                     "--steps", "3", "--out", prefix, "--format", "csv"]) == 0
+    with open(prefix + ".csv", newline="") as fh:
+        first = list(csv.reader(fh))[1]
+    assert [float(v) for v in first[1:3]] == [-0.1, 0.05]
+
+
+def test_simulate_rejects_non_finite_start(tmp_path, demo_problem, capsys):
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    capsys.readouterr()
+    for start in ("nan,0", "0,inf", "-inf,0"):
+        prefix = str(tmp_path / "run")
+        assert cli.main(["simulate", demo_problem, cert_path, "--x0", start,
+                         "--steps", "3", "--out", prefix]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "run.csv").exists()
+
+
 def test_format_filter(tmp_path, demo_problem):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ddinv import lp
 from generators import lp_with_known_point, random_box_lp, unbounded_lp
-from oracles import brute_force_lp
+from oracles import brute_force_lp, dense_pivot
 
 
 def test_single_variable_lower_bound():
@@ -180,3 +180,63 @@ def test_text_dump_lists_constraints():
     assert lines[0].startswith("min")
     assert any("==" in line for line in lines)
     assert any("<=" in line for line in lines)
+
+
+@pytest.mark.parametrize("share", [0.05, 1.0])
+def test_pivot_matches_dense_reference(share):
+    # share 0.05 takes the sparse-row update, 1.0 the dense one
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        rows, cols = int(rng.integers(2, 60)), int(rng.integers(40, 120))
+        tab = rng.normal(size=(rows, cols))
+        tab[rng.random(size=tab.shape) < 0.3] = 0.0
+        row, col = int(rng.integers(0, rows - 1)), int(rng.integers(0, cols - 1))
+        keep = rng.random(cols) < share
+        keep[col] = True
+        tab[row, ~keep] = 0.0
+        tab[row, col] = rng.uniform(0.5, 2.0)
+        sparse_row = np.count_nonzero(tab[row]) <= lp.SPARSE_PIVOT_SHARE * cols
+        assert sparse_row == (share < lp.SPARSE_PIVOT_SHARE)
+        expected = tab.copy()
+        dense_pivot(expected, row, col)
+        lp._pivot(tab, row, col)
+        assert np.array_equal(tab, expected)
+
+
+def _count_pivots(monkeypatch):
+    calls = []
+    original = lp._pivot
+
+    def counted(tab, row, col):
+        calls.append((int(row), int(col)))
+        return original(tab, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    return calls
+
+
+def test_every_phase_one_pivot_goes_through_the_seam(monkeypatch):
+    # -z1 = 0 and z2 = 1 both start on artificials; phase one pivots z2 into
+    # row 1, ends with the first artificial basic at zero, and the removal
+    # pivots z1 into row 0: two pivots in all
+    calls = _count_pivots(monkeypatch)
+    prob = lp.LinearProgram(num_vars=2, objective=[0.0, 0.0],
+                            eq_lhs=[[-1.0, 0.0], [0.0, 1.0]], eq_rhs=[0.0, 1.0],
+                            lower_bounds=[0.0, 0.0])
+    sol = lp.solve(prob)
+    assert sol.status == lp.LpStatus.FEASIBLE
+    assert np.array_equal(sol.primal, [0.0, 1.0])
+    assert calls == [(1, 1), (0, 0)]
+
+
+def test_every_phase_two_pivot_goes_through_the_seam(monkeypatch):
+    # slacks start basic, so there is no phase one; Dantzig pricing brings
+    # in z2 (cost -2) on row 1, then z1 on row 0: two pivots in all
+    calls = _count_pivots(monkeypatch)
+    prob = lp.LinearProgram(num_vars=2, objective=[-1.0, -2.0],
+                            ineq_lhs=[[1.0, 0.0], [0.0, 1.0]], ineq_rhs=[1.0, 1.0],
+                            lower_bounds=[0.0, 0.0])
+    sol = lp.solve(prob)
+    assert sol.status == lp.LpStatus.OPTIMAL
+    assert sol.objective_value == -3.0
+    assert calls == [(1, 1), (0, 0)]

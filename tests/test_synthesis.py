@@ -8,6 +8,7 @@ from ddinv.experiment import (PlantModel, build_data_matrices,
                               stacked_data_matrix)
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
 from generators import box_input_rows, random_cset_rows
+from oracles import polygon_rows_from_vertices, robust_rows_loop
 
 
 def _interval_set():
@@ -210,3 +211,31 @@ def test_nominal_agreement_on_random_plants():
                 outcomes.append(False)
         assert outcomes[0] == outcomes[1]
         done += 1
+
+
+def _regular_polygon(k, radius=1.0):
+    angles = 2.0 * np.pi * np.arange(k) / k
+    return polygon_rows_from_vertices(radius * np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+@pytest.mark.parametrize("rows, disturbance, samples", [
+    (np.vstack([np.eye(2), -np.eye(2)]), 0.02 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]), 9),
+    (np.vstack([np.eye(2), -np.eye(2)]), 0.02 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]), 1),
+    (_regular_polygon(7), 0.01 * np.array([[1, 1], [-1, -1]]), 12),
+    (_regular_polygon(5), 0.03 * np.column_stack([np.cos(2 * np.pi * np.arange(5) / 5),
+                                                  np.sin(2 * np.pi * np.arange(5) / 5)]), 6),
+    (np.vstack([np.eye(3), -np.eye(3)]), 0.01 * np.vstack([np.eye(3), -np.eye(3)]), 5),
+])
+def test_robust_builder_matches_loop_oracle(rows, disturbance, samples):
+    rng = np.random.default_rng(samples)
+    n = rows.shape[1]
+    cset = validate_cset(rows)
+    uset = InputPolytope(box_input_rows(2, 3.0))
+    data = build_data_matrices(rng.normal(size=(samples, 2)), rng.normal(size=(samples + 1, n)))
+    dset = DisturbanceSet(disturbance)
+    program = synthesis.build_robust_lp(data, cset, uset, dset)
+    lhs, rhs = robust_rows_loop(data, cset, uset, dset)
+    assert program.ineq_lhs.shape == lhs.shape
+    assert program.ineq_lhs.tobytes() == lhs.tobytes()
+    assert program.ineq_rhs.tobytes() == rhs.tobytes()
+    assert program.eq_lhs.tobytes() == np.kron(np.eye(n), data.x0t).tobytes()

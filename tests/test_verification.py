@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from ddinv import synthesis, verification
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
+from ddinv.experiment import build_data_matrices
 from generators import random_cset_rows
+from oracles import robust_data_worst_loop
 
 
 def _unit_box(n=2):
@@ -161,3 +163,40 @@ def test_report_flags_bad_gain(demo_plant, demo_state_set, demo_input_set):
     assert not report.all_ok()
     assert not report.contractivity_ok
     assert not report.admissibility_ok
+
+
+def _robust_data_case(seed, samples=7):
+    rng = np.random.default_rng(seed)
+    box = _unit_box()
+    data = build_data_matrices(rng.normal(size=(samples, 1)), rng.normal(size=(samples + 1, 2)))
+    corners = 0.05 * np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    return rng, box, data, DisturbanceSet(corners)
+
+
+def test_robust_data_conditions_match_loop_oracle():
+    for seed in range(12):
+        rng, box, data, dset = _robust_data_case(seed, samples=1 + seed)
+        g = rng.normal(scale=0.3, size=(data.samples, 2))
+        ok, worst = verification.check_robust_data_conditions(data, g, box, dset)
+        expected = robust_data_worst_loop(data, g, box, dset)
+        assert worst == expected
+        assert ok == (expected <= 1.0 + verification.DEFAULT_TOL)
+
+
+def test_robust_data_conditions_reject_nan_combiner():
+    rng, box, data, dset = _robust_data_case(4)
+    g = np.zeros((data.samples, 2))
+    assert verification.check_robust_data_conditions(data, g, box, dset)[0]
+    g[2, 1] = np.nan
+    ok, worst = verification.check_robust_data_conditions(data, g, box, dset)
+    assert not ok
+    assert np.isnan(worst)
+
+
+def test_admissibility_rejects_nan_gain():
+    box = _unit_box()
+    uset = InputPolytope([[1.0], [-1.0]])
+    assert verification.check_admissibility([[0.1, 0.2]], box, uset)[0]
+    ok, worst = verification.check_admissibility([[np.nan, 0.2]], box, uset)
+    assert not ok
+    assert np.isnan(worst)
