@@ -18,6 +18,18 @@ nonzero columns and leaves the rest alone. Every entry that changes is
 computed by the same expression as in the dense update, hence pricing, ratio
 tests and the returned point are the same; at most the sign of an exact zero
 differs, and the pricing and ratio tests compare the two as equal.
+
+A pivot row with more nonzeros (the nominal programs have 48-69%) goes
+through BLAS dger, the rank-1 update A += alpha x y^T, into a fresh zeroed
+Fortran-ordered (ncols, nrows) array with alpha = -1. Multiplying by -1 is
+exact, so each product comes out once rounded, -round(row[j] * other[i]),
+and adding it to the zeros changes nothing but the sign of an exact zero.
+Adding the transpose of that array to the tableau then gives
+tab[i, j] - round(other[i] * row[j]) bit for bit, as the np.outer update
+did, in about half its time (the BLAS kernel forms the products faster than
+numpy's outer product). A dger straight into the tableau would be faster
+still, but its fused multiply-add rounds once where the subtraction rounds
+twice, so the pivot sequence would change.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 TOL_FEAS = 1e-8
 TOL_PIVOT = 1e-10
@@ -147,7 +160,11 @@ def _pivot(tab, row, col):
         cols = np.flatnonzero(tab[row])
         tab[:, cols] -= np.outer(other, tab[row, cols])
     else:
-        tab -= np.outer(other, tab[row])
+        # use the array dger returns: should f2py copy the buffer passed in,
+        # only the returned one holds the update
+        update = dger(-1.0, tab[row], other, overwrite_a=True,
+                      a=np.zeros((tab.shape[1], tab.shape[0]), order="F"))
+        tab += update.T
     tab[:, col] = 0.0
     tab[row, col] = 1.0
 
@@ -192,7 +209,7 @@ def _run_simplex(tab, basis, nrows, iter_cap):
         _pivot(tab, row, col)
         basis[row] = col
         # the relaxed test can leave basic values a hair below zero
-        np.clip(tab[:nrows, -1], 0.0, None, out=tab[:nrows, -1])
+        np.maximum(tab[:nrows, -1], 0.0, out=tab[:nrows, -1])
     return "iteration_limit"
 
 

@@ -8,7 +8,7 @@ rank and the set being bounded, which validate_cset checks constructively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -125,6 +125,12 @@ def enumerate_vertices(h_matrix, dedup_tol: float = DEDUP_TOL) -> np.ndarray:
     Candidate points solve H_J x = 1 for an invertible row subset J and are
     kept when feasible for every row. Duplicates within dedup_tol (Euclidean)
     collapse to the first representative found.
+
+    All subsets are solved in one batched call. A subset is skipped when its
+    LU factorization meets an exactly zero pivot (slogdet sign 0), the same
+    test on which a single solve raises; the rest go through the same LAPACK
+    gesv one matrix at a time, so the candidates and their order match a
+    subset-by-subset loop.
     """
     h_matrix = np.atleast_2d(np.asarray(h_matrix, dtype=float))
     n_rows, n = h_matrix.shape
@@ -132,19 +138,18 @@ def enumerate_vertices(h_matrix, dedup_tol: float = DEDUP_TOL) -> np.ndarray:
         raise RankDeficientError("H must have full column rank")
     _check_bounded(h_matrix)
     ones = np.ones(n)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n_rows), n)),
+                          dtype=np.intp).reshape(-1, n)
+    subs = h_matrix[subsets]
+    subs = subs[np.linalg.slogdet(subs).sign != 0]
+    cands = np.linalg.solve(subs, ones)
+    resid = np.abs(np.matmul(subs, cands[:, :, None])[:, :, 0] - ones).max(axis=1)
+    # "not above" rather than "at most": a NaN passes these two tests, as it
+    # does in the subset-by-subset form
+    keep = (np.isfinite(cands).all(axis=1) & ~(resid > 1e-7)
+            & ~((cands @ h_matrix.T).max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
     found = []
-    for subset in combinations(range(n_rows), n):
-        sub = h_matrix[list(subset)]
-        try:
-            cand = np.linalg.solve(sub, ones)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(cand)):
-            continue
-        if np.max(np.abs(sub @ cand - ones)) > 1e-7:
-            continue
-        if np.max(h_matrix @ cand) > 1.0 + VERTEX_FEAS_TOL:
-            continue
+    for cand in cands[keep]:
         if any(np.linalg.norm(cand - v) <= dedup_tol for v in found):
             continue
         found.append(cand)
@@ -180,7 +185,8 @@ def gauge(cset: PolyhedralCSet, x) -> float:
     """Minkowski gauge of x with respect to the set; 0 at the origin,
     1 on the boundary, scales linearly outward."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    return float(max(0.0, np.max(cset.h_matrix @ x)))
+    # np.maximum keeps a NaN, where max(0.0, nan) would return 0
+    return float(np.maximum(0.0, np.max(cset.h_matrix @ x)))
 
 
 def contains(cset: PolyhedralCSet, x, scale: float = 1.0, tol: float = 1e-9) -> bool:

@@ -6,6 +6,12 @@ lambda, the equivalent vertex test via the gauge, input admissibility at
 the vertices, and trajectory-wise decay of the polyhedral Lyapunov
 function V(x) = max_i |row_i(S) x|. Robust certificates are checked by
 pushing every vertex through F and adding the worst disturbance vertex.
+
+The checks work on all vertices at once. Each matrix-vector product in a
+stack goes through the same BLAS call as the product on its own (see
+`_images`), so the gauges, violations and decay margins carry the same bits
+as a loop over vertices. The maxima over vertices keep a NaN, so a NaN
+anywhere fails the check.
 """
 
 from __future__ import annotations
@@ -16,9 +22,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import lp
-from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet, gauge
+from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 DEFAULT_TOL = 1e-6
+
+
+def _images(matrix, points):
+    """matrix @ p for every p along the last axis of points. numpy runs the
+    stack as one matrix-vector product per point, the same BLAS call as
+    matrix @ p on its own, so the results match that bit for bit."""
+    return np.matmul(matrix, points[..., None])[..., 0]
 
 
 def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
@@ -64,9 +77,9 @@ def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,
     """Map every vertex through F and compare its gauge against lam.
     Returns (ok, worst observed gauge)."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
-    worst = 0.0
-    for vert in cset.vertices:
-        worst = max(worst, gauge(cset, f_matrix @ vert))
+    images = _images(f_matrix, cset.vertices)
+    # np.maximum and np.max keep a NaN, so a NaN closed loop fails the check
+    worst = float(np.maximum(0.0, np.max(_images(cset.h_matrix, images))))
     return worst <= lam + tol, worst
 
 
@@ -78,7 +91,7 @@ def check_admissibility(gain, cset: PolyhedralCSet, input_set: InputPolytope,
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
     u_h = input_set.h_matrix
     # np.max keeps a NaN, so a NaN gain fails the check
-    worst = float(np.max([np.max(u_h @ (gain @ vert)) - 1.0 for vert in cset.vertices]))
+    worst = float(np.max(_images(u_h, _images(gain, cset.vertices))) - 1.0)
     return worst <= tol, worst
 
 
@@ -88,11 +101,9 @@ def check_robust_invariance(f_matrix, cset: PolyhedralCSet,
     """Vertex test for robust invariance: F s + w stays in the set for every
     set vertex s and disturbance vertex w. Returns (ok, worst gauge)."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
-    worst = 0.0
-    for vert in cset.vertices:
-        image = f_matrix @ vert
-        for w in disturbance.vertices:
-            worst = max(worst, gauge(cset, image + w))
+    # points[v, i] = F s_v + w_i
+    points = _images(f_matrix, cset.vertices)[:, None, :] + disturbance.vertices
+    worst = float(np.maximum(0.0, np.max(_images(cset.h_matrix, points))))
     return worst <= 1.0 + tol, worst
 
 
@@ -128,14 +139,17 @@ def lyapunov_value(cset: PolyhedralCSet, x) -> float:
 
 def check_decay_along_trajectory(cset: PolyhedralCSet, states, lam: float,
                                  tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
-    """One-step decay V(x+) <= lam V(x) along a recorded trajectory.
-    Returns (ok, worst margin V(x+) - lam V(x))."""
+    """One-step decay V(x+) <= lam V(x) along recorded trajectories, time on
+    the first axis: states of shape (steps + 1, n), or (steps + 1, k, n) for
+    k trajectories side by side. Returns (ok, worst margin V(x+) - lam V(x)),
+    and (False, inf) when a state or its V is not finite."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    worst = -np.inf
-    for t in range(states.shape[0] - 1):
-        v_now = lyapunov_value(cset, states[t])
-        v_next = lyapunov_value(cset, states[t + 1])
-        worst = max(worst, v_next - lam * v_now)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.max(np.abs(_images(cset.h_matrix, states)), axis=-1)
+        margins = values[1:] - lam * values[:-1]
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(values))):
+        return False, np.inf
+    worst = float(np.max(margins, initial=-np.inf))
     return worst <= tol, worst
 
 
@@ -196,13 +210,14 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
                                            certificate.lam, tol)
     contract_ok, worst_gauge = check_vertex_contractivity(f_matrix, cset,
                                                           certificate.lam, tol)
-    margin = -np.inf
-    for vert in cset.vertices:
-        states = [np.asarray(vert, dtype=float)]
-        for _ in range(decay_steps):
-            states.append(f_matrix @ states[-1])
-        ok, m = check_decay_along_trajectory(cset, np.array(states), certificate.lam, tol)
-        margin = max(margin, m)
+    # every vertex rolled out at once; an unstable F may overflow to inf and
+    # NaN, which the decay check reports as an infinite margin
+    states = np.empty((decay_steps + 1,) + cset.vertices.shape)
+    states[0] = cset.vertices
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(decay_steps):
+            states[t + 1] = _images(f_matrix, states[t])
+    _, margin = check_decay_along_trajectory(cset, states, certificate.lam, tol)
     return VerificationReport(
         contractivity_ok=contract_ok, certificate_ok=cert_ok,
         admissibility_ok=admissible, worst_vertex_gauge=worst_gauge,

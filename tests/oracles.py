@@ -2,7 +2,10 @@
 
 These deliberately do not call into the library solve paths: the LP oracle
 enumerates candidate basic points directly, the vertex oracle intersects
-row pairs, and the polygon rebuild works from cross products.
+row pairs, and the polygon rebuild works from cross products. The loop
+references (`vertices_loop`, `decay_margin_loop`, `dense_pivot`, the robust
+loops) are the one-at-a-time forms of vectorized library code, kept so the
+tests can pin the vectorized forms to them.
 """
 
 from itertools import combinations
@@ -122,6 +125,50 @@ def dense_pivot(tab, row, col):
     tab -= np.outer(other, tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
+
+
+def vertices_loop(h_matrix, dedup_tol=1e-7, feas_tol=1e-8):
+    """Vertices of {x : H x <= 1} one row subset at a time: solve H_J x = 1,
+    skip a subset whose solve raises, keep finite, exact and feasible points,
+    and drop a point within dedup_tol of one found earlier. Rank and
+    boundedness are checked by the library function, not here."""
+    h_matrix = np.atleast_2d(np.asarray(h_matrix, dtype=float))
+    n_rows, n = h_matrix.shape
+    ones = np.ones(n)
+    found = []
+    for subset in combinations(range(n_rows), n):
+        sub = h_matrix[list(subset)]
+        try:
+            cand = np.linalg.solve(sub, ones)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(cand)):
+            continue
+        if np.max(np.abs(sub @ cand - ones)) > 1e-7:
+            continue
+        if np.max(h_matrix @ cand) > 1.0 + feas_tol:
+            continue
+        if any(np.linalg.norm(cand - v) <= dedup_tol for v in found):
+            continue
+        found.append(cand)
+    return np.array(found) if found else np.zeros((0, n))
+
+
+def decay_margin_loop(f_matrix, cset, lam, steps=50):
+    """Worst one-step decay margin V(x+) - lam V(x), with V(x) =
+    max_i |row_i(S) x|, over `steps` steps of x+ = F x from every vertex,
+    one vertex and one step at a time."""
+    s_h = cset.h_matrix
+    worst = -np.inf
+    for vert in cset.vertices:
+        x = np.asarray(vert, dtype=float)
+        for _ in range(steps):
+            x_next = f_matrix @ x
+            margin = (float(np.max(np.abs(s_h @ x_next)))
+                      - lam * float(np.max(np.abs(s_h @ x))))
+            worst = max(worst, margin)
+            x = x_next
+    return worst
 
 
 def robust_rows_loop(data, state_set, input_set, disturbance):

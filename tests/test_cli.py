@@ -137,6 +137,19 @@ def test_tampered_gain_fails_verification(tmp_path, demo_problem, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_overflowing_decay_rollout_prints_no_warning(tmp_path, demo_problem, capsys):
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    record = fileio.load_certificate(cert_path)
+    record.g_matrix = 1e8 * record.g_matrix
+    fileio.save_certificate(record, cert_path)
+    capsys.readouterr()
+    assert cli.main(["verify", demo_problem, cert_path]) == 2
+    captured = capsys.readouterr()
+    assert "decay margin    inf" in captured.out
+    assert captured.err == ""
+
+
 def test_gain_shape_mismatch_exits_one(tmp_path, demo_problem):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0

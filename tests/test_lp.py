@@ -240,3 +240,25 @@ def test_every_phase_two_pivot_goes_through_the_seam(monkeypatch):
     assert sol.status == lp.LpStatus.OPTIMAL
     assert sol.objective_value == -3.0
     assert calls == [(1, 1), (0, 0)]
+
+
+
+def test_dense_pivot_on_narrowed_view_matches_reference():
+    # after phase one the simplex pivots on a view that drops the artificial
+    # columns, so its rows are not contiguous with each other
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        rows, cols = int(rng.integers(2, 60)), int(rng.integers(40, 120))
+        full = rng.normal(size=(rows, cols + 7))
+        full[rng.random(size=full.shape) < 0.3] = 0.0
+        tab = full[:, :cols]
+        assert not tab.flags.c_contiguous
+        row, col = int(rng.integers(0, rows - 1)), int(rng.integers(0, cols - 1))
+        tab[row, col] = rng.uniform(0.5, 2.0)
+        assert np.count_nonzero(tab[row]) > lp.SPARSE_PIVOT_SHARE * cols
+        outside = full[:, cols:].copy()
+        expected = tab.copy()
+        dense_pivot(expected, row, col)
+        lp._pivot(tab, row, col)
+        assert np.array_equal(tab, expected)
+        assert np.array_equal(full[:, cols:], outside)

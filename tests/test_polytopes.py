@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from ddinv import polytopes
 from generators import random_cset_rows
-from oracles import polygon_rows_from_vertices, same_point_set, vertex_oracle_2d
+from oracles import (polygon_rows_from_vertices, same_point_set, vertex_oracle_2d,
+                     vertices_loop)
 
 
 def test_unit_box_vertices():
@@ -153,3 +154,45 @@ def test_input_polytope_validation():
         polytopes.InputPolytope(np.array([[np.inf]]))
     interval = polytopes.InputPolytope([[1.0 / 7.0], [-1.0 / 7.0]])
     assert interval.dim == 1
+
+
+def _same_vertices_as_loop(rows):
+    # same values in the same order; array_equal counts -0.0 equal to 0.0
+    got = polytopes.enumerate_vertices(rows)
+    expected = vertices_loop(rows)
+    return got.shape == expected.shape and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("k", range(3, 33))
+def test_regular_polygon_vertices_match_loop(k):
+    angles = 2.0 * np.pi * np.arange(k) / k
+    assert _same_vertices_as_loop(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_vertices_match_loop(n):
+    # every subset holding a row and its negation is exactly singular
+    assert _same_vertices_as_loop(np.vstack([np.eye(n), -np.eye(n)]))
+
+
+def test_random_set_vertices_match_loop():
+    rng = np.random.default_rng(83)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        assert _same_vertices_as_loop(random_cset_rows(rng, n, max_extra=6))
+
+
+def test_duplicate_and_integer_rows_match_loop():
+    rng = np.random.default_rng(84)
+    for _ in range(20):
+        n = int(rng.integers(2, 4))
+        extra = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), n)).astype(float)
+        assert _same_vertices_as_loop(np.vstack([np.eye(n), -np.eye(n), extra, np.eye(n)]))
+
+
+def test_unbounded_set_raises_before_enumeration():
+    # the loop alone would return the two corners (+-1, 1)
+    rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    assert vertices_loop(rows).shape == (2, 2)
+    with pytest.raises(polytopes.UnboundedSetError):
+        polytopes.enumerate_vertices(rows)

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddinv import synthesis, verification
-from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
-from ddinv.experiment import build_data_matrices
+from ddinv.polytopes import DisturbanceSet, InputPolytope, gauge, validate_cset
+from ddinv.experiment import PlantModel, build_data_matrices
 from generators import random_cset_rows
-from oracles import robust_data_worst_loop
+from oracles import decay_margin_loop, robust_data_worst_loop
 
 
 def _unit_box(n=2):
@@ -200,3 +202,60 @@ def test_admissibility_rejects_nan_gain():
     ok, worst = verification.check_admissibility([[np.nan, 0.2]], box, uset)
     assert not ok
     assert np.isnan(worst)
+
+
+def test_gauge_checks_reject_nan_closed_loop():
+    box = _unit_box()
+    f = np.array([[np.nan, 0.0], [0.0, 0.1]])
+    assert np.isnan(gauge(box, f @ np.array([1.0, 1.0])))
+    ok, worst = verification.check_vertex_contractivity(f, box, 0.5)
+    assert not ok
+    assert np.isnan(worst)
+    diamond = 0.1 * np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1]])
+    ok, worst = verification.check_robust_invariance(f, box, DisturbanceSet(diamond))
+    assert not ok
+    assert np.isnan(worst)
+
+
+def test_decay_margin_matches_loop_oracle(demo_state_set, demo_input_set, demo_data):
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
+    report = verification.verify_certificate(demo_state_set, demo_input_set,
+                                             cert, data=demo_data)
+    expected = decay_margin_loop(demo_data.x1t @ cert.g_matrix, demo_state_set, 0.84)
+    assert report.lyapunov_decay_margin == pytest.approx(expected, rel=1e-12, abs=0.0)
+    rng = np.random.default_rng(23)
+    uset = InputPolytope([[1.0], [-1.0]])
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        cset = validate_cset(random_cset_rows(rng, n))
+        plant = PlantModel(rng.uniform(-1.2, 1.2, size=(n, n)), rng.normal(size=(n, 1)))
+        cert = synthesis.Certificate(gain=rng.normal(scale=0.3, size=(1, n)),
+                                     lam=float(rng.uniform(0.5, 1.0)),
+                                     p_matrix=np.eye(cset.num_rows))
+        report = verification.verify_certificate(cset, uset, cert, plant=plant)
+        f = plant.a_matrix + plant.b_matrix @ cert.gain
+        expected = decay_margin_loop(f, cset, cert.lam)
+        assert np.isfinite(expected)
+        assert report.lyapunov_decay_margin == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_overflowing_rollout_reports_infinite_margin():
+    # spectral radius 2e6: the rollout passes 1.8e308 within 50 steps
+    box = _unit_box()
+    plant = PlantModel([[1e6, 1e6], [1e6, 1e6]], [[0.0], [1.0]])
+    cert = synthesis.Certificate(gain=[[0.0, 0.0]], lam=0.9, p_matrix=np.eye(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verification.verify_certificate(box, InputPolytope([[1.0], [-1.0]]),
+                                                 cert, plant=plant)
+    assert report.lyapunov_decay_margin == np.inf
+    assert not report.all_ok()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_decay_check_rejects_non_finite_states(bad):
+    states = np.array([[1.0, 0.0], [0.5, 0.0], [bad, 0.0]])
+    ok, margin = verification.check_decay_along_trajectory(_unit_box(), states, 0.8)
+    assert not ok
+    assert margin == np.inf
