@@ -55,15 +55,20 @@ def _spec_objects(spec: fileio.ProblemSpec):
     return state_set, input_set, data, plant, disturbance
 
 
+def _json_number(value):
+    """JSON has no non-finite numbers: those are written as 'inf', '-inf' or 'nan'."""
+    return value if value is None or np.isfinite(value) else str(float(value))
+
+
 def _report_to_dict(report: VerificationReport, tol: float) -> dict:
     return {
         "contractivity_ok": report.contractivity_ok,
         "certificate_ok": report.certificate_ok,
         "admissibility_ok": report.admissibility_ok,
         "robust_ok": report.robust_ok,
-        "worst_vertex_gauge": report.worst_vertex_gauge,
-        "worst_input_violation": report.worst_input_violation,
-        "lyapunov_decay_margin": report.lyapunov_decay_margin,
+        "worst_vertex_gauge": _json_number(report.worst_vertex_gauge),
+        "worst_input_violation": _json_number(report.worst_input_violation),
+        "lyapunov_decay_margin": _json_number(report.lyapunov_decay_margin),
         "tolerance": tol,
     }
 
@@ -107,6 +112,8 @@ def _cmd_generate(args) -> int:
         return _fail(f"bad config: {exc}")
     if x0.shape != (plant.n,):
         return _fail("x0 length does not match the plant dimension")
+    if not np.all(np.isfinite(x0)):
+        return _fail("x0 entries must be finite")
     if samples < 1:
         return _fail("samples must be positive")
     floor = min_samples(plant.n, plant.m)
@@ -144,7 +151,7 @@ def _cmd_generate(args) -> int:
               "description": "seeded open-loop experiment"})
     try:
         fileio.save_problem(spec, args.out)
-    except OSError as exc:
+    except (OSError, FileFormatError) as exc:
         return _fail(f"cannot write {args.out}: {exc}")
     print(f"wrote {args.out}")
     return 0
@@ -212,7 +219,7 @@ def _cmd_synthesize(args) -> int:
         input_digest=fileio.file_digest(args.problem))
     try:
         fileio.save_certificate(record, args.out)
-    except OSError as exc:
+    except (OSError, FileFormatError) as exc:
         return _fail(f"cannot write {args.out}: {exc}")
     print(f"gain: {np.array2string(certificate.gain, precision=6)}")
     print(f"lambda: {certificate.lam:.9g}")

@@ -75,17 +75,6 @@ class ExperimentData:
         return self.u0t.shape[0]
 
 
-@dataclass
-class DisturbanceRecord:
-    """Disturbance samples actually injected during an experiment, column per
-    instant. Available to the simulator only, never to the synthesis."""
-
-    d0t: np.ndarray
-
-    def __post_init__(self):
-        self.d0t = np.atleast_2d(np.asarray(self.d0t, dtype=float))
-
-
 def simulate(plant: PlantModel, x0, inputs, disturbances=None) -> np.ndarray:
     """Roll the plant forward; returns the (T+1, n) state sequence."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)

@@ -29,9 +29,12 @@ def matrix_to_obj(mat) -> dict:
 def obj_to_matrix(obj, name: str) -> np.ndarray:
     if not isinstance(obj, dict) or "shape" not in obj or "values" not in obj:
         raise FileFormatError(f"{name} must carry 'shape' and 'values'")
-    rows, cols = (int(v) for v in obj["shape"])
-    values = np.asarray(obj["values"], dtype=float)
-    if values.size != rows * cols:
+    try:
+        rows, cols = (int(v) for v in obj["shape"])
+        values = np.asarray(obj["values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{name}: shape and values must be numbers ({exc})") from exc
+    if min(rows, cols) < 0 or values.size != rows * cols:
         raise FileFormatError(f"{name}: {values.size} values for shape {rows}x{cols}")
     return values.reshape(rows, cols)
 
@@ -51,7 +54,21 @@ def matrix_to_rows(mat) -> list:
 
 
 def canonical_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    """Strict JSON (RFC 8259): a non-finite number raises FileFormatError
+    instead of becoming a bare Infinity or NaN token."""
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise FileFormatError(f"a non-finite number has no JSON form ({exc})") from exc
+    return text + "\n"
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; booleans, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FileFormatError(f"{name} must be a number")
+    return float(value)
 
 
 def file_digest(path) -> str:
@@ -88,7 +105,7 @@ def load_problem(path) -> ProblemSpec:
         if lam != "min":
             raise FileFormatError("lambda must be a number or the string 'min'")
     else:
-        lam = float(lam)
+        lam = _number(lam, "lambda")
         if not 0.0 <= lam < 1.0:
             raise FileFormatError("lambda must lie in [0, 1)")
     data = None
@@ -150,8 +167,9 @@ def problem_to_payload(spec: ProblemSpec) -> dict:
 
 
 def save_problem(spec: ProblemSpec, path):
+    text = canonical_dumps(problem_to_payload(spec))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(problem_to_payload(spec)))
+        fh.write(text)
 
 
 @dataclass
@@ -180,7 +198,7 @@ def load_certificate(path) -> CertificateRecord:
     g_matrix = obj_to_matrix(raw["g_matrix"], "g_matrix") if raw.get("g_matrix") is not None else None
     p_matrix = obj_to_matrix(raw["p_matrix"], "p_matrix") if raw.get("p_matrix") is not None else None
     return CertificateRecord(
-        gain=gain, lam=float(raw["lambda"]), g_matrix=g_matrix, p_matrix=p_matrix,
+        gain=gain, lam=_number(raw["lambda"], "lambda"), g_matrix=g_matrix, p_matrix=p_matrix,
         verification=raw.get("verification", {}) or {},
         tool_version=raw.get("tool_version", ""),
         input_digest=raw.get("input_digest", ""))
@@ -200,5 +218,6 @@ def certificate_to_payload(record: CertificateRecord) -> dict:
 
 
 def save_certificate(record: CertificateRecord, path):
+    text = canonical_dumps(certificate_to_payload(record))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(certificate_to_payload(record)))
+        fh.write(text)

@@ -103,20 +103,16 @@ class DisturbanceSet:
 
 
 def _check_bounded(h_matrix: np.ndarray):
-    """Reject sets with a recession direction by maximizing +-e_i over the set."""
-    n = h_matrix.shape[1]
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            cost = np.zeros(n)
-            cost[i] = -sign
-            prob = lp.LinearProgram(
-                num_vars=n,
-                objective=cost,
-                ineq_lhs=h_matrix,
-                ineq_rhs=np.ones(h_matrix.shape[0]),
-            )
-            if lp.solve(prob).status == lp.LpStatus.UNBOUNDED:
-                raise UnboundedSetError(f"set is unbounded along coordinate {i}")
+    """Reject sets with a recession direction. For H of full column rank the
+    set is bounded exactly when the rows positively span the space, that is
+    when H^T y = 0 has a solution y >= 1 (Stiemke's transposition theorem):
+    one feasibility LP."""
+    n_rows, n = h_matrix.shape
+    prob = lp.LinearProgram(num_vars=n_rows, objective=np.zeros(n_rows),
+                            eq_lhs=h_matrix.T, eq_rhs=np.zeros(n),
+                            lower_bounds=np.ones(n_rows))
+    if lp.solve(prob).status != lp.LpStatus.FEASIBLE:
+        raise UnboundedSetError("set is unbounded: its rows do not positively span the space")
 
 
 def enumerate_vertices(h_matrix, dedup_tol: float = DEDUP_TOL) -> np.ndarray:
@@ -164,8 +160,6 @@ def validate_cset(h_matrix) -> PolyhedralCSet:
         raise PolytopeError("H entries must be finite")
     if n_rows < n + 1:
         raise PolytopeError(f"{n_rows} rows cannot bound a {n}-dimensional set")
-    if numerical_rank(h_matrix) < n:
-        raise RankDeficientError("H must have full column rank")
     # origin is interior by construction of the normalized form
     assert np.all(h_matrix @ np.zeros(n) < 1.0)
     verts = enumerate_vertices(h_matrix)

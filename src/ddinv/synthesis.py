@@ -11,7 +11,11 @@ P S = S (A + B K), plus input admissibility at every vertex of the state
 set. The data-based program replaces A + B K by X1 G with the consistency
 condition X0 G = I and admissibility through U0 G. The robust program drops
 P, fixes the level at one, and tightens every vertex condition against the
-worst disturbance column the data could have contained.
+worst disturbance column the data could have contained. Each of its rows is
+affine in the projection of a disturbance vertex onto one set row, so only
+the largest and the smallest projection can bind: the builder keeps those
+two of the disturbance vertices per set row, which halves the robust rows
+for a box disturbance in the plane and leaves the feasible set as it was.
 """
 
 from __future__ import annotations
@@ -93,31 +97,40 @@ class Certificate:
         self.lam = float(self.lam)
 
 
-def _row_sum_block(n_s: int, p_offset: int, nvars: int, lam, minimize: bool):
-    """Rows encoding P 1 <= lam 1 (lam moves to the left when minimized)."""
-    block = np.zeros((n_s, nvars))
-    block[:, p_offset : p_offset + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
-    if minimize:
-        block[:, -1] = -1.0
-        rhs = np.zeros(n_s)
-    else:
-        rhs = np.full(n_s, float(lam))
-    return block, rhs
+def _nominal_lp(n_s: int, p_off: int, nvars: int, lam, eq, eq_rhs, ineq, ineq_rhs):
+    """Assemble a nominal program: P >= 0 with the rows P 1 <= lam 1 ahead
+    of the given inequality blocks. lam=None minimizes the level, the last
+    variable, which then moves to the left of those rows."""
+    sum_block = np.zeros((n_s, nvars))
+    sum_block[:, p_off : p_off + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
+    lower = np.full(nvars, -np.inf)
+    upper = np.full(nvars, np.inf)
+    lower[p_off : p_off + n_s * n_s] = 0.0
+    objective = np.zeros(nvars)
+    if lam is None:
+        sum_block[:, -1] = -1.0
+        lower[-1] = 0.0
+        upper[-1] = 1.0 - EPS_STRICT
+        objective[-1] = 1.0
+    sum_rhs = np.zeros(n_s) if lam is None else np.full(n_s, float(lam))
+    return lp.LinearProgram(
+        num_vars=nvars, objective=objective,
+        eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),
+        ineq_lhs=np.vstack([sum_block] + ineq), ineq_rhs=np.concatenate([sum_rhs] + ineq_rhs),
+        lower_bounds=lower, upper_bounds=upper)
 
 
 def build_modelbased_lp(plant: PlantModel, state_set: PolyhedralCSet,
                         input_set: InputPolytope, lam=None) -> lp.LinearProgram:
     """Gain design with the plant known. lam=None minimizes the level."""
-    minimize = lam is None
     n, m = plant.n, plant.m
     s_h = state_set.h_matrix
     n_s = state_set.num_rows
-    nvars = m * n + n_s * n_s + (1 if minimize else 0)
+    nvars = m * n + n_s * n_s + (1 if lam is None else 0)
     p_off = m * n
 
-    sum_block, sum_rhs = _row_sum_block(n_s, p_off, nvars, lam, minimize)
-    ineq = [sum_block]
-    ineq_rhs = [sum_rhs]
+    ineq = []
+    ineq_rhs = []
     u_h = input_set.h_matrix
     for vert in state_set.vertices:
         block = np.zeros((u_h.shape[0], nvars))
@@ -135,35 +148,20 @@ def build_modelbased_lp(plant: PlantModel, state_set: PolyhedralCSet,
         block[:, p_off + i * n_s : p_off + (i + 1) * n_s] = s_h.T
         eq.append(block)
         eq_rhs.append(sa[i])
-
-    lower = np.full(nvars, -np.inf)
-    upper = np.full(nvars, np.inf)
-    lower[p_off : p_off + n_s * n_s] = 0.0
-    objective = np.zeros(nvars)
-    if minimize:
-        lower[-1] = 0.0
-        upper[-1] = 1.0 - EPS_STRICT
-        objective[-1] = 1.0
-    return lp.LinearProgram(
-        num_vars=nvars, objective=objective,
-        eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),
-        ineq_lhs=np.vstack(ineq), ineq_rhs=np.concatenate(ineq_rhs),
-        lower_bounds=lower, upper_bounds=upper)
+    return _nominal_lp(n_s, p_off, nvars, lam, eq, eq_rhs, ineq, ineq_rhs)
 
 
 def build_databased_lp(data: ExperimentData, state_set: PolyhedralCSet,
                        input_set: InputPolytope, lam=None) -> lp.LinearProgram:
     """Gain design from data alone. lam=None minimizes the level."""
-    minimize = lam is None
     n, T = data.n, data.samples
     s_h = state_set.h_matrix
     n_s = state_set.num_rows
-    nvars = T * n + n_s * n_s + (1 if minimize else 0)
+    nvars = T * n + n_s * n_s + (1 if lam is None else 0)
     p_off = T * n
 
-    sum_block, sum_rhs = _row_sum_block(n_s, p_off, nvars, lam, minimize)
-    ineq = [sum_block]
-    ineq_rhs = [sum_rhs]
+    ineq = []
+    ineq_rhs = []
     u_h = input_set.h_matrix
     admiss = u_h @ data.u0t
     for vert in state_set.vertices:
@@ -185,20 +183,7 @@ def build_databased_lp(data: ExperimentData, state_set: PolyhedralCSet,
     consistency[:, : T * n] = np.kron(np.eye(n), data.x0t)
     eq.append(consistency)
     eq_rhs.append(np.eye(n).ravel())
-
-    lower = np.full(nvars, -np.inf)
-    upper = np.full(nvars, np.inf)
-    lower[p_off : p_off + n_s * n_s] = 0.0
-    objective = np.zeros(nvars)
-    if minimize:
-        lower[-1] = 0.0
-        upper[-1] = 1.0 - EPS_STRICT
-        objective[-1] = 1.0
-    return lp.LinearProgram(
-        num_vars=nvars, objective=objective,
-        eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),
-        ineq_lhs=np.vstack(ineq), ineq_rhs=np.concatenate(ineq_rhs),
-        lower_bounds=lower, upper_bounds=upper)
+    return _nominal_lp(n_s, p_off, nvars, lam, eq, eq_rhs, ineq, ineq_rhs)
 
 
 def disturbance_spike(samples: int, index: int, vertex) -> np.ndarray:
@@ -229,17 +214,24 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     n_d = disturbance.vertices.shape[0]
     nvars = T * n
 
+    base = s_h @ data.x1t
+    shift_cols = s_h @ disturbance.vertices.T  # (n_s, n_d), column i is S d_i
+    # worst additive disturbance per set row
+    d_shift = shift_cols.max(axis=1)
+    if n_d > 2:
+        # each row is affine in shift_cols[r, i], so only the largest and
+        # the smallest entry of a set row can bind: the feasible set stays
+        shift_cols = np.column_stack([d_shift, shift_cols.min(axis=1)])
+        n_d = 2
+
     n_rows = n_s * state_set.vertices.shape[0] * n_d * T
     n_rows += input_set.h_matrix.shape[0] * state_set.vertices.shape[0]
     if n_rows > row_cap:
         warnings.warn(f"robust program has {n_rows} inequality rows", stacklevel=2)
 
-    base = s_h @ data.x1t
-    shift_cols = s_h @ disturbance.vertices.T  # (n_s, n_d), column i is S d_i
-    # worst additive disturbance per set row
-    d_shift = shift_cols.max(axis=1)
-    # prop[j, i] is base with column j shifted by T S d_i; a row block is
-    # kron(vertex, prop[j, i]), blocks ordered by vertex, then j, then i
+    # prop[j, i] is base with column j shifted by T times shift_cols[:, i];
+    # a row block is kron(vertex, prop[j, i]), blocks ordered by vertex,
+    # then j, then i
     prop = np.empty((T, n_d, n_s, T))
     prop[...] = base
     cols = np.arange(T)
@@ -299,20 +291,7 @@ def synthesize(problem: SynthesisProblem) -> Certificate:
         return Certificate(gain=extract_gain(data, g), lam=1.0, g_matrix=g)
     if problem.lam == MINIMIZE:
         return minimize_lambda(problem)
-    lam = float(problem.lam)
-    if isinstance(problem.source, PlantModel):
-        plant = problem.source
-        program = build_modelbased_lp(plant, problem.state_set, problem.input_set, lam)
-        primal = _solve_or_raise(program, f"model-based design at level {lam}")
-        k = _unpack_k(primal, plant.m, plant.n)
-        p = _unpack_p(primal, plant.m * plant.n, problem.state_set.num_rows)
-        return Certificate(gain=k, lam=lam, p_matrix=p)
-    data = problem.source
-    program = build_databased_lp(data, problem.state_set, problem.input_set, lam)
-    primal = _solve_or_raise(program, f"data-based design at level {lam}")
-    g = _unpack_g(primal, data.samples, data.n)
-    p = _unpack_p(primal, data.samples * data.n, problem.state_set.num_rows)
-    return Certificate(gain=extract_gain(data, g), lam=lam, g_matrix=g, p_matrix=p)
+    return _nominal_design(problem, float(problem.lam))
 
 
 def minimize_lambda(problem: SynthesisProblem) -> Certificate:
@@ -320,17 +299,23 @@ def minimize_lambda(problem: SynthesisProblem) -> Certificate:
     level enters the constraints linearly."""
     if problem.disturbance is not None:
         raise ValueError("level minimization is a nominal-design operation")
+    return _nominal_design(problem, None)
+
+
+def _nominal_design(problem: SynthesisProblem, lam: Optional[float]) -> Certificate:
+    """Design from the model or the data at level lam, or at the smallest
+    level when lam is None."""
+    what = "level minimization" if lam is None else f"design at level {lam}"
     if isinstance(problem.source, PlantModel):
         plant = problem.source
-        program = build_modelbased_lp(plant, problem.state_set, problem.input_set, None)
-        primal = _solve_or_raise(program, "model-based level minimization")
-        k = _unpack_k(primal, plant.m, plant.n)
-        p = _unpack_p(primal, plant.m * plant.n, problem.state_set.num_rows)
-        return Certificate(gain=k, lam=float(primal[-1]), p_matrix=p)
-    data = problem.source
-    program = build_databased_lp(data, problem.state_set, problem.input_set, None)
-    primal = _solve_or_raise(program, "data-based level minimization")
-    g = _unpack_g(primal, data.samples, data.n)
-    p = _unpack_p(primal, data.samples * data.n, problem.state_set.num_rows)
-    return Certificate(gain=extract_gain(data, g), lam=float(primal[-1]),
-                       g_matrix=g, p_matrix=p)
+        program = build_modelbased_lp(plant, problem.state_set, problem.input_set, lam)
+        primal = _solve_or_raise(program, f"model-based {what}")
+        gain, g, p_off = _unpack_k(primal, plant.m, plant.n), None, plant.m * plant.n
+    else:
+        data = problem.source
+        program = build_databased_lp(data, problem.state_set, problem.input_set, lam)
+        primal = _solve_or_raise(program, f"data-based {what}")
+        g = _unpack_g(primal, data.samples, data.n)
+        gain, p_off = extract_gain(data, g), data.samples * data.n
+    return Certificate(gain=gain, lam=float(primal[-1]) if lam is None else lam, g_matrix=g,
+                       p_matrix=_unpack_p(primal, p_off, problem.state_set.num_rows))

@@ -5,12 +5,16 @@ enumerates candidate basic points directly, the vertex oracle intersects
 row pairs, and the polygon rebuild works from cross products. The loop
 references (`vertices_loop`, `decay_margin_loop`, `dense_pivot`, the robust
 loops) are the one-at-a-time forms of vectorized library code, kept so the
-tests can pin the vectorized forms to them.
+tests can pin the vectorized forms to them. `bounded_coordinate_lps` is the
+2n-LP boundedness test the library's single LP replaced; it calls
+`lp.solve`, as that test did.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from ddinv import lp
 
 
 def brute_force_lp(prob, feas_tol=1e-9):
@@ -213,3 +217,18 @@ def robust_data_worst_loop(data, g_matrix, cset, disturbance):
                 rows = nominal - T * shift[:, i] * gs[j] + d_worst
                 worst = max(worst, float(np.max(rows)))
     return worst
+
+
+def bounded_coordinate_lps(h_matrix):
+    """True when {x : H x <= 1} is bounded, by maximizing +-e_i over the set
+    for each coordinate i: 2n LPs, unbounded as soon as one of them is."""
+    n = h_matrix.shape[1]
+    for i in range(n):
+        for sign in (1.0, -1.0):
+            cost = np.zeros(n)
+            cost[i] = -sign
+            prob = lp.LinearProgram(num_vars=n, objective=cost, ineq_lhs=h_matrix,
+                                    ineq_rhs=np.ones(h_matrix.shape[0]))
+            if lp.solve(prob).status == lp.LpStatus.UNBOUNDED:
+                return False
+    return True

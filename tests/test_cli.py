@@ -262,3 +262,76 @@ def test_missing_files_exit_one(tmp_path):
                      "--out", str(tmp_path / "c.json")]) == 1
     assert cli.main(["verify", str(tmp_path / "nope.json"),
                      str(tmp_path / "also-nope.json")]) == 1
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _patched_synthesize(monkeypatch, change):
+    real = cli.synthesize
+
+    def changed(problem):
+        certificate = real(problem)
+        change(certificate)
+        return certificate
+
+    monkeypatch.setattr(cli, "synthesize", changed)
+
+
+def test_certificate_with_overflowing_margin_is_strict_json(tmp_path, demo_problem,
+                                                            monkeypatch, capsys):
+    # a combiner scaled by 1e8 overflows the decay rollout: the margin is +inf
+    _patched_synthesize(monkeypatch, lambda cert: setattr(cert, "g_matrix", 1e8 * cert.g_matrix))
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 2
+    assert "decay margin    inf" in capsys.readouterr().out
+    raw = json.loads(cert_path.read_text(), parse_constant=_refuse_constant)
+    assert raw["verification"]["lyapunov_decay_margin"] == "inf"
+    assert fileio.load_certificate(str(cert_path)).verification == raw["verification"]
+
+
+def test_non_finite_gain_exits_one_and_writes_nothing(tmp_path, demo_problem,
+                                                      monkeypatch, capsys):
+    _patched_synthesize(monkeypatch, lambda cert: cert.gain.__setitem__((0, 0), np.nan))
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    assert not cert_path.exists()
+
+
+def test_generate_rejects_non_finite_start(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**DEMO_CONFIG, "x0": [float("nan"), 0.0]}))
+    assert cli.main(["generate", str(cfg), "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda raw: raw["data"]["u0t"].update(shape="ab"),
+    lambda raw: raw["data"]["x0t"].update(values=["x"] * 40),
+    lambda raw: raw.update({"lambda": False}),
+])
+def test_malformed_problem_exits_one_without_traceback(tmp_path, demo_problem, capsys,
+                                                       mutate):
+    raw = json.loads(open(demo_problem).read())
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["synthesize", str(path), "--out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_boolean_certificate_level_exits_one(tmp_path, demo_problem, capsys):
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 0
+    raw = json.loads(cert_path.read_text())
+    raw["lambda"] = False
+    cert_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["verify", demo_problem, str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -140,3 +140,49 @@ def test_matrix_codec_rejects_bad_shapes():
         fileio.obj_to_matrix(fileio.matrix_to_obj(mat), "block"), mat)
     assert np.array_equal(
         fileio.rows_to_matrix(fileio.matrix_to_rows(mat), "rows"), mat)
+
+
+@pytest.mark.parametrize("obj", [
+    {"shape": "ab", "values": [1.0, 2.0]},
+    {"shape": [1, 2], "values": ["a", "b"]},
+    {"shape": [1, 2], "values": [[1.0], 2.0]},
+    {"shape": [2], "values": [1.0, 2.0]},
+    {"shape": [-1, -1], "values": [1.0]},
+    {"shape": [None, 2], "values": [1.0, 2.0]},
+])
+def test_matrix_codec_rejects_non_numeric_parts(obj):
+    with pytest.raises(fileio.FileFormatError):
+        fileio.obj_to_matrix(obj, "block")
+
+
+@pytest.mark.parametrize("level", [False, True, None, [0.5]])
+def test_level_must_be_a_number(tmp_path, level):
+    path = tmp_path / "problem.json"
+    fileio.save_problem(_demo_spec(), path)
+    raw = json.loads(path.read_text())
+    raw["lambda"] = level
+    path.write_text(json.dumps(raw))
+    with pytest.raises(fileio.FileFormatError):
+        fileio.load_problem(path)
+    record = fileio.CertificateRecord(gain=np.ones((1, 2)), lam=0.5)
+    fileio.save_certificate(record, path)
+    raw = json.loads(path.read_text())
+    raw["lambda"] = level
+    path.write_text(json.dumps(raw))
+    with pytest.raises(fileio.FileFormatError):
+        fileio.load_certificate(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_not_written(tmp_path, bad):
+    gain = np.ones((1, 2))
+    gain[0, 1] = bad
+    path = tmp_path / "certificate.json"
+    with pytest.raises(fileio.FileFormatError, match="non-finite"):
+        fileio.save_certificate(fileio.CertificateRecord(gain=gain, lam=0.5), path)
+    assert not path.exists()
+    spec = _demo_spec()
+    spec.data["x1t"][1, 3] = bad
+    with pytest.raises(fileio.FileFormatError, match="non-finite"):
+        fileio.save_problem(spec, path)
+    assert not path.exists()

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddinv import polytopes
+from ddinv.numerics import numerical_rank
 from generators import random_cset_rows
-from oracles import (polygon_rows_from_vertices, same_point_set, vertex_oracle_2d,
-                     vertices_loop)
+from oracles import (bounded_coordinate_lps, polygon_rows_from_vertices, same_point_set,
+                     vertex_oracle_2d, vertices_loop)
 
 
 def test_unit_box_vertices():
@@ -196,3 +197,29 @@ def test_unbounded_set_raises_before_enumeration():
     assert vertices_loop(rows).shape == (2, 2)
     with pytest.raises(polytopes.UnboundedSetError):
         polytopes.enumerate_vertices(rows)
+
+
+def test_single_boundedness_lp_agrees_with_coordinate_lps():
+    # Stiemke: full column rank H bounds {x : H x <= 1} exactly when
+    # H^T y = 0 has a solution y >= 1; random rows give both outcomes
+    rng = np.random.default_rng(57)
+    verdicts = []
+    while len(verdicts) < 600:
+        n = int(rng.integers(2, 5))
+        rows = rng.normal(size=(int(rng.integers(n + 1, n + 8)), n))
+        rows /= rng.uniform(0.5, 1.5, size=(rows.shape[0], 1))
+        if numerical_rank(rows) < n:
+            continue
+        try:
+            polytopes._check_bounded(rows)
+            bounded = True
+        except polytopes.UnboundedSetError:
+            bounded = False
+        assert bounded == bounded_coordinate_lps(rows), rows
+        verdicts.append(bounded)
+    assert min(verdicts.count(True), verdicts.count(False)) >= 150
+
+
+def test_unbounded_message_names_the_positive_span():
+    with pytest.raises(polytopes.UnboundedSetError, match="positively span"):
+        polytopes.validate_cset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ddinv import lp, synthesis, verification
 from ddinv.experiment import (PlantModel, build_data_matrices,
@@ -218,14 +221,21 @@ def _regular_polygon(k, radius=1.0):
     return polygon_rows_from_vertices(radius * np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
-@pytest.mark.parametrize("rows, disturbance, samples", [
-    (np.vstack([np.eye(2), -np.eye(2)]), 0.02 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]), 9),
-    (np.vstack([np.eye(2), -np.eye(2)]), 0.02 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]), 1),
+BOX = np.vstack([np.eye(2), -np.eye(2)])
+BOX_CORNERS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+PENTAGON = np.column_stack([np.cos(2 * np.pi * np.arange(5) / 5),
+                            np.sin(2 * np.pi * np.arange(5) / 5)])
+CUBE = np.vstack([np.eye(3), -np.eye(3)])
+ROBUST_CASES = [
+    (BOX, 0.02 * BOX_CORNERS, 9),
+    (BOX, 0.02 * BOX_CORNERS, 1),
     (_regular_polygon(7), 0.01 * np.array([[1, 1], [-1, -1]]), 12),
-    (_regular_polygon(5), 0.03 * np.column_stack([np.cos(2 * np.pi * np.arange(5) / 5),
-                                                  np.sin(2 * np.pi * np.arange(5) / 5)]), 6),
-    (np.vstack([np.eye(3), -np.eye(3)]), 0.01 * np.vstack([np.eye(3), -np.eye(3)]), 5),
-])
+    (_regular_polygon(5), 0.03 * PENTAGON, 6),
+    (CUBE, 0.01 * CUBE, 5),
+]
+
+
+@pytest.mark.parametrize("rows, disturbance, samples", ROBUST_CASES)
 def test_robust_builder_matches_loop_oracle(rows, disturbance, samples):
     rng = np.random.default_rng(samples)
     n = rows.shape[1]
@@ -235,7 +245,84 @@ def test_robust_builder_matches_loop_oracle(rows, disturbance, samples):
     dset = DisturbanceSet(disturbance)
     program = synthesis.build_robust_lp(data, cset, uset, dset)
     lhs, rhs = robust_rows_loop(data, cset, uset, dset)
+    # with more than two disturbance vertices the builder keeps, per (vertex,
+    # sample, set row), the loop's rows for the largest and the smallest shift
+    shift = rows @ dset.vertices.T
+    n_v, n_s, n_d = cset.vertices.shape[0], rows.shape[0], shift.shape[1]
+    pick = (np.stack([shift.argmax(axis=1), shift.argmin(axis=1)]) if n_d > 2
+            else np.arange(n_d)[:, None])
+    n_rob = n_v * samples * n_d * n_s
+    blocks = lhs[:n_rob].reshape(n_v, samples, n_d, n_s, -1)[:, :, pick, np.arange(n_s)]
+    rhs_blocks = rhs[:n_rob].reshape(n_v, samples, n_d, n_s)[:, :, pick, np.arange(n_s)]
+    lhs = np.vstack([blocks.reshape(-1, lhs.shape[1]), lhs[n_rob:]])
+    rhs = np.concatenate([rhs_blocks.ravel(), rhs[n_rob:]])
     assert program.ineq_lhs.shape == lhs.shape
     assert program.ineq_lhs.tobytes() == lhs.tobytes()
     assert program.ineq_rhs.tobytes() == rhs.tobytes()
     assert program.eq_lhs.tobytes() == np.kron(np.eye(n), data.x0t).tobytes()
+
+
+@pytest.mark.parametrize("rows, disturbance, samples", ROBUST_CASES)
+def test_pruned_robust_program_has_the_loop_worst_violation(rows, disturbance, samples):
+    # the rows left out are convex combinations of the extreme ones, so no
+    # G violates them by more than it violates the rows kept
+    rng = np.random.default_rng(100 + samples)
+    n = rows.shape[1]
+    cset = validate_cset(rows)
+    uset = InputPolytope(box_input_rows(2, 3.0))
+    data = build_data_matrices(rng.normal(size=(samples, 2)), rng.normal(size=(samples + 1, n)))
+    dset = DisturbanceSet(disturbance)
+    program = synthesis.build_robust_lp(data, cset, uset, dset)
+    lhs, rhs = robust_rows_loop(data, cset, uset, dset)
+    for _ in range(20):
+        g = rng.normal(scale=rng.uniform(0.1, 10.0), size=samples * n)
+        pruned = np.max(program.ineq_lhs @ g - program.ineq_rhs)
+        full = np.max(lhs @ g - rhs)
+        assert abs(pruned - full) <= 1e-12 * max(1.0, abs(full))
+
+
+def _disturbed_experiment(rng, n, samples, radius):
+    a = rng.normal(size=(n, n))
+    a *= 0.3 / np.max(np.abs(np.linalg.eigvals(a)))
+    b = rng.normal(size=(n, 1))
+    inputs = rng.uniform(-1.0, 1.0, size=(samples, 1))
+    states = simulate(PlantModel(a, b), rng.uniform(-0.5, 0.5, size=n), inputs,
+                      rng.uniform(-radius, radius, size=(samples, n)))
+    return build_data_matrices(inputs, states)
+
+
+def test_pruned_robust_program_has_the_highs_verdict_of_the_full_one():
+    rng = np.random.default_rng(23)
+    verdicts = []
+    for trial in range(18):
+        rows, vertices = [(BOX, BOX_CORNERS), (BOX, PENTAGON), (CUBE, CUBE)][trial % 3]
+        radius = (0.002, 0.02, 0.1)[trial // 3 % 3]
+        n = rows.shape[1]
+        data = _disturbed_experiment(rng, n, int(rng.integers(3, 9)), radius)
+        cset = validate_cset(rows)
+        uset = InputPolytope(np.array([[0.2], [-0.2]]))
+        dset = DisturbanceSet(radius * vertices)
+        program = synthesis.build_robust_lp(data, cset, uset, dset)
+        outcomes = [
+            linprog(np.zeros(program.num_vars), A_ub=lhs, b_ub=rhs, A_eq=program.eq_lhs,
+                    b_eq=program.eq_rhs, bounds=(None, None), method="highs").status
+            for lhs, rhs in [(program.ineq_lhs, program.ineq_rhs),
+                             robust_rows_loop(data, cset, uset, dset)]]
+        assert outcomes[0] == outcomes[1] and outcomes[0] in (0, 2)
+        verdicts.append(outcomes[0])
+    assert verdicts.count(0) >= 4 and verdicts.count(2) >= 4
+
+
+def test_row_cap_counts_the_rows_built():
+    # box state set and box disturbance: 32 T + 8 rows once pruned, 64 T + 8
+    # before, so a cap of 296 at T = 9 separates the two counts
+    rng = np.random.default_rng(4)
+    data = build_data_matrices(rng.normal(size=(9, 1)), rng.normal(size=(10, 2)))
+    args = (data, validate_cset(BOX), InputPolytope([[0.2], [-0.2]]),
+            DisturbanceSet(0.02 * BOX_CORNERS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        program = synthesis.build_robust_lp(*args, row_cap=296)
+    assert program.ineq_lhs.shape[0] == 296
+    with pytest.warns(UserWarning, match="has 296 inequality rows"):
+        synthesis.build_robust_lp(*args, row_cap=295)
