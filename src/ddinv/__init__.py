@@ -19,9 +19,8 @@ from .polytopes import (DisturbanceSet, InputPolytope, PolyhedralCSet,
                         enumerate_vertices, gauge, validate_cset)
 from .synthesis import (Certificate, InfeasibleProblem, SolverFailure,
                         SynthesisProblem, build_databased_lp,
-                        build_modelbased_lp, build_robust_lp,
-                        disturbance_spike, extract_gain, minimize_lambda,
-                        synthesize)
+                        build_modelbased_lp, build_robust_lp, extract_gain,
+                        minimize_lambda, synthesize)
 from .verification import (VerificationReport, check_admissibility,
                            check_decay_along_trajectory,
                            check_invariance_certificate,

@@ -23,14 +23,14 @@ from . import __version__
 from . import fileio, svgplot
 from .experiment import (ExperimentData, PlantModel, build_data_matrices,
                          data_has_full_row_rank, is_persistently_exciting,
-                         min_samples, random_input_sequence, simulate,
-                         simulate_closed_loop)
+                         min_samples, random_input_sequence, simulate)
 from .fileio import FileFormatError
 from .polytopes import (DisturbanceSet, InputPolytope, PolytopeError,
                         gauge, ordered_vertices_2d, validate_cset)
-from .synthesis import (Certificate, InfeasibleProblem, SolverFailure,
+from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
-from .verification import VerificationReport, lyapunov_value, verify_certificate
+from .verification import (VerificationReport, closed_loop, lyapunov_value, rollout,
+                           verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -157,11 +157,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _certificate_from_record(record: fileio.CertificateRecord) -> Certificate:
-    return Certificate(gain=record.gain, lam=record.lam,
-                       g_matrix=record.g_matrix, p_matrix=record.p_matrix)
-
-
 def _cmd_synthesize(args) -> int:
     try:
         spec = fileio.load_problem(args.problem)
@@ -231,37 +226,43 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    try:
-        spec = fileio.load_problem(args.problem)
-        record = fileio.load_certificate(args.certificate)
-    except (OSError, FileFormatError) as exc:
-        return _fail(str(exc))
+def _load_certified(args):
+    """Problem objects and certificate for verify and simulate, the
+    certificate's shapes checked against the problem. Raises OSError or
+    ValueError with the message for the error line."""
+    spec = fileio.load_problem(args.problem)
+    record = fileio.load_certificate(args.certificate)
     try:
         state_set, input_set, data, plant, disturbance = _spec_objects(spec)
     except (PolytopeError, ValueError) as exc:
-        return _fail(f"invalid problem: {exc}")
-
+        raise ValueError(f"invalid problem: {exc}") from exc
     n = state_set.dim
     m = input_set.dim
     if record.gain.shape != (m, n):
-        return _fail(f"gain shape {record.gain.shape} does not match ({m}, {n})")
+        raise ValueError(f"gain shape {record.gain.shape} does not match ({m}, {n})")
     if record.p_matrix is not None and record.p_matrix.shape != (state_set.num_rows,) * 2:
-        return _fail("p_matrix shape does not match the state set")
+        raise ValueError("p_matrix shape does not match the state set")
     if record.g_matrix is not None:
         if data is None:
-            return _fail("certificate carries a data combiner but the problem has no data")
+            raise ValueError("certificate carries a data combiner but the problem has no data")
         if record.g_matrix.shape != (data.samples, n):
-            return _fail("g_matrix shape does not match the data")
+            raise ValueError("g_matrix shape does not match the data")
+    return state_set, input_set, data, plant, disturbance, record
+
+
+def _cmd_verify(args) -> int:
+    try:
+        state_set, input_set, data, plant, disturbance, record = _load_certified(args)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
     if record.input_digest:
         digest = fileio.file_digest(args.problem)
         if digest != record.input_digest:
             print("warning: problem file digest differs from the one recorded "
                   "in the certificate", file=sys.stderr)
 
-    certificate = _certificate_from_record(record)
     try:
-        report = verify_certificate(state_set, input_set, certificate,
+        report = verify_certificate(state_set, input_set, record,
                                     data=data, plant=plant, disturbance=disturbance)
     except ValueError as exc:
         return _fail(str(exc))
@@ -285,14 +286,9 @@ def _input_bounds(input_rows: np.ndarray):
 
 def _cmd_simulate(args) -> int:
     try:
-        spec = fileio.load_problem(args.problem)
-        record = fileio.load_certificate(args.certificate)
-    except (OSError, FileFormatError) as exc:
+        state_set, input_set, data, plant, disturbance, record = _load_certified(args)
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    try:
-        state_set, input_set, data, plant, disturbance = _spec_objects(spec)
-    except (PolytopeError, ValueError) as exc:
-        return _fail(f"invalid problem: {exc}")
     try:
         x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
     except ValueError:
@@ -309,20 +305,14 @@ def _cmd_simulate(args) -> int:
         return _fail("--steps must be positive")
 
     gain = record.gain
-    if plant is not None:
-        states, inputs = simulate_closed_loop(plant, gain, x0, args.steps)
-    elif data is not None and record.g_matrix is not None:
-        if record.p_matrix is None:
-            return _fail("simulating a robust certificate needs a model block; "
-                         "the disturbed closed loop cannot be rebuilt from data")
-        f_matrix = data.x1t @ record.g_matrix
-        states = np.zeros((args.steps + 1, state_set.dim))
-        states[0] = x0
-        for t in range(args.steps):
-            states[t + 1] = f_matrix @ states[t]
-        inputs = states[:-1] @ gain.T
-    else:
+    f_matrix = closed_loop(record, data, plant)
+    if f_matrix is None:
         return _fail("problem gives no way to form the closed loop")
+    if plant is None and record.p_matrix is None:
+        return _fail("simulating a robust certificate needs a model block; "
+                     "the disturbed closed loop cannot be rebuilt from data")
+    states = rollout(f_matrix, x0, args.steps)
+    inputs = states[:-1] @ gain.T
 
     wrote = []
     if args.format in (None, "csv"):
@@ -341,33 +331,27 @@ def _cmd_simulate(args) -> int:
         except OSError as exc:
             return _fail(f"cannot write {path}: {exc}")
         wrote.append(path)
+    scenes = []
     if args.format in (None, "svg"):
         if state_set.dim == 2:
-            path = args.out + ".svg"
             lam = record.lam if record.lam < 1.0 else None
-            scene = svgplot.state_plane_svg(
+            scenes.append((args.out + ".svg", svgplot.state_plane_svg(
                 ordered_vertices_2d(state_set), lam=lam, trajectory=states,
-                title=f"closed-loop trajectory, lambda {record.lam:.4g}")
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(scene)
-            except OSError as exc:
-                return _fail(f"cannot write {path}: {exc}")
-            wrote.append(path)
+                title=f"closed-loop trajectory, lambda {record.lam:.4g}")))
         else:
             print("state-plane plot skipped: set is not two-dimensional",
                   file=sys.stderr)
         if input_set.dim == 1:
             lower, upper = _input_bounds(input_set.h_matrix)
-            path = args.out + "_input.svg"
-            scene = svgplot.input_signal_svg(inputs[:, 0], lower, upper,
-                                             title="input signal and bounds")
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(scene)
-            except OSError as exc:
-                return _fail(f"cannot write {path}: {exc}")
-            wrote.append(path)
+            scenes.append((args.out + "_input.svg", svgplot.input_signal_svg(
+                inputs[:, 0], lower, upper, title="input signal and bounds")))
+    for path, scene in scenes:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(scene)
+        except OSError as exc:
+            return _fail(f"cannot write {path}: {exc}")
+        wrote.append(path)
 
     final_gauge = gauge(state_set, states[-1])
     print(f"final gauge after {args.steps} steps: {final_gauge:.6g}")

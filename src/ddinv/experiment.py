@@ -30,6 +30,8 @@ class PlantModel:
             raise ValueError("A must be square")
         if self.b_matrix.shape[0] != n:
             raise ValueError("B row count must match A")
+        if not (np.all(np.isfinite(self.a_matrix)) and np.all(np.isfinite(self.b_matrix))):
+            raise ValueError("A and B must be finite")
 
     @property
     def n(self) -> int:
@@ -61,6 +63,8 @@ class ExperimentData:
             raise ValueError("data matrices must share the sample count")
         if self.x0t.shape[0] != self.x1t.shape[0]:
             raise ValueError("state matrices must share the row count")
+        if not all(np.all(np.isfinite(mat)) for mat in (self.u0t, self.x0t, self.x1t)):
+            raise ValueError("data matrices must be finite")
 
     @property
     def samples(self) -> int:

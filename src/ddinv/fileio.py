@@ -36,7 +36,7 @@ def obj_to_matrix(obj, name: str) -> np.ndarray:
         raise FileFormatError(f"{name}: shape and values must be numbers ({exc})") from exc
     if min(rows, cols) < 0 or values.size != rows * cols:
         raise FileFormatError(f"{name}: {values.size} values for shape {rows}x{cols}")
-    return values.reshape(rows, cols)
+    return rows_to_matrix(values.reshape(rows, cols), name)
 
 
 def rows_to_matrix(obj, name: str) -> np.ndarray:
@@ -46,6 +46,9 @@ def rows_to_matrix(obj, name: str) -> np.ndarray:
         raise FileFormatError(f"{name} must be a list of equal-length rows") from exc
     if mat.ndim != 2:
         raise FileFormatError(f"{name} must be a list of equal-length rows")
+    # json.load accepts the bare NaN and Infinity tokens
+    if not np.all(np.isfinite(mat)):
+        raise FileFormatError(f"{name} has a non-finite entry")
     return mat
 
 

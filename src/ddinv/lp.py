@@ -128,25 +128,6 @@ def check_feasible(lp: LinearProgram, point, tol: float = TOL_FEAS) -> bool:
     return True
 
 
-def lp_to_text(lp: LinearProgram) -> str:
-    """Plain-text dump, one constraint per line. Debug aid only."""
-
-    def comb(row):
-        terms = [f"{row[i]:+.6g}*z{i}" for i in range(lp.num_vars) if row[i] != 0.0]
-        return " ".join(terms) if terms else "0"
-
-    lines = [f"min {comb(lp.objective)}"]
-    for row, rhs in zip(lp.eq_lhs, lp.eq_rhs):
-        lines.append(f"{comb(row)} == {rhs:.6g}")
-    for row, rhs in zip(lp.ineq_lhs, lp.ineq_rhs):
-        lines.append(f"{comb(row)} <= {rhs:.6g}")
-    for i in range(lp.num_vars):
-        lo, hi = lp.lower_bounds[i], lp.upper_bounds[i]
-        if np.isfinite(lo) or np.isfinite(hi):
-            lines.append(f"{lo:.6g} <= z{i} <= {hi:.6g}")
-    return "\n".join(lines)
-
-
 def _pivot(tab, row, col):
     """Make column col a unit column with its one on row `row`.
 

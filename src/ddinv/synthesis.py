@@ -9,13 +9,17 @@ carry a zero objective.
 The model-based program asks for P >= 0 with row sums at most lambda and
 P S = S (A + B K), plus input admissibility at every vertex of the state
 set. The data-based program replaces A + B K by X1 G with the consistency
-condition X0 G = I and admissibility through U0 G. The robust program drops
-P, fixes the level at one, and tightens every vertex condition against the
-worst disturbance column the data could have contained. Each of its rows is
-affine in the projection of a disturbance vertex onto one set row, so only
-the largest and the smallest projection can bind: the builder keeps those
-two of the disturbance vertices per set row, which halves the robust rows
-for a box disturbance in the plane and leaves the feasible set as it was.
+condition X0 G = I and admissibility through U0 G. One builder makes both
+from the closed loop in the affine form S F0 + (S M) D: (S A, S B) with
+D = K for the model, (0, S X1) with D = G for the data.
+
+The robust program drops P, fixes the level at one, and tightens every
+vertex condition against the worst disturbance column the data could have
+contained. Each of its rows is affine in the projection of a disturbance
+vertex onto one set row, so only the largest and the smallest projection
+can bind: the builder keeps those two of the disturbance vertices per set
+row, which halves the robust rows for a box disturbance in the plane and
+leaves the feasible set as it was.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import lp
 from .experiment import ExperimentData, PlantModel
@@ -60,15 +65,10 @@ class SynthesisProblem:
             if not 0.0 <= self.lam < 1.0:
                 raise ValueError("lam must lie in [0, 1)")
         n = self.state_set.dim
-        if isinstance(self.source, PlantModel):
-            if self.source.n != n:
-                raise ValueError("plant dimension does not match the state set")
-            m = self.source.m
-        else:
-            if self.source.n != n:
-                raise ValueError("data dimension does not match the state set")
-            m = self.source.m
-        if self.input_set.dim != m:
+        if self.source.n != n:
+            kind = "plant" if isinstance(self.source, PlantModel) else "data"
+            raise ValueError(f"{kind} dimension does not match the state set")
+        if self.input_set.dim != self.source.m:
             raise ValueError("input set dimension does not match the input count")
         if self.disturbance is not None:
             if not isinstance(self.source, ExperimentData):
@@ -97,104 +97,69 @@ class Certificate:
         self.lam = float(self.lam)
 
 
-def _nominal_lp(n_s: int, p_off: int, nvars: int, lam, eq, eq_rhs, ineq, ineq_rhs):
-    """Assemble a nominal program: P >= 0 with the rows P 1 <= lam 1 ahead
-    of the given inequality blocks. lam=None minimizes the level, the last
-    variable, which then moves to the left of those rows."""
-    sum_block = np.zeros((n_s, nvars))
-    sum_block[:, p_off : p_off + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
+def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
+                consistency=None) -> lp.LinearProgram:
+    """Nominal program for the closed loop S F = s_f0 + s_m D in the decision
+    matrix D (q x n, stacked column-major): P >= 0 with P S = S F, the rows
+    P 1 <= lam 1, then admiss D s <= 1 at every vertex s. When given, the
+    rows consistency vec(D) = vec(I) close the equalities. lam=None
+    minimizes the level, the last variable, which then moves to the left of
+    the row sums."""
+    s_h = state_set.h_matrix
+    n_s, n = s_h.shape
+    verts = state_set.vertices
+    p_off = s_m.shape[1] * n
+    nvars = p_off + n_s * n_s + (1 if lam is None else 0)
+
+    # P S = S F row by row: S^T p_i - kron(I, (s_m)_i) vec(D) = (s_f0)_i
+    eq = np.zeros((n_s * n, nvars))
+    eq[:, :p_off] = -(np.eye(n)[None, :, :, None] * s_m[:, None, None, :]).reshape(n_s * n, p_off)
+    eq[:, p_off : p_off + n_s * n_s] = block_diag(*[s_h.T] * n_s)
+    eq_rhs = s_f0.ravel()
+    if consistency is not None:
+        rows = np.zeros((consistency.shape[0], nvars))
+        rows[:, :p_off] = consistency
+        eq = np.vstack([eq, rows])
+        eq_rhs = np.concatenate([eq_rhs, np.eye(n).ravel()])
+
+    sum_rows = np.zeros((n_s, nvars))
+    sum_rows[:, p_off : p_off + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
+    # one block kron(s, admiss) per vertex s
+    admiss_rows = np.zeros((verts.shape[0] * admiss.shape[0], nvars))
+    admiss_rows[:, :p_off] = (verts[:, None, :, None]
+                              * admiss[None, :, None, :]).reshape(-1, p_off)
     lower = np.full(nvars, -np.inf)
     upper = np.full(nvars, np.inf)
     lower[p_off : p_off + n_s * n_s] = 0.0
     objective = np.zeros(nvars)
     if lam is None:
-        sum_block[:, -1] = -1.0
+        sum_rows[:, -1] = -1.0
         lower[-1] = 0.0
         upper[-1] = 1.0 - EPS_STRICT
         objective[-1] = 1.0
     sum_rhs = np.zeros(n_s) if lam is None else np.full(n_s, float(lam))
     return lp.LinearProgram(
-        num_vars=nvars, objective=objective,
-        eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),
-        ineq_lhs=np.vstack([sum_block] + ineq), ineq_rhs=np.concatenate([sum_rhs] + ineq_rhs),
+        num_vars=nvars, objective=objective, eq_lhs=eq, eq_rhs=eq_rhs,
+        ineq_lhs=np.vstack([sum_rows, admiss_rows]),
+        ineq_rhs=np.concatenate([sum_rhs, np.ones(admiss_rows.shape[0])]),
         lower_bounds=lower, upper_bounds=upper)
 
 
 def build_modelbased_lp(plant: PlantModel, state_set: PolyhedralCSet,
                         input_set: InputPolytope, lam=None) -> lp.LinearProgram:
-    """Gain design with the plant known. lam=None minimizes the level."""
-    n, m = plant.n, plant.m
+    """Gain design with the plant known, D = K. lam=None minimizes the level."""
     s_h = state_set.h_matrix
-    n_s = state_set.num_rows
-    nvars = m * n + n_s * n_s + (1 if lam is None else 0)
-    p_off = m * n
-
-    ineq = []
-    ineq_rhs = []
-    u_h = input_set.h_matrix
-    for vert in state_set.vertices:
-        block = np.zeros((u_h.shape[0], nvars))
-        block[:, : m * n] = np.kron(vert[None, :], u_h)
-        ineq.append(block)
-        ineq_rhs.append(np.ones(u_h.shape[0]))
-
-    sa = s_h @ plant.a_matrix
-    sb = s_h @ plant.b_matrix
-    eq = []
-    eq_rhs = []
-    for i in range(n_s):
-        block = np.zeros((n, nvars))
-        block[:, : m * n] = -np.kron(np.eye(n), sb[i : i + 1, :])
-        block[:, p_off + i * n_s : p_off + (i + 1) * n_s] = s_h.T
-        eq.append(block)
-        eq_rhs.append(sa[i])
-    return _nominal_lp(n_s, p_off, nvars, lam, eq, eq_rhs, ineq, ineq_rhs)
+    return _nominal_lp(state_set, s_h @ plant.a_matrix, s_h @ plant.b_matrix,
+                       input_set.h_matrix, lam)
 
 
 def build_databased_lp(data: ExperimentData, state_set: PolyhedralCSet,
                        input_set: InputPolytope, lam=None) -> lp.LinearProgram:
-    """Gain design from data alone. lam=None minimizes the level."""
-    n, T = data.n, data.samples
-    s_h = state_set.h_matrix
-    n_s = state_set.num_rows
-    nvars = T * n + n_s * n_s + (1 if lam is None else 0)
-    p_off = T * n
-
-    ineq = []
-    ineq_rhs = []
-    u_h = input_set.h_matrix
-    admiss = u_h @ data.u0t
-    for vert in state_set.vertices:
-        block = np.zeros((admiss.shape[0], nvars))
-        block[:, : T * n] = np.kron(vert[None, :], admiss)
-        ineq.append(block)
-        ineq_rhs.append(np.ones(admiss.shape[0]))
-
-    prop = s_h @ data.x1t
-    eq = []
-    eq_rhs = []
-    for i in range(n_s):
-        block = np.zeros((n, nvars))
-        block[:, : T * n] = -np.kron(np.eye(n), prop[i : i + 1, :])
-        block[:, p_off + i * n_s : p_off + (i + 1) * n_s] = s_h.T
-        eq.append(block)
-        eq_rhs.append(np.zeros(n))
-    consistency = np.zeros((n * n, nvars))
-    consistency[:, : T * n] = np.kron(np.eye(n), data.x0t)
-    eq.append(consistency)
-    eq_rhs.append(np.eye(n).ravel())
-    return _nominal_lp(n_s, p_off, nvars, lam, eq, eq_rhs, ineq, ineq_rhs)
-
-
-def disturbance_spike(samples: int, index: int, vertex) -> np.ndarray:
-    """Worst-case disturbance block: zero except column `index` (1-based)
-    holding samples times the given disturbance vertex."""
-    vertex = np.asarray(vertex, dtype=float).reshape(-1)
-    if not 1 <= index <= samples:
-        raise ValueError("index must lie in 1..samples")
-    out = np.zeros((vertex.shape[0], samples))
-    out[:, index - 1] = samples * vertex
-    return out
+    """Gain design from data alone, D = G with X0 G = I. lam=None minimizes
+    the level."""
+    return _nominal_lp(state_set, np.zeros((state_set.num_rows, data.n)),
+                       state_set.h_matrix @ data.x1t, input_set.h_matrix @ data.u0t,
+                       lam, np.kron(np.eye(data.n), data.x0t))
 
 
 def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
@@ -257,12 +222,9 @@ def extract_gain(data: ExperimentData, g_matrix) -> np.ndarray:
     return data.u0t @ g_matrix
 
 
-def _unpack_g(primal, T: int, n: int) -> np.ndarray:
-    return primal[: T * n].reshape(n, T).T.copy()
-
-
-def _unpack_k(primal, m: int, n: int) -> np.ndarray:
-    return primal[: m * n].reshape(n, m).T.copy()
+def _unpack_d(primal, q: int, n: int) -> np.ndarray:
+    """The (q, n) decision matrix, stacked column-major at the front."""
+    return primal[: q * n].reshape(n, q).T.copy()
 
 
 def _unpack_p(primal, offset: int, n_s: int) -> np.ndarray:
@@ -287,7 +249,7 @@ def synthesize(problem: SynthesisProblem) -> Certificate:
         program = build_robust_lp(data, problem.state_set, problem.input_set,
                                   problem.disturbance)
         primal = _solve_or_raise(program, "robust design")
-        g = _unpack_g(primal, data.samples, data.n)
+        g = _unpack_d(primal, data.samples, data.n)
         return Certificate(gain=extract_gain(data, g), lam=1.0, g_matrix=g)
     if problem.lam == MINIMIZE:
         return minimize_lambda(problem)
@@ -306,16 +268,15 @@ def _nominal_design(problem: SynthesisProblem, lam: Optional[float]) -> Certific
     """Design from the model or the data at level lam, or at the smallest
     level when lam is None."""
     what = "level minimization" if lam is None else f"design at level {lam}"
-    if isinstance(problem.source, PlantModel):
-        plant = problem.source
-        program = build_modelbased_lp(plant, problem.state_set, problem.input_set, lam)
-        primal = _solve_or_raise(program, f"model-based {what}")
-        gain, g, p_off = _unpack_k(primal, plant.m, plant.n), None, plant.m * plant.n
+    source = problem.source
+    if isinstance(source, PlantModel):
+        route, build, q = "model-based", build_modelbased_lp, source.m
     else:
-        data = problem.source
-        program = build_databased_lp(data, problem.state_set, problem.input_set, lam)
-        primal = _solve_or_raise(program, f"data-based {what}")
-        g = _unpack_g(primal, data.samples, data.n)
-        gain, p_off = extract_gain(data, g), data.samples * data.n
-    return Certificate(gain=gain, lam=float(primal[-1]) if lam is None else lam, g_matrix=g,
-                       p_matrix=_unpack_p(primal, p_off, problem.state_set.num_rows))
+        route, build, q = "data-based", build_databased_lp, source.samples
+    program = build(source, problem.state_set, problem.input_set, lam)
+    primal = _solve_or_raise(program, f"{route} {what}")
+    d = _unpack_d(primal, q, source.n)
+    g = None if isinstance(source, PlantModel) else d
+    return Certificate(gain=d if g is None else extract_gain(source, g),
+                       lam=float(primal[-1]) if lam is None else lam, g_matrix=g,
+                       p_matrix=_unpack_p(primal, q * source.n, problem.state_set.num_rows))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import lp
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
@@ -53,13 +54,11 @@ def find_certificate_matrix(f_matrix, cset: PolyhedralCSet, lam: float) -> Optio
     such P exists at the given level."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     s_h = cset.h_matrix
-    n_s, n = s_h.shape
+    n_s = s_h.shape[0]
     nvars = n_s * n_s
     # rows of P S = S F, P stacked row-major
-    eq = np.zeros((n_s * n, nvars))
+    eq = block_diag(*[s_h.T] * n_s)
     target = s_h @ f_matrix
-    for i in range(n_s):
-        eq[i * n : (i + 1) * n, i * n_s : (i + 1) * n_s] = s_h.T
     ineq = np.kron(np.eye(n_s), np.ones((1, n_s)))
     prob = lp.LinearProgram(
         num_vars=nvars, objective=np.zeros(nvars),
@@ -170,53 +169,78 @@ class VerificationReport:
         return all(checks)
 
 
+def closed_loop(certificate, data=None, plant=None) -> Optional[np.ndarray]:
+    """The closed-loop map the certificate stands for: A + B K when the
+    plant is given, otherwise X1 G from the data; None when neither can be
+    formed."""
+    if plant is not None:
+        return plant.a_matrix + plant.b_matrix @ certificate.gain
+    if data is not None and certificate.g_matrix is not None:
+        return data.x1t @ certificate.g_matrix
+    return None
+
+
+def rollout(f_matrix, starts, steps: int) -> np.ndarray:
+    """States x(t+1) = F x(t) from every start at once, time on the first
+    axis: shape (steps + 1,) + starts.shape. An unstable F may overflow to
+    inf and NaN, which is left to the caller to judge."""
+    starts = np.asarray(starts, dtype=float)
+    states = np.empty((steps + 1,) + starts.shape)
+    states[0] = starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            states[t + 1] = _images(f_matrix, states[t])
+    return states
+
+
+def check_data_consistency(data, g_matrix, gain, tol: float = DEFAULT_TOL) -> bool:
+    """X0 G = I, which makes X1 G the closed loop A + B K of K = U0 G, and
+    U0 G equal to the stored gain, both entrywise within tol."""
+    g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
+    # a NaN residual compares False, so a NaN anywhere fails the check
+    return bool(np.max(np.abs(data.x0t @ g_matrix - np.eye(data.n))) <= tol
+                and np.max(np.abs(data.u0t @ g_matrix - gain)) <= tol)
+
+
 def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
                        data=None, plant=None, disturbance: Optional[DisturbanceSet] = None,
                        tol: float = DEFAULT_TOL, decay_steps: int = 50) -> VerificationReport:
     """Full report on a certificate.
 
-    The closed-loop map comes from the plant when one is given, otherwise
-    from the data as X1 G. Robust certificates (no P) get the robust vertex
-    test; when only data is available for them, the data-side conditions
-    stand in for it.
+    The closed-loop map comes from `closed_loop`. On the data route (no
+    plant) the certificate only counts when G is consistent with the data
+    and the gain (`check_data_consistency`). Robust certificates (no P) get
+    the robust vertex test; when only data is available for them, the
+    data-side conditions stand in for it.
     """
     gain = certificate.gain
-    f_matrix = None
-    if plant is not None:
-        f_matrix = plant.a_matrix + plant.b_matrix @ gain
-    elif data is not None and certificate.g_matrix is not None:
-        f_matrix = data.x1t @ certificate.g_matrix
-
+    f_matrix = closed_loop(certificate, data, plant)
+    if certificate.p_matrix is None and disturbance is None:
+        raise ValueError("certificate has no P; a disturbance set is required")
+    if f_matrix is None:
+        raise ValueError("verification needs a plant or data to form the closed loop")
     admissible, worst_violation = check_admissibility(gain, cset, input_set, tol)
+    consistent = plant is not None or check_data_consistency(
+        data, certificate.g_matrix, gain, tol)
 
     if certificate.p_matrix is None:
-        if disturbance is None:
-            raise ValueError("certificate has no P; a disturbance set is required")
-        if f_matrix is not None and plant is not None:
+        if plant is not None:
             robust, worst = check_robust_invariance(f_matrix, cset, disturbance, tol)
         else:
-            if data is None or certificate.g_matrix is None:
-                raise ValueError("robust verification needs a plant or data")
             robust, worst = check_robust_data_conditions(
                 data, certificate.g_matrix, cset, disturbance, tol)
         return VerificationReport(
-            contractivity_ok=robust, certificate_ok=True, admissibility_ok=admissible,
+            contractivity_ok=robust, certificate_ok=consistent, admissibility_ok=admissible,
             worst_vertex_gauge=worst, worst_input_violation=worst_violation,
             robust_ok=robust)
 
-    if f_matrix is None:
-        raise ValueError("verification needs a plant or data to form the closed loop")
-    cert_ok = check_invariance_certificate(f_matrix, cset, certificate.p_matrix,
-                                           certificate.lam, tol)
+    cert_ok = consistent and check_invariance_certificate(
+        f_matrix, cset, certificate.p_matrix, certificate.lam, tol)
     contract_ok, worst_gauge = check_vertex_contractivity(f_matrix, cset,
                                                           certificate.lam, tol)
-    # every vertex rolled out at once; an unstable F may overflow to inf and
-    # NaN, which the decay check reports as an infinite margin
-    states = np.empty((decay_steps + 1,) + cset.vertices.shape)
-    states[0] = cset.vertices
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(decay_steps):
-            states[t + 1] = _images(f_matrix, states[t])
+    # an unstable F may overflow to inf and NaN, which the decay check
+    # reports as an infinite margin
+    states = rollout(f_matrix, cset.vertices, decay_steps)
     _, margin = check_decay_along_trajectory(cset, states, certificate.lam, tol)
     return VerificationReport(
         contractivity_ok=contract_ok, certificate_ok=cert_ok,

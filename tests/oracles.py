@@ -7,7 +7,9 @@ references (`vertices_loop`, `decay_margin_loop`, `dense_pivot`, the robust
 loops) are the one-at-a-time forms of vectorized library code, kept so the
 tests can pin the vectorized forms to them. `bounded_coordinate_lps` is the
 2n-LP boundedness test the library's single LP replaced; it calls
-`lp.solve`, as that test did.
+`lp.solve`, as that test did. `nominal_lp_loop` builds both nominal
+programs the way the two separate builders did, a block per vertex and per
+set row.
 """
 
 from itertools import combinations
@@ -232,3 +234,49 @@ def bounded_coordinate_lps(h_matrix):
             if lp.solve(prob).status == lp.LpStatus.UNBOUNDED:
                 return False
     return True
+
+
+def nominal_lp_loop(source, state_set, input_set, lam=None):
+    """Nominal program built block by block, one vertex and one set row at a
+    time: the model-based program when `source` has an A matrix, the
+    data-based one otherwise."""
+    model = hasattr(source, "a_matrix")
+    s_h = state_set.h_matrix
+    n_s, n = s_h.shape
+    q = source.m if model else source.samples
+    p_off = q * n
+    nvars = p_off + n_s * n_s + (1 if lam is None else 0)
+    admiss = input_set.h_matrix if model else input_set.h_matrix @ source.u0t
+    prop = s_h @ (source.b_matrix if model else source.x1t)
+    ineq, ineq_rhs, eq, eq_rhs = [], [], [], []
+    for vert in state_set.vertices:
+        block = np.zeros((admiss.shape[0], nvars))
+        block[:, :p_off] = np.kron(vert[None, :], admiss)
+        ineq.append(block)
+        ineq_rhs.append(np.ones(admiss.shape[0]))
+    for i in range(n_s):
+        block = np.zeros((n, nvars))
+        block[:, :p_off] = -np.kron(np.eye(n), prop[i : i + 1, :])
+        block[:, p_off + i * n_s : p_off + (i + 1) * n_s] = s_h.T
+        eq.append(block)
+        eq_rhs.append((s_h @ source.a_matrix)[i] if model else np.zeros(n))
+    if not model:
+        block = np.zeros((n * n, nvars))
+        block[:, :p_off] = np.kron(np.eye(n), source.x0t)
+        eq.append(block)
+        eq_rhs.append(np.eye(n).ravel())
+    sums = np.zeros((n_s, nvars))
+    sums[:, p_off : p_off + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
+    lower = np.full(nvars, -np.inf)
+    upper = np.full(nvars, np.inf)
+    lower[p_off : p_off + n_s * n_s] = 0.0
+    objective = np.zeros(nvars)
+    if lam is None:
+        sums[:, -1] = -1.0
+        lower[-1], upper[-1], objective[-1] = 0.0, 1.0 - 1e-6, 1.0
+    sum_rhs = np.zeros(n_s) if lam is None else np.full(n_s, float(lam))
+    return lp.LinearProgram(
+        num_vars=nvars, objective=objective,
+        eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),
+        ineq_lhs=np.vstack([sums] + ineq), ineq_rhs=np.concatenate([sum_rhs] + ineq_rhs),
+        lower_bounds=lower, upper_bounds=upper)

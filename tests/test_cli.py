@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddinv import __version__, cli, fileio
+from ddinv.experiment import PlantModel, simulate_closed_loop
 
 DEMO_CONFIG = {
     "model": {"A": [[0.8, 0.5], [-0.4, 1.2]], "B": [[0.0], [1.0]]},
@@ -335,3 +336,105 @@ def test_boolean_certificate_level_exits_one(tmp_path, demo_problem, capsys):
     assert cli.main(["verify", demo_problem, str(cert_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _forge_zero(record):
+    record.gain, record.g_matrix, record.p_matrix = (
+        0.0 * record.gain, 0.0 * record.g_matrix, 0.0 * record.p_matrix)
+
+
+def _forge_halved(record):
+    # P / 2 certifies X1 G / 2 at the same level, but X0 G / 2 = I / 2
+    record.gain, record.g_matrix, record.p_matrix = (
+        record.gain / 2, record.g_matrix / 2, record.p_matrix / 2)
+
+
+def _forge_gain(record):
+    record.gain = record.gain / 2
+
+
+@pytest.mark.parametrize("forge", [_forge_zero, _forge_halved, _forge_gain])
+def test_forged_data_certificate_fails_verification(tmp_path, demo_problem, capsys, forge):
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    record = fileio.load_certificate(cert_path)
+    forge(record)
+    fileio.save_certificate(record, cert_path)
+    capsys.readouterr()
+    assert cli.main(["verify", demo_problem, cert_path]) == 2
+    assert "certificate     FAILED" in capsys.readouterr().out
+
+
+def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, capsys):
+    problem = str(tmp_path / "problem.json")
+    assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", problem, "--robust", "--out", cert_path]) == 0
+    record = fileio.load_certificate(cert_path)
+    record.gain, record.g_matrix = record.gain / 2, record.g_matrix / 2
+    fileio.save_certificate(record, cert_path)
+    capsys.readouterr()
+    assert cli.main(["verify", problem, cert_path]) == 2
+    out = capsys.readouterr().out
+    assert "robustness      ok" in out and "certificate     FAILED" in out
+
+
+def test_nan_in_problem_data_exits_one(tmp_path, demo_problem, capsys):
+    raw = json.loads(open(demo_problem).read())
+    raw["data"]["x1t"]["values"][3] = float("nan")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # a bare NaN token, which json.load accepts
+    assert "NaN" in path.read_text()
+    capsys.readouterr()
+    assert cli.main(["synthesize", str(path), "--out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "data.x1t" in err
+    assert "iteration_limit" not in err and "Traceback" not in err
+
+
+def test_infinite_combiner_in_certificate_exits_one(tmp_path, demo_problem, capsys):
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 0
+    raw = json.loads(cert_path.read_text())
+    raw["g_matrix"]["values"][0] = float("inf")
+    cert_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["verify", demo_problem, str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "g_matrix" in err
+
+
+@pytest.mark.parametrize("field, shape", [("gain", (1, 3)), ("g_matrix", (19, 2))])
+def test_simulate_checks_certificate_shapes(tmp_path, demo_problem, capsys, field, shape):
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    record = fileio.load_certificate(cert_path)
+    setattr(record, field, np.ones(shape))
+    fileio.save_certificate(record, cert_path)
+    capsys.readouterr()
+    assert cli.main(["simulate", demo_problem, cert_path, "--x0", "1,0",
+                     "--steps", "5", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
+    model = DEMO_CONFIG["model"]
+    spec = fileio.ProblemSpec(
+        state_rows=np.array(DEMO_CONFIG["state_set"]), input_rows=np.array(DEMO_CONFIG["input_set"]),
+        lam=0.84, model={"a": np.array(model["A"]), "b": np.array(model["B"])})
+    problem = str(tmp_path / "problem.json")
+    fileio.save_problem(spec, problem)
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
+    assert cli.main(["verify", problem, cert_path]) == 0
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", problem, cert_path, "--x0", "6,-0.5", "--steps", "30",
+                     "--out", prefix, "--format", "csv"]) == 0
+    with open(prefix + ".csv", newline="") as fh:
+        rows = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+    plant = PlantModel(model["A"], model["B"])
+    states, _ = simulate_closed_loop(plant, fileio.load_certificate(cert_path).gain,
+                                     [6.0, -0.5], 30)
+    np.testing.assert_allclose(rows[:, 1:3], states, rtol=1e-12, atol=1e-12)

@@ -163,3 +163,17 @@ def test_numerical_rank_edges():
     assert numerical_rank(np.eye(4)) == 4
     near = np.diag([1.0, 1e-12])
     assert numerical_rank(near) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_refused(bad):
+    a = np.eye(2)
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        experiment.PlantModel(a, [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        experiment.PlantModel(np.eye(2), [[0.0], [bad]])
+    x1t = np.ones((2, 3))
+    x1t[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        experiment.ExperimentData(u0t=np.ones((1, 3)), x0t=np.ones((2, 3)), x1t=x1t)

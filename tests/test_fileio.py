@@ -186,3 +186,11 @@ def test_non_finite_matrix_is_not_written(tmp_path, bad):
     with pytest.raises(fileio.FileFormatError, match="non-finite"):
         fileio.save_problem(spec, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_codec_rejects_non_finite_entries(bad):
+    with pytest.raises(fileio.FileFormatError, match="data.x1t has a non-finite entry"):
+        fileio.obj_to_matrix({"shape": [1, 2], "values": [1.0, bad]}, "data.x1t")
+    with pytest.raises(fileio.FileFormatError, match="gain has a non-finite entry"):
+        fileio.rows_to_matrix([[bad, 0.5]], "gain")

@@ -170,18 +170,6 @@ def test_construction_validation():
                          lower_bounds=[1.0], upper_bounds=[0.0])
 
 
-def test_text_dump_lists_constraints():
-    prob = lp.LinearProgram(num_vars=2, objective=[1.0, -2.0],
-                            eq_lhs=[[1.0, 1.0]], eq_rhs=[1.0],
-                            ineq_lhs=[[0.5, 0.0]], ineq_rhs=[2.0],
-                            lower_bounds=[0.0, -np.inf])
-    text = lp.lp_to_text(prob)
-    lines = text.splitlines()
-    assert lines[0].startswith("min")
-    assert any("==" in line for line in lines)
-    assert any("<=" in line for line in lines)
-
-
 @pytest.mark.parametrize("share", [0.05, 1.0])
 def test_pivot_matches_dense_reference(share):
     # share 0.05 takes the sparse-row update, 1.0 the dense one

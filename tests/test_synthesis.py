@@ -11,7 +11,7 @@ from ddinv.experiment import (PlantModel, build_data_matrices,
                               stacked_data_matrix)
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
 from generators import box_input_rows, random_cset_rows
-from oracles import polygon_rows_from_vertices, robust_rows_loop
+from oracles import nominal_lp_loop, polygon_rows_from_vertices, robust_rows_loop
 
 
 def _interval_set():
@@ -104,17 +104,6 @@ def test_gain_extraction_matches_definition(demo_data):
     g = np.ones((demo_data.samples, demo_data.n))
     assert np.allclose(synthesis.extract_gain(demo_data, g),
                        demo_data.u0t @ g)
-
-
-def test_disturbance_spike_layout():
-    spike = synthesis.disturbance_spike(3, 2, [1.0, -1.0])
-    assert spike.shape == (2, 3)
-    assert np.array_equal(spike[:, 1], [3.0, -3.0])
-    assert np.count_nonzero(spike[:, [0, 2]]) == 0
-    with pytest.raises(ValueError):
-        synthesis.disturbance_spike(3, 0, [1.0])
-    with pytest.raises(ValueError):
-        synthesis.disturbance_spike(3, 4, [1.0])
 
 
 def test_robust_with_zero_disturbance_reduces_to_invariance(
@@ -214,6 +203,33 @@ def test_nominal_agreement_on_random_plants():
                 outcomes.append(False)
         assert outcomes[0] == outcomes[1]
         done += 1
+
+
+def _program_arrays(program):
+    return [np.asarray(program.num_vars), program.objective, program.eq_lhs, program.eq_rhs,
+            program.ineq_lhs, program.ineq_rhs, program.lower_bounds, program.upper_bounds]
+
+
+def test_nominal_builders_match_loop_oracle():
+    # one broadcast builder serves both routes; each program must carry the
+    # bytes of the block-by-block form, zero signs included
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(1, 3))
+        plant = PlantModel(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
+        cset = validate_cset(random_cset_rows(rng, n))
+        uset = InputPolytope(box_input_rows(m, rng.uniform(2.0, 8.0)))
+        inputs = random_input_sequence(rng, int(rng.integers(n + m, 3 * (n + m))), m)
+        data = build_data_matrices(inputs, simulate(plant, rng.normal(size=n), inputs))
+        for build, source in ((synthesis.build_modelbased_lp, plant),
+                              (synthesis.build_databased_lp, data)):
+            for lam in (float(rng.uniform(0.3, 0.99)), None):
+                built = _program_arrays(build(source, cset, uset, lam))
+                expected = _program_arrays(nominal_lp_loop(source, cset, uset, lam))
+                for got, want in zip(built, expected):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 def _regular_polygon(k, radius=1.0):

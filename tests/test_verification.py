@@ -259,3 +259,50 @@ def test_decay_check_rejects_non_finite_states(bad):
     ok, margin = verification.check_decay_along_trajectory(_unit_box(), states, 0.8)
     assert not ok
     assert margin == np.inf
+
+
+def test_closed_loop_follows_the_route(demo_plant, demo_data, demo_state_set, demo_input_set):
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
+    assert np.array_equal(verification.closed_loop(cert, data=demo_data),
+                          demo_data.x1t @ cert.g_matrix)
+    assert np.array_equal(verification.closed_loop(cert, data=demo_data, plant=demo_plant),
+                          demo_plant.a_matrix + demo_plant.b_matrix @ cert.gain)
+    model_cert = synthesis.Certificate(gain=cert.gain, lam=0.84)
+    assert verification.closed_loop(model_cert, data=demo_data) is None
+
+
+def test_rollout_matches_the_step_loop():
+    rng = np.random.default_rng(17)
+    f = rng.normal(scale=0.6, size=(3, 3))
+    starts = rng.normal(size=(5, 3))
+    states = verification.rollout(f, starts, 20)
+    assert states.shape == (21, 5, 3)
+    for k, x in enumerate(starts):
+        for t in range(21):
+            assert states[t, k].tobytes() == x.tobytes()
+            x = f @ x
+    assert verification.rollout(f, starts[2], 20).tobytes() == states[:, 2].tobytes()
+
+
+def _halved(cert):
+    return synthesis.Certificate(gain=cert.gain / 2, lam=cert.lam,
+                                 g_matrix=cert.g_matrix / 2, p_matrix=cert.p_matrix / 2)
+
+
+def test_data_consistency_rejects_forged_combiners(demo_state_set, demo_input_set, demo_data):
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
+    check = verification.check_data_consistency
+    assert check(demo_data, cert.g_matrix, cert.gain)
+    # G / 2 keeps P / 2 a valid certificate of X1 G / 2, but X0 G / 2 = I / 2
+    forged = _halved(cert)
+    assert not check(demo_data, forged.g_matrix, forged.gain)
+    report = verification.verify_certificate(demo_state_set, demo_input_set, forged,
+                                             data=demo_data)
+    assert report.contractivity_ok and report.admissibility_ok
+    assert not report.certificate_ok and not report.all_ok()
+    assert not check(demo_data, cert.g_matrix, cert.gain + 1e-3)
+    g = cert.g_matrix.copy()
+    g[0, 0] = np.nan
+    assert not check(demo_data, g, cert.gain)
