@@ -8,7 +8,6 @@ stack the same samples column-wise, one column per sampling instant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -173,35 +172,6 @@ def min_samples(n: int, m: int) -> int:
     """Smallest experiment length that can make the stacked data matrix
     full row rank with an exciting input."""
     return (m + 1) * n + m
-
-
-def controllability_matrix(plant: PlantModel) -> np.ndarray:
-    blocks = []
-    power = np.eye(plant.n)
-    for _ in range(plant.n):
-        blocks.append(power @ plant.b_matrix)
-        power = plant.a_matrix @ power
-    return np.hstack(blocks)
-
-
-def is_controllable(plant: PlantModel) -> bool:
-    return numerical_rank(controllability_matrix(plant)) == plant.n
-
-
-def random_controllable_plant(rng, n: int, m: int, spectral_radius: Optional[float] = None) -> PlantModel:
-    """Draw (A, B) with Gaussian entries, rejecting uncontrollable pairs.
-    When spectral_radius is given, A is rescaled to it."""
-    for _ in range(100):
-        a = rng.normal(size=(n, n))
-        if spectral_radius is not None:
-            top = np.max(np.abs(np.linalg.eigvals(a)))
-            if top > 0:
-                a = a * (spectral_radius / top)
-        b = rng.normal(size=(n, m))
-        plant = PlantModel(a, b)
-        if is_controllable(plant):
-            return plant
-    raise RuntimeError("could not draw a controllable pair")
 
 
 def random_input_sequence(rng, samples: int, m: int, amplitude: float = 1.0) -> np.ndarray:

@@ -9,27 +9,35 @@ cannot occur. Doubly bounded variables contribute an extra range row.
 The tableau is assembled once into a single array: structural columns, slack
 and artificial identities, right-hand side and cost row. After phase one the
 artificial columns are dropped by moving the right-hand side next to the
-last real column and narrowing the view, not by building a new tableau.
+last real column and narrowing the view. Only when phase two follows is
+that view copied, once, into a C-ordered array for the dense pivot below.
 
 A pivot subtracts other[i] * row[j] from every entry tab[i, j]. Where the
 pivot row is zero that product is zero and the entry keeps its value, so a
 pivot row with few nonzeros (the robust programs have 3-5%) updates only its
-nonzero columns and leaves the rest alone. Every entry that changes is
-computed by the same expression as in the dense update, hence pricing, ratio
-tests and the returned point are the same; at most the sign of an exact zero
-differs, and the pricing and ratio tests compare the two as equal.
+nonzero columns and leaves the rest alone: each of those entries becomes
+tab[i, j] - round(other[i] * row[j]), rounded twice, as numpy's outer
+product and subtraction give it.
 
 A pivot row with more nonzeros (the nominal programs have 48-69%) goes
-through BLAS dger, the rank-1 update A += alpha x y^T, into a fresh zeroed
-Fortran-ordered (ncols, nrows) array with alpha = -1. Multiplying by -1 is
-exact, so each product comes out once rounded, -round(row[j] * other[i]),
-and adding it to the zeros changes nothing but the sign of an exact zero.
-Adding the transpose of that array to the tableau then gives
-tab[i, j] - round(other[i] * row[j]) bit for bit, as the np.outer update
-did, in about half its time (the BLAS kernel forms the products faster than
-numpy's outer product). A dger straight into the tableau would be faster
-still, but its fused multiply-add rounds once where the subtraction rounds
-twice, so the pivot sequence would change.
+through BLAS dger, the rank-1 update A += alpha x y^T, with alpha = -1,
+x = the pivot row and y = the pivot column, on the transpose of the tableau
+itself. The transpose of a C-ordered tableau is Fortran-ordered, so dger
+writes straight into it with no temporary. Where the kernel fuses the
+multiply and the add (scipy's OpenBLAS 0.3.30 does on an x86 Xeon with
+FMA), each changed entry is rounded once:
+round(tab[i, j] - other[i] * row[j]). The two branches thus round
+differently, and the branch a pivot takes decides its bits. A tableau that
+is not C-ordered (only the tests pass one) is copied by f2py, and the
+result is written back. Every pivot of solve is on a C-ordered tableau, so
+pivot sequences repeat exactly on one machine and BLAS kernel; a kernel
+without fused multiply-add rounds the dense branch twice and may take
+other pivots.
+
+Every OPTIMAL or FEASIBLE point is checked against the program passed in
+before it is returned. A point that breaks a constraint by more than
+GUARD_TOL comes back as BAD_POINT, with no primal and with its worst
+residual.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 TOL_FEAS = 1e-8
+# residual above which a returned point counts as breaking its program; the
+# verifier's default tolerance, which 1e-8 would undercut on points that
+# verify and HiGHS both accept
+GUARD_TOL = 1e-6
 TOL_PIVOT = 1e-10
 BLAND_AFTER = 12
 ITER_FACTOR = 50
@@ -57,6 +69,7 @@ class LpStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    BAD_POINT = "bad_point"
 
 
 def _as_matrix(value, rows, cols, name):
@@ -112,20 +125,24 @@ class LpSolution:
     status: LpStatus
     primal: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
+    # worst constraint violation of the point a BAD_POINT verdict withheld
+    residual: Optional[float] = None
+
+
+def max_violation(lp: LinearProgram, point) -> float:
+    """The most by which point breaks a constraint of lp: 0.0 when it breaks
+    none, NaN when the point is not finite."""
+    z = np.asarray(point, dtype=float).reshape(-1)
+    if z.shape != (lp.num_vars,):
+        raise ValueError("point length does not match num_vars")
+    return float(np.max(np.concatenate([
+        np.abs(lp.eq_lhs @ z - lp.eq_rhs), lp.ineq_lhs @ z - lp.ineq_rhs,
+        lp.lower_bounds - z, z - lp.upper_bounds]), initial=0.0))
 
 
 def check_feasible(lp: LinearProgram, point, tol: float = TOL_FEAS) -> bool:
     """True when point satisfies every constraint of lp within tol."""
-    z = np.asarray(point, dtype=float).reshape(-1)
-    if z.shape != (lp.num_vars,):
-        raise ValueError("point length does not match num_vars")
-    if lp.eq_lhs.shape[0] and np.max(np.abs(lp.eq_lhs @ z - lp.eq_rhs)) > tol:
-        return False
-    if lp.ineq_lhs.shape[0] and np.max(lp.ineq_lhs @ z - lp.ineq_rhs) > tol:
-        return False
-    if np.any(z < lp.lower_bounds - tol) or np.any(z > lp.upper_bounds + tol):
-        return False
-    return True
+    return max_violation(lp, point) <= tol
 
 
 def _pivot(tab, row, col):
@@ -141,11 +158,11 @@ def _pivot(tab, row, col):
         cols = np.flatnonzero(tab[row])
         tab[:, cols] -= np.outer(other, tab[row, cols])
     else:
-        # use the array dger returns: should f2py copy the buffer passed in,
-        # only the returned one holds the update
-        update = dger(-1.0, tab[row], other, overwrite_a=True,
-                      a=np.zeros((tab.shape[1], tab.shape[0]), order="F"))
-        tab += update.T
+        # tab.T of a C-ordered tableau is Fortran-ordered and dger updates it
+        # in place; any other layout is copied by f2py and written back
+        updated = dger(-1.0, tab[row].copy(), other, a=tab.T, overwrite_a=True)
+        if not np.may_share_memory(updated, tab):
+            tab[...] = updated.T
     tab[:, col] = 0.0
     tab[row, col] = 1.0
 
@@ -217,7 +234,17 @@ def _standard_columns(lp: LinearProgram):
 def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex. Pure feasibility problems (all-zero objective) stop
     after phase one and report FEASIBLE; anything else reports OPTIMAL,
-    INFEASIBLE, UNBOUNDED or ITERATION_LIMIT."""
+    INFEASIBLE, UNBOUNDED or ITERATION_LIMIT. A FEASIBLE or OPTIMAL point
+    that breaks lp by more than GUARD_TOL is withheld as BAD_POINT."""
+    sol = _simplex(lp)
+    if sol.primal is not None:
+        residual = max_violation(lp, sol.primal)
+        if not residual <= GUARD_TOL:
+            return LpSolution(LpStatus.BAD_POINT, residual=residual)
+    return sol
+
+
+def _simplex(lp: LinearProgram) -> LpSolution:
     offsets, col_var, col_sign, range_cols, range_widths = _standard_columns(lp)
     n_eq = lp.eq_lhs.shape[0]
     n_in = lp.ineq_lhs.shape[0]
@@ -300,7 +327,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     if not np.any(lp.objective):
         return LpSolution(LpStatus.FEASIBLE, primal=extract())
 
-    # phase two
+    # phase two; a C-ordered tableau lets the dense pivot work in place
+    tab = np.ascontiguousarray(tab)
     cost = np.zeros(ncols + 1)
     cost[:nstruct] = lp.objective[col_var] * col_sign
     for r in range(nrows):

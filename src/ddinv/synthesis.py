@@ -45,7 +45,8 @@ class InfeasibleProblem(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The simplex gave up; usually a degeneracy pathology."""
+    """The simplex gave up, usually on a degeneracy pathology, or returned a
+    point that breaks its own program."""
 
 
 @dataclass
@@ -235,6 +236,8 @@ def _solve_or_raise(program: lp.LinearProgram, what: str) -> np.ndarray:
     sol = lp.solve(program)
     if sol.status == lp.LpStatus.INFEASIBLE:
         raise InfeasibleProblem(f"{what} is infeasible")
+    if sol.status == lp.LpStatus.BAD_POINT:
+        raise SolverFailure(f"{what}: solver point breaks the program by {sol.residual:.3g}")
     if sol.status not in (lp.LpStatus.OPTIMAL, lp.LpStatus.FEASIBLE):
         raise SolverFailure(f"{what}: solver returned {sol.status.value}")
     return sol.primal

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddinv import demo
+from ddinv import demo, lp
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,20 @@ def demo_data():
 @pytest.fixture(scope="session")
 def demo_vertices():
     return np.array([[6.0, -0.5], [-6.0, 0.5], [-2.0, 3.5], [2.0, -3.5]])
+
+
+@pytest.fixture()
+def shift_solver_points(monkeypatch):
+    """Call with a shift to move every point the simplex returns by it before
+    lp.solve checks the point against its program."""
+    def install(shift):
+        original = lp._simplex
+
+        def shifted(program):
+            sol = original(program)
+            if sol.primal is not None:
+                sol.primal = sol.primal + shift
+            return sol
+
+        monkeypatch.setattr(lp, "_simplex", shifted)
+    return install

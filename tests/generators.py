@@ -1,8 +1,11 @@
-"""Seeded random instance generators shared by the module and acceptance tests."""
+"""Seeded random instance generators shared by the module and acceptance tests,
+and the controllability test the plant generator draws against."""
 
 import numpy as np
 
+from ddinv.experiment import PlantModel
 from ddinv.lp import LinearProgram
+from ddinv.numerics import numerical_rank
 
 
 def random_box_lp(rng, max_vars=4, max_rows=8):
@@ -72,3 +75,32 @@ def random_cset_rows(rng, n, max_extra=3):
 def box_input_rows(m, limit):
     """Input box |u_i| <= limit as halfspace rows."""
     return np.vstack([np.eye(m), -np.eye(m)]) / limit
+
+
+def controllability_matrix(plant):
+    blocks = []
+    power = np.eye(plant.n)
+    for _ in range(plant.n):
+        blocks.append(power @ plant.b_matrix)
+        power = plant.a_matrix @ power
+    return np.hstack(blocks)
+
+
+def is_controllable(plant):
+    return numerical_rank(controllability_matrix(plant)) == plant.n
+
+
+def random_controllable_plant(rng, n, m, spectral_radius=None):
+    """Draw (A, B) with Gaussian entries, rejecting uncontrollable pairs.
+    When spectral_radius is given, A is rescaled to it."""
+    for _ in range(100):
+        a = rng.normal(size=(n, n))
+        if spectral_radius is not None:
+            top = np.max(np.abs(np.linalg.eigvals(a)))
+            if top > 0:
+                a = a * (spectral_radius / top)
+        b = rng.normal(size=(n, m))
+        plant = PlantModel(a, b)
+        if is_controllable(plant):
+            return plant
+    raise RuntimeError("could not draw a controllable pair")

@@ -5,13 +5,15 @@ enumerates candidate basic points directly, the vertex oracle intersects
 row pairs, and the polygon rebuild works from cross products. The loop
 references (`vertices_loop`, `decay_margin_loop`, `dense_pivot`, the robust
 loops) are the one-at-a-time forms of vectorized library code, kept so the
-tests can pin the vectorized forms to them. `bounded_coordinate_lps` is the
-2n-LP boundedness test the library's single LP replaced; it calls
-`lp.solve`, as that test did. `nominal_lp_loop` builds both nominal
-programs the way the two separate builders did, a block per vertex and per
-set row.
+tests can pin the vectorized forms to them. `fused_pivot` computes each
+entry of a pivot exactly in rationals and rounds it once, as a fused
+multiply-add does. `bounded_coordinate_lps` is the 2n-LP boundedness test
+the library's single LP replaced; it calls `lp.solve`, as that test did.
+`nominal_lp_loop` builds both nominal programs the way the two separate
+builders did, a block per vertex and per set row.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -129,6 +131,20 @@ def dense_pivot(tab, row, col):
     other = tab[:, col].copy()
     other[row] = 0.0
     tab -= np.outer(other, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+
+
+def fused_pivot(tab, row, col):
+    """Pivot on (row, col) with each changed entry rounded once: the exact
+    value of tab[i, j] - other[i] * row[j], rounded to the nearest double."""
+    tab[row] /= tab[row, col]
+    other = tab[:, col].copy()
+    other[row] = 0.0
+    pivot_row = [Fraction(v) for v in tab[row]]
+    for i in np.flatnonzero(other):
+        factor = Fraction(other[i])
+        tab[i] = [float(Fraction(t) - factor * r) for t, r in zip(tab[i], pivot_row)]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
 

@@ -14,12 +14,12 @@ from ddinv import lp, synthesis, verification
 from ddinv.experiment import (PlantModel, build_data_matrices,
                               data_has_full_row_rank,
                               is_persistently_exciting, min_samples,
-                              random_controllable_plant,
                               random_input_sequence, simulate,
                               simulate_closed_loop)
 from ddinv.polytopes import (DisturbanceSet, InputPolytope, enumerate_vertices,
                              gauge, validate_cset)
-from generators import box_input_rows, random_box_lp, random_cset_rows, unbounded_lp
+from generators import (box_input_rows, random_box_lp, random_controllable_plant,
+                        random_cset_rows, unbounded_lp)
 from oracles import brute_force_lp, same_point_set, vertex_oracle_2d
 
 

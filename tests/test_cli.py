@@ -302,6 +302,17 @@ def test_non_finite_gain_exits_one_and_writes_nothing(tmp_path, demo_problem,
     assert not cert_path.exists()
 
 
+def test_point_that_breaks_the_program_exits_one(tmp_path, demo_problem, capsys,
+                                                shift_solver_points):
+    shift_solver_points(1e-3)
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "breaks the program by" in err
+    assert "Traceback" not in err
+    assert not cert_path.exists()
+
+
 def test_generate_rejects_non_finite_start(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**DEMO_CONFIG, "x0": [float("nan"), 0.0]}))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ddinv import experiment
 from ddinv.numerics import numerical_rank
+from generators import controllability_matrix, is_controllable, random_controllable_plant
 
 
 def test_simulate_identity_plant_with_zero_input():
@@ -112,21 +113,21 @@ def test_min_samples_for_demo_dimensions():
 
 
 def test_demo_plant_is_controllable(demo_plant):
-    assert experiment.is_controllable(demo_plant)
-    ctrb = experiment.controllability_matrix(demo_plant)
+    assert is_controllable(demo_plant)
+    ctrb = controllability_matrix(demo_plant)
     assert ctrb.shape == (2, 2)
     assert np.allclose(ctrb[:, 1], [0.5, 1.2])
 
 
 def test_uncontrollable_pair_detected():
     plant = experiment.PlantModel(np.eye(2), np.array([[1.0], [0.0]]))
-    assert not experiment.is_controllable(plant)
+    assert not is_controllable(plant)
 
 
 def test_random_plant_generator_controllable():
     rng = np.random.default_rng(97)
-    plant = experiment.random_controllable_plant(rng, 3, 2, spectral_radius=0.8)
-    assert experiment.is_controllable(plant)
+    plant = random_controllable_plant(rng, 3, 2, spectral_radius=0.8)
+    assert is_controllable(plant)
     assert np.max(np.abs(np.linalg.eigvals(plant.a_matrix))) == pytest.approx(0.8, abs=1e-9)
 
 
@@ -136,7 +137,7 @@ def test_excitation_implies_data_rank():
     for _ in range(10):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(1, 3))
-        plant = experiment.random_controllable_plant(rng, n, m)
+        plant = random_controllable_plant(rng, n, m)
         inputs = experiment.random_input_sequence(rng, 20, m)
         assert experiment.is_persistently_exciting(inputs, n + 1)
         states = experiment.simulate(plant, rng.normal(size=n), inputs)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ddinv import lp
 from generators import lp_with_known_point, random_box_lp, unbounded_lp
-from oracles import brute_force_lp, dense_pivot
+from oracles import brute_force_lp, dense_pivot, fused_pivot
 
 
 def test_single_variable_lower_bound():
@@ -170,10 +170,24 @@ def test_construction_validation():
                          lower_bounds=[1.0], upper_bounds=[0.0])
 
 
-@pytest.mark.parametrize("share", [0.05, 1.0])
-def test_pivot_matches_dense_reference(share):
-    # share 0.05 takes the sparse-row update, 1.0 the dense one
-    rng = np.random.default_rng(31)
+def _dense_branch_rounding(cases):
+    """Check the dense branch on (tab, row, col) cases and name its rounding:
+    every entry rounded once (a fused multiply-add kernel) or every entry
+    rounded twice, as numpy's outer product and subtraction give it."""
+    fused, twice = [], []
+    for tab, row, col in cases:
+        once, both = tab.copy(), tab.copy()
+        fused_pivot(once, row, col)
+        dense_pivot(both, row, col)
+        lp._pivot(tab, row, col)
+        fused.append(np.array_equal(tab, once))
+        twice.append(np.array_equal(tab, both))
+    assert all(fused) or all(twice)
+    return "once" if all(fused) else "twice"
+
+
+def _pivot_cases(rng, share):
+    cases = []
     for _ in range(20):
         rows, cols = int(rng.integers(2, 60)), int(rng.integers(40, 120))
         tab = rng.normal(size=(rows, cols))
@@ -185,10 +199,24 @@ def test_pivot_matches_dense_reference(share):
         tab[row, col] = rng.uniform(0.5, 2.0)
         sparse_row = np.count_nonzero(tab[row]) <= lp.SPARSE_PIVOT_SHARE * cols
         assert sparse_row == (share < lp.SPARSE_PIVOT_SHARE)
-        expected = tab.copy()
-        dense_pivot(expected, row, col)
-        lp._pivot(tab, row, col)
-        assert np.array_equal(tab, expected)
+        cases.append((tab, row, col))
+    return cases
+
+
+@pytest.mark.parametrize("share", [0.05, 1.0])
+def test_pivot_matches_dense_reference(share):
+    # share 0.05 takes the sparse-row update, which rounds like the numpy
+    # reference; 1.0 takes the dense dger update, which rounds each entry
+    # once on a fused multiply-add kernel and twice on any other
+    cases = _pivot_cases(np.random.default_rng(31), share)
+    if share < lp.SPARSE_PIVOT_SHARE:
+        for tab, row, col in cases:
+            expected = tab.copy()
+            dense_pivot(expected, row, col)
+            lp._pivot(tab, row, col)
+            assert np.array_equal(tab, expected)
+    else:
+        _dense_branch_rounding(cases)
 
 
 def _count_pivots(monkeypatch):
@@ -232,9 +260,11 @@ def test_every_phase_two_pivot_goes_through_the_seam(monkeypatch):
 
 
 def test_dense_pivot_on_narrowed_view_matches_reference():
-    # after phase one the simplex pivots on a view that drops the artificial
-    # columns, so its rows are not contiguous with each other
+    # a view whose rows are not contiguous with each other: dger works on
+    # f2py's copy, which is written back, and the columns outside the view
+    # stay as they were. The rounding is the one on a C-ordered tableau.
     rng = np.random.default_rng(47)
+    cases, fulls = [], []
     for _ in range(20):
         rows, cols = int(rng.integers(2, 60)), int(rng.integers(40, 120))
         full = rng.normal(size=(rows, cols + 7))
@@ -244,9 +274,47 @@ def test_dense_pivot_on_narrowed_view_matches_reference():
         row, col = int(rng.integers(0, rows - 1)), int(rng.integers(0, cols - 1))
         tab[row, col] = rng.uniform(0.5, 2.0)
         assert np.count_nonzero(tab[row]) > lp.SPARSE_PIVOT_SHARE * cols
-        outside = full[:, cols:].copy()
-        expected = tab.copy()
-        dense_pivot(expected, row, col)
-        lp._pivot(tab, row, col)
-        assert np.array_equal(tab, expected)
-        assert np.array_equal(full[:, cols:], outside)
+        cases.append((tab, row, col))
+        fulls.append((full, full[:, cols:].copy()))
+    contiguous = [(tab.copy(), row, col) for tab, row, col in cases]
+    assert _dense_branch_rounding(cases) == _dense_branch_rounding(contiguous)
+    for (full, outside), (tab, _, _) in zip(fulls, cases):
+        assert np.array_equal(full[:, tab.shape[1]:], outside)
+
+
+@pytest.mark.parametrize("objective, status", [([1.0, 1.0], lp.LpStatus.OPTIMAL),
+                                               ([0.0, 0.0], lp.LpStatus.FEASIBLE)])
+def test_point_that_breaks_the_program_is_withheld(shift_solver_points, objective, status):
+    # z1 + z2 >= 1 with z >= 0; moving the returned point by -1e-3 in z1
+    # breaks either the row or the bound by 1e-3
+    prob = lp.LinearProgram(num_vars=2, objective=objective,
+                            ineq_lhs=[[-1.0, -1.0]], ineq_rhs=[-1.0],
+                            lower_bounds=[0.0, 0.0])
+    assert lp.solve(prob).status == status
+    shift_solver_points(np.array([-1e-3, 0.0]))
+    sol = lp.solve(prob)
+    assert sol.status == lp.LpStatus.BAD_POINT
+    assert sol.primal is None and sol.objective_value is None
+    assert sol.residual == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_point_within_the_guard_tolerance_is_returned(shift_solver_points):
+    prob = lp.LinearProgram(num_vars=1, objective=[1.0], lower_bounds=[1.0])
+    shift_solver_points(-0.5 * lp.GUARD_TOL)
+    sol = lp.solve(prob)
+    assert sol.status == lp.LpStatus.OPTIMAL
+    assert sol.residual is None
+
+
+def test_max_violation_names_the_worst_constraint():
+    prob = lp.LinearProgram(num_vars=2, objective=[0.0, 0.0],
+                            eq_lhs=[[1.0, 1.0]], eq_rhs=[1.0],
+                            ineq_lhs=[[1.0, 0.0]], ineq_rhs=[0.5],
+                            lower_bounds=[0.0, -1.0], upper_bounds=[2.0, 1.0])
+    assert lp.max_violation(prob, [0.5, 0.5]) == 0.0
+    assert lp.max_violation(prob, [0.5, 0.75]) == 0.25     # equality
+    assert lp.max_violation(prob, [0.875, 0.125]) == 0.375  # inequality row
+    assert lp.max_violation(prob, [-0.5, 1.5]) == 0.5       # both bounds
+    # a non-finite point is never feasible
+    assert np.isnan(lp.max_violation(prob, [np.nan, 0.5]))
+    assert not lp.check_feasible(prob, [np.nan, 0.5])

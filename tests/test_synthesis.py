@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ from scipy.optimize import linprog
 
 from ddinv import lp, synthesis, verification
 from ddinv.experiment import (PlantModel, build_data_matrices,
-                              random_controllable_plant,
                               random_input_sequence, simulate,
                               stacked_data_matrix)
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
-from generators import box_input_rows, random_cset_rows
+from generators import box_input_rows, random_controllable_plant, random_cset_rows
 from oracles import nominal_lp_loop, polygon_rows_from_vertices, robust_rows_loop
 
 
@@ -47,6 +47,18 @@ def test_demo_data_infeasible_below_optimum(demo_state_set, demo_input_set, demo
     with pytest.raises(synthesis.InfeasibleProblem):
         synthesis.synthesize(
             synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.2, demo_data))
+
+
+def test_point_that_breaks_the_program_is_a_solver_failure(demo_state_set, demo_input_set,
+                                                            demo_data, shift_solver_points):
+    # a returned point is checked against the program before any gain is
+    # extracted from it; the failure names how far off the point is
+    shift_solver_points(1e-3)
+    with pytest.raises(synthesis.SolverFailure,
+                       match=r"data-based design at level 0.84: solver point breaks "
+                             r"the program by \d"):
+        synthesis.synthesize(
+            synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
 
 
 def test_zero_input_data_infeasible(demo_state_set, demo_input_set, demo_plant):
@@ -203,6 +215,54 @@ def test_nominal_agreement_on_random_plants():
                 outcomes.append(False)
         assert outcomes[0] == outcomes[1]
         done += 1
+
+
+def _highs(program):
+    return linprog(program.objective, A_ub=program.ineq_lhs, b_ub=program.ineq_rhs,
+                   A_eq=program.eq_lhs, b_eq=program.eq_rhs,
+                   bounds=list(zip(program.lower_bounds, program.upper_bounds)),
+                   method="highs")
+
+
+def test_simplex_verdicts_agree_with_highs_on_data_programs():
+    # seeded data-route programs: each level minimization, then fixed levels
+    # 0.02 below and above the HiGHS optimum. Every verdict the simplex
+    # gives must be right; giving none (an iteration limit, or a point the
+    # guard withholds) is allowed and counted
+    rng = np.random.default_rng(11)
+    outcomes = Counter()
+    programs = 0
+    while programs < 200:
+        n, m = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        plant = random_controllable_plant(rng, n, m, spectral_radius=rng.uniform(0.3, 1.3))
+        cset = validate_cset(random_cset_rows(rng, n))
+        uset = InputPolytope(box_input_rows(m, rng.uniform(2.0, 8.0)))
+        inputs = random_input_sequence(rng, 20, m)
+        data = build_data_matrices(inputs, simulate(plant, rng.uniform(-0.3, 0.3, n), inputs))
+        minimization = synthesis.build_databased_lp(data, cset, uset)
+        reference = _highs(minimization)
+        cases = [(minimization, reference)]
+        if reference.status == 0:
+            cases += [(program, _highs(program)) for program in
+                      (synthesis.build_databased_lp(data, cset, uset, reference.fun + shift)
+                       for shift in (-0.02, 0.02))]
+        for program, reference in cases:
+            programs += 1
+            assert reference.status in (0, 2)
+            sol = lp.solve(program)
+            outcomes[sol.status] += 1
+            if sol.status in (lp.LpStatus.OPTIMAL, lp.LpStatus.FEASIBLE):
+                assert reference.status == 0
+                assert lp.check_feasible(program, sol.primal, 1e-6)
+                if sol.status == lp.LpStatus.OPTIMAL:
+                    assert sol.objective_value == pytest.approx(reference.fun, abs=1e-6)
+            elif sol.status == lp.LpStatus.INFEASIBLE:
+                assert reference.status == 2
+            else:
+                assert sol.status in (lp.LpStatus.ITERATION_LIMIT, lp.LpStatus.BAD_POINT)
+    # the sweep reaches every verdict
+    assert min(outcomes[status] for status in (lp.LpStatus.OPTIMAL, lp.LpStatus.FEASIBLE,
+                                               lp.LpStatus.INFEASIBLE)) >= 40
 
 
 def _program_arrays(program):
