@@ -2,18 +2,17 @@
 """Run the worked example end to end and drop every artifact into out/.
 
 Steps: simulate a seeded open-loop experiment on the reference plant, design
-a feedback gain from the recorded data (once at the smallest achievable
-contraction level, once at the fixed level 0.84), verify both certificates,
-and roll the closed loop out from a vertex of the state set. Writes the
-problem file, both certificate files, a trajectory CSV, and SVG plots.
+a feedback gain from the recorded data with `ddinv synthesize` (once at the
+smallest achievable contraction level, once at the fixed level 0.84), which
+verifies each certificate it writes, and roll the closed loop out from a
+vertex of the state set. Writes the problem file, both certificate files, a
+trajectory CSV, and SVG plots.
 """
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from ddinv import cli, fileio, synthesis, verification
+from ddinv import cli, fileio, synthesis
 from ddinv.demo import (DEFAULT_SAMPLES, DEFAULT_SEED, demo_experiment,
                         demo_input_set, demo_plant, demo_state_set)
 
@@ -43,33 +42,19 @@ def main() -> int:
         problem_path)
     print(f"wrote {problem_path}")
 
-    best = synthesis.minimize_lambda(synthesis.SynthesisProblem(
-        state_set, input_set, "minimize", data))
-    print(f"smallest achievable contraction level: {best.lam:.9f}")
-    print(f"  gain: {np.array2string(best.gain, precision=6)}")
+    for label, level in (("min", "min"), ("084", "0.84")):
+        path = out / f"certificate_{label}.json"
+        code = cli.main(["synthesize", str(problem_path), "--lambda", level,
+                         "--out", str(path)])
+        if code != 0:
+            return code
 
+    best = fileio.load_certificate(out / "certificate_min.json")
     reference = synthesis.minimize_lambda(synthesis.SynthesisProblem(
         state_set, input_set, "minimize", plant))
-    print(f"  model-based reference level:         {reference.lam:.9f} "
+    print(f"smallest achievable contraction level: {best.lam:.9f}")
+    print(f"model-based reference level:           {reference.lam:.9f} "
           f"(gap {abs(best.lam - reference.lam):.2e})")
-
-    for label, cert in (("min", best), ("084", None)):
-        if cert is None:
-            cert = synthesis.synthesize(synthesis.SynthesisProblem(
-                state_set, input_set, 0.84, data))
-        report = verification.verify_certificate(state_set, input_set, cert,
-                                                 data=data)
-        record = fileio.CertificateRecord(
-            gain=cert.gain, lam=cert.lam, g_matrix=cert.g_matrix,
-            p_matrix=cert.p_matrix,
-            verification={"all_ok": report.all_ok(),
-                          "worst_vertex_gauge": report.worst_vertex_gauge,
-                          "worst_input_violation": report.worst_input_violation},
-            input_digest=fileio.file_digest(problem_path))
-        path = out / f"certificate_{label}.json"
-        fileio.save_certificate(record, path)
-        state = "verified" if report.all_ok() else "FAILED VERIFICATION"
-        print(f"wrote {path} (level {cert.lam:.6f}, {state})")
 
     code = cli.main(["simulate", str(problem_path),
                      str(out / "certificate_084.json"),

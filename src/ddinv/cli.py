@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from itertools import product
 
@@ -29,8 +28,8 @@ from .polytopes import (DisturbanceSet, InputPolytope, PolytopeError,
                         gauge, ordered_vertices_2d, validate_cset)
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
-from .verification import (VerificationReport, closed_loop, lyapunov_value, rollout,
-                           verify_certificate)
+from .verification import (DEFAULT_TOL, VerificationReport, closed_loop, lyapunov_value,
+                           rollout, verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -60,7 +59,7 @@ def _json_number(value):
     return value if value is None or np.isfinite(value) else str(float(value))
 
 
-def _report_to_dict(report: VerificationReport, tol: float) -> dict:
+def _report_to_dict(report: VerificationReport) -> dict:
     return {
         "contractivity_ok": report.contractivity_ok,
         "certificate_ok": report.certificate_ok,
@@ -69,7 +68,7 @@ def _report_to_dict(report: VerificationReport, tol: float) -> dict:
         "worst_vertex_gauge": _json_number(report.worst_vertex_gauge),
         "worst_input_violation": _json_number(report.worst_input_violation),
         "lyapunov_decay_margin": _json_number(report.lyapunov_decay_margin),
-        "tolerance": tol,
+        "tolerance": DEFAULT_TOL,
     }
 
 
@@ -92,9 +91,8 @@ def _print_report(report: VerificationReport):
 
 def _cmd_generate(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = fileio.read_json_object(args.config)
+    except (OSError, FileFormatError) as exc:
         return _fail(f"cannot read config: {exc}")
     try:
         model = cfg["model"]
@@ -102,7 +100,7 @@ def _cmd_generate(args) -> int:
                            fileio.rows_to_matrix(model["B"], "model.B"))
         state_rows = fileio.rows_to_matrix(cfg["state_set"], "state_set")
         input_rows = fileio.rows_to_matrix(cfg["input_set"], "input_set")
-        lam = cfg.get("lambda", "min")
+        lam = fileio.contraction_level(cfg.get("lambda", "min"))
         samples = int(cfg["samples"])
         seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
         x0 = np.asarray(cfg.get("x0", np.zeros(plant.n)), dtype=float).reshape(-1)
@@ -163,15 +161,11 @@ def _cmd_synthesize(args) -> int:
     except (OSError, FileFormatError) as exc:
         return _fail(str(exc))
     if args.lam is not None:
-        if args.lam == "min":
-            spec.lam = "min"
-        else:
-            try:
-                spec.lam = float(args.lam)
-            except ValueError:
-                return _fail("--lambda takes a number or 'min'")
-            if not 0.0 <= spec.lam < 1.0:
-                return _fail("--lambda must lie in [0, 1)")
+        try:
+            spec.lam = fileio.contraction_level(args.lam if args.lam == "min"
+                                                else float(args.lam))
+        except ValueError:
+            return _fail("--lambda takes 'min' or a number in [0, 1)")
     if spec.data is not None and spec.model is not None:
         return _fail("problem has both data and model; synthesis needs exactly one")
     try:
@@ -201,15 +195,13 @@ def _cmd_synthesize(args) -> int:
     except SolverFailure as exc:
         return _fail(str(exc))
 
-    tol = 1e-6
     report = verify_certificate(state_set, input_set, certificate,
                                 data=data, plant=plant,
-                                disturbance=disturbance if args.robust else None,
-                                tol=tol)
+                                disturbance=disturbance if args.robust else None)
     record = fileio.CertificateRecord(
         gain=certificate.gain, lam=certificate.lam,
         g_matrix=certificate.g_matrix, p_matrix=certificate.p_matrix,
-        verification=_report_to_dict(report, tol),
+        verification=_report_to_dict(report),
         tool_version=__version__,
         input_digest=fileio.file_digest(args.problem))
     try:

@@ -58,6 +58,8 @@ class ExperimentData:
         self.x0t = np.atleast_2d(np.asarray(self.x0t, dtype=float))
         self.x1t = np.atleast_2d(np.asarray(self.x1t, dtype=float))
         T = self.u0t.shape[1]
+        if T < 1:
+            raise ValueError("data needs at least one sample")
         if self.x0t.shape[1] != T or self.x1t.shape[1] != T:
             raise ValueError("data matrices must share the sample count")
         if self.x0t.shape[0] != self.x1t.shape[0]:

@@ -74,6 +74,30 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def contraction_level(value):
+    """A contraction level: the string 'min' or a number in [0, 1)."""
+    if isinstance(value, str):
+        if value != "min":
+            raise FileFormatError("lambda must be a number or the string 'min'")
+        return value
+    lam = _number(value, "lambda")
+    if not 0.0 <= lam < 1.0:
+        raise FileFormatError("lambda must lie in [0, 1)")
+    return lam
+
+
+def read_json_object(path) -> dict:
+    """The JSON object a file holds; other content is a FileFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise FileFormatError(f"{path}: must hold a JSON object")
+    return raw
+
+
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
@@ -93,24 +117,16 @@ class ProblemSpec:
 
 
 def load_problem(path) -> ProblemSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json_object(path)
     for key in ("state_set", "input_set", "lambda"):
         if key not in raw:
             raise FileFormatError(f"{path}: missing '{key}'")
+    for key in ("data", "model", "disturbance"):
+        if raw.get(key) is not None and not isinstance(raw[key], dict):
+            raise FileFormatError(f"{key} must be a JSON object")
     state_rows = rows_to_matrix(raw["state_set"], "state_set")
     input_rows = rows_to_matrix(raw["input_set"], "input_set")
-    lam = raw["lambda"]
-    if isinstance(lam, str):
-        if lam != "min":
-            raise FileFormatError("lambda must be a number or the string 'min'")
-    else:
-        lam = _number(lam, "lambda")
-        if not 0.0 <= lam < 1.0:
-            raise FileFormatError("lambda must lie in [0, 1)")
+    lam = contraction_level(raw["lambda"])
     data = None
     if raw.get("data") is not None:
         block = raw["data"]
@@ -189,11 +205,7 @@ class CertificateRecord:
 
 
 def load_certificate(path) -> CertificateRecord:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json_object(path)
     for key in ("gain", "lambda"):
         if key not in raw:
             raise FileFormatError(f"{path}: missing '{key}'")

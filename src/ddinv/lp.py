@@ -6,11 +6,14 @@ Pricing is deterministic: Dantzig's rule with lowest-index tie breaking,
 falling back to Bland's rule after a run of degenerate pivots so cycling
 cannot occur. Doubly bounded variables contribute an extra range row.
 
-The tableau is assembled once into a single array: structural columns, slack
-and artificial identities, right-hand side and cost row. After phase one the
-artificial columns are dropped by moving the right-hand side next to the
-last real column and narrowing the view. Only when phase two follows is
-that view copied, once, into a C-ordered array for the dense pivot below.
+The tableau is one C-ordered array of structural and slack columns,
+right-hand side and cost row; it stores no artificial columns. A row that
+starts on an artificial keeps only its basis marker, an index past the real
+columns, and the phase-one cost row is minus the sum of those rows. An
+artificial that leaves the basis never returns. This is exact: the
+restricted phase one still contains every feasible point of the program,
+so in exact arithmetic its INFEASIBLE verdict is unchanged. The drive-out
+pivots and the redundant-row drop keep the tableau C-ordered for phase two.
 
 A pivot subtracts other[i] * row[j] from every entry tab[i, j]. Where the
 pivot row is zero that product is zero and the entry keeps its value, so a
@@ -27,12 +30,10 @@ writes straight into it with no temporary. Where the kernel fuses the
 multiply and the add (scipy's OpenBLAS 0.3.30 does on an x86 Xeon with
 FMA), each changed entry is rounded once:
 round(tab[i, j] - other[i] * row[j]). The two branches thus round
-differently, and the branch a pivot takes decides its bits. A tableau that
-is not C-ordered (only the tests pass one) is copied by f2py, and the
-result is written back. Every pivot of solve is on a C-ordered tableau, so
-pivot sequences repeat exactly on one machine and BLAS kernel; a kernel
-without fused multiply-add rounds the dense branch twice and may take
-other pivots.
+differently, and the branch a pivot takes decides its bits. Every tableau
+is C-ordered from build to extract, so pivot sequences repeat exactly on
+one machine and BLAS kernel; a kernel without fused multiply-add rounds the
+dense branch twice and may take other pivots.
 
 Every OPTIMAL or FEASIBLE point is checked against the program passed in
 before it is returned. A point that breaks a constraint by more than
@@ -72,7 +73,7 @@ class LpStatus(enum.Enum):
     BAD_POINT = "bad_point"
 
 
-def _as_matrix(value, rows, cols, name):
+def _as_matrix(value, cols, name):
     if value is None:
         return np.zeros((0, cols))
     mat = np.asarray(value, dtype=float)
@@ -102,8 +103,8 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float).reshape(-1)
         if self.objective.shape != (n,):
             raise ValueError("objective length does not match num_vars")
-        self.eq_lhs = _as_matrix(self.eq_lhs, None, n, "eq_lhs")
-        self.ineq_lhs = _as_matrix(self.ineq_lhs, None, n, "ineq_lhs")
+        self.eq_lhs = _as_matrix(self.eq_lhs, n, "eq_lhs")
+        self.ineq_lhs = _as_matrix(self.ineq_lhs, n, "ineq_lhs")
         self.eq_rhs = np.zeros(0) if self.eq_rhs is None else np.asarray(self.eq_rhs, dtype=float).reshape(-1)
         self.ineq_rhs = np.zeros(0) if self.ineq_rhs is None else np.asarray(self.ineq_rhs, dtype=float).reshape(-1)
         if self.eq_lhs.shape[0] != self.eq_rhs.shape[0]:
@@ -150,7 +151,9 @@ def _pivot(tab, row, col):
 
     Every entry that changes becomes tab[i, j] - other[i] * tab[row, j].
     When the pivot row has few nonzeros only those columns are touched;
-    elsewhere the product is zero and the entry stays as it was."""
+    elsewhere the product is zero and the entry stays as it was. tab must be
+    C-ordered: the dense update writes through its Fortran-ordered transpose,
+    and on any other layout it would update a copy."""
     tab[row] /= tab[row, col]
     other = tab[:, col].copy()
     other[row] = 0.0
@@ -158,11 +161,7 @@ def _pivot(tab, row, col):
         cols = np.flatnonzero(tab[row])
         tab[:, cols] -= np.outer(other, tab[row, cols])
     else:
-        # tab.T of a C-ordered tableau is Fortran-ordered and dger updates it
-        # in place; any other layout is copied by f2py and written back
-        updated = dger(-1.0, tab[row].copy(), other, a=tab.T, overwrite_a=True)
-        if not np.may_share_memory(updated, tab):
-            tab[...] = updated.T
+        dger(-1.0, tab[row].copy(), other, a=tab.T, overwrite_a=True)
     tab[:, col] = 0.0
     tab[row, col] = 1.0
 
@@ -256,7 +255,7 @@ def _simplex(lp: LinearProgram) -> LpSolution:
 
     # rows whose slack survives with +1 start with that slack basic; the
     # rest (equalities, inequalities flipped for a negative right-hand
-    # side) get an artificial
+    # side) start on an artificial, which has a basis marker but no column
     rhs = np.zeros(nrows)
     rhs[:n_eq] = lp.eq_rhs - lp.eq_lhs @ offsets
     rhs[n_eq : n_eq + n_in] = lp.ineq_rhs - lp.ineq_lhs @ offsets
@@ -266,10 +265,9 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     slack_basic[:n_eq] = False
     art_rows = np.flatnonzero(~slack_basic)
     n_art = art_rows.size
-    ncols = n_real + n_art
 
-    # one tableau: [structural | slack | artificial | rhs], cost row last
-    tab = np.zeros((nrows + 1, ncols + 1))
+    # one tableau: [structural | slack | rhs], cost row last
+    tab = np.zeros((nrows + 1, n_real + 1))
     tab[:n_eq, :nstruct] = lp.eq_lhs[:, col_var] * col_sign
     tab[n_eq : n_eq + n_in, :nstruct] = lp.ineq_lhs[:, col_var] * col_sign
     tab[n_eq + n_in + np.arange(n_rng), range_cols] = 1.0
@@ -280,15 +278,12 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     basis = np.full(nrows, -1, dtype=int)
     slack_rows = np.flatnonzero(slack_basic)
     basis[slack_rows] = nstruct + slack_rows - n_eq
-    art_cols = n_real + np.arange(n_art)
-    tab[art_rows, art_cols] = 1.0
-    basis[art_rows] = art_cols
+    basis[art_rows] = n_real + np.arange(n_art)
 
-    iter_cap = ITER_FACTOR * (nrows + ncols)
+    iter_cap = ITER_FACTOR * (nrows + n_real + n_art)
 
-    # phase one: minimize the sum of artificials
+    # phase one: minimize the sum of artificials, priced out of their rows
     if n_art:
-        tab[-1, n_real:ncols] = 1.0
         for r in art_rows:
             tab[-1] -= tab[r]
         outcome = _run_simplex(tab, basis, nrows, iter_cap)
@@ -305,11 +300,6 @@ def _simplex(lp: LinearProgram) -> LpSolution:
                 basis[r] = int(candidates[0])
             else:
                 drop_rows.append(r)
-        # the right-hand side moves next to the last real column and the
-        # artificial columns fall outside the view
-        tab[:, n_real] = tab[:, -1]
-        tab = tab[:, : n_real + 1]
-        ncols = n_real
         if drop_rows:
             dropped = set(drop_rows)
             keep = [r for r in range(nrows) if r not in dropped]
@@ -318,8 +308,8 @@ def _simplex(lp: LinearProgram) -> LpSolution:
             nrows = len(keep)
 
     def extract():
-        values = np.zeros(ncols)
-        values[basis[:nrows]] = np.maximum(tab[:nrows, -1], 0.0)
+        values = np.zeros(n_real)
+        values[basis] = np.maximum(tab[:nrows, -1], 0.0)
         z = offsets.copy()
         np.add.at(z, col_var, col_sign * values[:nstruct])
         return z
@@ -327,9 +317,8 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     if not np.any(lp.objective):
         return LpSolution(LpStatus.FEASIBLE, primal=extract())
 
-    # phase two; a C-ordered tableau lets the dense pivot work in place
-    tab = np.ascontiguousarray(tab)
-    cost = np.zeros(ncols + 1)
+    # phase two
+    cost = np.zeros(n_real + 1)
     cost[:nstruct] = lp.objective[col_var] * col_sign
     for r in range(nrows):
         if cost[basis[r]] != 0.0:

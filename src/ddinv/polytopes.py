@@ -115,11 +115,11 @@ def _check_bounded(h_matrix: np.ndarray):
         raise UnboundedSetError("set is unbounded: its rows do not positively span the space")
 
 
-def enumerate_vertices(h_matrix, dedup_tol: float = DEDUP_TOL) -> np.ndarray:
+def enumerate_vertices(h_matrix) -> np.ndarray:
     """All vertices of {x : H x <= 1} by enumerating row subsets of size n.
 
     Candidate points solve H_J x = 1 for an invertible row subset J and are
-    kept when feasible for every row. Duplicates within dedup_tol (Euclidean)
+    kept when feasible for every row. Duplicates within DEDUP_TOL (Euclidean)
     collapse to the first representative found.
 
     All subsets are solved in one batched call. A subset is skipped when its
@@ -146,7 +146,7 @@ def enumerate_vertices(h_matrix, dedup_tol: float = DEDUP_TOL) -> np.ndarray:
             & ~((cands @ h_matrix.T).max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
     found = []
     for cand in cands[keep]:
-        if any(np.linalg.norm(cand - v) <= dedup_tol for v in found):
+        if any(np.linalg.norm(cand - v) <= DEDUP_TOL for v in found):
             continue
         found.append(cand)
     return np.array(found) if found else np.zeros((0, n))
@@ -160,8 +160,7 @@ def validate_cset(h_matrix) -> PolyhedralCSet:
         raise PolytopeError("H entries must be finite")
     if n_rows < n + 1:
         raise PolytopeError(f"{n_rows} rows cannot bound a {n}-dimensional set")
-    # origin is interior by construction of the normalized form
-    assert np.all(h_matrix @ np.zeros(n) < 1.0)
+    # H 0 = 0 < 1: the origin is interior by construction, so it needs no check
     verts = enumerate_vertices(h_matrix)
     if verts.shape[0] == 0:
         raise PolytopeError("no vertices found; representation is degenerate")

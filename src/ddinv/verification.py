@@ -26,6 +26,7 @@ from . import lp
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 DEFAULT_TOL = 1e-6
+DECAY_STEPS = 50  # length of the decay rollout from every vertex
 
 
 def _images(matrix, points):
@@ -204,7 +205,7 @@ def check_data_consistency(data, g_matrix, gain, tol: float = DEFAULT_TOL) -> bo
 
 def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
                        data=None, plant=None, disturbance: Optional[DisturbanceSet] = None,
-                       tol: float = DEFAULT_TOL, decay_steps: int = 50) -> VerificationReport:
+                       tol: float = DEFAULT_TOL) -> VerificationReport:
     """Full report on a certificate.
 
     The closed-loop map comes from `closed_loop`. On the data route (no
@@ -240,7 +241,7 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
                                                           certificate.lam, tol)
     # an unstable F may overflow to inf and NaN, which the decay check
     # reports as an infinite margin
-    states = rollout(f_matrix, cset.vertices, decay_steps)
+    states = rollout(f_matrix, cset.vertices, DECAY_STEPS)
     _, margin = check_decay_along_trajectory(cset, states, certificate.lam, tol)
     return VerificationReport(
         contractivity_ok=contract_ok, certificate_ok=cert_ok,

@@ -1,6 +1,9 @@
 import csv
 import json
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,3 +452,62 @@ def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
     states, _ = simulate_closed_loop(plant, fileio.load_certificate(cert_path).gain,
                                      [6.0, -0.5], 30)
     np.testing.assert_allclose(rows[:, 1:3], states, rtol=1e-12, atol=1e-12)
+
+
+def _zero_samples(raw):
+    raw["data"] = {key: {"shape": [rows, 0], "values": []}
+                   for key, rows in (("u0t", 1), ("x0t", 2), ("x1t", 2))}
+
+
+@pytest.mark.parametrize("target, content", [
+    ("config", 5),
+    ("problem", 5),
+    ("certificate", 5),
+    ("problem", "state_set input_set lambda data"),
+    ("certificate", "gain lambda"),
+    ("problem", lambda raw: raw.update(data=[1, 2])),
+    ("problem", lambda raw: raw.update(model="A B")),
+    ("problem", lambda raw: raw.update(disturbance=3)),
+    ("problem", _zero_samples),
+])
+def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, capsys,
+                                                    target, content):
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 0
+    path = {"config": tmp_path / "config.json", "problem": Path(demo_problem),
+            "certificate": cert_path}[target]
+    if callable(content):
+        raw = json.loads(path.read_text())
+        content(raw)
+        content = raw
+    path.write_text(json.dumps(content))
+    argv = {"config": ["generate", str(path), "--out", str(tmp_path / "p.json")],
+            "problem": ["synthesize", str(path), "--out", str(tmp_path / "c.json")],
+            "certificate": ["verify", demo_problem, str(path)]}[target]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", [1.5, "minimize"])
+def test_generate_refuses_a_level_synthesize_would_refuse(tmp_path, capsys, level):
+    cfg = _write_config(tmp_path, {**DEMO_CONFIG, "lambda": level})
+    out = tmp_path / "problem.json"
+    assert cli.main(["generate", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_example_script_writes_certificates_that_verify(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_example.py"
+    monkeypatch.setattr(sys, "argv", ["run_example.py", "--out", str(tmp_path)])
+    assert runpy.run_path(str(script))["main"]() == 0
+    for label in ("min", "084"):
+        cert_path = str(tmp_path / f"certificate_{label}.json")
+        record = fileio.load_certificate(cert_path)
+        assert record.tool_version == __version__
+        assert record.verification["tolerance"] == 1e-6
+        capsys.readouterr()
+        assert cli.main(["verify", str(tmp_path / "problem.json"), cert_path]) == 0
+        assert "all checks passed" in capsys.readouterr().out

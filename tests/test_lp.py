@@ -258,30 +258,6 @@ def test_every_phase_two_pivot_goes_through_the_seam(monkeypatch):
     assert calls == [(1, 1), (0, 0)]
 
 
-
-def test_dense_pivot_on_narrowed_view_matches_reference():
-    # a view whose rows are not contiguous with each other: dger works on
-    # f2py's copy, which is written back, and the columns outside the view
-    # stay as they were. The rounding is the one on a C-ordered tableau.
-    rng = np.random.default_rng(47)
-    cases, fulls = [], []
-    for _ in range(20):
-        rows, cols = int(rng.integers(2, 60)), int(rng.integers(40, 120))
-        full = rng.normal(size=(rows, cols + 7))
-        full[rng.random(size=full.shape) < 0.3] = 0.0
-        tab = full[:, :cols]
-        assert not tab.flags.c_contiguous
-        row, col = int(rng.integers(0, rows - 1)), int(rng.integers(0, cols - 1))
-        tab[row, col] = rng.uniform(0.5, 2.0)
-        assert np.count_nonzero(tab[row]) > lp.SPARSE_PIVOT_SHARE * cols
-        cases.append((tab, row, col))
-        fulls.append((full, full[:, cols:].copy()))
-    contiguous = [(tab.copy(), row, col) for tab, row, col in cases]
-    assert _dense_branch_rounding(cases) == _dense_branch_rounding(contiguous)
-    for (full, outside), (tab, _, _) in zip(fulls, cases):
-        assert np.array_equal(full[:, tab.shape[1]:], outside)
-
-
 @pytest.mark.parametrize("objective, status", [([1.0, 1.0], lp.LpStatus.OPTIMAL),
                                                ([0.0, 0.0], lp.LpStatus.FEASIBLE)])
 def test_point_that_breaks_the_program_is_withheld(shift_solver_points, objective, status):
