@@ -35,9 +35,7 @@ def main() -> int:
     print(f"experiment: {data.samples} samples, seed {args.seed}")
     problem_path = out / "problem.json"
     fileio.save_problem(fileio.ProblemSpec(
-        state_rows=state_set.h_matrix, input_rows=input_set.h_matrix,
-        lam=0.84,
-        data={"u0t": data.u0t, "x0t": data.x0t, "x1t": data.x1t},
+        state_set=state_set, input_set=input_set, lam=0.84, data=data,
         meta={"seed": args.seed, "description": "reference example"}),
         problem_path)
     print(f"wrote {problem_path}")
@@ -49,9 +47,9 @@ def main() -> int:
         if code != 0:
             return code
 
-    best = fileio.load_certificate(out / "certificate_min.json")
+    best, _ = fileio.load_certificate(out / "certificate_min.json")
     reference = synthesis.minimize_lambda(synthesis.SynthesisProblem(
-        state_set, input_set, "minimize", plant))
+        state_set, input_set, synthesis.MINIMIZE, plant))
     print(f"smallest achievable contraction level: {best.lam:.9f}")
     print(f"model-based reference level:           {reference.lam:.9f} "
           f"(gap {abs(best.lam - reference.lam):.2e})")

@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from itertools import product
 
 import numpy as np
 
-from . import __version__
 from . import fileio, svgplot
-from .experiment import (ExperimentData, PlantModel, build_data_matrices,
+from .experiment import (PlantModel, build_data_matrices,
                          data_has_full_row_rank, is_persistently_exciting,
                          min_samples, random_input_sequence, simulate)
 from .fileio import FileFormatError
-from .polytopes import (DisturbanceSet, InputPolytope, PolytopeError,
-                        gauge, ordered_vertices_2d, validate_cset)
+from .polytopes import (DisturbanceSet, InputPolytope, gauge, ordered_vertices_2d,
+                        validate_cset)
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
 from .verification import (DEFAULT_TOL, VerificationReport, closed_loop, lyapunov_value,
@@ -37,21 +37,19 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _spec_objects(spec: fileio.ProblemSpec):
-    """Validated set objects plus optional data/model/disturbance objects."""
-    state_set = validate_cset(spec.state_rows)
-    input_set = InputPolytope(spec.input_rows)
-    data = None
-    if spec.data is not None:
-        data = ExperimentData(u0t=spec.data["u0t"], x0t=spec.data["x0t"],
-                              x1t=spec.data["x1t"])
-    plant = None
-    if spec.model is not None:
-        plant = PlantModel(spec.model["a"], spec.model["b"])
-    disturbance = None
-    if spec.disturbance_vertices is not None:
-        disturbance = DisturbanceSet(spec.disturbance_vertices)
-    return state_set, input_set, data, plant, disturbance
+def _count(value, name: str, least: int) -> int:
+    """A JSON integer of at least `least`; booleans and fractions are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
+    return value
+
+
+def _magnitude(value, name: str) -> float:
+    """A finite non-negative JSON number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 <= float(value) < np.inf):
+        raise ValueError(f"{name} must be a finite non-negative number")
+    return float(value)
 
 
 def _json_number(value):
@@ -98,22 +96,24 @@ def _cmd_generate(args) -> int:
         model = cfg["model"]
         plant = PlantModel(fileio.rows_to_matrix(model["A"], "model.A"),
                            fileio.rows_to_matrix(model["B"], "model.B"))
-        state_rows = fileio.rows_to_matrix(cfg["state_set"], "state_set")
-        input_rows = fileio.rows_to_matrix(cfg["input_set"], "input_set")
+        state_set = validate_cset(fileio.rows_to_matrix(cfg["state_set"], "state_set"))
+        input_set = InputPolytope(fileio.rows_to_matrix(cfg["input_set"], "input_set"))
         lam = fileio.contraction_level(cfg.get("lambda", "min"))
-        samples = int(cfg["samples"])
-        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+        samples = _count(cfg["samples"], "samples", 1)
+        seed = _count(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
         x0 = np.asarray(cfg.get("x0", np.zeros(plant.n)), dtype=float).reshape(-1)
-        amplitude = float(cfg.get("input_amplitude", 1.0))
+        amplitude = _magnitude(cfg.get("input_amplitude", 1.0), "input_amplitude")
         radius = cfg.get("disturbance_radius")
-    except (KeyError, TypeError, ValueError, FileFormatError) as exc:
+        if radius is not None:
+            radius = _magnitude(radius, "disturbance_radius")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return _fail(f"bad config: {exc}")
+    if (state_set.dim, input_set.dim) != (plant.n, plant.m):
+        return _fail("set dimensions do not match the model")
     if x0.shape != (plant.n,):
         return _fail("x0 length does not match the plant dimension")
     if not np.all(np.isfinite(x0)):
         return _fail("x0 entries must be finite")
-    if samples < 1:
-        return _fail("samples must be positive")
     floor = min_samples(plant.n, plant.m)
     if samples < floor:
         print(f"warning: {samples} samples is below the minimum {floor} "
@@ -121,11 +121,10 @@ def _cmd_generate(args) -> int:
 
     rng = np.random.default_rng(seed)
     inputs = random_input_sequence(rng, samples, plant.m, amplitude)
-    disturbance_rows = None
+    disturbance = None
     disturbances = None
     if radius is not None:
-        radius = float(radius)
-        disturbance_rows = np.array(list(product((radius, -radius), repeat=plant.n)))
+        disturbance = DisturbanceSet(np.array(list(product((radius, -radius), repeat=plant.n))))
         disturbances = rng.uniform(-radius, radius, size=(samples, plant.n))
     states = simulate(plant, x0, inputs, disturbances)
     data = build_data_matrices(inputs, states)
@@ -141,9 +140,8 @@ def _cmd_generate(args) -> int:
     print(f"stacked data matrix full row rank: {'yes' if full else 'NO'}")
 
     spec = fileio.ProblemSpec(
-        state_rows=state_rows, input_rows=input_rows, lam=lam,
-        data={"u0t": data.u0t, "x0t": data.x0t, "x1t": data.x1t},
-        disturbance_vertices=disturbance_rows,
+        state_set=state_set, input_set=input_set, lam=lam, data=data,
+        disturbance=disturbance,
         meta={"seed": seed, "input_amplitude": amplitude,
               "x0": [float(v) for v in x0],
               "description": "seeded open-loop experiment"})
@@ -160,33 +158,25 @@ def _cmd_synthesize(args) -> int:
         spec = fileio.load_problem(args.problem)
     except (OSError, FileFormatError) as exc:
         return _fail(str(exc))
+    lam = spec.lam
     if args.lam is not None:
         try:
-            spec.lam = fileio.contraction_level(args.lam if args.lam == "min"
-                                                else float(args.lam))
+            lam = fileio.contraction_level(args.lam if args.lam == "min" else float(args.lam))
         except ValueError:
             return _fail("--lambda takes 'min' or a number in [0, 1)")
     if spec.data is not None and spec.model is not None:
         return _fail("problem has both data and model; synthesis needs exactly one")
-    try:
-        state_set, input_set, data, plant, disturbance = _spec_objects(spec)
-    except (PolytopeError, ValueError) as exc:
-        return _fail(f"invalid problem: {exc}")
-
     if args.robust:
-        if disturbance is None:
+        if spec.disturbance is None:
             return _fail("--robust needs a disturbance block in the problem")
-        if data is None:
+        if spec.data is None:
             return _fail("--robust needs experiment data")
-    lam = "minimize" if spec.lam == "min" else spec.lam
-    try:
-        problem = SynthesisProblem(
-            state_set=state_set, input_set=input_set,
-            lam=0.0 if args.robust else lam,  # level unused on the robust path
-            source=data if data is not None else plant,
-            disturbance=disturbance if args.robust else None)
-    except ValueError as exc:
-        return _fail(str(exc))
+    disturbance = spec.disturbance if args.robust else None
+    problem = SynthesisProblem(
+        state_set=spec.state_set, input_set=spec.input_set,
+        lam=0.0 if args.robust else lam,  # level unused on the robust path
+        source=spec.data if spec.data is not None else spec.model,
+        disturbance=disturbance)
     try:
         certificate = synthesize(problem)
     except InfeasibleProblem as exc:
@@ -195,17 +185,11 @@ def _cmd_synthesize(args) -> int:
     except SolverFailure as exc:
         return _fail(str(exc))
 
-    report = verify_certificate(state_set, input_set, certificate,
-                                data=data, plant=plant,
-                                disturbance=disturbance if args.robust else None)
-    record = fileio.CertificateRecord(
-        gain=certificate.gain, lam=certificate.lam,
-        g_matrix=certificate.g_matrix, p_matrix=certificate.p_matrix,
-        verification=_report_to_dict(report),
-        tool_version=__version__,
-        input_digest=fileio.file_digest(args.problem))
+    report = verify_certificate(spec.state_set, spec.input_set, certificate,
+                                data=spec.data, plant=spec.model, disturbance=disturbance)
     try:
-        fileio.save_certificate(record, args.out)
+        fileio.save_certificate(certificate, args.out, _report_to_dict(report),
+                                fileio.file_digest(args.problem))
     except (OSError, FileFormatError) as exc:
         return _fail(f"cannot write {args.out}: {exc}")
     print(f"gain: {np.array2string(certificate.gain, precision=6)}")
@@ -219,43 +203,40 @@ def _cmd_synthesize(args) -> int:
 
 
 def _load_certified(args):
-    """Problem objects and certificate for verify and simulate, the
-    certificate's shapes checked against the problem. Raises OSError or
-    ValueError with the message for the error line."""
+    """Problem, certificate and the certificate's recorded problem digest for
+    verify and simulate, the certificate's shapes checked against the
+    problem. Raises OSError or ValueError with the message for the error
+    line."""
     spec = fileio.load_problem(args.problem)
-    record = fileio.load_certificate(args.certificate)
-    try:
-        state_set, input_set, data, plant, disturbance = _spec_objects(spec)
-    except (PolytopeError, ValueError) as exc:
-        raise ValueError(f"invalid problem: {exc}") from exc
-    n = state_set.dim
-    m = input_set.dim
-    if record.gain.shape != (m, n):
-        raise ValueError(f"gain shape {record.gain.shape} does not match ({m}, {n})")
-    if record.p_matrix is not None and record.p_matrix.shape != (state_set.num_rows,) * 2:
+    certificate, digest = fileio.load_certificate(args.certificate)
+    n = spec.state_set.dim
+    m = spec.input_set.dim
+    if certificate.gain.shape != (m, n):
+        raise ValueError(f"gain shape {certificate.gain.shape} does not match ({m}, {n})")
+    if (certificate.p_matrix is not None
+            and certificate.p_matrix.shape != (spec.state_set.num_rows,) * 2):
         raise ValueError("p_matrix shape does not match the state set")
-    if record.g_matrix is not None:
-        if data is None:
+    if certificate.g_matrix is not None:
+        if spec.data is None:
             raise ValueError("certificate carries a data combiner but the problem has no data")
-        if record.g_matrix.shape != (data.samples, n):
+        if certificate.g_matrix.shape != (spec.data.samples, n):
             raise ValueError("g_matrix shape does not match the data")
-    return state_set, input_set, data, plant, disturbance, record
+    return spec, certificate, digest
 
 
 def _cmd_verify(args) -> int:
     try:
-        state_set, input_set, data, plant, disturbance, record = _load_certified(args)
+        spec, certificate, digest = _load_certified(args)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    if record.input_digest:
-        digest = fileio.file_digest(args.problem)
-        if digest != record.input_digest:
-            print("warning: problem file digest differs from the one recorded "
-                  "in the certificate", file=sys.stderr)
+    if digest and fileio.file_digest(args.problem) != digest:
+        print("warning: problem file digest differs from the one recorded "
+              "in the certificate", file=sys.stderr)
 
     try:
-        report = verify_certificate(state_set, input_set, record,
-                                    data=data, plant=plant, disturbance=disturbance)
+        report = verify_certificate(spec.state_set, spec.input_set, certificate,
+                                    data=spec.data, plant=spec.model,
+                                    disturbance=spec.disturbance)
     except ValueError as exc:
         return _fail(str(exc))
     _print_report(report)
@@ -278,9 +259,10 @@ def _input_bounds(input_rows: np.ndarray):
 
 def _cmd_simulate(args) -> int:
     try:
-        state_set, input_set, data, plant, disturbance, record = _load_certified(args)
+        spec, certificate, _ = _load_certified(args)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    state_set, input_set = spec.state_set, spec.input_set
     try:
         x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
     except ValueError:
@@ -296,11 +278,11 @@ def _cmd_simulate(args) -> int:
     if args.steps < 1:
         return _fail("--steps must be positive")
 
-    gain = record.gain
-    f_matrix = closed_loop(record, data, plant)
+    gain = certificate.gain
+    f_matrix = closed_loop(certificate, spec.data, spec.model)
     if f_matrix is None:
         return _fail("problem gives no way to form the closed loop")
-    if plant is None and record.p_matrix is None:
+    if spec.model is None and certificate.p_matrix is None:
         return _fail("simulating a robust certificate needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")
     states = rollout(f_matrix, x0, args.steps)
@@ -326,10 +308,10 @@ def _cmd_simulate(args) -> int:
     scenes = []
     if args.format in (None, "svg"):
         if state_set.dim == 2:
-            lam = record.lam if record.lam < 1.0 else None
+            lam = certificate.lam if certificate.lam < 1.0 else None
             scenes.append((args.out + ".svg", svgplot.state_plane_svg(
                 ordered_vertices_2d(state_set), lam=lam, trajectory=states,
-                title=f"closed-loop trajectory, lambda {record.lam:.4g}")))
+                title=f"closed-loop trajectory, lambda {certificate.lam:.4g}")))
         else:
             print("state-plane plot skipped: set is not two-dimensional",
                   file=sys.stderr)
@@ -402,10 +384,16 @@ def _join_x0(argv):
     return joined
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse keeps no state between
+    parse_args calls, and building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_x0(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_join_x0(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     return args.func(args)

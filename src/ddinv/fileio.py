@@ -1,4 +1,13 @@
-"""JSON problem and certificate files.
+"""JSON problem and certificate files, read into and written from the
+library's own objects.
+
+`load_problem` returns a `ProblemSpec`: the state set validated as a C-set,
+the input set, the experiment data and/or the plant model, the disturbance
+set and the level, where the file's "min" becomes `synthesis.MINIMIZE`. A
+file whose content those objects refuse is a FileFormatError. A certificate
+file holds a `synthesis.Certificate` plus the verification report that
+`synthesize` embedded, the tool version and the digest of the problem file;
+`load_certificate` returns the certificate and the digest.
 
 Matrices travel as {"shape": [rows, cols], "values": [row-major flat list]}.
 Serialization is canonical (sorted keys, fixed separators, trailing newline)
@@ -11,9 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
+
+from . import __version__, polytopes, synthesis
+from .experiment import ExperimentData, PlantModel
+from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
+from .synthesis import Certificate
 
 
 class FileFormatError(ValueError):
@@ -75,15 +89,25 @@ def _number(value, name: str) -> float:
 
 
 def contraction_level(value):
-    """A contraction level: the string 'min' or a number in [0, 1)."""
+    """A contraction level as spelled in a file: the string 'min', which
+    becomes synthesis.MINIMIZE, or a number under synthesis's level rule."""
     if isinstance(value, str):
         if value != "min":
             raise FileFormatError("lambda must be a number or the string 'min'")
-        return value
+        return synthesis.MINIMIZE
     lam = _number(value, "lambda")
-    if not 0.0 <= lam < 1.0:
-        raise FileFormatError("lambda must lie in [0, 1)")
-    return lam
+    try:
+        return synthesis.contraction_level(lam)
+    except ValueError as exc:
+        raise FileFormatError(f"lambda: {exc}") from exc
+
+
+def _typed(raw: dict, key: str, kind, default):
+    """raw[key] when it has the JSON type kind, default when absent."""
+    value = raw.get(key, default)
+    if not isinstance(value, kind):
+        raise FileFormatError(f"{key} must be a JSON {'object' if kind is dict else 'string'}")
+    return value
 
 
 def read_json_object(path) -> dict:
@@ -103,16 +127,24 @@ def file_digest(path) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
+def _write(payload: dict, path):
+    text = canonical_dumps(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 @dataclass
 class ProblemSpec:
-    """Parsed problem file, before semantic validation of the sets."""
+    """A problem file as library objects: the validated state set, the input
+    set, the level (a number or synthesis.MINIMIZE), experiment data and/or
+    a plant model, an optional disturbance set, and free-form metadata."""
 
-    state_rows: np.ndarray
-    input_rows: np.ndarray
-    lam: object  # float or the literal "min"
-    data: Optional[dict] = None      # keys u0t, x0t, x1t -> arrays
-    model: Optional[dict] = None     # keys a, b -> arrays
-    disturbance_vertices: Optional[np.ndarray] = None
+    state_set: PolyhedralCSet
+    input_set: InputPolytope
+    lam: Union[float, str]
+    data: Optional[ExperimentData] = None
+    model: Optional[PlantModel] = None
+    disturbance: Optional[DisturbanceSet] = None
     meta: dict = field(default_factory=dict)
 
 
@@ -127,112 +159,86 @@ def load_problem(path) -> ProblemSpec:
     state_rows = rows_to_matrix(raw["state_set"], "state_set")
     input_rows = rows_to_matrix(raw["input_set"], "input_set")
     lam = contraction_level(raw["lambda"])
-    data = None
-    if raw.get("data") is not None:
-        block = raw["data"]
-        data = {key: obj_to_matrix(block.get(key), f"data.{key}")
-                for key in ("u0t", "x0t", "x1t")}
-        T = data["u0t"].shape[1]
-        n = data["x0t"].shape[0]
-        if data["x0t"].shape[1] != T or data["x1t"].shape != (n, T):
-            raise FileFormatError("data matrices have inconsistent shapes")
-        if state_rows.shape[1] != n:
-            raise FileFormatError("state_set column count does not match data")
-        if input_rows.shape[1] != data["u0t"].shape[0]:
-            raise FileFormatError("input_set column count does not match data")
-    model = None
-    if raw.get("model") is not None:
-        block = raw["model"]
-        if "A" not in block or "B" not in block:
+    meta = _typed(raw, "meta", dict, {})
+    data = raw.get("data")
+    if data is not None:
+        data = [obj_to_matrix(data.get(key), f"data.{key}") for key in ("u0t", "x0t", "x1t")]
+    model = raw.get("model")
+    if model is not None:
+        if "A" not in model or "B" not in model:
             raise FileFormatError("model must carry 'A' and 'B'")
-        model = {"a": rows_to_matrix(block["A"], "model.A"),
-                 "b": rows_to_matrix(block["B"], "model.B")}
-        n = model["a"].shape[0]
-        if model["a"].shape != (n, n) or model["b"].shape[0] != n:
-            raise FileFormatError("model matrices have inconsistent shapes")
-        if state_rows.shape[1] != n or input_rows.shape[1] != model["b"].shape[1]:
-            raise FileFormatError("set dimensions do not match the model")
-    disturbance = None
-    if raw.get("disturbance") is not None:
-        block = raw["disturbance"]
-        if "vertices" not in block:
+        model = [rows_to_matrix(model["A"], "model.A"), rows_to_matrix(model["B"], "model.B")]
+    disturbance = raw.get("disturbance")
+    if disturbance is not None:
+        if "vertices" not in disturbance:
             raise FileFormatError("disturbance must carry 'vertices'")
-        disturbance = rows_to_matrix(block["vertices"], "disturbance.vertices")
-        if disturbance.shape[1] != state_rows.shape[1]:
-            raise FileFormatError("disturbance vertices do not match the state dimension")
+        disturbance = rows_to_matrix(disturbance["vertices"], "disturbance.vertices")
     if data is None and model is None:
         raise FileFormatError("problem needs a data block or a model block")
-    return ProblemSpec(state_rows=state_rows, input_rows=input_rows, lam=lam,
-                       data=data, model=model, disturbance_vertices=disturbance,
-                       meta=raw.get("meta", {}) or {})
-
-
-def problem_to_payload(spec: ProblemSpec) -> dict:
-    payload = {
-        "state_set": matrix_to_rows(spec.state_rows),
-        "input_set": matrix_to_rows(spec.input_rows),
-        "lambda": spec.lam,
-    }
-    if spec.data is not None:
-        payload["data"] = {key: matrix_to_obj(spec.data[key]) for key in ("u0t", "x0t", "x1t")}
-    if spec.model is not None:
-        payload["model"] = {"A": matrix_to_rows(spec.model["a"]),
-                            "B": matrix_to_rows(spec.model["b"])}
-    if spec.disturbance_vertices is not None:
-        payload["disturbance"] = {"vertices": matrix_to_rows(spec.disturbance_vertices)}
-    if spec.meta:
-        payload["meta"] = spec.meta
-    return payload
+    try:
+        # through the module, so that a patched polytopes.validate_cset (the
+        # benchmark's tracer) sees the call
+        spec = ProblemSpec(
+            state_set=polytopes.validate_cset(state_rows), input_set=InputPolytope(input_rows),
+            lam=lam, data=None if data is None else ExperimentData(*data),
+            model=None if model is None else PlantModel(*model),
+            disturbance=None if disturbance is None else DisturbanceSet(disturbance), meta=meta)
+    except ValueError as exc:
+        raise FileFormatError(f"invalid problem: {exc}") from exc
+    n, m = spec.state_set.dim, spec.input_set.dim
+    for name, source in (("data", spec.data), ("model", spec.model)):
+        if source is not None and (source.n, source.m) != (n, m):
+            raise FileFormatError(f"set dimensions do not match the {name}")
+    if spec.disturbance is not None and spec.disturbance.dim != n:
+        raise FileFormatError("disturbance vertices do not match the state dimension")
+    return spec
 
 
 def save_problem(spec: ProblemSpec, path):
-    text = canonical_dumps(problem_to_payload(spec))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    payload = {
+        "state_set": matrix_to_rows(spec.state_set.h_matrix),
+        "input_set": matrix_to_rows(spec.input_set.h_matrix),
+        "lambda": "min" if spec.lam == synthesis.MINIMIZE else spec.lam,
+    }
+    if spec.data is not None:
+        payload["data"] = {key: matrix_to_obj(getattr(spec.data, key))
+                           for key in ("u0t", "x0t", "x1t")}
+    if spec.model is not None:
+        payload["model"] = {"A": matrix_to_rows(spec.model.a_matrix),
+                            "B": matrix_to_rows(spec.model.b_matrix)}
+    if spec.disturbance is not None:
+        payload["disturbance"] = {"vertices": matrix_to_rows(spec.disturbance.vertices)}
+    if spec.meta:
+        payload["meta"] = spec.meta
+    _write(payload, path)
 
 
-@dataclass
-class CertificateRecord:
-    """Parsed certificate file."""
-
-    gain: np.ndarray
-    lam: float
-    g_matrix: Optional[np.ndarray] = None
-    p_matrix: Optional[np.ndarray] = None
-    verification: dict = field(default_factory=dict)
-    tool_version: str = ""
-    input_digest: str = ""
-
-
-def load_certificate(path) -> CertificateRecord:
+def load_certificate(path) -> Tuple[Certificate, str]:
+    """The certificate a file holds and the problem digest it records ('' when
+    none). The embedded verification report and tool version are checked for
+    type only: verify recomputes the one and has no use for the other."""
     raw = read_json_object(path)
     for key in ("gain", "lambda"):
         if key not in raw:
             raise FileFormatError(f"{path}: missing '{key}'")
-    gain = rows_to_matrix(raw["gain"], "gain")
-    g_matrix = obj_to_matrix(raw["g_matrix"], "g_matrix") if raw.get("g_matrix") is not None else None
-    p_matrix = obj_to_matrix(raw["p_matrix"], "p_matrix") if raw.get("p_matrix") is not None else None
-    return CertificateRecord(
-        gain=gain, lam=_number(raw["lambda"], "lambda"), g_matrix=g_matrix, p_matrix=p_matrix,
-        verification=raw.get("verification", {}) or {},
-        tool_version=raw.get("tool_version", ""),
-        input_digest=raw.get("input_digest", ""))
+    _typed(raw, "verification", dict, {})
+    _typed(raw, "tool_version", str, "")
+    matrices = {key: obj_to_matrix(raw[key], key) if raw.get(key) is not None else None
+                for key in ("g_matrix", "p_matrix")}
+    certificate = Certificate(gain=rows_to_matrix(raw["gain"], "gain"),
+                              lam=_number(raw["lambda"], "lambda"), **matrices)
+    return certificate, _typed(raw, "input_digest", str, "")
 
 
-def certificate_to_payload(record: CertificateRecord) -> dict:
-    payload = {
-        "gain": matrix_to_rows(record.gain),
-        "lambda": float(record.lam),
-        "g_matrix": matrix_to_obj(record.g_matrix) if record.g_matrix is not None else None,
-        "p_matrix": matrix_to_obj(record.p_matrix) if record.p_matrix is not None else None,
-        "verification": record.verification,
-        "tool_version": record.tool_version,
-        "input_digest": record.input_digest,
-    }
-    return payload
-
-
-def save_certificate(record: CertificateRecord, path):
-    text = canonical_dumps(certificate_to_payload(record))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def save_certificate(certificate: Certificate, path, verification: dict, input_digest: str):
+    """Write a certificate with its verification report, this version of the
+    tool and the digest of the problem file it was computed from."""
+    _write({
+        "gain": matrix_to_rows(certificate.gain),
+        "lambda": float(certificate.lam),
+        "g_matrix": None if certificate.g_matrix is None else matrix_to_obj(certificate.g_matrix),
+        "p_matrix": None if certificate.p_matrix is None else matrix_to_obj(certificate.p_matrix),
+        "verification": verification,
+        "tool_version": __version__,
+        "input_digest": input_digest,
+    }, path)

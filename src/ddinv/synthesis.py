@@ -49,6 +49,19 @@ class SolverFailure(RuntimeError):
     point that breaks its own program."""
 
 
+def contraction_level(lam) -> Union[float, str]:
+    """The level rule: a number in [0, 1), or MINIMIZE for the smallest
+    achievable level."""
+    if isinstance(lam, str):
+        if lam != MINIMIZE:
+            raise ValueError(f"level must be a number in [0, 1) or '{MINIMIZE}'")
+        return lam
+    lam = float(lam)
+    if not 0.0 <= lam < 1.0:
+        raise ValueError("level must lie in [0, 1)")
+    return lam
+
+
 @dataclass
 class SynthesisProblem:
     state_set: PolyhedralCSet
@@ -58,13 +71,7 @@ class SynthesisProblem:
     disturbance: Optional[DisturbanceSet] = None
 
     def __post_init__(self):
-        if isinstance(self.lam, str):
-            if self.lam != MINIMIZE:
-                raise ValueError(f"lam must be a number in [0, 1) or '{MINIMIZE}'")
-        else:
-            self.lam = float(self.lam)
-            if not 0.0 <= self.lam < 1.0:
-                raise ValueError("lam must lie in [0, 1)")
+        self.lam = contraction_level(self.lam)
         n = self.state_set.dim
         if self.source.n != n:
             kind = "plant" if isinstance(self.source, PlantModel) else "data"
@@ -128,7 +135,7 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
     # one block kron(s, admiss) per vertex s
     admiss_rows = np.zeros((verts.shape[0] * admiss.shape[0], nvars))
     admiss_rows[:, :p_off] = (verts[:, None, :, None]
-                              * admiss[None, :, None, :]).reshape(-1, p_off)
+                              * admiss[None, :, None, :]).reshape(len(admiss_rows), p_off)
     lower = np.full(nvars, -np.inf)
     upper = np.full(nvars, np.inf)
     lower[p_off : p_off + n_s * n_s] = 0.0

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from . import lp
+from . import lp, synthesis
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 DEFAULT_TOL = 1e-6
@@ -52,21 +51,12 @@ def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
 
 def find_certificate_matrix(f_matrix, cset: PolyhedralCSet, lam: float) -> Optional[np.ndarray]:
     """Search for a certificate matrix P by linear programming; None when no
-    such P exists at the given level."""
+    such P exists at the given level. The program is the nominal one with F
+    fixed: no decision matrix and no admissibility rows."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
-    s_h = cset.h_matrix
-    n_s = s_h.shape[0]
-    nvars = n_s * n_s
-    # rows of P S = S F, P stacked row-major
-    eq = block_diag(*[s_h.T] * n_s)
-    target = s_h @ f_matrix
-    ineq = np.kron(np.eye(n_s), np.ones((1, n_s)))
-    prob = lp.LinearProgram(
-        num_vars=nvars, objective=np.zeros(nvars),
-        eq_lhs=eq, eq_rhs=target.reshape(-1),
-        ineq_lhs=ineq, ineq_rhs=np.full(n_s, float(lam)),
-        lower_bounds=np.zeros(nvars))
-    sol = lp.solve(prob)
+    n_s = cset.num_rows
+    sol = lp.solve(synthesis._nominal_lp(cset, cset.h_matrix @ f_matrix, np.zeros((n_s, 0)),
+                                         np.zeros((0, 0)), float(lam)))
     if sol.status != lp.LpStatus.FEASIBLE:
         return None
     return sol.primal.reshape(n_s, n_s)

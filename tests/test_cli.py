@@ -10,6 +10,7 @@ import pytest
 
 from ddinv import __version__, cli, fileio
 from ddinv.experiment import PlantModel, simulate_closed_loop
+from ddinv.polytopes import InputPolytope, validate_cset
 
 DEMO_CONFIG = {
     "model": {"A": [[0.8, 0.5], [-0.4, 1.2]], "B": [[0.0], [1.0]]},
@@ -57,7 +58,7 @@ def test_generate_reports_data_quality(tmp_path, capsys):
     assert "full row rank: yes" in captured.out
     spec = fileio.load_problem(out)
     assert spec.lam == 0.84
-    assert spec.data["u0t"].shape == (1, 20)
+    assert spec.data.u0t.shape == (1, 20)
     assert spec.meta["seed"] == 7
 
 
@@ -82,11 +83,12 @@ def test_synthesize_verify_simulate_flow(tmp_path, demo_problem, capsys):
     assert "lambda: 0.84" in out
     assert "contractivity   ok" in out
 
-    record = fileio.load_certificate(cert_path)
+    record, digest = fileio.load_certificate(cert_path)
+    raw = json.loads(Path(cert_path).read_text())
     assert record.lam == 0.84
-    assert record.tool_version == __version__
-    assert record.input_digest == fileio.file_digest(demo_problem)
-    assert record.verification["contractivity_ok"] is True
+    assert raw["tool_version"] == __version__
+    assert digest == fileio.file_digest(demo_problem)
+    assert raw["verification"]["contractivity_ok"] is True
     assert record.g_matrix.shape == (20, 2)
 
     assert cli.main(["verify", demo_problem, cert_path]) == 0
@@ -111,7 +113,7 @@ def test_minimize_lambda_flag(tmp_path, demo_problem):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--lambda", "min",
                      "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, _ = fileio.load_certificate(cert_path)
     assert record.lam == pytest.approx(0.7583333333, abs=1e-6)
 
 
@@ -133,9 +135,9 @@ def test_bad_lambda_value_exits_one(tmp_path, demo_problem):
 def test_tampered_gain_fails_verification(tmp_path, demo_problem, capsys):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, digest = fileio.load_certificate(cert_path)
     record.gain = np.array([[5.0, 5.0]])
-    fileio.save_certificate(record, cert_path)
+    fileio.save_certificate(record, cert_path, {}, digest)
     capsys.readouterr()
     assert cli.main(["verify", demo_problem, cert_path]) == 2
     assert "FAILED" in capsys.readouterr().out
@@ -144,9 +146,9 @@ def test_tampered_gain_fails_verification(tmp_path, demo_problem, capsys):
 def test_overflowing_decay_rollout_prints_no_warning(tmp_path, demo_problem, capsys):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, digest = fileio.load_certificate(cert_path)
     record.g_matrix = 1e8 * record.g_matrix
-    fileio.save_certificate(record, cert_path)
+    fileio.save_certificate(record, cert_path, {}, digest)
     capsys.readouterr()
     assert cli.main(["verify", demo_problem, cert_path]) == 2
     captured = capsys.readouterr()
@@ -157,9 +159,9 @@ def test_overflowing_decay_rollout_prints_no_warning(tmp_path, demo_problem, cap
 def test_gain_shape_mismatch_exits_one(tmp_path, demo_problem):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, digest = fileio.load_certificate(cert_path)
     record.gain = np.array([[1.0, 2.0, 3.0]])
-    fileio.save_certificate(record, cert_path)
+    fileio.save_certificate(record, cert_path, {}, digest)
     assert cli.main(["verify", demo_problem, cert_path]) == 1
 
 
@@ -187,14 +189,14 @@ def test_robust_flow(tmp_path, capsys):
     problem = str(tmp_path / "problem.json")
     assert cli.main(["generate", cfg, "--out", problem]) == 0
     spec = fileio.load_problem(problem)
-    assert spec.disturbance_vertices.shape == (4, 2)
+    assert spec.disturbance.vertices.shape == (4, 2)
 
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", problem, "--robust", "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, _ = fileio.load_certificate(cert_path)
     assert record.lam == 1.0
     assert record.p_matrix is None and record.g_matrix is not None
-    assert record.verification["robust_ok"] is True
+    assert json.loads(Path(cert_path).read_text())["verification"]["robust_ok"] is True
 
     capsys.readouterr()
     assert cli.main(["verify", problem, cert_path]) == 0
@@ -292,7 +294,10 @@ def test_certificate_with_overflowing_margin_is_strict_json(tmp_path, demo_probl
     assert "decay margin    inf" in capsys.readouterr().out
     raw = json.loads(cert_path.read_text(), parse_constant=_refuse_constant)
     assert raw["verification"]["lyapunov_decay_margin"] == "inf"
-    assert fileio.load_certificate(str(cert_path)).verification == raw["verification"]
+    record, digest = fileio.load_certificate(str(cert_path))
+    resaved = tmp_path / "resaved.json"
+    fileio.save_certificate(record, resaved, raw["verification"], digest)
+    assert resaved.read_bytes() == cert_path.read_bytes()
 
 
 def test_non_finite_gain_exits_one_and_writes_nothing(tmp_path, demo_problem,
@@ -371,9 +376,9 @@ def _forge_gain(record):
 def test_forged_data_certificate_fails_verification(tmp_path, demo_problem, capsys, forge):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, digest = fileio.load_certificate(cert_path)
     forge(record)
-    fileio.save_certificate(record, cert_path)
+    fileio.save_certificate(record, cert_path, {}, digest)
     capsys.readouterr()
     assert cli.main(["verify", demo_problem, cert_path]) == 2
     assert "certificate     FAILED" in capsys.readouterr().out
@@ -384,9 +389,9 @@ def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, ca
     assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", problem, "--robust", "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, digest = fileio.load_certificate(cert_path)
     record.gain, record.g_matrix = record.gain / 2, record.g_matrix / 2
-    fileio.save_certificate(record, cert_path)
+    fileio.save_certificate(record, cert_path, {}, digest)
     capsys.readouterr()
     assert cli.main(["verify", problem, cert_path]) == 2
     out = capsys.readouterr().out
@@ -422,9 +427,9 @@ def test_infinite_combiner_in_certificate_exits_one(tmp_path, demo_problem, caps
 def test_simulate_checks_certificate_shapes(tmp_path, demo_problem, capsys, field, shape):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
-    record = fileio.load_certificate(cert_path)
+    record, digest = fileio.load_certificate(cert_path)
     setattr(record, field, np.ones(shape))
-    fileio.save_certificate(record, cert_path)
+    fileio.save_certificate(record, cert_path, {}, digest)
     capsys.readouterr()
     assert cli.main(["simulate", demo_problem, cert_path, "--x0", "1,0",
                      "--steps", "5", "--out", str(tmp_path / "run")]) == 1
@@ -436,8 +441,9 @@ def test_simulate_checks_certificate_shapes(tmp_path, demo_problem, capsys, fiel
 def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
     model = DEMO_CONFIG["model"]
     spec = fileio.ProblemSpec(
-        state_rows=np.array(DEMO_CONFIG["state_set"]), input_rows=np.array(DEMO_CONFIG["input_set"]),
-        lam=0.84, model={"a": np.array(model["A"]), "b": np.array(model["B"])})
+        state_set=validate_cset(np.array(DEMO_CONFIG["state_set"])),
+        input_set=InputPolytope(np.array(DEMO_CONFIG["input_set"])),
+        lam=0.84, model=PlantModel(np.array(model["A"]), np.array(model["B"])))
     problem = str(tmp_path / "problem.json")
     fileio.save_problem(spec, problem)
     cert_path = str(tmp_path / "certificate.json")
@@ -449,7 +455,7 @@ def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
     with open(prefix + ".csv", newline="") as fh:
         rows = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
     plant = PlantModel(model["A"], model["B"])
-    states, _ = simulate_closed_loop(plant, fileio.load_certificate(cert_path).gain,
+    states, _ = simulate_closed_loop(plant, fileio.load_certificate(cert_path)[0].gain,
                                      [6.0, -0.5], 30)
     np.testing.assert_allclose(rows[:, 1:3], states, rtol=1e-12, atol=1e-12)
 
@@ -461,6 +467,15 @@ def _zero_samples(raw):
 
 @pytest.mark.parametrize("target, content", [
     ("config", 5),
+    ("config", {**DEMO_CONFIG, "seed": -1}),
+    ("config --seed -1", DEMO_CONFIG),
+    ("config", {**DEMO_CONFIG, "input_amplitude": float("nan")}),
+    ("config", {**ROBUST_CONFIG, "disturbance_radius": -1}),
+    ("config", {**ROBUST_CONFIG, "disturbance_radius": "x"}),
+    ("config", {**DEMO_CONFIG, "samples": True}),
+    ("config", {**DEMO_CONFIG, "samples": 2.7}),
+    ("config", {**DEMO_CONFIG, "state_set": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]}),
+    ("config", {**DEMO_CONFIG, "state_set": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}),
     ("problem", 5),
     ("certificate", 5),
     ("problem", "state_set input_set lambda data"),
@@ -469,11 +484,16 @@ def _zero_samples(raw):
     ("problem", lambda raw: raw.update(model="A B")),
     ("problem", lambda raw: raw.update(disturbance=3)),
     ("problem", _zero_samples),
+    ("problem", lambda raw: raw.update(meta=[1])),
+    ("certificate", lambda raw: raw.update(verification=[1])),
+    ("certificate", lambda raw: raw.update(tool_version=5)),
+    ("certificate", lambda raw: raw.update(input_digest=5)),
 ])
 def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, capsys,
                                                     target, content):
     cert_path = tmp_path / "certificate.json"
     assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 0
+    target, *flags = target.split()
     path = {"config": tmp_path / "config.json", "problem": Path(demo_problem),
             "certificate": cert_path}[target]
     if callable(content):
@@ -481,13 +501,68 @@ def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, caps
         content(raw)
         content = raw
     path.write_text(json.dumps(content))
-    argv = {"config": ["generate", str(path), "--out", str(tmp_path / "p.json")],
-            "problem": ["synthesize", str(path), "--out", str(tmp_path / "c.json")],
+    out = tmp_path / "out.json"
+    argv = {"config": ["generate", str(path), "--out", str(out), *flags],
+            "problem": ["synthesize", str(path), "--out", str(out)],
             "certificate": ["verify", demo_problem, str(path)]}[target]
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_consecutive_commands_do_not_share_options(tmp_path, demo_problem):
+    problem = str(tmp_path / "robust_problem.json")
+    assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0
+    robust, plain = str(tmp_path / "robust.json"), str(tmp_path / "plain.json")
+    assert cli.main(["synthesize", problem, "--robust", "--out", robust]) == 0
+    assert cli.main(["synthesize", problem, "--out", plain]) == 0
+    assert fileio.load_certificate(robust)[0].p_matrix is None
+    assert fileio.load_certificate(plain)[0].p_matrix is not None
+
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    for name, flags in (("svgrun", ["--format", "svg"]), ("fullrun", [])):
+        assert cli.main(["simulate", demo_problem, cert_path, "--x0", "1,0",
+                         "--out", str(tmp_path / name), *flags]) == 0
+    assert not (tmp_path / "svgrun.csv").exists()
+    assert (tmp_path / "fullrun.csv").exists() and (tmp_path / "fullrun.svg").exists()
+
+
+def _model_problem(tmp_path, demo_problem):
+    """A model-route problem at the smallest level, written canonically."""
+    raw = json.loads(Path(demo_problem).read_text())
+    del raw["data"]
+    raw.update(model=DEMO_CONFIG["model"], **{"lambda": "min"})
+    path = tmp_path / "model_problem.json"
+    path.write_text(fileio.canonical_dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["level", "min", "robust", "model"])
+def test_loaded_files_are_rewritten_byte_for_byte(tmp_path, demo_problem, case):
+    config = {"level": DEMO_CONFIG, "min": {**DEMO_CONFIG, "lambda": "min"},
+              "robust": ROBUST_CONFIG, "model": DEMO_CONFIG}[case]
+    problem = str(tmp_path / "problem.json")
+    assert cli.main(["generate", _write_config(tmp_path, config), "--out", problem]) == 0
+    if case == "model":
+        problem = _model_problem(tmp_path, problem)
+    runs = {"level": [[], ["--lambda", "min"]], "min": [[]], "robust": [["--robust"]],
+            "model": [[], ["--lambda", "0.84"]]}[case]
+    certificates = []
+    for k, flags in enumerate(runs):
+        certificates.append(tmp_path / f"certificate_{k}.json")
+        assert cli.main(["synthesize", problem, "--out", str(certificates[-1]), *flags]) == 0
+
+    copy = tmp_path / "copy.json"
+    fileio.save_problem(fileio.load_problem(problem), copy)
+    assert copy.read_bytes() == Path(problem).read_bytes()
+    for path in certificates:
+        certificate, digest = fileio.load_certificate(path)
+        fileio.save_certificate(certificate, copy,
+                                json.loads(path.read_text())["verification"], digest)
+        assert copy.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("level", [1.5, "minimize"])
@@ -505,9 +580,9 @@ def test_example_script_writes_certificates_that_verify(tmp_path, monkeypatch, c
     assert runpy.run_path(str(script))["main"]() == 0
     for label in ("min", "084"):
         cert_path = str(tmp_path / f"certificate_{label}.json")
-        record = fileio.load_certificate(cert_path)
-        assert record.tool_version == __version__
-        assert record.verification["tolerance"] == 1e-6
+        raw = json.loads(Path(cert_path).read_text())
+        assert raw["tool_version"] == __version__
+        assert raw["verification"]["tolerance"] == 1e-6
         capsys.readouterr()
         assert cli.main(["verify", str(tmp_path / "problem.json"), cert_path]) == 0
         assert "all checks passed" in capsys.readouterr().out

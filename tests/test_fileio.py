@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ddinv import fileio
+from ddinv import __version__, fileio, polytopes
+from ddinv.experiment import ExperimentData, PlantModel
+from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
+from ddinv.synthesis import MINIMIZE, Certificate
 
 
 def _awkward(shape, seed=0):
@@ -14,12 +17,12 @@ def _awkward(shape, seed=0):
 
 def _demo_spec():
     return fileio.ProblemSpec(
-        state_rows=np.array([[0.2, 0.4], [-0.2, -0.4],
-                             [-0.15, 0.2], [0.15, -0.2]]),
-        input_rows=np.array([[1.0 / 7.0], [-1.0 / 7.0]]),
+        state_set=validate_cset(np.array([[0.2, 0.4], [-0.2, -0.4],
+                                          [-0.15, 0.2], [0.15, -0.2]])),
+        input_set=InputPolytope(np.array([[1.0 / 7.0], [-1.0 / 7.0]])),
         lam=0.84,
-        data={"u0t": _awkward((1, 6), 1), "x0t": _awkward((2, 6), 2),
-              "x1t": _awkward((2, 6), 3)},
+        data=ExperimentData(u0t=_awkward((1, 6), 1), x0t=_awkward((2, 6), 2),
+                            x1t=_awkward((2, 6), 3)),
         meta={"seed": 7},
     )
 
@@ -29,48 +32,50 @@ def test_problem_round_trip_is_exact(tmp_path):
     path = tmp_path / "problem.json"
     fileio.save_problem(spec, path)
     loaded = fileio.load_problem(path)
-    assert np.array_equal(loaded.state_rows, spec.state_rows)
-    assert np.array_equal(loaded.input_rows, spec.input_rows)
+    assert np.array_equal(loaded.state_set.h_matrix, spec.state_set.h_matrix)
+    assert np.array_equal(loaded.state_set.vertices, spec.state_set.vertices)
+    assert np.array_equal(loaded.input_set.h_matrix, spec.input_set.h_matrix)
     assert loaded.lam == spec.lam
     for key in ("u0t", "x0t", "x1t"):
-        assert np.array_equal(loaded.data[key], spec.data[key])
-    assert loaded.model is None and loaded.disturbance_vertices is None
+        assert np.array_equal(getattr(loaded.data, key), getattr(spec.data, key))
+    assert loaded.model is None and loaded.disturbance is None
     assert loaded.meta == {"seed": 7}
 
 
 def test_model_and_disturbance_round_trip(tmp_path):
     spec = fileio.ProblemSpec(
-        state_rows=np.vstack([np.eye(2), -np.eye(2)]),
-        input_rows=np.array([[0.5], [-0.5]]),
-        lam="min",
-        model={"a": _awkward((2, 2), 4), "b": _awkward((2, 1), 5)},
-        disturbance_vertices=0.05 * np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1]]),
+        state_set=validate_cset(np.vstack([np.eye(2), -np.eye(2)])),
+        input_set=InputPolytope(np.array([[0.5], [-0.5]])),
+        lam=MINIMIZE,
+        model=PlantModel(_awkward((2, 2), 4), _awkward((2, 1), 5)),
+        disturbance=DisturbanceSet(0.05 * np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1]])),
     )
     path = tmp_path / "problem.json"
     fileio.save_problem(spec, path)
+    assert json.loads(path.read_text())["lambda"] == "min"
     loaded = fileio.load_problem(path)
-    assert loaded.lam == "min"
-    assert np.array_equal(loaded.model["a"], spec.model["a"])
-    assert np.array_equal(loaded.model["b"], spec.model["b"])
-    assert np.array_equal(loaded.disturbance_vertices, spec.disturbance_vertices)
+    assert loaded.lam == MINIMIZE
+    assert np.array_equal(loaded.model.a_matrix, spec.model.a_matrix)
+    assert np.array_equal(loaded.model.b_matrix, spec.model.b_matrix)
+    assert np.array_equal(loaded.disturbance.vertices, spec.disturbance.vertices)
 
 
 def test_certificate_round_trip(tmp_path):
-    record = fileio.CertificateRecord(
+    record = Certificate(
         gain=_awkward((1, 2), 6), lam=0.7583333333333334,
-        g_matrix=_awkward((6, 2), 7), p_matrix=_awkward((4, 4), 8),
-        verification={"all_ok": True, "worst_vertex_gauge": 0.84},
-        tool_version="0.1.0", input_digest="sha256:abc")
+        g_matrix=_awkward((6, 2), 7), p_matrix=_awkward((4, 4), 8))
+    verification = {"all_ok": True, "worst_vertex_gauge": 0.84}
     path = tmp_path / "certificate.json"
-    fileio.save_certificate(record, path)
-    loaded = fileio.load_certificate(path)
+    fileio.save_certificate(record, path, verification, "sha256:abc")
+    loaded, digest = fileio.load_certificate(path)
     assert np.array_equal(loaded.gain, record.gain)
     assert loaded.lam == record.lam
     assert np.array_equal(loaded.g_matrix, record.g_matrix)
     assert np.array_equal(loaded.p_matrix, record.p_matrix)
-    assert loaded.verification == record.verification
-    assert loaded.tool_version == "0.1.0"
-    assert loaded.input_digest == "sha256:abc"
+    raw = json.loads(path.read_text())
+    assert raw["verification"] == verification
+    assert raw["tool_version"] == __version__
+    assert digest == "sha256:abc"
 
 
 def test_canonical_form_is_deterministic(tmp_path):
@@ -164,8 +169,8 @@ def test_level_must_be_a_number(tmp_path, level):
     path.write_text(json.dumps(raw))
     with pytest.raises(fileio.FileFormatError):
         fileio.load_problem(path)
-    record = fileio.CertificateRecord(gain=np.ones((1, 2)), lam=0.5)
-    fileio.save_certificate(record, path)
+    record = Certificate(gain=np.ones((1, 2)), lam=0.5)
+    fileio.save_certificate(record, path, {}, "")
     raw = json.loads(path.read_text())
     raw["lambda"] = level
     path.write_text(json.dumps(raw))
@@ -179,10 +184,10 @@ def test_non_finite_matrix_is_not_written(tmp_path, bad):
     gain[0, 1] = bad
     path = tmp_path / "certificate.json"
     with pytest.raises(fileio.FileFormatError, match="non-finite"):
-        fileio.save_certificate(fileio.CertificateRecord(gain=gain, lam=0.5), path)
+        fileio.save_certificate(Certificate(gain=gain, lam=0.5), path, {}, "")
     assert not path.exists()
     spec = _demo_spec()
-    spec.data["x1t"][1, 3] = bad
+    spec.data.x1t[1, 3] = bad
     with pytest.raises(fileio.FileFormatError, match="non-finite"):
         fileio.save_problem(spec, path)
     assert not path.exists()
@@ -194,3 +199,40 @@ def test_matrix_codec_rejects_non_finite_entries(bad):
         fileio.obj_to_matrix({"shape": [1, 2], "values": [1.0, bad]}, "data.x1t")
     with pytest.raises(fileio.FileFormatError, match="gain has a non-finite entry"):
         fileio.rows_to_matrix([[bad, 0.5]], "gain")
+
+
+def test_load_problem_validates_through_the_polytopes_module(tmp_path, monkeypatch):
+    path = tmp_path / "problem.json"
+    fileio.save_problem(_demo_spec(), path)
+    calls = []
+    real = polytopes.validate_cset
+
+    def counted(h_matrix):
+        calls.append(h_matrix)
+        return real(h_matrix)
+
+    monkeypatch.setattr(polytopes, "validate_cset", counted)
+    fileio.load_problem(path)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda raw: raw.update(state_set=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+     "invalid problem: set is unbounded"),
+    (lambda raw: raw["data"]["x1t"].update(shape=[3, 4], values=[0.0] * 12),
+     "invalid problem: data matrices must share the sample count"),
+    (lambda raw: raw.update(model={"A": [[1.0, 0.0]], "B": [[1.0]]}),
+     "invalid problem: A must be square"),
+    (lambda raw: raw.update(disturbance={"vertices": [[1.0, 1.0]]}),
+     "invalid problem: disturbance hull must contain the origin"),
+    (lambda raw: raw.update(state_set=[[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]),
+     "do not match the data"),
+])
+def test_objects_that_refuse_the_content_give_a_format_error(tmp_path, mutate, reason):
+    path = tmp_path / "problem.json"
+    fileio.save_problem(_demo_spec(), path)
+    raw = json.loads(path.read_text())
+    mutate(raw)
+    path.write_text(json.dumps(raw))
+    with pytest.raises(fileio.FileFormatError, match=reason):
+        fileio.load_problem(path)
