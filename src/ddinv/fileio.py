@@ -225,8 +225,11 @@ def load_certificate(path) -> Tuple[Certificate, str]:
     _typed(raw, "tool_version", str, "")
     matrices = {key: obj_to_matrix(raw[key], key) if raw.get(key) is not None else None
                 for key in ("g_matrix", "p_matrix")}
-    certificate = Certificate(gain=rows_to_matrix(raw["gain"], "gain"),
-                              lam=_number(raw["lambda"], "lambda"), **matrices)
+    try:
+        lam = synthesis.certified_level(_number(raw["lambda"], "lambda"))
+    except ValueError as exc:
+        raise FileFormatError(f"lambda: {exc}") from exc
+    certificate = Certificate(gain=rows_to_matrix(raw["gain"], "gain"), lam=lam, **matrices)
     return certificate, _typed(raw, "input_digest", str, "")
 
 

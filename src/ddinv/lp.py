@@ -6,34 +6,54 @@ Pricing is deterministic: Dantzig's rule with lowest-index tie breaking,
 falling back to Bland's rule after a run of degenerate pivots so cycling
 cannot occur. Doubly bounded variables contribute an extra range row.
 
-The tableau is one C-ordered array of structural and slack columns,
-right-hand side and cost row; it stores no artificial columns. A row that
-starts on an artificial keeps only its basis marker, an index past the real
-columns, and the phase-one cost row is minus the sum of those rows. An
-artificial that leaves the basis never returns. This is exact: the
-restricted phase one still contains every feasible point of the program,
-so in exact arithmetic its INFEASIBLE verdict is unchanged. The drive-out
-pivots and the redundant-row drop keep the tableau C-ordered for phase two.
+The tableau keeps only the nonbasic columns, dictionary style: one
+C-ordered array [nonbasic columns | rhs] with the cost row last, where
+slots[k] names the variable of column k. Variables are numbered as the
+columns of the full tableau [structural | slack | rhs], with one artificial
+per row that starts on one after them. The structural columns and the
+slacks of rows flipped for a negative right-hand side start nonbasic; the
+other slacks and the artificials start basic. A pivot exchanges two
+variables: the leaving one takes over the entering one's slot with the
+column the full tableau would give it, 1 / pivot on the pivot row and
+-other * (1 / pivot) elsewhere. The robust programs have 32·T + 8
+inequality rows on 2·T·n structural columns, so the slack identity this
+leaves out filled nearly nine tenths of the full tableau's width.
 
-A pivot subtracts other[i] * row[j] from every entry tab[i, j]. Where the
-pivot row is zero that product is zero and the entry keeps its value, so a
-pivot row with few nonzeros (the robust programs have 3-5%) updates only its
-nonzero columns and leaves the rest alone: each of those entries becomes
-tab[i, j] - round(other[i] * row[j]), rounded twice, as numpy's outer
-product and subtraction give it.
+Artificials never have a column. The phase-one cost row is minus the sum
+of the rows that start on one, and an artificial that leaves the basis
+never returns: its slot is zeroed. This is exact: the restricted phase one
+still contains every feasible point of the program, so in exact arithmetic
+its INFEASIBLE verdict is unchanged. Phase one is bounded below by zero,
+so a ray found there is a numerical breakdown, PHASE_ONE_BREAKDOWN.
 
-A pivot row with more nonzeros (the nominal programs have 48-69%) goes
-through BLAS dger, the rank-1 update A += alpha x y^T, with alpha = -1,
-x = the pivot row and y = the pivot column, on the transpose of the tableau
-itself. The transpose of a C-ordered tableau is Fortran-ordered, so dger
-writes straight into it with no temporary. Where the kernel fuses the
-multiply and the add (scipy's OpenBLAS 0.3.30 does on an x86 Xeon with
-FMA), each changed entry is rounded once:
-round(tab[i, j] - other[i] * row[j]). The two branches thus round
-differently, and the branch a pivot takes decides its bits. Every tableau
-is C-ordered from build to extract, so pivot sequences repeat exactly on
-one machine and BLAS kernel; a kernel without fused multiply-add rounds the
-dense branch twice and may take other pivots.
+Pricing, Bland's rule and the drive-out of artificials break ties by
+variable index, an argmin of slots over the eligible columns, so they pick
+the column the full tableau, whose columns stand in variable order, would
+pick.
+
+A pivot subtracts other[i] * row[j] from every entry tab[i, j]. How it
+rounds is decided on the full tableau: its width, and the pivot row's
+nonzero count there, the count here plus the leaving variable's 1 / pivot.
+- Few nonzeros (the robust programs have 3-5%): each changed entry becomes
+  tab[i, j] - round(other[i] * row[j]), rounded twice, as numpy's outer
+  product and subtraction give it. Where the row is zero the product is
+  zero and the entry keeps its value, so only the nonzero columns are
+  updated, or all columns in one pass when the nonzero ones are more than
+  SPARSE_PIVOT_SHARE of those kept here (robust pivot rows are nearly full
+  here).
+- More nonzeros (the nominal programs have 48-69%): BLAS dger, the rank-1
+  update A += alpha x y^T with alpha = -1, x = the pivot row and y = the
+  pivot column, on the tableau's transpose, which is Fortran-ordered, so
+  dger writes straight into it. Where the kernel fuses the multiply and
+  the add (scipy's OpenBLAS 0.3.30 does on an x86 Xeon with FMA), each
+  changed entry is rounded once: round(tab[i, j] - other[i] * row[j]).
+The branch a pivot takes thus decides its bits. The leaving column's
+entries, -round(other[i] * (1 / pivot)), are what either branch gives the
+full tableau's zero entries, so pivot sequences and points are the full
+tableau's bit for bit, up to the sign of an exact zero (tests/oracles.py
+keeps that tableau as the reference). They repeat exactly on one machine
+and BLAS kernel; a kernel without fused multiply-add rounds the dense
+branch twice and may take other pivots.
 
 Every OPTIMAL or FEASIBLE point is checked against the program passed in
 before it is returned. A point that breaks a constraint by more than
@@ -70,6 +90,9 @@ class LpStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    # phase one, whose objective is bounded below by zero, found a ray:
+    # only numerical breakdown gives that
+    PHASE_ONE_BREAKDOWN = "phase_one_breakdown"
     BAD_POINT = "bad_point"
 
 
@@ -146,42 +169,63 @@ def check_feasible(lp: LinearProgram, point, tol: float = TOL_FEAS) -> bool:
     return max_violation(lp, point) <= tol
 
 
-def _pivot(tab, row, col):
-    """Make column col a unit column with its one on row `row`.
-
-    Every entry that changes becomes tab[i, j] - other[i] * tab[row, j].
-    When the pivot row has few nonzeros only those columns are touched;
-    elsewhere the product is zero and the entry stays as it was. tab must be
-    C-ordered: the dense update writes through its Fortran-ordered transpose,
-    and on any other layout it would update a copy."""
-    tab[row] /= tab[row, col]
+def _pivot(tab, row, col, width, keep_leaving):
+    """Exchange the variable of column col with the basic variable of row
+    `row`. The leaving variable takes over column col, which is zeroed when
+    it is an artificial (keep_leaving false). The rounding branch is chosen
+    on the full tableau of `width` columns, as the module docstring says.
+    tab must be C-ordered: the dense update writes through its
+    Fortran-ordered transpose, and on any other layout it would update a
+    copy."""
+    pivot = tab[row, col]
+    tab[row] /= pivot
     other = tab[:, col].copy()
     other[row] = 0.0
-    if np.count_nonzero(tab[row]) <= SPARSE_PIVOT_SHARE * tab.shape[1]:
+    nonzero = np.count_nonzero(tab[row])
+    if nonzero + keep_leaving > SPARSE_PIVOT_SHARE * width:
+        dger(-1.0, tab[row].copy(), other, a=tab.T, overwrite_a=True)
+    elif nonzero <= SPARSE_PIVOT_SHARE * tab.shape[1] or not np.isfinite(other).all():
         cols = np.flatnonzero(tab[row])
         tab[:, cols] -= np.outer(other, tab[row, cols])
     else:
-        dger(-1.0, tab[row].copy(), other, a=tab.T, overwrite_a=True)
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
+        # most columns change: one pass over all of them is cheaper than
+        # gathering them, and a zero of the row subtracts a zero product
+        # (which a non-finite `other` would not give, hence the test above)
+        tab -= np.outer(other, tab[row])
+    if keep_leaving:
+        inverse = 1.0 / pivot
+        tab[:, col] = other * -inverse
+        tab[row, col] = inverse
+    else:
+        tab[:, col] = 0.0
 
 
-def _run_simplex(tab, basis, nrows, iter_cap):
+def _run_simplex(tab, basis, slots, nrows, width, iter_cap):
     """Iterate on a tableau whose last row holds reduced costs and last column
-    the right-hand side. Returns 'optimal', 'unbounded' or 'iteration_limit'."""
+    the right-hand side; slots names the variable of each other column, and
+    width is the full tableau's column count. Returns 'optimal', 'unbounded'
+    or 'iteration_limit'."""
+    n_real = width - 1
     degenerate_run = 0
     for _ in range(iter_cap):
         costs = tab[-1, :-1]
         bland = degenerate_run >= BLAND_AFTER
+        # ties go to the lowest variable index, as in a tableau whose columns
+        # stand in variable order
         if bland:
-            below = np.where(costs < -TOL_PIVOT)[0]
-            if below.size == 0:
+            below = (costs < -TOL_PIVOT).nonzero()[0]
+            if not below.size:
                 return "optimal"
-            col = int(below[0])
+            col = int(below[slots[below].argmin()])
         else:
-            col = int(np.argmin(costs))
-            if costs[col] >= -TOL_PIVOT:
+            col = int(costs.argmin())
+            least = costs[col]
+            if least >= -TOL_PIVOT:
                 return "optimal"
+            tied = costs == least
+            if np.count_nonzero(tied) > 1:
+                tied = tied.nonzero()[0]
+                col = int(tied[slots[tied].argmin()])
         colvals = tab[:nrows, col]
         eligible = np.where(colvals > TOL_PIVOT)[0]
         if eligible.size == 0:
@@ -203,8 +247,8 @@ def _run_simplex(tab, basis, nrows, iter_cap):
             row = int(window[np.argmax(colvals[window])])
         step = tab[row, -1] / tab[row, col]
         degenerate_run = degenerate_run + 1 if step < 1e-12 else 0
-        _pivot(tab, row, col)
-        basis[row] = col
+        _pivot(tab, row, col, width, basis[row] < n_real)
+        basis[row], slots[col] = slots[col], basis[row]
         # the relaxed test can leave basic values a hair below zero
         np.maximum(tab[:nrows, -1], 0.0, out=tab[:nrows, -1])
     return "iteration_limit"
@@ -233,8 +277,9 @@ def _standard_columns(lp: LinearProgram):
 def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex. Pure feasibility problems (all-zero objective) stop
     after phase one and report FEASIBLE; anything else reports OPTIMAL,
-    INFEASIBLE, UNBOUNDED or ITERATION_LIMIT. A FEASIBLE or OPTIMAL point
-    that breaks lp by more than GUARD_TOL is withheld as BAD_POINT."""
+    INFEASIBLE, UNBOUNDED, ITERATION_LIMIT or PHASE_ONE_BREAKDOWN. A
+    FEASIBLE or OPTIMAL point that breaks lp by more than GUARD_TOL is
+    withheld as BAD_POINT."""
     sol = _simplex(lp)
     if sol.primal is not None:
         residual = max_violation(lp, sol.primal)
@@ -252,6 +297,7 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     nstruct = col_var.size
     n_slack = n_in + n_rng
     n_real = nstruct + n_slack
+    width = n_real + 1
 
     # rows whose slack survives with +1 start with that slack basic; the
     # rest (equalities, inequalities flipped for a negative right-hand
@@ -265,20 +311,22 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     slack_basic[:n_eq] = False
     art_rows = np.flatnonzero(~slack_basic)
     n_art = art_rows.size
-
-    # one tableau: [structural | slack | rhs], cost row last
-    tab = np.zeros((nrows + 1, n_real + 1))
-    tab[:n_eq, :nstruct] = lp.eq_lhs[:, col_var] * col_sign
-    tab[n_eq : n_eq + n_in, :nstruct] = lp.ineq_lhs[:, col_var] * col_sign
-    tab[n_eq + n_in + np.arange(n_rng), range_cols] = 1.0
-    slack_idx = np.arange(n_slack)
-    tab[n_eq + slack_idx, nstruct + slack_idx] = 1.0
-    tab[np.flatnonzero(flip), :n_real] *= -1.0
-    tab[:nrows, -1] = np.where(flip, -rhs, rhs)
-    basis = np.full(nrows, -1, dtype=int)
+    basis = np.full(nrows, -1, dtype=np.intp)
     slack_rows = np.flatnonzero(slack_basic)
     basis[slack_rows] = nstruct + slack_rows - n_eq
     basis[art_rows] = n_real + np.arange(n_art)
+
+    # the nonbasic columns: every structural one, then the slacks of the
+    # flipped inequality rows; the rhs column and the cost row come last
+    flip_rows = n_eq + np.flatnonzero(flip[n_eq:])
+    slots = np.concatenate([np.arange(nstruct), nstruct + flip_rows - n_eq])
+    tab = np.zeros((nrows + 1, slots.size + 1))
+    np.multiply(lp.eq_lhs[:, col_var], col_sign, out=tab[:n_eq, :nstruct])
+    np.multiply(lp.ineq_lhs[:, col_var], col_sign, out=tab[n_eq : n_eq + n_in, :nstruct])
+    tab[n_eq + n_in + np.arange(n_rng), range_cols] = 1.0
+    tab[flip_rows, nstruct + np.arange(flip_rows.size)] = 1.0
+    tab[np.flatnonzero(flip), :-1] *= -1.0
+    tab[:nrows, -1] = np.where(flip, -rhs, rhs)
 
     iter_cap = ITER_FACTOR * (nrows + n_real + n_art)
 
@@ -286,18 +334,23 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     if n_art:
         for r in art_rows:
             tab[-1] -= tab[r]
-        outcome = _run_simplex(tab, basis, nrows, iter_cap)
-        if outcome != "optimal":
+        outcome = _run_simplex(tab, basis, slots, nrows, width, iter_cap)
+        # phase one is bounded below by zero: "unbounded" is a breakdown
+        if outcome == "unbounded":
+            return LpSolution(LpStatus.PHASE_ONE_BREAKDOWN)
+        if outcome == "iteration_limit":
             return LpSolution(LpStatus.ITERATION_LIMIT)
         if -tab[-1, -1] > TOL_FEAS:
             return LpSolution(LpStatus.INFEASIBLE)
-        # remove artificials from the basis; rows that cannot pivot are redundant
+        # remove artificials from the basis, entering the lowest-index
+        # variable that can pivot; rows where none can are redundant
         drop_rows = []
         for r in np.flatnonzero(basis >= n_real):
-            candidates = np.where(np.abs(tab[r, :n_real]) > TOL_PIVOT)[0]
+            candidates = (np.abs(tab[r, :-1]) > TOL_PIVOT).nonzero()[0]
             if candidates.size:
-                _pivot(tab, r, int(candidates[0]))
-                basis[r] = int(candidates[0])
+                col = int(candidates[slots[candidates].argmin()])
+                _pivot(tab, r, col, width, False)
+                basis[r], slots[col] = slots[col], basis[r]
             else:
                 drop_rows.append(r)
         if drop_rows:
@@ -317,14 +370,15 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     if not np.any(lp.objective):
         return LpSolution(LpStatus.FEASIBLE, primal=extract())
 
-    # phase two
-    cost = np.zeros(n_real + 1)
-    cost[:nstruct] = lp.objective[col_var] * col_sign
-    for r in range(nrows):
-        if cost[basis[r]] != 0.0:
-            cost = cost - cost[basis[r]] * tab[r]
+    # phase two: price the basic variables out of the cost row
+    var_cost = np.zeros(n_real + n_art)
+    var_cost[:nstruct] = lp.objective[col_var] * col_sign
+    cost = np.append(var_cost[slots], 0.0)
+    for r, basic_cost in enumerate(var_cost[basis]):
+        if basic_cost != 0.0:
+            cost = cost - basic_cost * tab[r]
     tab[-1] = cost
-    outcome = _run_simplex(tab, basis, nrows, iter_cap)
+    outcome = _run_simplex(tab, basis, slots, nrows, width, iter_cap)
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
     if outcome == "iteration_limit":

@@ -144,12 +144,16 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     # does in the subset-by-subset form
     keep = (np.isfinite(cands).all(axis=1) & ~(resid > 1e-7)
             & ~((cands @ h_matrix.T).max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
-    found = []
-    for cand in cands[keep]:
-        if any(np.linalg.norm(cand - v) <= DEDUP_TOL for v in found):
-            continue
-        found.append(cand)
-    return np.array(found) if found else np.zeros((0, n))
+    # numpy runs a stack of 1 x n by n x 1 products as one BLAS dot product
+    # each, the one np.linalg.norm takes, so every distance to the vertices
+    # kept so far carries its bits
+    cands = cands[keep]
+    found = np.zeros(cands.shape[0], dtype=bool)
+    for i, cand in enumerate(cands):
+        diffs = cand - cands[found]
+        dists = np.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0])
+        found[i] = not (dists <= DEDUP_TOL).any()
+    return cands[found]
 
 
 def validate_cset(h_matrix) -> PolyhedralCSet:

@@ -62,6 +62,17 @@ def contraction_level(lam) -> Union[float, str]:
     return lam
 
 
+def certified_level(lam) -> float:
+    """The level rule for certificates: a number in [0, 1], where 1 is the
+    robust certificates' level. Above 1 the vertex and certificate checks
+    hold for closed loops that leave the set, so such a level certifies
+    nothing."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("certificate level must lie in [0, 1]")
+    return lam
+
+
 @dataclass
 class SynthesisProblem:
     state_set: PolyhedralCSet
@@ -245,6 +256,8 @@ def _solve_or_raise(program: lp.LinearProgram, what: str) -> np.ndarray:
         raise InfeasibleProblem(f"{what} is infeasible")
     if sol.status == lp.LpStatus.BAD_POINT:
         raise SolverFailure(f"{what}: solver point breaks the program by {sol.residual:.3g}")
+    if sol.status == lp.LpStatus.PHASE_ONE_BREAKDOWN:
+        raise SolverFailure(f"{what}: phase one broke down")
     if sol.status not in (lp.LpStatus.OPTIMAL, lp.LpStatus.FEASIBLE):
         raise SolverFailure(f"{what}: solver returned {sol.status.value}")
     return sol.primal

@@ -202,8 +202,10 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     plant) the certificate only counts when G is consistent with the data
     and the gain (`check_data_consistency`). Robust certificates (no P) get
     the robust vertex test; when only data is available for them, the
-    data-side conditions stand in for it.
+    data-side conditions stand in for it. A level outside [0, 1] is a
+    ValueError (`synthesis.certified_level`).
     """
+    synthesis.certified_level(certificate.lam)
     gain = certificate.gain
     f_matrix = closed_loop(certificate, data, plant)
     if certificate.p_matrix is None and disturbance is None:

@@ -56,6 +56,31 @@ def unbounded_lp(rng, max_vars=4, max_rows=6):
                          lower_bounds=lower, upper_bounds=upper)
 
 
+def mixed_bounds_lp(rng, max_vars=5, max_rows=6):
+    """Random LP whose variables are free, bounded below, bounded above or
+    ranged, with inequality rows of either right-hand-side sign (the
+    negative ones start on an artificial), equality rows of which the last
+    may repeat a combination of the others, and a zero objective one time
+    in four. Feasible, infeasible and unbounded instances all occur."""
+    n = int(rng.integers(1, max_vars + 1))
+    kind = rng.integers(0, 4, size=n)
+    lower = np.where((kind == 1) | (kind == 3), rng.uniform(-1.0, 0.0, size=n), -np.inf)
+    upper = np.where((kind == 2) | (kind == 3), rng.uniform(0.0, 1.0, size=n), np.inf)
+    rows = int(rng.integers(0, max_rows + 1))
+    ineq = rng.uniform(-1.0, 1.0, size=(rows, n))
+    ineq_rhs = rng.uniform(-0.5, 1.0, size=rows)
+    eqs = int(rng.integers(0, min(n, 3) + 1))
+    eq = rng.uniform(-1.0, 1.0, size=(eqs, n))
+    eq_rhs = rng.uniform(-0.5, 0.5, size=eqs)
+    if eqs >= 2 and rng.random() < 0.5:
+        weights = rng.uniform(-1.0, 1.0, size=eqs - 1)
+        eq[-1], eq_rhs[-1] = weights @ eq[:-1], weights @ eq_rhs[:-1]
+    objective = rng.uniform(-1.0, 1.0, size=n) * (rng.random() >= 0.25)
+    return LinearProgram(num_vars=n, objective=objective, eq_lhs=eq, eq_rhs=eq_rhs,
+                         ineq_lhs=ineq, ineq_rhs=ineq_rhs,
+                         lower_bounds=lower, upper_bounds=upper)
+
+
 def random_cset_rows(rng, n, max_extra=3):
     """Rows of a random validated-ready C-set: a box with per-face scaling
     plus a few random cutting halfplanes. Always bounded with the origin

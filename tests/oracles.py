@@ -10,15 +10,23 @@ entry of a pivot exactly in rationals and rounds it once, as a fused
 multiply-add does. `bounded_coordinate_lps` is the 2n-LP boundedness test
 the library's single LP replaced; it calls `lp.solve`, as that test did.
 `nominal_lp_loop` builds both nominal programs the way the two separate
-builders did, a block per vertex and per set row.
+builders did, a block per vertex and per set row. `full_tableau_solve` is
+the simplex as it was before the library kept only nonbasic columns: the
+same pivots on a tableau that also stores every basic column, the slack
+identity included, so the library's condensed exchange can be pinned to it
+bit for bit.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from ddinv import lp
+from ddinv.lp import (BLAND_AFTER, GUARD_TOL, ITER_FACTOR, SPARSE_PIVOT_SHARE, TOL_FEAS,
+                      TOL_PIVOT, LinearProgram, LpSolution, LpStatus, _standard_columns,
+                      max_violation)
 
 
 def brute_force_lp(prob, feas_tol=1e-9):
@@ -296,3 +304,170 @@ def nominal_lp_loop(source, state_set, input_set, lam=None):
         eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),
         ineq_lhs=np.vstack([sums] + ineq), ineq_rhs=np.concatenate([sum_rhs] + ineq_rhs),
         lower_bounds=lower, upper_bounds=upper)
+
+
+def full_tableau_pivot(tab, row, col):
+    """Make column col a unit column with its one on row `row`.
+
+    Every entry that changes becomes tab[i, j] - other[i] * tab[row, j].
+    When the pivot row has few nonzeros only those columns are touched;
+    elsewhere the product is zero and the entry stays as it was. tab must be
+    C-ordered: the dense update writes through its Fortran-ordered transpose,
+    and on any other layout it would update a copy."""
+    tab[row] /= tab[row, col]
+    other = tab[:, col].copy()
+    other[row] = 0.0
+    if np.count_nonzero(tab[row]) <= SPARSE_PIVOT_SHARE * tab.shape[1]:
+        cols = np.flatnonzero(tab[row])
+        tab[:, cols] -= np.outer(other, tab[row, cols])
+    else:
+        dger(-1.0, tab[row].copy(), other, a=tab.T, overwrite_a=True)
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+
+
+def full_tableau_run(tab, basis, nrows, iter_cap):
+    """Iterate on a tableau whose last row holds reduced costs and last column
+    the right-hand side. Returns 'optimal', 'unbounded' or 'iteration_limit'."""
+    degenerate_run = 0
+    for _ in range(iter_cap):
+        costs = tab[-1, :-1]
+        bland = degenerate_run >= BLAND_AFTER
+        if bland:
+            below = np.where(costs < -TOL_PIVOT)[0]
+            if below.size == 0:
+                return "optimal"
+            col = int(below[0])
+        else:
+            col = int(np.argmin(costs))
+            if costs[col] >= -TOL_PIVOT:
+                return "optimal"
+        colvals = tab[:nrows, col]
+        eligible = np.where(colvals > TOL_PIVOT)[0]
+        if eligible.size == 0:
+            return "unbounded"
+        rhs = tab[eligible, -1]
+        ratios = rhs / colvals[eligible]
+        if bland:
+            # exact minimum-ratio ties broken by lowest basis index; the
+            # index rule is what makes the cycling guarantee hold
+            ties = eligible[ratios <= ratios.min() + 1e-12]
+            row = int(ties[np.argmin(basis[ties])])
+        else:
+            # two-pass ratio test: any row whose ratio keeps every basic
+            # value above -TOL_FEAS may leave, and the largest pivot entry
+            # in that window wins. Near-threshold pivots wreck the tableau
+            # scale within a handful of iterations otherwise.
+            limit = ((rhs + TOL_FEAS) / colvals[eligible]).min()
+            window = eligible[ratios <= limit]
+            row = int(window[np.argmax(colvals[window])])
+        step = tab[row, -1] / tab[row, col]
+        degenerate_run = degenerate_run + 1 if step < 1e-12 else 0
+        full_tableau_pivot(tab, row, col)
+        basis[row] = col
+        # the relaxed test can leave basic values a hair below zero
+        np.maximum(tab[:nrows, -1], 0.0, out=tab[:nrows, -1])
+    return "iteration_limit"
+
+
+def full_tableau_solve(lp: LinearProgram) -> LpSolution:
+    """Two-phase simplex. Pure feasibility problems (all-zero objective) stop
+    after phase one and report FEASIBLE; anything else reports OPTIMAL,
+    INFEASIBLE, UNBOUNDED or ITERATION_LIMIT. A FEASIBLE or OPTIMAL point
+    that breaks lp by more than GUARD_TOL is withheld as BAD_POINT."""
+    sol = full_tableau_simplex(lp)
+    if sol.primal is not None:
+        residual = max_violation(lp, sol.primal)
+        if not residual <= GUARD_TOL:
+            return LpSolution(LpStatus.BAD_POINT, residual=residual)
+    return sol
+
+
+def full_tableau_simplex(lp: LinearProgram) -> LpSolution:
+    offsets, col_var, col_sign, range_cols, range_widths = _standard_columns(lp)
+    n_eq = lp.eq_lhs.shape[0]
+    n_in = lp.ineq_lhs.shape[0]
+    n_rng = range_cols.size
+    nrows = n_eq + n_in + n_rng
+    nstruct = col_var.size
+    n_slack = n_in + n_rng
+    n_real = nstruct + n_slack
+
+    # rows whose slack survives with +1 start with that slack basic; the
+    # rest (equalities, inequalities flipped for a negative right-hand
+    # side) start on an artificial, which has a basis marker but no column
+    rhs = np.zeros(nrows)
+    rhs[:n_eq] = lp.eq_rhs - lp.eq_lhs @ offsets
+    rhs[n_eq : n_eq + n_in] = lp.ineq_rhs - lp.ineq_lhs @ offsets
+    rhs[n_eq + n_in :] = range_widths
+    flip = rhs < 0
+    slack_basic = ~flip
+    slack_basic[:n_eq] = False
+    art_rows = np.flatnonzero(~slack_basic)
+    n_art = art_rows.size
+
+    # one tableau: [structural | slack | rhs], cost row last
+    tab = np.zeros((nrows + 1, n_real + 1))
+    tab[:n_eq, :nstruct] = lp.eq_lhs[:, col_var] * col_sign
+    tab[n_eq : n_eq + n_in, :nstruct] = lp.ineq_lhs[:, col_var] * col_sign
+    tab[n_eq + n_in + np.arange(n_rng), range_cols] = 1.0
+    slack_idx = np.arange(n_slack)
+    tab[n_eq + slack_idx, nstruct + slack_idx] = 1.0
+    tab[np.flatnonzero(flip), :n_real] *= -1.0
+    tab[:nrows, -1] = np.where(flip, -rhs, rhs)
+    basis = np.full(nrows, -1, dtype=int)
+    slack_rows = np.flatnonzero(slack_basic)
+    basis[slack_rows] = nstruct + slack_rows - n_eq
+    basis[art_rows] = n_real + np.arange(n_art)
+
+    iter_cap = ITER_FACTOR * (nrows + n_real + n_art)
+
+    # phase one: minimize the sum of artificials, priced out of their rows
+    if n_art:
+        for r in art_rows:
+            tab[-1] -= tab[r]
+        outcome = full_tableau_run(tab, basis, nrows, iter_cap)
+        if outcome != "optimal":
+            return LpSolution(LpStatus.ITERATION_LIMIT)
+        if -tab[-1, -1] > TOL_FEAS:
+            return LpSolution(LpStatus.INFEASIBLE)
+        # remove artificials from the basis; rows that cannot pivot are redundant
+        drop_rows = []
+        for r in np.flatnonzero(basis >= n_real):
+            candidates = np.where(np.abs(tab[r, :n_real]) > TOL_PIVOT)[0]
+            if candidates.size:
+                full_tableau_pivot(tab, r, int(candidates[0]))
+                basis[r] = int(candidates[0])
+            else:
+                drop_rows.append(r)
+        if drop_rows:
+            dropped = set(drop_rows)
+            keep = [r for r in range(nrows) if r not in dropped]
+            tab = tab[keep + [nrows]]
+            basis = basis[keep]
+            nrows = len(keep)
+
+    def extract():
+        values = np.zeros(n_real)
+        values[basis] = np.maximum(tab[:nrows, -1], 0.0)
+        z = offsets.copy()
+        np.add.at(z, col_var, col_sign * values[:nstruct])
+        return z
+
+    if not np.any(lp.objective):
+        return LpSolution(LpStatus.FEASIBLE, primal=extract())
+
+    # phase two
+    cost = np.zeros(n_real + 1)
+    cost[:nstruct] = lp.objective[col_var] * col_sign
+    for r in range(nrows):
+        if cost[basis[r]] != 0.0:
+            cost = cost - cost[basis[r]] * tab[r]
+    tab[-1] = cost
+    outcome = full_tableau_run(tab, basis, nrows, iter_cap)
+    if outcome == "unbounded":
+        return LpSolution(LpStatus.UNBOUNDED)
+    if outcome == "iteration_limit":
+        return LpSolution(LpStatus.ITERATION_LIMIT)
+    z = extract()
+    return LpSolution(LpStatus.OPTIMAL, primal=z, objective_value=float(lp.objective @ z))

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddinv import __version__, cli, fileio
 from ddinv.experiment import PlantModel, simulate_closed_loop
 from ddinv.polytopes import InputPolytope, validate_cset
+from ddinv.verification import find_certificate_matrix
 
 DEMO_CONFIG = {
     "model": {"A": [[0.8, 0.5], [-0.4, 1.2]], "B": [[0.0], [1.0]]},
@@ -460,9 +462,20 @@ def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
     np.testing.assert_allclose(rows[:, 1:3], states, rtol=1e-12, atol=1e-12)
 
 
-def _zero_samples(raw):
+def _zero_samples(raw, _):
     raw["data"] = {key: {"shape": [rows, 0], "values": []}
                    for key, rows in (("u0t", 1), ("x0t", 2), ("x1t", 2))}
+
+
+def _forge_level_above_one(raw, spec):
+    """The stored certificate moved along the null space of X0 and
+    re-certified at level 1.5: X0 G' = I and U0 G' = K' still hold and P
+    certifies X1 G' at that level, but X1 G' maps a vertex out of the set."""
+    null = scipy.linalg.null_space(spec.data.x0t)
+    g = fileio.obj_to_matrix(raw["g_matrix"], "g_matrix") + 0.5 * null[:, :1] @ [[1.0, 0.0]]
+    p = find_certificate_matrix(spec.data.x1t @ g, spec.state_set, 1.5)
+    raw.update({"lambda": 1.5, "gain": fileio.matrix_to_rows(spec.data.u0t @ g),
+                "g_matrix": fileio.matrix_to_obj(g), "p_matrix": fileio.matrix_to_obj(p)})
 
 
 @pytest.mark.parametrize("target, content", [
@@ -480,14 +493,19 @@ def _zero_samples(raw):
     ("certificate", 5),
     ("problem", "state_set input_set lambda data"),
     ("certificate", "gain lambda"),
-    ("problem", lambda raw: raw.update(data=[1, 2])),
-    ("problem", lambda raw: raw.update(model="A B")),
-    ("problem", lambda raw: raw.update(disturbance=3)),
+    ("problem", lambda raw, _: raw.update(data=[1, 2])),
+    ("problem", lambda raw, _: raw.update(model="A B")),
+    ("problem", lambda raw, _: raw.update(disturbance=3)),
     ("problem", _zero_samples),
-    ("problem", lambda raw: raw.update(meta=[1])),
-    ("certificate", lambda raw: raw.update(verification=[1])),
-    ("certificate", lambda raw: raw.update(tool_version=5)),
-    ("certificate", lambda raw: raw.update(input_digest=5)),
+    ("problem", lambda raw, _: raw.update(meta=[1])),
+    ("certificate", lambda raw, _: raw.update(verification=[1])),
+    ("certificate", lambda raw, _: raw.update(tool_version=5)),
+    ("certificate", lambda raw, _: raw.update(input_digest=5)),
+    ("certificate", _forge_level_above_one),
+    ("certificate", lambda raw, _: raw.update({"lambda": 1.5})),
+    ("certificate", lambda raw, _: raw.update({"lambda": 1e308})),
+    ("certificate", lambda raw, _: raw.update({"lambda": -0.5})),
+    ("certificate", lambda raw, _: raw.update({"lambda": float("nan")})),
 ])
 def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, capsys,
                                                     target, content):
@@ -498,7 +516,7 @@ def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, caps
             "certificate": cert_path}[target]
     if callable(content):
         raw = json.loads(path.read_text())
-        content(raw)
+        content(raw, fileio.load_problem(demo_problem))
         content = raw
     path.write_text(json.dumps(content))
     out = tmp_path / "out.json"

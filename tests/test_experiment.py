@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,6 +165,34 @@ def test_numerical_rank_edges():
     assert numerical_rank(np.eye(4)) == 4
     near = np.diag([1.0, 1e-12])
     assert numerical_rank(near) == 1
+
+
+def _qr_rank(mat):
+    """numerical_rank's rule on the R of scipy.linalg.qr(pivoting=True)."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0:
+        return 0
+    diag = np.abs(np.diag(scipy.linalg.qr(mat, mode="r", pivoting=True)[0]))
+    if diag.size == 0 or diag[0] == 0.0:
+        return 0
+    return int(np.sum(diag > 1e-9 * diag[0]))
+
+
+def test_numerical_rank_matches_the_scipy_qr_form():
+    rng = np.random.default_rng(17)
+    mats = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((4, 2)), rng.normal(size=(200, 150))]
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        mat = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        # singular values straddling the rank threshold
+        mat += rng.choice([0.0, 0.5e-9, 2e-9]) * rng.normal(size=(rows, cols))
+        mats.append(mat)
+    ranks = [numerical_rank(mat) for mat in mats]
+    assert ranks == [_qr_rank(mat) for mat in mats]
+    assert len(set(ranks)) >= 5
+    with pytest.raises(ValueError):
+        numerical_rank([[1.0, np.nan]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddinv import lp
-from generators import lp_with_known_point, random_box_lp, unbounded_lp
+import oracles
+from ddinv import lp, synthesis
+from ddinv.experiment import (PlantModel, build_data_matrices, random_input_sequence,
+                              simulate)
+from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
+from generators import (box_input_rows, lp_with_known_point, mixed_bounds_lp,
+                        random_box_lp, random_controllable_plant, random_cset_rows,
+                        unbounded_lp)
 from oracles import brute_force_lp, dense_pivot, fused_pivot
 
 
@@ -91,9 +97,9 @@ def test_free_variable_with_equality():
     assert sol.primal[0] == pytest.approx(5.0, abs=1e-9)
 
 
-def test_degenerate_instance_terminates():
-    # classic cycling-prone tableau; the anti-cycling fallback must cope
-    prob = lp.LinearProgram(
+def _degenerate_program():
+    # classic cycling-prone tableau
+    return lp.LinearProgram(
         num_vars=4,
         objective=[-0.75, 150.0, -0.02, 6.0],
         ineq_lhs=[[0.25, -60.0, -1.0 / 25.0, 9.0],
@@ -102,6 +108,11 @@ def test_degenerate_instance_terminates():
         ineq_rhs=[0.0, 0.0, 1.0],
         lower_bounds=np.zeros(4),
         upper_bounds=np.full(4, 1e3))
+
+
+def test_degenerate_instance_terminates():
+    # the anti-cycling fallback must cope
+    prob = _degenerate_program()
     sol = lp.solve(prob)
     status, value, _ = brute_force_lp(prob)
     assert sol.status == lp.LpStatus.OPTIMAL
@@ -170,62 +181,98 @@ def test_construction_validation():
                          lower_bounds=[1.0], upper_bounds=[0.0])
 
 
-def _dense_branch_rounding(cases):
-    """Check the dense branch on (tab, row, col) cases and name its rounding:
-    every entry rounded once (a fused multiply-add kernel) or every entry
-    rounded twice, as numpy's outer product and subtraction give it."""
-    fused, twice = [], []
-    for tab, row, col in cases:
-        once, both = tab.copy(), tab.copy()
-        fused_pivot(once, row, col)
-        dense_pivot(both, row, col)
-        lp._pivot(tab, row, col)
-        fused.append(np.array_equal(tab, once))
-        twice.append(np.array_equal(tab, both))
-    assert all(fused) or all(twice)
-    return "once" if all(fused) else "twice"
-
-
-def _pivot_cases(rng, share):
+def _exchange_cases(rng, share, basic_share=0.2):
+    """Full tableaux [columns | rhs] with the cost row last, a unit column for
+    the basic variable of every other row (about basic_share of the
+    columns), and a pivot (row, col) on a nonbasic column. The pivot row
+    keeps about `share` of its entries nonzero. Returns (tab, row, col,
+    basic, nonbasic) tuples."""
     cases = []
     for _ in range(20):
-        rows, cols = int(rng.integers(2, 60)), int(rng.integers(40, 120))
+        cols = int(rng.integers(40, 120))
+        rows = max(2, int(basic_share * cols))
         tab = rng.normal(size=(rows, cols))
         tab[rng.random(size=tab.shape) < 0.3] = 0.0
-        row, col = int(rng.integers(0, rows - 1)), int(rng.integers(0, cols - 1))
+        basic = rng.permutation(cols - 1)[: rows - 1]
+        tab[:, basic] = 0.0
+        tab[np.arange(rows - 1), basic] = 1.0
+        nonbasic = np.setdiff1d(np.arange(cols - 1), basic)
+        row, col = int(rng.integers(0, rows - 1)), int(rng.choice(nonbasic))
         keep = rng.random(cols) < share
-        keep[col] = True
+        keep[col] = keep[basic[row]] = True
         tab[row, ~keep] = 0.0
         tab[row, col] = rng.uniform(0.5, 2.0)
-        sparse_row = np.count_nonzero(tab[row]) <= lp.SPARSE_PIVOT_SHARE * cols
-        assert sparse_row == (share < lp.SPARSE_PIVOT_SHARE)
-        cases.append((tab, row, col))
+        cases.append((tab, row, col, basic, nonbasic))
     return cases
+
+
+def _exchange(case, references, artificial=False):
+    """Pivot the case's full tableau with each reference and its nonbasic
+    columns with lp._pivot; for each reference, whether every column kept
+    carries the bits of its variable's column in the full result. With
+    `artificial`, the leaving variable has no column in either tableau and
+    its slot must come back zeroed."""
+    tab, row, col, basic, nonbasic = case
+    names = np.arange(tab.shape[1])
+    if artificial:
+        tab, names = tab[:, names != basic[row]], names[names != basic[row]]
+    slots = np.append(nonbasic, names[-1])
+    condensed = np.ascontiguousarray(tab[:, np.searchsorted(names, slots)])
+    slot = int(np.searchsorted(nonbasic, col))
+    lp._pivot(condensed, row, slot, tab.shape[1], not artificial)
+    slots[slot] = basic[row]
+    agree = []
+    for reference in references:
+        expected = tab.copy()
+        reference(expected, row, int(np.searchsorted(names, col)))
+        agree.append(all(
+            not condensed[:, k].any() if artificial and k == slot
+            else np.array_equal(condensed[:, k], expected[:, np.searchsorted(names, var)])
+            for k, var in enumerate(slots)))
+    return agree
 
 
 @pytest.mark.parametrize("share", [0.05, 1.0])
 def test_pivot_matches_dense_reference(share):
     # share 0.05 takes the sparse-row update, which rounds like the numpy
     # reference; 1.0 takes the dense dger update, which rounds each entry
-    # once on a fused multiply-add kernel and twice on any other
-    cases = _pivot_cases(np.random.default_rng(31), share)
+    # once on a fused multiply-add kernel and twice on any other. Either
+    # way each kept column, the leaving variable's included, carries the
+    # full tableau's bits
+    cases = _exchange_cases(np.random.default_rng(31), share)
+    for tab, row, *_ in cases:
+        sparse_row = np.count_nonzero(tab[row]) <= lp.SPARSE_PIVOT_SHARE * tab.shape[1]
+        assert sparse_row == (share < lp.SPARSE_PIVOT_SHARE)
     if share < lp.SPARSE_PIVOT_SHARE:
-        for tab, row, col in cases:
-            expected = tab.copy()
-            dense_pivot(expected, row, col)
-            lp._pivot(tab, row, col)
-            assert np.array_equal(tab, expected)
+        for case in cases:
+            assert _exchange(case, [dense_pivot]) == [True]
+            assert _exchange(case, [dense_pivot], artificial=True) == [True]
     else:
-        _dense_branch_rounding(cases)
+        fused, twice = zip(*(_exchange(case, [fused_pivot, dense_pivot], artificial)
+                             for case in cases for artificial in (False, True)))
+        assert all(fused) or all(twice)
+
+
+def test_pivot_on_mostly_basic_tableau_matches_dense_reference():
+    # 85% of the columns are basic, as in the robust programs: the full
+    # pivot row is sparse, so it rounds twice, but most of the columns kept
+    # are nonzero, so the update runs over all of them
+    for case in _exchange_cases(np.random.default_rng(32), 1.0, basic_share=0.85):
+        tab, row, col, basic, nonbasic = case
+        assert np.count_nonzero(tab[row]) <= lp.SPARSE_PIVOT_SHARE * tab.shape[1]
+        kept = np.count_nonzero(tab[row, np.append(nonbasic, -1)])
+        assert kept > lp.SPARSE_PIVOT_SHARE * (nonbasic.size + 1)
+        assert _exchange(case, [dense_pivot]) == [True]
+        assert _exchange(case, [dense_pivot], artificial=True) == [True]
 
 
 def _count_pivots(monkeypatch):
     calls = []
     original = lp._pivot
 
-    def counted(tab, row, col):
-        calls.append((int(row), int(col)))
-        return original(tab, row, col)
+    def counted(*args):
+        calls.append((int(args[1]), int(args[2])))
+        return original(*args)
 
     monkeypatch.setattr(lp, "_pivot", counted)
     return calls
@@ -256,6 +303,40 @@ def test_every_phase_two_pivot_goes_through_the_seam(monkeypatch):
     assert sol.status == lp.LpStatus.OPTIMAL
     assert sol.objective_value == -3.0
     assert calls == [(1, 1), (0, 0)]
+
+
+def test_tied_reduced_costs_enter_the_lowest_variable_index(monkeypatch):
+    # min z1 - z2 - z3 with z1 - z2 <= 0, z1 + z2 + z3 = 1 and z >= 0. Phase
+    # one pivots z1 into the inequality row, whose slack (variable 3) takes
+    # over column 0, then z2 into the equality row. Phase two prices that
+    # slack and z3 (variable 2, column 2) both at -1: z3 enters, as in the
+    # full tableau, and the optimum is z3 = 1
+    calls = _count_pivots(monkeypatch)
+    prob = lp.LinearProgram(num_vars=3, objective=[1.0, -1.0, -1.0],
+                            ineq_lhs=[[1.0, -1.0, 0.0]], ineq_rhs=[0.0],
+                            eq_lhs=[[1.0, 1.0, 1.0]], eq_rhs=[1.0], lower_bounds=np.zeros(3))
+    sol = lp.solve(prob)
+    assert calls == [(1, 0), (0, 1), (0, 2), (1, 0)]
+    assert np.array_equal(sol.primal, [0.0, 0.0, 1.0])
+    assert np.array_equal(sol.primal, oracles.full_tableau_solve(prob).primal)
+
+
+def test_drive_out_enters_the_lowest_variable_index(monkeypatch):
+    # phase one ends with the artificial of the first equality basic at
+    # zero. By then the slack of the second inequality (variable 5) holds
+    # column 0 and z3 (variable 2) column 2, and either could pivot the
+    # artificial out: z3 enters, as in the full tableau, whose point has
+    # other bits than the slack's would
+    calls = _count_pivots(monkeypatch)
+    prob = lp.LinearProgram(num_vars=4, objective=[0.0, 0.0, -1.0, 0.0],
+                            ineq_lhs=[[-1.0, 0.0, -1.0, 1.0], [1.0, -1.0, 1.0, 1.0]],
+                            ineq_rhs=[0.0, 0.0],
+                            eq_lhs=[[-1.0, 0.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]],
+                            eq_rhs=[-1.0, 1.0], lower_bounds=np.zeros(4))
+    sol = lp.solve(prob)
+    assert calls[:5] == [(2, 3), (3, 0), (1, 1), (2, 3), (0, 2)]
+    assert sol.status == lp.LpStatus.OPTIMAL
+    assert sol.primal.tobytes() == oracles.full_tableau_solve(prob).primal.tobytes()
 
 
 @pytest.mark.parametrize("objective, status", [([1.0, 1.0], lp.LpStatus.OPTIMAL),
@@ -294,3 +375,120 @@ def test_max_violation_names_the_worst_constraint():
     # a non-finite point is never feasible
     assert np.isnan(lp.max_violation(prob, [np.nan, 0.5]))
     assert not lp.check_feasible(prob, [np.nan, 0.5])
+
+
+def _data_programs(rng, count):
+    """Data-route level minimizations and fixed levels on seeded plants."""
+    programs = []
+    for _ in range(count):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        plant = random_controllable_plant(rng, n, m, spectral_radius=rng.uniform(0.3, 1.3))
+        cset = validate_cset(random_cset_rows(rng, n))
+        uset = InputPolytope(box_input_rows(m, rng.uniform(2.0, 8.0)))
+        inputs = random_input_sequence(rng, 20, m)
+        data = build_data_matrices(inputs, simulate(plant, rng.uniform(-0.3, 0.3, n), inputs))
+        programs += [synthesis.build_databased_lp(data, cset, uset, lam)
+                     for lam in (None, 0.5, 0.9)]
+        programs += [synthesis.build_modelbased_lp(plant, cset, uset, lam)
+                     for lam in (None, 0.9)]
+    return programs
+
+
+def _robust_programs(rng):
+    """Pruned robust programs on a box, with a box and a pentagon
+    disturbance, and on a cube with a cube disturbance."""
+    pentagon = np.column_stack([np.cos(2 * np.pi * np.arange(5) / 5),
+                                np.sin(2 * np.pi * np.arange(5) / 5)])
+    box = np.vstack([np.eye(2), -np.eye(2)])
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+    programs = []
+    for rows, vertices in [(box, corners), (box, pentagon), (cube, cube)] * 3:
+        n = rows.shape[1]
+        a = rng.normal(size=(n, n))
+        a *= 0.3 / np.max(np.abs(np.linalg.eigvals(a)))
+        plant = PlantModel(a, rng.normal(size=(n, 1)))
+        samples, radius = int(rng.integers(3, 12)), rng.choice([0.002, 0.02, 0.1])
+        inputs = rng.uniform(-1.0, 1.0, size=(samples, 1))
+        states = simulate(plant, rng.uniform(-0.5, 0.5, size=n), inputs,
+                          rng.uniform(-radius, radius, size=(samples, n)))
+        programs.append(synthesis.build_robust_lp(
+            build_data_matrices(inputs, states), validate_cset(rows),
+            InputPolytope([[0.2], [-0.2]]), DisturbanceSet(radius * vertices)))
+    return programs
+
+
+def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
+    # the full [structural | slack | rhs] tableau in oracles makes the same
+    # pivots and returns the same points, bit for bit; where its phase one
+    # broke down it said ITERATION_LIMIT
+    rng = np.random.default_rng(2025)
+    programs = ([mixed_bounds_lp(rng) for _ in range(150)]
+                + [random_box_lp(rng) for _ in range(30)]
+                + [lp_with_known_point(rng)[0] for _ in range(30)]
+                + [unbounded_lp(rng) for _ in range(10)]
+                + _data_programs(rng, 12) + _robust_programs(rng) + [_degenerate_program()])
+    pivots = {"condensed": 0, "full": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            pivots[name] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(lp, "_pivot", counting("condensed", lp._pivot))
+    monkeypatch.setattr(oracles, "full_tableau_pivot",
+                        counting("full", oracles.full_tableau_pivot))
+    renamed = {lp.LpStatus.PHASE_ONE_BREAKDOWN: lp.LpStatus.ITERATION_LIMIT}
+    seen = set()
+    for program in programs:
+        sol, ref = lp.solve(program), oracles.full_tableau_solve(program)
+        seen.add(sol.status)
+        assert renamed.get(sol.status, sol.status) == ref.status
+        assert (sol.primal is None) == (ref.primal is None)
+        assert sol.primal is None or np.array_equal(sol.primal, ref.primal)
+        assert sol.objective_value == ref.objective_value
+        assert sol.residual == ref.residual
+        assert pivots["condensed"] == pivots["full"]
+    assert {lp.LpStatus.OPTIMAL, lp.LpStatus.FEASIBLE, lp.LpStatus.INFEASIBLE,
+            lp.LpStatus.UNBOUNDED} <= seen
+
+
+def test_robust_tableau_keeps_no_slack_identity(monkeypatch):
+    # the box program has 32 T + 8 inequality rows on 2 T n structural
+    # columns, none of which starts flipped: each pivot sees those columns
+    # and the right-hand side, and none of the slacks
+    rng = np.random.default_rng(6)
+    samples, n = 10, 2
+    inputs = rng.uniform(-1.0, 1.0, size=(samples, 1))
+    plant = PlantModel([[0.2, 0.1], [-0.1, 0.25]], [[0.0], [1.0]])
+    states = simulate(plant, [0.1, -0.2], inputs, rng.uniform(-0.01, 0.01, size=(samples, n)))
+    program = synthesis.build_robust_lp(
+        build_data_matrices(inputs, states), validate_cset(np.vstack([np.eye(2), -np.eye(2)])),
+        InputPolytope([[0.2], [-0.2]]),
+        DisturbanceSet(0.01 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])))
+    assert program.ineq_lhs.shape == (32 * samples + 8, samples * n)
+    widths = []
+    original = lp._pivot
+
+    def recorded(*args):
+        widths.append(args[0].shape[1])
+        return original(*args)
+
+    monkeypatch.setattr(lp, "_pivot", recorded)
+    assert lp.solve(program).status == lp.LpStatus.FEASIBLE
+    assert widths and set(widths) == {2 * samples * n + 1}
+
+
+def test_phase_one_breakdown_has_its_own_status(monkeypatch):
+    # phase one minimizes a sum of nonnegative artificials, so a ray there
+    # is a breakdown, not an iteration limit; phase two's ray stays UNBOUNDED
+    monkeypatch.setattr(lp, "_run_simplex", lambda *args: "unbounded")
+    with_artificial = lp.LinearProgram(num_vars=1, objective=[1.0], eq_lhs=[[1.0]],
+                                       eq_rhs=[1.0], lower_bounds=[0.0])
+    assert lp.solve(with_artificial).status == lp.LpStatus.PHASE_ONE_BREAKDOWN
+    slack_basis = lp.LinearProgram(num_vars=1, objective=[1.0], ineq_lhs=[[1.0]],
+                                   ineq_rhs=[1.0], lower_bounds=[0.0])
+    assert lp.solve(slack_basis).status == lp.LpStatus.UNBOUNDED
+    with pytest.raises(synthesis.SolverFailure, match="test: phase one broke down"):
+        synthesis._solve_or_raise(with_artificial, "test")

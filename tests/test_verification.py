@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,3 +307,28 @@ def test_data_consistency_rejects_forged_combiners(demo_state_set, demo_input_se
     g = cert.g_matrix.copy()
     g[0, 0] = np.nan
     assert not check(demo_data, g, cert.gain)
+
+
+@pytest.mark.parametrize("level", [1.5, 1e308, -0.5, np.nan])
+def test_certificate_level_outside_zero_one_is_rejected(demo_state_set, demo_input_set,
+                                                        demo_data, level):
+    # G moved along the null space of X0 keeps X0 G = I and U0 G = K; at
+    # level 1.5 its closed loop has a certificate P and passes every vertex
+    # check, yet it maps a vertex out of the set
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
+    null = scipy.linalg.null_space(demo_data.x0t)
+    g = cert.g_matrix + 0.5 * null[:, :1] @ np.array([[1.0, 0.0]])
+    f_matrix = demo_data.x1t @ g
+    forged = synthesis.Certificate(
+        gain=demo_data.u0t @ g, lam=level, g_matrix=g,
+        p_matrix=verification.find_certificate_matrix(f_matrix, demo_state_set, 1.5))
+    assert forged.p_matrix is not None
+    _, worst = verification.check_vertex_contractivity(f_matrix, demo_state_set, 1.0)
+    assert worst > 1.0
+    with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+        verification.verify_certificate(demo_state_set, demo_input_set, forged, data=demo_data)
+    assert verification.verify_certificate(demo_state_set, demo_input_set,
+                                           synthesis.Certificate(cert.gain, 1.0, cert.g_matrix,
+                                                                 cert.p_matrix),
+                                           data=demo_data).all_ok()
