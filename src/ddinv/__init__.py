@@ -15,7 +15,7 @@ from .experiment import (ExperimentData, PlantModel, build_data_matrices,
                          simulate_closed_loop, stacked_data_matrix)
 from .lp import LinearProgram, LpSolution, LpStatus, solve
 from .polytopes import (DisturbanceSet, InputPolytope, PolyhedralCSet,
-                        RankDeficientError, UnboundedSetError, contains,
+                        RankDeficientError, UnboundedSetError,
                         enumerate_vertices, gauge, validate_cset)
 from .synthesis import (Certificate, InfeasibleProblem, SolverFailure,
                         SynthesisProblem, build_databased_lp,

@@ -28,8 +28,8 @@ from .polytopes import (DisturbanceSet, InputPolytope, gauge, ordered_vertices_2
                         validate_cset)
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
-from .verification import (DEFAULT_TOL, VerificationReport, closed_loop, lyapunov_value,
-                           rollout, verify_certificate)
+from .verification import (DEFAULT_TOL, VerificationReport, _images, closed_loop,
+                           lyapunov_values, rollout, verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -247,14 +247,11 @@ def _cmd_verify(args) -> int:
 
 
 def _input_bounds(input_rows: np.ndarray):
-    upper = np.inf
-    lower = -np.inf
-    for row in input_rows[:, 0]:
-        if row > 0:
-            upper = min(upper, 1.0 / row)
-        elif row < 0:
-            lower = max(lower, 1.0 / row)
-    return lower, upper
+    """The band lower <= u <= upper that the rows of a scalar input set cut
+    out; a side no row bounds is infinite."""
+    inverse = 1.0 / input_rows[input_rows[:, 0] != 0, 0]
+    return (np.max(inverse[inverse < 0], initial=-np.inf),
+            np.min(inverse[inverse > 0], initial=np.inf))
 
 
 def _cmd_simulate(args) -> int:
@@ -271,22 +268,28 @@ def _cmd_simulate(args) -> int:
         return _fail("--x0 entries must be finite")
     if x0.shape != (state_set.dim,):
         return _fail(f"--x0 needs {state_set.dim} entries")
-    if gauge(state_set, x0) > 1.0 + 1e-9:
-        print(f"initial state lies outside the set (gauge "
-              f"{gauge(state_set, x0):.6g})", file=sys.stderr)
+    start_gauge = gauge(state_set, x0)
+    if start_gauge > 1.0 + 1e-9:
+        print(f"initial state lies outside the set (gauge {start_gauge:.6g})", file=sys.stderr)
         return 2
     if args.steps < 1:
         return _fail("--steps must be positive")
 
-    gain = certificate.gain
     f_matrix = closed_loop(certificate, spec.data, spec.model)
     if f_matrix is None:
         return _fail("problem gives no way to form the closed loop")
     if spec.model is None and certificate.p_matrix is None:
         return _fail("simulating a robust certificate needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")
+    # one row per step: the state, the input K x and V(x)
     states = rollout(f_matrix, x0, args.steps)
-    inputs = states[:-1] @ gain.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.column_stack([states, _images(certificate.gain, states),
+                                 lyapunov_values(state_set, states)])
+    overflow = ~np.isfinite(table).all(axis=1)
+    if overflow.any():
+        return _fail(f"the closed loop overflows: step {int(overflow.argmax())} "
+                     "of the rollout is not finite")
 
     wrote = []
     if args.format in (None, "csv"):
@@ -294,14 +297,9 @@ def _cmd_simulate(args) -> int:
         try:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                header = (["t"] + [f"x{i+1}" for i in range(state_set.dim)]
-                          + [f"u{i+1}" for i in range(input_set.dim)] + ["V"])
-                writer.writerow(header)
-                for t in range(args.steps + 1):
-                    u_t = gain @ states[t]
-                    writer.writerow([t] + [repr(float(v)) for v in states[t]]
-                                    + [repr(float(v)) for v in u_t]
-                                    + [repr(lyapunov_value(state_set, states[t]))])
+                writer.writerow(["t"] + [f"x{i+1}" for i in range(state_set.dim)]
+                                + [f"u{i+1}" for i in range(input_set.dim)] + ["V"])
+                writer.writerows([t, *row] for t, row in enumerate(table.tolist()))
         except OSError as exc:
             return _fail(f"cannot write {path}: {exc}")
         wrote.append(path)
@@ -318,7 +316,7 @@ def _cmd_simulate(args) -> int:
         if input_set.dim == 1:
             lower, upper = _input_bounds(input_set.h_matrix)
             scenes.append((args.out + "_input.svg", svgplot.input_signal_svg(
-                inputs[:, 0], lower, upper, title="input signal and bounds")))
+                table[:-1, state_set.dim], lower, upper, title="input signal and bounds")))
     for path, scene in scenes:
         try:
             with open(path, "w", encoding="utf-8") as fh:
@@ -327,8 +325,7 @@ def _cmd_simulate(args) -> int:
             return _fail(f"cannot write {path}: {exc}")
         wrote.append(path)
 
-    final_gauge = gauge(state_set, states[-1])
-    print(f"final gauge after {args.steps} steps: {final_gauge:.6g}")
+    print(f"final gauge after {args.steps} steps: {gauge(state_set, states[-1]):.6g}")
     for path in wrote:
         print(f"wrote {path}")
     return 0

@@ -140,8 +140,12 @@ class LinearProgram:
                              else np.asarray(self.upper_bounds, dtype=float).reshape(-1))
         if self.lower_bounds.shape != (n,) or self.upper_bounds.shape != (n,):
             raise ValueError("bound vectors must have num_vars entries")
-        if np.any(self.lower_bounds > self.upper_bounds):
-            raise ValueError("lower bound exceeds upper bound")
+        # a NaN bound compares False; a bound may be infinite, nothing else may be
+        if not np.all(self.lower_bounds <= self.upper_bounds):
+            raise ValueError("a lower bound exceeds its upper bound, or a bound is NaN")
+        if not all(np.isfinite(part).all() for part in (self.objective, self.eq_lhs, self.eq_rhs,
+                                                        self.ineq_lhs, self.ineq_rhs)):
+            raise ValueError("objective, constraint rows and right-hand sides must be finite")
 
 
 @dataclass
@@ -176,7 +180,10 @@ def _pivot(tab, row, col, width, keep_leaving):
     on the full tableau of `width` columns, as the module docstring says.
     tab must be C-ordered: the dense update writes through its
     Fortran-ordered transpose, and on any other layout it would update a
-    copy."""
+    copy, so another layout is a ValueError."""
+    if not tab.flags.c_contiguous:
+        layout = "Fortran-ordered" if tab.flags.f_contiguous else "non-contiguous"
+        raise ValueError(f"the tableau must be C-ordered, got a {layout} one")
     pivot = tab[row, col]
     tab[row] /= pivot
     other = tab[:, col].copy()

@@ -186,12 +186,6 @@ def gauge(cset: PolyhedralCSet, x) -> float:
     return float(np.maximum(0.0, np.max(cset.h_matrix @ x)))
 
 
-def contains(cset: PolyhedralCSet, x, scale: float = 1.0, tol: float = 1e-9) -> bool:
-    """True when x lies in scale * set, within tol on each row."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return bool(np.all(cset.h_matrix @ x <= scale + tol))
-
-
 def ordered_vertices_2d(cset: PolyhedralCSet) -> np.ndarray:
     """Vertices sorted counterclockwise around the origin. 2-d only."""
     if cset.dim != 2:

@@ -15,26 +15,28 @@ MARGIN_FRAC = 0.10
 SHRINK_FLOOR = 0.05
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _coords(points, xlim, ylim) -> list:
+    """Screen coordinates of the world points of a (k, 2) array, as pairs of
+    strings: xlim maps onto [0, WIDTH] and ylim onto [HEIGHT, 0]."""
+    points = np.asarray(points, dtype=float)
+    (x0, x1), (y0, y1) = xlim, ylim
+    screen = np.column_stack([(points[:, 0] - x0) / (x1 - x0) * WIDTH,
+                              (y1 - points[:, 1]) / (y1 - y0) * HEIGHT])
+    return [(f"{sx:.2f}", f"{sy:.2f}") for sx, sy in screen.tolist()]
 
 
-class _Frame:
-    """World-to-screen mapping with a flipped y axis."""
+def _points(coords) -> str:
+    return " ".join(f"{sx},{sy}" for sx, sy in coords)
 
-    def __init__(self, xlim, ylim, width=WIDTH, height=HEIGHT):
-        self.x0, self.x1 = xlim
-        self.y0, self.y1 = ylim
-        self.width = width
-        self.height = height
 
-    def to_screen(self, pt):
-        sx = (pt[0] - self.x0) / (self.x1 - self.x0) * self.width
-        sy = (self.y1 - pt[1]) / (self.y1 - self.y0) * self.height
-        return sx, sy
-
-    def points(self, pts):
-        return " ".join(f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in map(self.to_screen, pts))
+def _scene(body, title) -> str:
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
+             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>', *body]
+    if title:
+        parts.append(f'<text x="10" y="20" font-family="sans-serif" font-size="14" '
+                     f'fill="#333333">{title}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 def state_plane_svg(ordered_vertices, lam=None, trajectory=None, title="") -> str:
@@ -45,65 +47,52 @@ def state_plane_svg(ordered_vertices, lam=None, trajectory=None, title="") -> st
     xmax, ymax = verts.max(axis=0)
     pad_x = (xmax - xmin) * MARGIN_FRAC
     pad_y = (ymax - ymin) * MARGIN_FRAC
-    frame = _Frame((xmin - pad_x, xmax + pad_x), (ymin - pad_y, ymax + pad_y))
+    lims = (xmin - pad_x, xmax + pad_x), (ymin - pad_y, ymax + pad_y)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
-             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
-    ox, oy = frame.to_screen((0.0, 0.0))
-    parts.append(f'<line x1="0" y1="{_fmt(oy)}" x2="{WIDTH}" y2="{_fmt(oy)}" '
-                 'stroke="#cccccc" stroke-width="1"/>')
-    parts.append(f'<line x1="{_fmt(ox)}" y1="0" x2="{_fmt(ox)}" y2="{HEIGHT}" '
-                 'stroke="#cccccc" stroke-width="1"/>')
-    parts.append(f'<polygon points="{frame.points(verts)}" fill="none" '
-                 'stroke="#1f77b4" stroke-width="2"/>')
+    [(ox, oy)] = _coords(np.zeros((1, 2)), *lims)
+    body = [f'<line x1="0" y1="{oy}" x2="{WIDTH}" y2="{oy}" stroke="#cccccc" stroke-width="1"/>',
+            f'<line x1="{ox}" y1="0" x2="{ox}" y2="{HEIGHT}" stroke="#cccccc" stroke-width="1"/>',
+            f'<polygon points="{_points(_coords(verts, *lims))}" fill="none" '
+            'stroke="#1f77b4" stroke-width="2"/>']
+    factors = []
     if lam is not None and 0.0 < lam < 1.0:
         factor = lam
         while factor >= SHRINK_FLOOR:
-            parts.append(f'<polygon points="{frame.points(verts * factor)}" fill="none" '
-                         'stroke="#9ecae1" stroke-width="1" stroke-dasharray="4 3"/>')
+            factors.append(factor)
             factor *= lam
+    ladder = _coords(np.multiply.outer(factors, verts).reshape(-1, 2), *lims)
+    for k in range(0, len(ladder), len(verts)):
+        body.append(f'<polygon points="{_points(ladder[k:k + len(verts)])}" fill="none" '
+                    'stroke="#9ecae1" stroke-width="1" stroke-dasharray="4 3"/>')
     if trajectory is not None:
-        traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
-        parts.append(f'<polyline points="{frame.points(traj)}" fill="none" '
-                     'stroke="#d62728" stroke-width="1.5"/>')
-        for pt in traj:
-            sx, sy = frame.to_screen(pt)
-            parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" fill="#d62728"/>')
-        sx, sy = frame.to_screen(traj[0])
-        parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="4" fill="none" '
-                     'stroke="#d62728" stroke-width="1.5"/>')
-    if title:
-        parts.append(f'<text x="10" y="20" font-family="sans-serif" font-size="14" '
-                     f'fill="#333333">{title}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        path = _coords(np.atleast_2d(np.asarray(trajectory, dtype=float)), *lims)
+        body.append(f'<polyline points="{_points(path)}" fill="none" '
+                    'stroke="#d62728" stroke-width="1.5"/>')
+        body.extend(f'<circle cx="{sx}" cy="{sy}" r="2.5" fill="#d62728"/>' for sx, sy in path)
+        body.append(f'<circle cx="{path[0][0]}" cy="{path[0][1]}" r="4" fill="none" '
+                    'stroke="#d62728" stroke-width="1.5"/>')
+    return _scene(body, title)
 
 
 def input_signal_svg(inputs, lower: float, upper: float, title="") -> str:
-    """Scalar input signal against its admissible band."""
+    """Scalar input signal against its admissible band. An infinite side of
+    the band is not drawn and does not set the scale."""
     u = np.asarray(inputs, dtype=float).reshape(-1)
     steps = len(u)
-    span = max(abs(lower), abs(upper), float(np.max(np.abs(u))) if steps else 1.0)
-    frame = _Frame((-0.5, max(steps - 0.5, 0.5)), (-1.15 * span, 1.15 * span))
+    bounds = [bound for bound in (lower, upper) if np.isfinite(bound)]
+    span = max([abs(bound) for bound in bounds]
+               + [float(np.max(np.abs(u))) if steps else 1.0]) or 1.0
+    lims = (-0.5, max(steps - 0.5, 0.5)), (-1.15 * span, 1.15 * span)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
-             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
-    _, zero_y = frame.to_screen((0.0, 0.0))
-    parts.append(f'<line x1="0" y1="{_fmt(zero_y)}" x2="{WIDTH}" y2="{_fmt(zero_y)}" '
-                 'stroke="#cccccc" stroke-width="1"/>')
-    for bound in (lower, upper):
-        _, by = frame.to_screen((0.0, bound))
-        parts.append(f'<line x1="0" y1="{_fmt(by)}" x2="{WIDTH}" y2="{_fmt(by)}" '
-                     'stroke="#d62728" stroke-width="1" stroke-dasharray="6 4"/>')
+    levels = _coords(np.column_stack([np.zeros(1 + len(bounds)), [0.0, *bounds]]), *lims)
+    body = [f'<line x1="0" y1="{levels[0][1]}" x2="{WIDTH}" y2="{levels[0][1]}" '
+            'stroke="#cccccc" stroke-width="1"/>']
+    body.extend(f'<line x1="0" y1="{by}" x2="{WIDTH}" y2="{by}" '
+                'stroke="#d62728" stroke-width="1" stroke-dasharray="6 4"/>'
+                for _, by in levels[1:])
     if steps:
-        pts = [(float(t), float(u[t])) for t in range(steps)]
-        parts.append(f'<polyline points="{frame.points(pts)}" fill="none" '
-                     'stroke="#1f77b4" stroke-width="1.5"/>')
-        for t, val in pts:
-            sx, sy = frame.to_screen((t, val))
-            parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2" fill="#1f77b4"/>')
-    if title:
-        parts.append(f'<text x="10" y="20" font-family="sans-serif" font-size="14" '
-                     f'fill="#333333">{title}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        signal = _coords(np.column_stack([np.arange(steps, dtype=float), u]), *lims)
+        body.append(f'<polyline points="{_points(signal)}" fill="none" '
+                    'stroke="#1f77b4" stroke-width="1.5"/>')
+        body.extend(f'<circle cx="{sx}" cy="{sy}" r="2" fill="#1f77b4"/>' for sx, sy in signal)
+    return _scene(body, title)

@@ -182,8 +182,7 @@ def build_databased_lp(data: ExperimentData, state_set: PolyhedralCSet,
 
 
 def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
-                    input_set: InputPolytope, disturbance: DisturbanceSet,
-                    row_cap: int = ROBUST_ROW_CAP) -> lp.LinearProgram:
+                    input_set: InputPolytope, disturbance: DisturbanceSet) -> lp.LinearProgram:
     """Robust invariance design from disturbed data. Only the combiner G is
     free; the level is pinned at one and no P is produced.
 
@@ -210,7 +209,7 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
 
     n_rows = n_s * state_set.vertices.shape[0] * n_d * T
     n_rows += input_set.h_matrix.shape[0] * state_set.vertices.shape[0]
-    if n_rows > row_cap:
+    if n_rows > ROBUST_ROW_CAP:
         warnings.warn(f"robust program has {n_rows} inequality rows", stacklevel=2)
 
     # prop[j, i] is base with column j shifted by T times shift_cols[:, i];

@@ -121,10 +121,18 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
     return worst <= 1.0 + tol, worst
 
 
+def lyapunov_values(cset: PolyhedralCSet, states) -> np.ndarray:
+    """Polyhedral Lyapunov function V(x) = max_i |row_i(S) x| induced by the
+    set rows, for every state along the last axis of states. A state too
+    large for V to be finite gives inf or NaN, which is left to the caller
+    to judge."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(_images(cset.h_matrix, np.asarray(states, dtype=float))), axis=-1)
+
+
 def lyapunov_value(cset: PolyhedralCSet, x) -> float:
-    """Polyhedral Lyapunov function induced by the set rows."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return float(np.max(np.abs(cset.h_matrix @ x)))
+    """V(x) of one state."""
+    return float(lyapunov_values(cset, np.asarray(x, dtype=float).reshape(-1)))
 
 
 def check_decay_along_trajectory(cset: PolyhedralCSet, states, lam: float,
@@ -134,12 +142,10 @@ def check_decay_along_trajectory(cset: PolyhedralCSet, states, lam: float,
     k trajectories side by side. Returns (ok, worst margin V(x+) - lam V(x)),
     and (False, inf) when a state or its V is not finite."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.max(np.abs(_images(cset.h_matrix, states)), axis=-1)
-        margins = values[1:] - lam * values[:-1]
+    values = lyapunov_values(cset, states)
     if not (np.all(np.isfinite(states)) and np.all(np.isfinite(values))):
         return False, np.inf
-    worst = float(np.max(margins, initial=-np.inf))
+    worst = float(np.max(values[1:] - lam * values[:-1], initial=-np.inf))
     return worst <= tol, worst
 
 

@@ -1,5 +1,6 @@
 """Seeded random instance generators shared by the module and acceptance tests,
-and the controllability test the plant generator draws against."""
+the controllability test the plant generator draws against, and the
+membership test the polytope tests check the gauge with."""
 
 import numpy as np
 
@@ -95,6 +96,12 @@ def random_cset_rows(rng, n, max_extra=3):
             continue
         rows = np.vstack([rows, direction[None, :] / (norm * rng.uniform(0.7, 1.4))])
     return rows
+
+
+def contains(cset, x, scale=1.0, tol=1e-9):
+    """True when x lies in scale * set, within tol on each row."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return bool(np.all(cset.h_matrix @ x <= scale + tol))
 
 
 def box_input_rows(m, limit):

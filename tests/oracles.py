@@ -14,7 +14,9 @@ builders did, a block per vertex and per set row. `full_tableau_solve` is
 the simplex as it was before the library kept only nonbasic columns: the
 same pivots on a tableau that also stores every basic column, the slack
 identity included, so the library's condensed exchange can be pinned to it
-bit for bit.
+bit for bit. `simulate_rows_loop` and `frame_points` are the per-row CSV
+loop and the per-point screen mapping the `simulate` command and its plots
+once used, kept to pin the table and array forms that replaced them.
 """
 
 from fractions import Fraction
@@ -471,3 +473,31 @@ def full_tableau_simplex(lp: LinearProgram) -> LpSolution:
         return LpSolution(LpStatus.ITERATION_LIMIT)
     z = extract()
     return LpSolution(LpStatus.OPTIMAL, primal=z, objective_value=float(lp.objective @ z))
+
+
+def simulate_rows_loop(f_matrix, gain, cset, x0, steps):
+    """The CSV rows of `simulate` built one step at a time: t, then x(t),
+    u = K x(t) and V(x(t)) = max_i |row_i(S) x(t)| as the repr of each
+    number, with x(t+1) = F x(t)."""
+    rows = []
+    x = np.asarray(x0, dtype=float)
+    for t in range(steps + 1):
+        rows.append([str(t)] + [repr(float(v)) for v in x]
+                    + [repr(float(v)) for v in gain @ x]
+                    + [repr(float(np.max(np.abs(cset.h_matrix @ x))))])
+        x = f_matrix @ x
+    return rows
+
+
+def frame_points(points, xlim, ylim, width=640, height=480):
+    """An SVG points list, each world point mapped to the screen on its own,
+    x onto [0, width] and y flipped onto [height, 0], and formatted to two
+    decimals."""
+    (x0, x1), (y0, y1) = xlim, ylim
+
+    def to_screen(pt):
+        sx = (pt[0] - x0) / (x1 - x0) * width
+        sy = (y1 - pt[1]) / (y1 - y0) * height
+        return sx, sy
+
+    return " ".join(f"{sx:.2f},{sy:.2f}" for sx, sy in map(to_screen, points))

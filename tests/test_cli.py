@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from ddinv import __version__, cli, fileio
 from ddinv.experiment import PlantModel, simulate_closed_loop
 from ddinv.polytopes import InputPolytope, validate_cset
-from ddinv.verification import find_certificate_matrix
+from ddinv.verification import closed_loop, find_certificate_matrix
 
 DEMO_CONFIG = {
     "model": {"A": [[0.8, 0.5], [-0.4, 1.2]], "B": [[0.0], [1.0]]},
@@ -440,14 +441,21 @@ def test_simulate_checks_certificate_shapes(tmp_path, demo_problem, capsys, fiel
     assert not (tmp_path / "run.csv").exists()
 
 
-def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
-    model = DEMO_CONFIG["model"]
+def _plant_problem(tmp_path, config=DEMO_CONFIG):
+    """A problem file with the config's plant and sets and no data."""
+    model = config["model"]
     spec = fileio.ProblemSpec(
-        state_set=validate_cset(np.array(DEMO_CONFIG["state_set"])),
-        input_set=InputPolytope(np.array(DEMO_CONFIG["input_set"])),
-        lam=0.84, model=PlantModel(np.array(model["A"]), np.array(model["B"])))
+        state_set=validate_cset(np.array(config["state_set"])),
+        input_set=InputPolytope(np.array(config["input_set"])),
+        lam=config["lambda"], model=PlantModel(np.array(model["A"]), np.array(model["B"])))
     problem = str(tmp_path / "problem.json")
     fileio.save_problem(spec, problem)
+    return problem
+
+
+def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
+    model = DEMO_CONFIG["model"]
+    problem = _plant_problem(tmp_path)
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
     assert cli.main(["verify", problem, cert_path]) == 0
@@ -460,6 +468,74 @@ def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
     states, _ = simulate_closed_loop(plant, fileio.load_certificate(cert_path)[0].gain,
                                      [6.0, -0.5], 30)
     np.testing.assert_allclose(rows[:, 1:3], states, rtol=1e-12, atol=1e-12)
+
+
+CUBE_CONFIG = {
+    "model": {"A": [[0.5, 0.2, 0.0], [0.0, 0.6, 0.3], [0.1, 0.0, 0.7]],
+              "B": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]},
+    "state_set": np.vstack([np.eye(3), -np.eye(3), [[0.6, 0.6, 0.0], [-0.6, -0.6, 0.0]]]).tolist(),
+    "input_set": np.vstack([np.eye(2), -np.eye(2)]).tolist(),
+    "lambda": 0.95,
+    "samples": 30,
+    "seed": 3,
+    "input_amplitude": 1.0,
+}
+
+
+@pytest.mark.parametrize("route, start, steps", [
+    ("data", "6,-0.5", 30), ("data", "-4,1.9", 200), ("data", "0.3,0.1", 1),
+    ("model", "6,-0.5", 30), ("cube", "0.5,-0.3,0.2", 40)])
+def test_simulate_csv_matches_the_row_by_row_loop(tmp_path, demo_problem, route, start, steps):
+    if route == "cube":
+        problem = str(tmp_path / "cube.json")
+        assert cli.main(["generate", _write_config(tmp_path, CUBE_CONFIG, "cube_config.json"),
+                         "--out", problem]) == 0
+    else:
+        problem = demo_problem if route == "data" else _plant_problem(tmp_path)
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", problem, cert_path, "--x0", start, "--steps", str(steps),
+                     "--out", prefix, "--format", "csv"]) == 0
+    spec = fileio.load_problem(problem)
+    certificate, _ = fileio.load_certificate(cert_path)
+    with open(prefix + ".csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == oracles.simulate_rows_loop(
+        closed_loop(certificate, spec.data, spec.model), certificate.gain, spec.state_set,
+        [float(v) for v in start.split(",")], steps)
+
+
+def test_overflowing_rollout_exits_one_and_writes_nothing(tmp_path, capsys):
+    problem = _plant_problem(tmp_path)
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
+    record, digest = fileio.load_certificate(cert_path)
+    record.gain = np.array([[3.0, 3.0]])
+    fileio.save_certificate(record, cert_path, {}, digest)
+    capsys.readouterr()
+    assert cli.main(["simulate", problem, cert_path, "--x0", "1,0", "--steps", "1000",
+                     "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    step = re.fullmatch(r"error: the closed loop overflows: step (\d+) of the rollout "
+                        r"is not finite\n", captured.err)
+    assert step and captured.out == ""
+    assert not list(tmp_path.glob("run*"))
+    # the step named is the first whose row would not be finite
+    for steps, code in ((int(step.group(1)) - 1, 0), (int(step.group(1)), 1)):
+        assert cli.main(["simulate", problem, cert_path, "--x0", "1,0", "--steps", str(steps),
+                         "--out", str(tmp_path / "short"), "--format", "csv"]) == code
+
+
+def test_one_sided_input_set_plots_finite_coordinates(tmp_path):
+    problem = _plant_problem(tmp_path, {**DEMO_CONFIG, "input_set": [[1.0 / 7.0]]})
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
+    prefix = str(tmp_path / "run")
+    assert cli.main(["simulate", problem, cert_path, "--x0", "6,-0.5", "--steps", "30",
+                     "--out", prefix]) == 0
+    text = Path(prefix + "_input.svg").read_text()
+    assert "nan" not in text and "inf" not in text
 
 
 def _zero_samples(raw, _):

@@ -181,6 +181,40 @@ def test_construction_validation():
                          lower_bounds=[1.0], upper_bounds=[0.0])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ineq_lhs", [[np.nan]]), ("ineq_rhs", [np.nan]), ("ineq_lhs", [[np.inf]]),
+    ("ineq_rhs", [-np.inf]), ("objective", [np.nan]), ("objective", [-np.inf]),
+    ("eq_lhs", [[np.nan]]), ("eq_rhs", [np.inf]), ("lower_bounds", [np.nan]),
+    ("upper_bounds", [np.nan])])
+def test_non_finite_program_data_is_refused(field, value):
+    # minimize -z over z >= 0, z <= 1, z = 0.5: a NaN coefficient in z <= 1
+    # used to give UNBOUNDED, and a NaN right-hand side a ratio-test crash
+    program = dict(num_vars=1, objective=[-1.0], eq_lhs=[[1.0]], eq_rhs=[0.5],
+                   ineq_lhs=[[1.0]], ineq_rhs=[1.0], lower_bounds=[0.0])
+    program[field] = value
+    with pytest.raises(ValueError, match="NaN|finite"):
+        lp.LinearProgram(**program)
+
+
+def test_infinite_bounds_are_accepted():
+    prob = lp.LinearProgram(num_vars=2, objective=[1.0, 1.0], ineq_lhs=[[-1.0, -1.0]],
+                            ineq_rhs=[-1.0], lower_bounds=[0.0, -np.inf],
+                            upper_bounds=[np.inf, 2.0])
+    assert lp.solve(prob).status == lp.LpStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("layout, name", [(np.asfortranarray, "Fortran-ordered"),
+                                          (lambda tab: tab[:, ::2], "non-contiguous")])
+def test_pivot_refuses_a_tableau_that_is_not_c_ordered(layout, name):
+    # the dense update writes through the transpose, so on any layout but C
+    # order it would pivot a copy and leave the tableau as it was
+    tab = layout(np.random.default_rng(6).normal(size=(8, 13)))
+    before = tab.copy()
+    with pytest.raises(ValueError, match=f"C-ordered, got a {name} one"):
+        lp._pivot(tab, 2, 3, tab.shape[1], True)
+    assert np.array_equal(tab, before)
+
+
 def _exchange_cases(rng, share, basic_share=0.2):
     """Full tableaux [columns | rhs] with the cost row last, a unit column for
     the basic variable of every other row (about basic_share of the

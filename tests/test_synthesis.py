@@ -151,11 +151,11 @@ def test_robust_box_problem_sound():
     assert report.all_ok()
 
 
-def test_robust_row_budget_warning(demo_state_set, demo_input_set, demo_data):
+def test_robust_row_budget_warning(demo_state_set, demo_input_set, demo_data, monkeypatch):
     dset = DisturbanceSet(0.01 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]))
+    monkeypatch.setattr(synthesis, "ROBUST_ROW_CAP", 100)
     with pytest.warns(UserWarning):
-        synthesis.build_robust_lp(demo_data, demo_state_set, demo_input_set,
-                                  dset, row_cap=100)
+        synthesis.build_robust_lp(demo_data, demo_state_set, demo_input_set, dset)
 
 
 def test_problem_validation():
@@ -390,16 +390,18 @@ def test_pruned_robust_program_has_the_highs_verdict_of_the_full_one():
     assert verdicts.count(0) >= 4 and verdicts.count(2) >= 4
 
 
-def test_row_cap_counts_the_rows_built():
+def test_row_cap_counts_the_rows_built(monkeypatch):
     # box state set and box disturbance: 32 T + 8 rows once pruned, 64 T + 8
     # before, so a cap of 296 at T = 9 separates the two counts
     rng = np.random.default_rng(4)
     data = build_data_matrices(rng.normal(size=(9, 1)), rng.normal(size=(10, 2)))
     args = (data, validate_cset(BOX), InputPolytope([[0.2], [-0.2]]),
             DisturbanceSet(0.02 * BOX_CORNERS))
+    monkeypatch.setattr(synthesis, "ROBUST_ROW_CAP", 296)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        program = synthesis.build_robust_lp(*args, row_cap=296)
+        program = synthesis.build_robust_lp(*args)
     assert program.ineq_lhs.shape[0] == 296
+    monkeypatch.setattr(synthesis, "ROBUST_ROW_CAP", 295)
     with pytest.warns(UserWarning, match="has 296 inequality rows"):
-        synthesis.build_robust_lp(*args, row_cap=295)
+        synthesis.build_robust_lp(*args)
