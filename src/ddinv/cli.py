@@ -291,6 +291,26 @@ def _cmd_simulate(args) -> int:
         return _fail(f"the closed loop overflows: step {int(overflow.argmax())} "
                      "of the rollout is not finite")
 
+    # the scenes are drawn before any file is written, so a rollout that
+    # cannot be plotted leaves no files behind
+    scenes = []
+    if args.format in (None, "svg"):
+        try:
+            if state_set.dim == 2:
+                lam = certificate.lam if certificate.lam < 1.0 else None
+                scenes.append((args.out + ".svg", svgplot.state_plane_svg(
+                    ordered_vertices_2d(state_set), lam=lam, trajectory=states,
+                    title=f"closed-loop trajectory, lambda {certificate.lam:.4g}")))
+            else:
+                print("state-plane plot skipped: set is not two-dimensional",
+                      file=sys.stderr)
+            if input_set.dim == 1:
+                lower, upper = _input_bounds(input_set.h_matrix)
+                scenes.append((args.out + "_input.svg", svgplot.input_signal_svg(
+                    table[:-1, state_set.dim], lower, upper, title="input signal and bounds")))
+        except ValueError as exc:
+            return _fail(f"cannot plot the rollout: {exc}")
+
     wrote = []
     if args.format in (None, "csv"):
         path = args.out + ".csv"
@@ -303,20 +323,6 @@ def _cmd_simulate(args) -> int:
         except OSError as exc:
             return _fail(f"cannot write {path}: {exc}")
         wrote.append(path)
-    scenes = []
-    if args.format in (None, "svg"):
-        if state_set.dim == 2:
-            lam = certificate.lam if certificate.lam < 1.0 else None
-            scenes.append((args.out + ".svg", svgplot.state_plane_svg(
-                ordered_vertices_2d(state_set), lam=lam, trajectory=states,
-                title=f"closed-loop trajectory, lambda {certificate.lam:.4g}")))
-        else:
-            print("state-plane plot skipped: set is not two-dimensional",
-                  file=sys.stderr)
-        if input_set.dim == 1:
-            lower, upper = _input_bounds(input_set.h_matrix)
-            scenes.append((args.out + "_input.svg", svgplot.input_signal_svg(
-                table[:-1, state_set.dim], lower, upper, title="input signal and bounds")))
     for path, scene in scenes:
         try:
             with open(path, "w", encoding="utf-8") as fh:

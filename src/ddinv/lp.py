@@ -31,6 +31,21 @@ variable index, an argmin of slots over the eligible columns, so they pick
 the column the full tableau, whose columns stand in variable order, would
 pick.
 
+An iteration makes those decisions with few numpy calls and no 2-d fancy
+indexing. The cost row and the rhs column are views taken once per run;
+every pivot updates the tableau in place, so they stay current, and the
+clip of basic values to zero writes through the rhs view. Dantzig ties
+come from one nonzero over the cost row. The ratio test gathers the
+eligible entries of the entering column and their right-hand sides once,
+as 1-d arrays, and picks the leaving row's position among them; it reads
+a minimum ratio at its argmin, which skips the Python-level wrapper of
+numpy's min and compares alike (a NaN or a zero of either sign gives the
+same comparisons). The degeneracy step is the ratio at that position: the same division of the
+row's rhs by its pivot entry as reading both back from the tableau, so
+the switch to Bland's rule comes at the same iteration. Every pivot is a
+call of the module global _pivot, never of an alias bound earlier, so a
+wrapper set on the module (a pivot budget, a tracer) sees each one.
+
 A pivot subtracts other[i] * row[j] from every entry tab[i, j]. How it
 rounds is decided on the full tableau: its width, and the pivot row's
 nonzero count there, the count here plus the leaving variable's 1 / pivot.
@@ -184,25 +199,26 @@ def _pivot(tab, row, col, width, keep_leaving):
     if not tab.flags.c_contiguous:
         layout = "Fortran-ordered" if tab.flags.f_contiguous else "non-contiguous"
         raise ValueError(f"the tableau must be C-ordered, got a {layout} one")
-    pivot = tab[row, col]
-    tab[row] /= pivot
+    prow = tab[row]
+    pivot = prow[col]
+    prow /= pivot
     other = tab[:, col].copy()
     other[row] = 0.0
-    nonzero = np.count_nonzero(tab[row])
+    nonzero = np.count_nonzero(prow)
     if nonzero + keep_leaving > SPARSE_PIVOT_SHARE * width:
-        dger(-1.0, tab[row].copy(), other, a=tab.T, overwrite_a=True)
+        dger(-1.0, prow.copy(), other, a=tab.T, overwrite_a=True)
     elif nonzero <= SPARSE_PIVOT_SHARE * tab.shape[1] or not np.isfinite(other).all():
-        cols = np.flatnonzero(tab[row])
-        tab[:, cols] -= np.outer(other, tab[row, cols])
+        cols = np.flatnonzero(prow)
+        tab[:, cols] -= np.outer(other, prow[cols])
     else:
         # most columns change: one pass over all of them is cheaper than
         # gathering them, and a zero of the row subtracts a zero product
         # (which a non-finite `other` would not give, hence the test above)
-        tab -= np.outer(other, tab[row])
+        tab -= np.outer(other, prow)
     if keep_leaving:
         inverse = 1.0 / pivot
-        tab[:, col] = other * -inverse
-        tab[row, col] = inverse
+        np.multiply(other, -inverse, out=tab[:, col])
+        prow[col] = inverse
     else:
         tab[:, col] = 0.0
 
@@ -213,9 +229,10 @@ def _run_simplex(tab, basis, slots, nrows, width, iter_cap):
     width is the full tableau's column count. Returns 'optimal', 'unbounded'
     or 'iteration_limit'."""
     n_real = width - 1
+    costs = tab[-1, :-1]
+    rhs = tab[:nrows, -1]
     degenerate_run = 0
     for _ in range(iter_cap):
-        costs = tab[-1, :-1]
         bland = degenerate_run >= BLAND_AFTER
         # ties go to the lowest variable index, as in a tableau whose columns
         # stand in variable order
@@ -226,38 +243,36 @@ def _run_simplex(tab, basis, slots, nrows, width, iter_cap):
             col = int(below[slots[below].argmin()])
         else:
             col = int(costs.argmin())
-            least = costs[col]
-            if least >= -TOL_PIVOT:
+            if costs[col] >= -TOL_PIVOT:
                 return "optimal"
-            tied = costs == least
-            if np.count_nonzero(tied) > 1:
-                tied = tied.nonzero()[0]
+            tied = (costs == costs[col]).nonzero()[0]
+            if tied.size > 1:
                 col = int(tied[slots[tied].argmin()])
         colvals = tab[:nrows, col]
-        eligible = np.where(colvals > TOL_PIVOT)[0]
-        if eligible.size == 0:
+        eligible = (colvals > TOL_PIVOT).nonzero()[0]
+        if not eligible.size:
             return "unbounded"
-        rhs = tab[eligible, -1]
-        ratios = rhs / colvals[eligible]
+        entries, values = colvals[eligible], rhs[eligible]
+        ratios = values / entries
         if bland:
             # exact minimum-ratio ties broken by lowest basis index; the
             # index rule is what makes the cycling guarantee hold
-            ties = eligible[ratios <= ratios.min() + 1e-12]
-            row = int(ties[np.argmin(basis[ties])])
+            ties = (ratios <= ratios[ratios.argmin()] + 1e-12).nonzero()[0]
+            pick = ties[basis[eligible[ties]].argmin()]
         else:
             # two-pass ratio test: any row whose ratio keeps every basic
             # value above -TOL_FEAS may leave, and the largest pivot entry
             # in that window wins. Near-threshold pivots wreck the tableau
             # scale within a handful of iterations otherwise.
-            limit = ((rhs + TOL_FEAS) / colvals[eligible]).min()
-            window = eligible[ratios <= limit]
-            row = int(window[np.argmax(colvals[window])])
-        step = tab[row, -1] / tab[row, col]
-        degenerate_run = degenerate_run + 1 if step < 1e-12 else 0
+            limits = (values + TOL_FEAS) / entries
+            window = (ratios <= limits[limits.argmin()]).nonzero()[0]
+            pick = window[entries[window].argmax()]
+        row = int(eligible[pick])
+        degenerate_run = degenerate_run + 1 if ratios[pick] < 1e-12 else 0
         _pivot(tab, row, col, width, basis[row] < n_real)
         basis[row], slots[col] = slots[col], basis[row]
         # the relaxed test can leave basic values a hair below zero
-        np.maximum(tab[:nrows, -1], 0.0, out=tab[:nrows, -1])
+        np.maximum(rhs, 0.0, out=rhs)
     return "iteration_limit"
 
 

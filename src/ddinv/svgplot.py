@@ -17,11 +17,17 @@ SHRINK_FLOOR = 0.05
 
 def _coords(points, xlim, ylim) -> list:
     """Screen coordinates of the world points of a (k, 2) array, as pairs of
-    strings: xlim maps onto [0, WIDTH] and ylim onto [HEIGHT, 0]."""
+    strings: xlim maps onto [0, WIDTH] and ylim onto [HEIGHT, 0]. Finite
+    points or limits near the end of the float range can overflow the
+    mapping; that is a ValueError, not an inf in the scene."""
     points = np.asarray(points, dtype=float)
     (x0, x1), (y0, y1) = xlim, ylim
-    screen = np.column_stack([(points[:, 0] - x0) / (x1 - x0) * WIDTH,
-                              (y1 - points[:, 1]) / (y1 - y0) * HEIGHT])
+    with np.errstate(over="ignore", invalid="ignore"):
+        span_x, span_y = x1 - x0, y1 - y0
+        screen = np.column_stack([(points[:, 0] - x0) / span_x * WIDTH,
+                                  (y1 - points[:, 1]) / span_y * HEIGHT])
+    if not (np.isfinite([span_x, span_y]).all() and np.isfinite(screen).all()):
+        raise ValueError("the scene reaches too far out for finite screen coordinates")
     return [(f"{sx:.2f}", f"{sy:.2f}") for sx, sy in screen.tolist()]
 
 

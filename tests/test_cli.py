@@ -3,6 +3,7 @@ import json
 import re
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -506,13 +507,20 @@ def test_simulate_csv_matches_the_row_by_row_loop(tmp_path, demo_problem, route,
         [float(v) for v in start.split(",")], steps)
 
 
-def test_overflowing_rollout_exits_one_and_writes_nothing(tmp_path, capsys):
+def _unstable_certificate(tmp_path):
+    """The demo plant's problem file and a certificate whose gain [[3, 3]]
+    makes the closed loop grow about 4.5-fold a step."""
     problem = _plant_problem(tmp_path)
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
     record, digest = fileio.load_certificate(cert_path)
     record.gain = np.array([[3.0, 3.0]])
     fileio.save_certificate(record, cert_path, {}, digest)
+    return problem, cert_path
+
+
+def test_overflowing_rollout_exits_one_and_writes_nothing(tmp_path, capsys):
+    problem, cert_path = _unstable_certificate(tmp_path)
     capsys.readouterr()
     assert cli.main(["simulate", problem, cert_path, "--x0", "1,0", "--steps", "1000",
                      "--out", str(tmp_path / "run")]) == 1
@@ -525,6 +533,29 @@ def test_overflowing_rollout_exits_one_and_writes_nothing(tmp_path, capsys):
     for steps, code in ((int(step.group(1)) - 1, 0), (int(step.group(1)), 1)):
         assert cli.main(["simulate", problem, cert_path, "--x0", "1,0", "--steps", str(steps),
                          "--out", str(tmp_path / "short"), "--format", "csv"]) == code
+
+
+@pytest.mark.parametrize("steps", [467, 468])
+def test_rollout_too_large_to_plot_exits_one_and_writes_nothing(tmp_path, capsys, steps):
+    # the rollout of the test above is still finite at these steps, near
+    # 1e307, but mapping it onto the state plane overflows: a clean error,
+    # no warning and no file, as for a rollout that overflows itself
+    problem, cert_path = _unstable_certificate(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt in ([], ["--format", "svg"]):
+            assert cli.main(["simulate", problem, cert_path, "--x0", "1,0", "--steps", str(steps),
+                             "--out", str(tmp_path / "run"), *fmt]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: cannot plot the rollout: the scene reaches too far "
+                                    "out for finite screen coordinates\n")
+            assert not list(tmp_path.glob("run*"))
+        # the table itself is finite, so the CSV alone is written
+        assert cli.main(["simulate", problem, cert_path, "--x0", "1,0", "--steps", str(steps),
+                         "--out", str(tmp_path / "run"), "--format", "csv"]) == 0
+    assert [path.name for path in tmp_path.glob("run*")] == ["run.csv"]
 
 
 def test_one_sided_input_set_plots_finite_coordinates(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgeqp3
 
-from ddinv import experiment
+from ddinv import experiment, numerics
 from ddinv.numerics import numerical_rank
 from generators import controllability_matrix, is_controllable, random_controllable_plant
 
@@ -193,6 +194,38 @@ def test_numerical_rank_matches_the_scipy_qr_form():
     assert len(set(ranks)) >= 5
     with pytest.raises(ValueError):
         numerical_rank([[1.0, np.nan]])
+
+
+def test_one_workspace_query_per_shape_gives_the_same_rank_and_r():
+    # the workspace is queried once per shape; R, and so the rank, carry the
+    # bits of a dgeqp3 call with the workspace queried for that very matrix
+    rng = np.random.default_rng(29)
+    mats = [rng.normal(size=shape) for shape in ((2, 2), (3, 2), (24, 2), (200, 150))]
+    mats.append(rng.normal(size=(24, 3)) @ rng.normal(size=(3, 8)))
+    for mat in mats:
+        queried = int(dgeqp3(mat, lwork=-1)[3][0])
+        assert numerics._qr_workspace(*mat.shape) == queried
+        r_matrix = dgeqp3(mat, lwork=queried)[0]
+        cached = dgeqp3(mat, lwork=numerics._qr_workspace(*mat.shape))[0]
+        assert cached.tobytes() == r_matrix.tobytes()
+        diag = np.abs(np.diag(r_matrix))
+        assert numerical_rank(mat) == int(np.sum(diag > numerics.RANK_TOL_FACTOR * diag[0]))
+    assert [numerical_rank(mat) for mat in mats] == [2, 2, 2, 150, 3]
+
+
+def test_rank_calls_on_one_shape_query_the_workspace_once(monkeypatch):
+    calls = []
+
+    def counted(mat, lwork):
+        calls.append(lwork)
+        return dgeqp3(mat, lwork=lwork)
+
+    monkeypatch.setattr(numerics, "dgeqp3", counted)
+    numerics._qr_workspace.cache_clear()
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        numerical_rank(rng.normal(size=(7, 3)))
+    assert calls[0] == -1 and -1 not in calls[1:] and len(calls) == 6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -452,6 +452,26 @@ def _robust_programs(rng):
     return programs
 
 
+def _kgon_programs(rng, per_shape=2):
+    """Level minimizations shaped as the benchmark's: noise-free data from a
+    plant of spectral radius 1, a regular k-gon and the input interval
+    [-2, 2]. Most of their iterations run under Bland's rule, and some spin
+    until the iteration cap."""
+    programs = []
+    for k in (8, 16, 24):
+        angles = 2.0 * np.pi * np.arange(k) / k
+        cset = validate_cset(np.column_stack([np.cos(angles), np.sin(angles)]))
+        for samples in (20, 40):
+            for _ in range(per_shape):
+                plant = random_controllable_plant(rng, 2, 1, spectral_radius=1.0)
+                inputs = random_input_sequence(rng, samples, 1)
+                data = build_data_matrices(
+                    inputs, simulate(plant, rng.uniform(-0.5, 0.5, 2), inputs))
+                programs.append(synthesis.build_databased_lp(
+                    data, cset, InputPolytope([[0.5], [-0.5]]), None))
+    return programs
+
+
 def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
     # the full [structural | slack | rhs] tableau in oracles makes the same
     # pivots and returns the same points, bit for bit; where its phase one
@@ -462,6 +482,7 @@ def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
                 + [lp_with_known_point(rng)[0] for _ in range(30)]
                 + [unbounded_lp(rng) for _ in range(10)]
                 + _data_programs(rng, 12) + _robust_programs(rng) + [_degenerate_program()])
+    kgon_programs = _kgon_programs(rng)
     pivots = {"condensed": 0, "full": 0}
 
     def counting(name, original):
@@ -475,7 +496,8 @@ def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
                         counting("full", oracles.full_tableau_pivot))
     renamed = {lp.LpStatus.PHASE_ONE_BREAKDOWN: lp.LpStatus.ITERATION_LIMIT}
     seen = set()
-    for program in programs:
+
+    def same_as_full_tableau(program):
         sol, ref = lp.solve(program), oracles.full_tableau_solve(program)
         seen.add(sol.status)
         assert renamed.get(sol.status, sol.status) == ref.status
@@ -484,8 +506,56 @@ def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
         assert sol.objective_value == ref.objective_value
         assert sol.residual == ref.residual
         assert pivots["condensed"] == pivots["full"]
+
+    for program in programs:
+        same_as_full_tableau(program)
     assert {lp.LpStatus.OPTIMAL, lp.LpStatus.FEASIBLE, lp.LpStatus.INFEASIBLE,
             lp.LpStatus.UNBOUNDED} <= seen
+    # the benchmark-shaped minimizations, under a cap of twice the
+    # tableau's rows and columns per phase, so that a spin stays short
+    monkeypatch.setattr(lp, "ITER_FACTOR", 2)
+    monkeypatch.setattr(oracles, "ITER_FACTOR", 2)
+    seen.clear()
+    for program in kgon_programs:
+        same_as_full_tableau(program)
+    assert {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE, lp.LpStatus.ITERATION_LIMIT} <= seen
+
+
+def test_a_patched_pivot_sees_every_pivot_of_a_level_minimization(monkeypatch):
+    # the benchmark's pivot budget and tracer wrap lp._pivot. This 24-gon
+    # minimization on 40 samples runs most of its several hundred pivots
+    # under Bland's rule: a wrapper sees as many as the full tableau makes,
+    # and one that stops the solve at the last of them stops it there
+    program = _kgon_programs(np.random.default_rng(5), per_shape=1)[-1]
+    full = 0
+    full_pivot, pivot = oracles.full_tableau_pivot, lp._pivot
+
+    def counted(*args):
+        nonlocal full
+        full += 1
+        return full_pivot(*args)
+
+    monkeypatch.setattr(oracles, "full_tableau_pivot", counted)
+    assert oracles.full_tableau_solve(program).status == lp.LpStatus.OPTIMAL
+    calls = _count_pivots(monkeypatch)
+    assert lp.solve(program).status == lp.LpStatus.OPTIMAL
+    assert len(calls) == full > 100
+
+    class Stop(BaseException):
+        pass
+
+    left = full
+
+    def budget(*args):
+        nonlocal left
+        left -= 1
+        if left == 0:
+            raise Stop()
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", budget)
+    with pytest.raises(Stop):
+        lp.solve(program)
 
 
 def test_robust_tableau_keeps_no_slack_identity(monkeypatch):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -63,3 +64,19 @@ def test_input_band_with_an_open_side_has_only_finite_coordinates(lower, upper, 
     scene = svgplot.input_signal_svg(u, lower, upper)
     assert "nan" not in scene and "inf" not in scene
     assert scene.count('stroke-dasharray="6 4"') == np.isfinite([lower, upper]).sum()
+
+
+def test_points_too_far_out_for_the_screen_are_refused(demo_state_set):
+    # finite points near the end of the float range overflow the mapping
+    # onto the screen: both scenes refuse them, without a warning, rather
+    # than draw inf coordinates
+    verts = ordered_vertices_2d(demo_state_set)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite screen coordinates"):
+            svgplot.state_plane_svg(verts, trajectory=[[1.0, 0.0], [1e307, -1e307]])
+        # here the scale's span, 2.3 times the largest input, overflows
+        with pytest.raises(ValueError, match="finite screen coordinates"):
+            svgplot.input_signal_svg([0.5, 1e308], -1.0, 1.0)
+        scene = svgplot.input_signal_svg([0.5, 1e307], -1.0, 1.0)
+    assert "nan" not in scene and "inf" not in scene
