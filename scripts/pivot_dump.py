@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Fingerprint every instance of a benchmark workload, to show that a change
+to the solver leaves every pivot where it was.
+
+    python3 scripts/pivot_dump.py --workload robust_box --seed 7 --count 180 --out new.txt
+    python3 scripts/pivot_dump.py --compare old.txt new.txt
+
+A dump runs the first --count instances of the workload and seed from
+bench/workloads.py under the workload's pivot budget, as bench/run.py does,
+with ddinv imported from the src directory next to this script. It writes
+one line per instance: its index, its verdict, its pivot count and a sha256
+over the status, objective, residual and primal bytes of every lp.solve
+result, so the sign of a zero counts. On cli_rollout the hash also covers
+every file the chain wrote. Run the script from two checkouts to compare
+their solvers. --compare prints the instances whose lines differ and exits
+1 when any does.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _verdict(outcome):
+    if "error" in outcome:
+        return outcome["error"]
+    if "verdict" in outcome:
+        return outcome["verdict"]
+    return json.dumps(outcome["codes"], sort_keys=True, separators=(",", ":"))
+
+
+def dump(workload_name, seed, count, out):
+    sys.path.insert(0, str(ROOT / "bench"))
+    # bench's run module pins the BLAS threads before numpy is imported
+    import run as bench
+    import workloads
+
+    dd = bench.import_ddinv()
+    lp = dd.lp
+    workload = workloads.WORKLOADS[workload_name]
+    lines = [f"# {workload_name} seed {seed} count {count}"]
+    with tempfile.TemporaryDirectory() as workdir, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runner = bench.Runner(workload, seed, dd, workdir)
+        budgeted, solve = lp._pivot, lp.solve
+        pivots, digest = 0, None
+
+        def counted(*args):
+            nonlocal pivots
+            pivots += 1
+            return budgeted(*args)
+
+        def recorded(program):
+            sol = solve(program)
+            primal = b"-" if sol.primal is None else sol.primal.tobytes()
+            digest.update(f"{sol.status.value} {sol.objective_value!r} {sol.residual!r} ".encode())
+            digest.update(primal)
+            return sol
+
+        lp._pivot, lp.solve = counted, recorded
+        try:
+            for index in range(count):
+                inst = workload.make(seed, index, workdir)
+                pivots, digest = 0, hashlib.sha256()
+                outcome = runner.attempt(inst)[1]
+                written = [path for path in sorted(Path(workdir).iterdir())
+                           if path.name != f"config_{index}.json"]
+                for path in written:
+                    digest.update(path.name.encode() + b"\0" + path.read_bytes())
+                    path.unlink()
+                lines.append(f"{index}\t{_verdict(outcome)}\t{pivots}\t{digest.hexdigest()}")
+        finally:
+            lp._pivot, lp.solve = budgeted, solve
+    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return 0
+
+
+def _instances(path):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return {line.split("\t", 1)[0]: line for line in lines}
+
+
+def compare(path_a, path_b):
+    a, b = _instances(path_a), _instances(path_b)
+    keys = list(a) + [key for key in b if key not in a]
+    differ = [key for key in keys if a.get(key) != b.get(key)]
+    for key in differ:
+        print(f"{key}:\n  {path_a}: {a.get(key, '(missing)')}\n  {path_b}: {b.get(key, '(missing)')}")
+    print(f"{len(differ)} of {len(keys)} lines differ")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--count", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if None in (args.workload, args.seed, args.count, args.out):
+        parser.error("a dump needs --workload, --seed, --count and --out")
+    return dump(args.workload, args.seed, args.count, args.out)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,29 +46,35 @@ the switch to Bland's rule comes at the same iteration. Every pivot is a
 call of the module global _pivot, never of an alias bound earlier, so a
 wrapper set on the module (a pivot budget, a tracer) sees each one.
 
-A pivot subtracts other[i] * row[j] from every entry tab[i, j]. How it
-rounds is decided on the full tableau: its width, and the pivot row's
-nonzero count there, the count here plus the leaving variable's 1 / pivot.
-- Few nonzeros (the robust programs have 3-5%): each changed entry becomes
-  tab[i, j] - round(other[i] * row[j]), rounded twice, as numpy's outer
-  product and subtraction give it. Where the row is zero the product is
-  zero and the entry keeps its value, so only the nonzero columns are
-  updated, or all columns in one pass when the nonzero ones are more than
-  SPARSE_PIVOT_SHARE of those kept here (robust pivot rows are nearly full
-  here).
+A pivot subtracts other[i] * row[j] from every entry tab[i, j], in place,
+with one BLAS call on the tableau's transpose, which is Fortran-ordered, so
+the call writes straight into it. How it rounds is decided on the full
+tableau: its width, and the pivot row's nonzero count there, the count here
+plus the leaving variable's 1 / pivot.
+- Few nonzeros (the robust programs have 3-5%): one dgemm with inner
+  dimension one, C += alpha A B with alpha = -1, A = the pivot row and B =
+  the pivot column. The kernel forms each product before adding it, so
+  every entry becomes tab[i, j] - round(other[i] * row[j]), rounded twice,
+  as numpy's outer product and subtraction give it. It sums the product
+  onto +0.0 first, so a -0.0 product leaves a -0.0 entry as it was, where
+  numpy would give +0.0; no pivot decision reads the sign of a zero. Where
+  the row is zero the product is zero and the entry keeps its value; where
+  `other` is not finite it would be NaN, so then only the nonzero columns
+  are updated, by numpy.
 - More nonzeros (the nominal programs have 48-69%): BLAS dger, the rank-1
-  update A += alpha x y^T with alpha = -1, x = the pivot row and y = the
-  pivot column, on the tableau's transpose, which is Fortran-ordered, so
-  dger writes straight into it. Where the kernel fuses the multiply and
-  the add (scipy's OpenBLAS 0.3.30 does on an x86 Xeon with FMA), each
-  changed entry is rounded once: round(tab[i, j] - other[i] * row[j]).
-The branch a pivot takes thus decides its bits. The leaving column's
-entries, -round(other[i] * (1 / pivot)), are what either branch gives the
-full tableau's zero entries, so pivot sequences and points are the full
-tableau's bit for bit, up to the sign of an exact zero (tests/oracles.py
-keeps that tableau as the reference). They repeat exactly on one machine
-and BLAS kernel; a kernel without fused multiply-add rounds the dense
-branch twice and may take other pivots.
+  update A += alpha x y^T with the same alpha, x and y. Where the kernel
+  fuses the multiply and the add (scipy's OpenBLAS 0.3.31 does on an x86
+  Xeon with FMA), each changed entry is rounded once: round(tab[i, j] -
+  other[i] * row[j]).
+The branch a pivot takes thus decides its bits, and as with dger, the bits
+of the dgemm branch are those of the BLAS kernel: one whose k = 1 dgemm
+fuses would round that branch once (tests/test_lp.py checks the kernel).
+The leaving column's entries, -round(other[i] * (1 / pivot)), are what
+either branch gives the full tableau's zero entries, so pivot sequences and
+points are the full tableau's bit for bit, up to the sign of an exact zero
+(tests/oracles.py keeps that tableau as the reference). They repeat exactly
+on one machine and BLAS kernel; a kernel without fused multiply-add rounds
+the dense branch twice and may take other pivots.
 
 Every OPTIMAL or FEASIBLE point is checked against the program passed in
 before it is returned. A point that breaks a constraint by more than
@@ -83,7 +89,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemm, dger
 
 TOL_FEAS = 1e-8
 # residual above which a returned point counts as breaking its program; the
@@ -93,9 +99,9 @@ GUARD_TOL = 1e-6
 TOL_PIVOT = 1e-10
 BLAND_AFTER = 12
 ITER_FACTOR = 50
-# a pivot row with at most this share of nonzero columns updates only those;
-# measured break-even against the dense update on tableaux of 120x200 to
-# 2574x2734 lay between 0.11 and 0.23 of the columns
+# a pivot row with at most this share of nonzero columns on the full
+# tableau's width takes the twice-rounded update. It fixes which pivots
+# round once and which twice, so it decides pivots, not only speed
 SPARSE_PIVOT_SHARE = 0.2
 
 
@@ -193,8 +199,8 @@ def _pivot(tab, row, col, width, keep_leaving):
     `row`. The leaving variable takes over column col, which is zeroed when
     it is an artificial (keep_leaving false). The rounding branch is chosen
     on the full tableau of `width` columns, as the module docstring says.
-    tab must be C-ordered: the dense update writes through its
-    Fortran-ordered transpose, and on any other layout it would update a
+    tab must be C-ordered: the BLAS updates write through its
+    Fortran-ordered transpose, and on any other layout they would update a
     copy, so another layout is a ValueError."""
     if not tab.flags.c_contiguous:
         layout = "Fortran-ordered" if tab.flags.f_contiguous else "non-contiguous"
@@ -204,17 +210,17 @@ def _pivot(tab, row, col, width, keep_leaving):
     prow /= pivot
     other = tab[:, col].copy()
     other[row] = 0.0
-    nonzero = np.count_nonzero(prow)
-    if nonzero + keep_leaving > SPARSE_PIVOT_SHARE * width:
+    # the pivot row goes in as a copy: it is part of what the BLAS calls
+    # overwrite
+    if np.count_nonzero(prow) + keep_leaving > SPARSE_PIVOT_SHARE * width:
         dger(-1.0, prow.copy(), other, a=tab.T, overwrite_a=True)
-    elif nonzero <= SPARSE_PIVOT_SHARE * tab.shape[1] or not np.isfinite(other).all():
+    elif np.isfinite(other).all():
+        dgemm(-1.0, prow.copy()[:, None], other[None, :], beta=1.0, c=tab.T, overwrite_c=True)
+    else:
+        # a zero of the row times a non-finite entry of `other` is NaN, not
+        # the zero product that leaves the entry as it was
         cols = np.flatnonzero(prow)
         tab[:, cols] -= np.outer(other, prow[cols])
-    else:
-        # most columns change: one pass over all of them is cheaper than
-        # gathering them, and a zero of the row subtracts a zero product
-        # (which a non-finite `other` would not give, hence the test above)
-        tab -= np.outer(other, prow)
     if keep_leaving:
         inverse = 1.0 / pivot
         np.multiply(other, -inverse, out=tab[:, col])

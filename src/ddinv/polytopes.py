@@ -95,11 +95,21 @@ class DisturbanceSet:
             eq_rhs=rhs,
             lower_bounds=np.zeros(nd),
         )
-        return lp.solve(prob).status == lp.LpStatus.FEASIBLE
+        return _feasible(prob, "disturbance hull check")
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
+
+
+def _feasible(prob: lp.LinearProgram, what: str) -> bool:
+    """True when the feasibility program prob has a point, False when it has
+    none. Any other outcome answers neither, and raises a PolytopeError that
+    names the solver's status."""
+    status = lp.solve(prob).status
+    if status not in (lp.LpStatus.FEASIBLE, lp.LpStatus.INFEASIBLE):
+        raise PolytopeError(f"{what} failed: the solver returned {status.value}")
+    return status == lp.LpStatus.FEASIBLE
 
 
 def _check_bounded(h_matrix: np.ndarray):
@@ -111,7 +121,7 @@ def _check_bounded(h_matrix: np.ndarray):
     prob = lp.LinearProgram(num_vars=n_rows, objective=np.zeros(n_rows),
                             eq_lhs=h_matrix.T, eq_rhs=np.zeros(n),
                             lower_bounds=np.ones(n_rows))
-    if lp.solve(prob).status != lp.LpStatus.FEASIBLE:
+    if not _feasible(prob, "boundedness check"):
         raise UnboundedSetError("set is unbounded: its rows do not positively span the space")
 
 

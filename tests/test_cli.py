@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from ddinv import __version__, cli, fileio
+from ddinv import __version__, cli, fileio, lp
 from ddinv.experiment import PlantModel, simulate_closed_loop
 from ddinv.polytopes import InputPolytope, validate_cset
 from ddinv.verification import closed_loop, find_certificate_matrix
@@ -330,6 +330,37 @@ def test_generate_rejects_non_finite_start(tmp_path, capsys):
     cfg.write_text(json.dumps({**DEMO_CONFIG, "x0": [float("nan"), 0.0]}))
     assert cli.main(["generate", str(cfg), "--out", str(tmp_path / "p.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_failed_set_check_solve_exits_one_naming_the_status(tmp_path, monkeypatch, capsys):
+    # a boundedness solve that gives up says nothing about the set: generate
+    # exits 1 naming the solver's status, not "set is unbounded"
+    cfg = _write_config(tmp_path, DEMO_CONFIG)
+    out = tmp_path / "problem.json"
+    monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(lp.LpStatus.ITERATION_LIMIT))
+    assert cli.main(["generate", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: bad config: boundedness check failed: "
+                                       "the solver returned iteration_limit\n")
+    assert not out.exists()
+
+
+def test_failed_hull_solve_on_load_exits_one_naming_the_status(tmp_path, monkeypatch, capsys):
+    # loading a robust problem checks the state set (one solve), then the
+    # disturbance hull; the hull solve breaks down here
+    cfg = _write_config(tmp_path, ROBUST_CONFIG)
+    problem = str(tmp_path / "problem.json")
+    assert cli.main(["generate", cfg, "--out", problem]) == 0
+    capsys.readouterr()
+    solve, calls = lp.solve, []
+
+    def failing_after_the_first(prob):
+        calls.append(prob)
+        return solve(prob) if len(calls) == 1 else lp.LpSolution(lp.LpStatus.PHASE_ONE_BREAKDOWN)
+
+    monkeypatch.setattr(lp, "solve", failing_after_the_first)
+    assert cli.main(["synthesize", problem, "--out", str(tmp_path / "cert.json")]) == 1
+    assert capsys.readouterr().err == ("error: invalid problem: disturbance hull check failed: "
+                                       "the solver returned phase_one_breakdown\n")
 
 
 @pytest.mark.parametrize("mutate", [

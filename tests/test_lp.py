@@ -300,6 +300,67 @@ def test_pivot_on_mostly_basic_tableau_matches_dense_reference():
         assert _exchange(case, [dense_pivot], artificial=True) == [True]
 
 
+def _sparse_row_case(rng, shape):
+    """A tableau with zeros of both signs, a pivot (row, col) and a full
+    tableau width that sends the pivot to the twice-rounded update."""
+    tab = rng.normal(size=shape)
+    tab[rng.random(size=shape) < 0.2] = 0.0
+    tab[rng.random(size=shape) < 0.1] = -0.0
+    row, col = int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1] - 1))
+    tab[row, col] = rng.uniform(0.5, 2.0)
+    return tab, row, col, 10 * shape[1]
+
+
+def _twice_rounded_reference(tab, row, col, zero_product):
+    """The pivot as numpy's outer product and subtraction give it, every
+    column updated in one pass, then the leaving variable's column. The
+    products pass through zero_product before they are subtracted."""
+    expected = tab.copy()
+    pivot = expected[row, col]
+    expected[row] /= pivot
+    other = expected[:, col].copy()
+    other[row] = 0.0
+    expected = expected - zero_product(np.outer(other, expected[row]))
+    expected[:, col] = other * -(1.0 / pivot)
+    expected[row, col] = 1.0 / pivot
+    return expected
+
+
+@pytest.mark.parametrize("shape", [(1293, 161), (392, 49), (126, 738), (5, 7), (1, 9)])
+def test_sparse_row_update_rounds_as_the_numpy_outer_product(shape):
+    # the update runs as one BLAS dgemm of inner dimension one, which on
+    # this kernel forms each product before adding it: every entry carries
+    # the bits of numpy's outer product and subtraction. A kernel that fused
+    # the two would round once and move pivots of the robust programs. The
+    # one exception is the sign of an exact zero: the kernel accumulates
+    # the product onto +0.0, so a -0.0 product acts as +0.0 and a -0.0
+    # entry it meets stays -0.0, where numpy gives -0.0 - -0.0 = +0.0. No
+    # pivot decision reads the sign of a zero. The tableau passed in must
+    # hold the result: the update writes into it, not into a copy
+    tab, row, col, width = _sparse_row_case(np.random.default_rng(shape[0]), shape)
+    numpy_bits = _twice_rounded_reference(tab, row, col, lambda product: product)
+    accumulated = _twice_rounded_reference(tab, row, col, lambda product: product + 0.0)
+    assert np.count_nonzero(tab[row]) + 1 <= lp.SPARSE_PIVOT_SHARE * width
+    lp._pivot(tab, row, col, width, True)
+    assert tab.tobytes() == accumulated.tobytes()
+    assert np.array_equal(tab, numpy_bits)
+
+
+def test_sparse_row_update_with_a_non_finite_column_skips_the_zero_products():
+    # inf times a zero of the pivot row is NaN; those entries must keep
+    # their values, as in a tableau that subtracts only the nonzero products
+    tab, row, col, width = _sparse_row_case(np.random.default_rng(12), (40, 30))
+    tab[(row + 1) % 40, col] = np.inf
+    zero_cols = np.flatnonzero(tab[row] == 0.0)
+    before = tab[:, zero_cols].copy()
+    # the pivot column's own entry becomes inf - inf before the leaving
+    # variable's column replaces it
+    with np.errstate(invalid="ignore"):
+        lp._pivot(tab, row, col, width, True)
+    assert zero_cols.size and tab[:, zero_cols].tobytes() == before.tobytes()
+    assert not np.isnan(tab).any()
+
+
 def _count_pivots(monkeypatch):
     calls = []
     original = lp._pivot
@@ -452,6 +513,28 @@ def _robust_programs(rng):
     return programs
 
 
+def _tall_robust_programs(rng, per_shape=2):
+    """Robust programs shaped as the benchmark's tallest: a box set, a box
+    disturbance of radius 0.05 / T, plants of spectral radius 0.3 and the
+    input interval [-5, 5], for T = 24 and 40 (776 and 1288 rows). Their
+    pivot rows are sparse on the full tableau's width and nearly full on
+    the columns kept."""
+    box = np.vstack([np.eye(2), -np.eye(2)])
+    corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+    programs = []
+    for samples in (24, 40):
+        radius = 0.05 / samples
+        for _ in range(per_shape):
+            plant = random_controllable_plant(rng, 2, 1, spectral_radius=0.3)
+            inputs = random_input_sequence(rng, samples, 1)
+            states = simulate(plant, rng.uniform(-0.5, 0.5, size=2), inputs,
+                              rng.uniform(-radius, radius, size=(samples, 2)))
+            programs.append(synthesis.build_robust_lp(
+                build_data_matrices(inputs, states), validate_cset(box),
+                InputPolytope([[0.2], [-0.2]]), DisturbanceSet(radius * corners)))
+    return programs
+
+
 def _kgon_programs(rng, per_shape=2):
     """Level minimizations shaped as the benchmark's: noise-free data from a
     plant of spectral radius 1, a regular k-gon and the input interval
@@ -483,6 +566,7 @@ def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
                 + [unbounded_lp(rng) for _ in range(10)]
                 + _data_programs(rng, 12) + _robust_programs(rng) + [_degenerate_program()])
     kgon_programs = _kgon_programs(rng)
+    tall_robust_programs = _tall_robust_programs(rng)
     pivots = {"condensed": 0, "full": 0}
 
     def counting(name, original):
@@ -511,6 +595,13 @@ def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
         same_as_full_tableau(program)
     assert {lp.LpStatus.OPTIMAL, lp.LpStatus.FEASIBLE, lp.LpStatus.INFEASIBLE,
             lp.LpStatus.UNBOUNDED} <= seen
+    # the benchmark's tallest robust programs, whose pivots all take the
+    # twice-rounded update over every column kept
+    seen.clear()
+    for program in tall_robust_programs:
+        assert program.ineq_lhs.shape[0] in (32 * 24 + 8, 32 * 40 + 8)
+        same_as_full_tableau(program)
+    assert seen == {lp.LpStatus.FEASIBLE}
     # the benchmark-shaped minimizations, under a cap of twice the
     # tableau's rows and columns per phase, so that a spin stays short
     monkeypatch.setattr(lp, "ITER_FACTOR", 2)

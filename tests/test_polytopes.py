@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddinv import polytopes
+from ddinv import lp, polytopes
 from ddinv.numerics import numerical_rank
 from generators import contains, random_cset_rows
 from oracles import (bounded_coordinate_lps, polygon_rows_from_vertices, same_point_set,
@@ -223,3 +223,26 @@ def test_single_boundedness_lp_agrees_with_coordinate_lps():
 def test_unbounded_message_names_the_positive_span():
     with pytest.raises(polytopes.UnboundedSetError, match="positively span"):
         polytopes.validate_cset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+
+
+# a solve that ends neither FEASIBLE nor INFEASIBLE says nothing about the set
+UNDECIDED = [lp.LpStatus.UNBOUNDED, lp.LpStatus.ITERATION_LIMIT,
+             lp.LpStatus.PHASE_ONE_BREAKDOWN, lp.LpStatus.BAD_POINT]
+
+
+@pytest.mark.parametrize("status", UNDECIDED)
+def test_failed_boundedness_solve_is_not_read_as_unbounded(monkeypatch, status):
+    monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(status, residual=1e-3))
+    with pytest.raises(polytopes.PolytopeError,
+                       match=f"boundedness check failed: the solver returned {status.value}$"
+                       ) as info:
+        polytopes.validate_cset(np.vstack([np.eye(2), -np.eye(2)]))
+    assert not isinstance(info.value, polytopes.UnboundedSetError)
+
+
+@pytest.mark.parametrize("status", UNDECIDED)
+def test_failed_hull_solve_is_not_read_as_a_hull_without_the_origin(monkeypatch, status):
+    monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(status, residual=1e-3))
+    with pytest.raises(polytopes.PolytopeError,
+                       match=f"disturbance hull check failed: the solver returned {status.value}$"):
+        polytopes.DisturbanceSet(0.05 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]))

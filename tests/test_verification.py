@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddinv import synthesis, verification
+from ddinv import lp, synthesis, verification
 from ddinv.polytopes import DisturbanceSet, InputPolytope, gauge, validate_cset
 from ddinv.experiment import PlantModel, build_data_matrices
 from generators import random_cset_rows
@@ -34,6 +34,18 @@ def test_certificate_search_positive_and_negative():
     assert verification.find_certificate_matrix(2.0 * np.eye(2), box, 0.99) is None
     ok, worst = verification.check_vertex_contractivity(2.0 * np.eye(2), box, 0.99)
     assert not ok and worst == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("status", [lp.LpStatus.UNBOUNDED, lp.LpStatus.ITERATION_LIMIT,
+                                    lp.LpStatus.PHASE_ONE_BREAKDOWN, lp.LpStatus.BAD_POINT])
+def test_failed_certificate_search_is_not_read_as_no_certificate(monkeypatch, status):
+    # only INFEASIBLE means that no P exists; a solve that ends otherwise
+    # is a solver failure
+    box = _unit_box()
+    monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(status, residual=1e-3))
+    with pytest.raises(synthesis.SolverFailure,
+                       match=f"certificate search failed: the solver returned {status.value}$"):
+        verification.find_certificate_matrix(0.5 * np.eye(2), box, 0.5)
 
 
 def test_rounded_gain_sits_just_outside_tight_level(demo_plant, demo_state_set):
