@@ -8,12 +8,15 @@ to the solver leaves every pivot where it was.
 A dump runs the first --count instances of the workload and seed from
 bench/workloads.py under the workload's pivot budget, as bench/run.py does,
 with ddinv imported from the src directory next to this script. It writes
-one line per instance: its index, its verdict, its pivot count and a sha256
-over the status, objective, residual and primal bytes of every lp.solve
-result, so the sign of a zero counts. On cli_rollout the hash also covers
-every file the chain wrote. Run the script from two checkouts to compare
-their solvers. --compare prints the instances whose lines differ and exits
-1 when any does.
+one line per instance: its index, its verdict, and one `module=pivots:hash`
+field for each ddinv module that called lp.solve (polytopes, synthesis,
+verification), in name order. The pivots are those of that module's solves,
+and the hash is a sha256 over the status, objective, residual and primal
+bytes of each of their results, so the sign of a zero counts. On
+cli_rollout a `files=hash` field covers every file the chain wrote. Run the
+script from two checkouts to compare their solvers. --compare prints the
+instances whose lines differ, with the fields that moved, and exits 1 when
+any does.
 """
 
 import argparse
@@ -49,16 +52,19 @@ def dump(workload_name, seed, count, out):
         warnings.simplefilter("ignore")
         runner = bench.Runner(workload, seed, dd, workdir)
         budgeted, solve = lp._pivot, lp.solve
-        pivots, digest = 0, None
+        pivots, digests, caller = {}, {}, None
 
         def counted(*args):
-            nonlocal pivots
-            pivots += 1
+            pivots[caller] += 1
             return budgeted(*args)
 
         def recorded(program):
+            nonlocal caller
+            caller = sys._getframe(1).f_globals["__name__"].rpartition(".")[2]
+            pivots.setdefault(caller, 0)
             sol = solve(program)
             primal = b"-" if sol.primal is None else sol.primal.tobytes()
+            digest = digests.setdefault(caller, hashlib.sha256())
             digest.update(f"{sol.status.value} {sol.objective_value!r} {sol.residual!r} ".encode())
             digest.update(primal)
             return sol
@@ -67,14 +73,21 @@ def dump(workload_name, seed, count, out):
         try:
             for index in range(count):
                 inst = workload.make(seed, index, workdir)
-                pivots, digest = 0, hashlib.sha256()
+                pivots.clear()
+                digests.clear()
                 outcome = runner.attempt(inst)[1]
+                fields = [f"{name}={pivots[name]}:"
+                          f"{digests.get(name, hashlib.sha256()).hexdigest()}"
+                          for name in sorted(pivots)]
                 written = [path for path in sorted(Path(workdir).iterdir())
                            if path.name != f"config_{index}.json"]
-                for path in written:
-                    digest.update(path.name.encode() + b"\0" + path.read_bytes())
-                    path.unlink()
-                lines.append(f"{index}\t{_verdict(outcome)}\t{pivots}\t{digest.hexdigest()}")
+                if written:
+                    files = hashlib.sha256()
+                    for path in written:
+                        files.update(path.name.encode() + b"\0" + path.read_bytes())
+                        path.unlink()
+                    fields.append(f"files={files.hexdigest()}")
+                lines.append("\t".join([str(index), _verdict(outcome), *fields]))
         finally:
             lp._pivot, lp.solve = budgeted, solve
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -86,12 +99,28 @@ def _instances(path):
     return {line.split("\t", 1)[0]: line for line in lines}
 
 
+def _fields(line):
+    """A dump line's fields by name: the verdict, then module=pivots:hash
+    and files=hash fields."""
+    if line is None:
+        return {}
+    index, *rest = line.split("\t")
+    if index.startswith("#"):
+        return {"header": line}
+    verdict, *named = rest
+    return {"verdict": verdict, **dict(field.split("=", 1) for field in named)}
+
+
 def compare(path_a, path_b):
     a, b = _instances(path_a), _instances(path_b)
     keys = list(a) + [key for key in b if key not in a]
     differ = [key for key in keys if a.get(key) != b.get(key)]
     for key in differ:
-        print(f"{key}:\n  {path_a}: {a.get(key, '(missing)')}\n  {path_b}: {b.get(key, '(missing)')}")
+        fields_a, fields_b = _fields(a.get(key)), _fields(b.get(key))
+        moved = [name for name in list(fields_a) + [n for n in fields_b if n not in fields_a]
+                 if fields_a.get(name) != fields_b.get(name)]
+        print(f"{key}: {', '.join(moved)}\n  {path_a}: {a.get(key, '(missing)')}"
+              f"\n  {path_b}: {b.get(key, '(missing)')}")
     print(f"{len(differ)} of {len(keys)} lines differ")
     return 1 if differ else 0
 

@@ -32,7 +32,13 @@ def numerical_rank(mat) -> int:
         return 0
     if not np.isfinite(mat).all():
         raise ValueError("array must not contain infs or NaNs")
-    diag = np.abs(np.diag(dgeqp3(mat, lwork=_qr_workspace(*mat.shape))[0]))
+    return _rank(mat)
+
+
+def _rank(mat: np.ndarray) -> int:
+    """numerical_rank's rule on a non-empty, finite 2-d float array, for
+    callers that have checked their matrix already."""
+    diag = np.abs(dgeqp3(mat, lwork=_qr_workspace(*mat.shape))[0].diagonal())
     if diag.size == 0 or diag[0] == 0.0:
         return 0
-    return int(np.sum(diag > RANK_TOL_FACTOR * diag[0]))
+    return int(np.count_nonzero(diag > RANK_TOL_FACTOR * diag[0]))

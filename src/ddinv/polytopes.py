@@ -3,22 +3,27 @@
 A state constraint set must be a C-set: convex, compact, with the origin in
 its interior. In the normalized form this reduces to H having full column
 rank and the set being bounded, which validate_cset checks constructively.
+
+Every check here runs on row subsets, in batched linear algebra and without
+an LP: vertices from the n-row subsets of H, and both boundedness and a
+disturbance hull's hold on the origin from the extreme rays of a cone, the
+null vectors of (n-1)-row subsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Optional
 
 import numpy as np
 
-from . import lp
-from .numerics import numerical_rank
+from .numerics import _rank, numerical_rank
 
 DEDUP_TOL = 1e-7
+DEDUP_BLOCK = 128
 VERTEX_FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-7
+RAY_TOL = 1e-9
 
 
 class PolytopeError(ValueError):
@@ -83,45 +88,57 @@ class DisturbanceSet:
             raise ValueError("disturbance hull must contain the origin")
 
     def _hull_contains_origin(self) -> bool:
-        # weights alpha >= 0, sum alpha = 1, sum alpha_i d_i = 0
-        nd, n = self.vertices.shape
-        eq = np.vstack([self.vertices.T, np.ones((1, nd))])
-        rhs = np.zeros(n + 1)
-        rhs[-1] = 1.0
-        prob = lp.LinearProgram(
-            num_vars=nd,
-            objective=np.zeros(nd),
-            eq_lhs=eq,
-            eq_rhs=rhs,
-            lower_bounds=np.zeros(nd),
-        )
-        return _feasible(prob, "disturbance hull check")
+        """Whether the origin is a convex combination of the vertices D. By
+        Gordan's theorem it is not exactly when some c has D c > 0, that is
+        when the cone {c : D c >= 0} has an interior. In coordinates of the
+        span of D, scaled to unit size, that cone is pointed, so it is
+        generated by its extreme rays, each a unit null vector of an
+        (r-1)-vertex subset, and the sum of those rays lies in its interior
+        when it has one. The origin is outside exactly when that sum c has
+        D c > 0, each vertex allowed RAY_TOL."""
+        scale = np.abs(self.vertices).max()
+        if scale == 0.0:
+            return True
+        verts = self.vertices / scale
+        _, sing, basis = np.linalg.svd(verts, full_matrices=False)
+        coords = verts @ basis[sing > RAY_TOL * sing[0]].T
+        rays = _null_rays(coords)
+        images = rays @ coords.T
+        inward = (rays * (images >= -RAY_TOL).all(axis=1)[:, None]
+                  - rays * (images <= RAY_TOL).all(axis=1)[:, None]).sum(axis=0)
+        return not (coords @ inward > RAY_TOL * np.linalg.norm(inward)).all()
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
 
-def _feasible(prob: lp.LinearProgram, what: str) -> bool:
-    """True when the feasibility program prob has a point, False when it has
-    none. Any other outcome answers neither, and raises a PolytopeError that
-    names the solver's status."""
-    status = lp.solve(prob).status
-    if status not in (lp.LpStatus.FEASIBLE, lp.LpStatus.INFEASIBLE):
-        raise PolytopeError(f"{what} failed: the solver returned {status.value}")
-    return status == lp.LpStatus.FEASIBLE
+def _subsets(count: int, size: int) -> np.ndarray:
+    """Every size-element subset of range(count), one per row, in
+    itertools.combinations order."""
+    return np.fromiter(chain.from_iterable(combinations(range(count), size)),
+                       dtype=np.intp).reshape(-1, size)
+
+
+def _null_rays(rows: np.ndarray) -> np.ndarray:
+    """The unit null vector of every (n-1)-row subset, one per row, from one
+    batched SVD; for n = 1 the single direction 1."""
+    n_rows, n = rows.shape
+    if n == 1:
+        return np.ones((1, 1))
+    return np.linalg.svd(rows[_subsets(n_rows, n - 1)])[2][:, -1, :]
 
 
 def _check_bounded(h_matrix: np.ndarray):
     """Reject sets with a recession direction. For H of full column rank the
-    set is bounded exactly when the rows positively span the space, that is
-    when H^T y = 0 has a solution y >= 1 (Stiemke's transposition theorem):
-    one feasibility LP."""
-    n_rows, n = h_matrix.shape
-    prob = lp.LinearProgram(num_vars=n_rows, objective=np.zeros(n_rows),
-                            eq_lhs=h_matrix.T, eq_rhs=np.zeros(n),
-                            lower_bounds=np.ones(n_rows))
-    if not _feasible(prob, "boundedness check"):
+    recession cone {d : H d <= 0} is pointed, so it is {0} exactly when it
+    has no extreme ray (Minkowski-Weyl). An extreme ray spans the null space
+    of n - 1 independent rows of H. So the set is bounded exactly when no
+    unit null vector d of an (n-1)-row subset (_null_rays) has H d <= 0 or
+    H d >= 0, each row allowed RAY_TOL times its norm."""
+    images = _null_rays(h_matrix) @ h_matrix.T
+    slack = RAY_TOL * np.linalg.norm(h_matrix, axis=1)
+    if ((images <= slack).all(axis=1) | (images >= -slack).all(axis=1)).any():
         raise UnboundedSetError("set is unbounded: its rows do not positively span the space")
 
 
@@ -129,8 +146,9 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     """All vertices of {x : H x <= 1} by enumerating row subsets of size n.
 
     Candidate points solve H_J x = 1 for an invertible row subset J and are
-    kept when feasible for every row. Duplicates within DEDUP_TOL (Euclidean)
-    collapse to the first representative found.
+    kept when feasible for every row. Duplicates within DEDUP_TOL times the
+    largest candidate norm (Euclidean) collapse to the first representative
+    found, so the rule does not change with the scale of the set.
 
     All subsets are solved in one batched call. A subset is skipped when its
     LU factorization meets an exactly zero pivot (slogdet sign 0), the same
@@ -144,9 +162,7 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
         raise RankDeficientError("H must have full column rank")
     _check_bounded(h_matrix)
     ones = np.ones(n)
-    subsets = np.fromiter(chain.from_iterable(combinations(range(n_rows), n)),
-                          dtype=np.intp).reshape(-1, n)
-    subs = h_matrix[subsets]
+    subs = h_matrix[_subsets(n_rows, n)]
     subs = subs[np.linalg.slogdet(subs).sign != 0]
     cands = np.linalg.solve(subs, ones)
     resid = np.abs(np.matmul(subs, cands[:, :, None])[:, :, 0] - ones).max(axis=1)
@@ -154,15 +170,25 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     # does in the subset-by-subset form
     keep = (np.isfinite(cands).all(axis=1) & ~(resid > 1e-7)
             & ~((cands @ h_matrix.T).max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
-    # numpy runs a stack of 1 x n by n x 1 products as one BLAS dot product
-    # each, the one np.linalg.norm takes, so every distance to the vertices
-    # kept so far carries its bits
     cands = cands[keep]
-    found = np.zeros(cands.shape[0], dtype=bool)
-    for i, cand in enumerate(cands):
-        diffs = cand - cands[found]
-        dists = np.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0])
-        found[i] = not (dists <= DEDUP_TOL).any()
+    if cands.shape[0] == 0:
+        return cands
+    tol = DEDUP_TOL * np.linalg.norm(cands, axis=1).max()
+    # numpy runs a stack of 1 x n by n x 1 products as one BLAS dot product
+    # each, the one np.linalg.norm takes, so every pairwise distance has the
+    # bits of np.linalg.norm(a - b). Rows come DEDUP_BLOCK at a time to bound
+    # the array, and only candidates with a close earlier one need the
+    # first-representative pass.
+    close_earlier = []
+    for start in range(0, cands.shape[0], DEDUP_BLOCK):
+        diffs = cands[start:start + DEDUP_BLOCK, None, :] - cands[None, :, :]
+        dists = np.sqrt(np.matmul(diffs[:, :, None, :], diffs[:, :, :, None])[:, :, 0, 0])
+        close = np.tril(dists <= tol, k=start - 1)
+        close_earlier += [(start + row, np.flatnonzero(close[row]))
+                          for row in np.flatnonzero(close.any(axis=1))]
+    found = np.ones(cands.shape[0], dtype=bool)
+    for i, near in close_earlier:
+        found[i] = not found[near].any()
     return cands[found]
 
 
@@ -178,12 +204,11 @@ def validate_cset(h_matrix) -> PolyhedralCSet:
     verts = enumerate_vertices(h_matrix)
     if verts.shape[0] == 0:
         raise PolytopeError("no vertices found; representation is degenerate")
-    for v in verts:
-        resid = h_matrix @ v
-        if np.max(resid) > 1.0 + VERTEX_FEAS_TOL:
-            raise PolytopeError("vertex fails feasibility")
-        active = np.abs(resid - 1.0) <= ACTIVE_TOL
-        if numerical_rank(h_matrix[active]) < n:
+    images = verts @ h_matrix.T
+    if (images.max(axis=1) > 1.0 + VERTEX_FEAS_TOL).any():
+        raise PolytopeError("vertex fails feasibility")
+    for active in np.abs(images - 1.0) <= ACTIVE_TOL:
+        if active.sum() < n or _rank(h_matrix[active]) < n:
             raise PolytopeError("vertex lacks n independent active rows")
     return PolyhedralCSet(h_matrix=h_matrix, vertices=verts)
 

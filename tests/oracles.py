@@ -8,7 +8,10 @@ loops) are the one-at-a-time forms of vectorized library code, kept so the
 tests can pin the vectorized forms to them. `fused_pivot` computes each
 entry of a pivot exactly in rationals and rounds it once, as a fused
 multiply-add does. `bounded_coordinate_lps` is the 2n-LP boundedness test
-the library's single LP replaced; it calls `lp.solve`, as that test did.
+the library once ran; it calls `lp.solve`, as that test did.
+`positively_spans_highs` and `hull_holds_origin_highs` decide boundedness
+(Stiemke's form) and a disturbance hull's hold on the origin with HiGHS, as
+feasibility LPs, for the LP-free set checks to be compared against.
 `nominal_lp_loop` builds both nominal programs the way the two separate
 builders did, a block per vertex and per set row. `full_tableau_solve` is
 the simplex as it was before the library kept only nonbasic columns: the
@@ -24,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg.blas import dger
+from scipy.optimize import linprog
 
 from ddinv import lp
 from ddinv.lp import (BLAND_AFTER, GUARD_TOL, ITER_FACTOR, SPARSE_PIVOT_SHARE, TOL_FEAS,
@@ -162,12 +166,13 @@ def fused_pivot(tab, row, col):
 def vertices_loop(h_matrix, dedup_tol=1e-7, feas_tol=1e-8):
     """Vertices of {x : H x <= 1} one row subset at a time: solve H_J x = 1,
     skip a subset whose solve raises, keep finite, exact and feasible points,
-    and drop a point within dedup_tol of one found earlier. Rank and
-    boundedness are checked by the library function, not here."""
+    and drop a point within dedup_tol times the largest kept norm of one
+    found earlier. Rank and boundedness are checked by the library
+    function, not here."""
     h_matrix = np.atleast_2d(np.asarray(h_matrix, dtype=float))
     n_rows, n = h_matrix.shape
     ones = np.ones(n)
-    found = []
+    cands = []
     for subset in combinations(range(n_rows), n):
         sub = h_matrix[list(subset)]
         try:
@@ -180,10 +185,15 @@ def vertices_loop(h_matrix, dedup_tol=1e-7, feas_tol=1e-8):
             continue
         if np.max(h_matrix @ cand) > 1.0 + feas_tol:
             continue
-        if any(np.linalg.norm(cand - v) <= dedup_tol for v in found):
-            continue
-        found.append(cand)
-    return np.array(found) if found else np.zeros((0, n))
+        cands.append(cand)
+    if not cands:
+        return np.zeros((0, n))
+    tol = dedup_tol * np.linalg.norm(np.array(cands), axis=1).max()
+    found = []
+    for cand in cands:
+        if not any(np.linalg.norm(cand - v) <= tol for v in found):
+            found.append(cand)
+    return np.array(found)
 
 
 def decay_margin_loop(f_matrix, cset, lam, steps=50):
@@ -260,6 +270,27 @@ def bounded_coordinate_lps(h_matrix):
             if lp.solve(prob).status == lp.LpStatus.UNBOUNDED:
                 return False
     return True
+
+
+def positively_spans_highs(h_matrix):
+    """True when H^T y = 0 has a solution y >= 1, by HiGHS: for H of full
+    column rank, exactly when {x : H x <= 1} is bounded (Stiemke)."""
+    n_rows, n = h_matrix.shape
+    result = linprog(np.zeros(n_rows), A_eq=h_matrix.T, b_eq=np.zeros(n),
+                     bounds=[(1.0, None)] * n_rows, method="highs")
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+def hull_holds_origin_highs(verts):
+    """True when weights w >= 0 with sum 1 put the origin at sum_i w_i d_i,
+    by HiGHS."""
+    nd, n = verts.shape
+    result = linprog(np.zeros(nd), A_eq=np.vstack([verts.T, np.ones((1, nd))]),
+                     b_eq=np.append(np.zeros(n), 1.0), bounds=[(0.0, None)] * nd,
+                     method="highs")
+    assert result.status in (0, 2), result.message
+    return result.status == 0
 
 
 def nominal_lp_loop(source, state_set, input_set, lam=None):

@@ -332,35 +332,43 @@ def test_generate_rejects_non_finite_start(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_failed_set_check_solve_exits_one_naming_the_status(tmp_path, monkeypatch, capsys):
-    # a boundedness solve that gives up says nothing about the set: generate
-    # exits 1 naming the solver's status, not "set is unbounded"
-    cfg = _write_config(tmp_path, DEMO_CONFIG)
+@pytest.mark.parametrize("config", [DEMO_CONFIG, ROBUST_CONFIG], ids=["demo", "robust"])
+def test_generate_and_load_run_without_the_solver(tmp_path, monkeypatch, config):
+    # set validation and the disturbance hull check solve no LP
+    def no_solver(prob):
+        raise AssertionError("generate must not call lp.solve")
+
+    monkeypatch.setattr(lp, "solve", no_solver)
     out = tmp_path / "problem.json"
-    monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(lp.LpStatus.ITERATION_LIMIT))
-    assert cli.main(["generate", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: bad config: boundedness check failed: "
-                                       "the solver returned iteration_limit\n")
-    assert not out.exists()
+    assert cli.main(["generate", _write_config(tmp_path, config), "--out", str(out)]) == 0
+    spec = fileio.load_problem(str(out))
+    assert spec.state_set.vertices.shape == (4, 2)
+    assert (spec.disturbance is None) == ("disturbance_radius" not in config)
 
 
-def test_failed_hull_solve_on_load_exits_one_naming_the_status(tmp_path, monkeypatch, capsys):
-    # loading a robust problem checks the state set (one solve), then the
-    # disturbance hull; the hull solve breaks down here
+@pytest.mark.parametrize("status, named", [
+    (lp.LpStatus.PHASE_ONE_BREAKDOWN, "phase one broke down"),
+    (lp.LpStatus.ITERATION_LIMIT, "solver returned iteration_limit"),
+], ids=["phase-one-breakdown", "iteration-limit"])
+def test_failed_robust_design_solve_exits_one_naming_the_status(tmp_path, monkeypatch, capsys,
+                                                                 status, named):
+    # the design program is the only solve of a robust synthesize
     cfg = _write_config(tmp_path, ROBUST_CONFIG)
     problem = str(tmp_path / "problem.json")
     assert cli.main(["generate", cfg, "--out", problem]) == 0
     capsys.readouterr()
-    solve, calls = lp.solve, []
+    calls = []
 
-    def failing_after_the_first(prob):
+    def failing(prob):
         calls.append(prob)
-        return solve(prob) if len(calls) == 1 else lp.LpSolution(lp.LpStatus.PHASE_ONE_BREAKDOWN)
+        return lp.LpSolution(status)
 
-    monkeypatch.setattr(lp, "solve", failing_after_the_first)
-    assert cli.main(["synthesize", problem, "--out", str(tmp_path / "cert.json")]) == 1
-    assert capsys.readouterr().err == ("error: invalid problem: disturbance hull check failed: "
-                                       "the solver returned phase_one_breakdown\n")
+    monkeypatch.setattr(lp, "solve", failing)
+    cert_path = tmp_path / "cert.json"
+    assert cli.main(["synthesize", problem, "--robust", "--out", str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{named}\n"), err
+    assert len(calls) == 1 and not cert_path.exists()
 
 
 @pytest.mark.parametrize("mutate", [

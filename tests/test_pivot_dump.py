@@ -18,15 +18,38 @@ def test_dump_compared_with_itself_reports_no_difference(tmp_path):
     assert header == "# robust_box seed 7 count 4"
     assert [line.split("\t")[0] for line in lines] == ["0", "1", "2", "3"]
     for line in lines:
-        index, verdict, pivots, digest = line.split("\t")
-        assert verdict == "certified" and int(pivots) > 0 and len(digest) == 64
+        # set validation solves nothing: the design program is the only solve
+        index, verdict, design = line.split("\t")
+        name, fingerprint = design.split("=")
+        pivots, digest = fingerprint.split(":")
+        assert verdict == "certified" and name == "synthesis"
+        assert int(pivots) > 0 and len(digest) == 64
     same = _run("--compare", str(dump), str(dump))
     assert same.returncode == 0 and same.stdout == "0 of 5 lines differ\n"
-    # one instance with another pivot count is named
+    # one instance with another design pivot count is named, with the field
     changed = tmp_path / "changed.txt"
-    index, verdict, pivots, digest = lines[2].split("\t")
-    changed.write_text("\n".join([header, *lines[:2], f"{index}\t{verdict}\t{int(pivots) + 1}"
-                                  f"\t{digest}", lines[3]]) + "\n")
+    index, verdict, design = lines[2].split("\t")
+    pivots, digest = design.split("=")[1].split(":")
+    changed.write_text("\n".join([header, *lines[:2], f"{index}\t{verdict}"
+                                  f"\tsynthesis={int(pivots) + 1}:{digest}", lines[3]]) + "\n")
     differ = _run("--compare", str(dump), str(changed))
     assert differ.returncode == 1
-    assert differ.stdout.startswith("2:\n") and differ.stdout.endswith("1 of 5 lines differ\n")
+    assert differ.stdout.startswith("2: synthesis\n")
+    assert differ.stdout.endswith("1 of 5 lines differ\n")
+
+
+def test_dump_fingerprints_each_calling_module_and_the_files(tmp_path):
+    dump = tmp_path / "dump.txt"
+    made = _run("--workload", "cli_rollout", "--seed", "7", "--count", "2", "--out", str(dump))
+    assert made.returncode == 0, made.stderr
+    for line in dump.read_text().splitlines()[1:]:
+        index, verdict, *fields = line.split("\t")
+        names = [field.split("=")[0] for field in fields]
+        assert names[-1] == "files" and names[:-1] == sorted(names[:-1])
+        assert "synthesis" in names and "polytopes" not in names
+    # a verification solve that moves is told apart from the design solve
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("# h\n0\tcertified\tsynthesis=5:aa\tverification=2:bb\n")
+    b.write_text("# h\n0\tcertified\tsynthesis=5:aa\tverification=3:cc\n")
+    differ = _run("--compare", str(a), str(b))
+    assert differ.returncode == 1 and differ.stdout.startswith("0: verification\n")

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from ddinv import lp, polytopes
 from ddinv.numerics import numerical_rank
 from generators import contains, random_cset_rows
-from oracles import (bounded_coordinate_lps, polygon_rows_from_vertices, same_point_set,
+from oracles import (bounded_coordinate_lps, hull_holds_origin_highs,
+                     polygon_rows_from_vertices, positively_spans_highs, same_point_set,
                      vertex_oracle_2d, vertices_loop)
 
 
@@ -225,24 +226,154 @@ def test_unbounded_message_names_the_positive_span():
         polytopes.validate_cset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
 
 
-# a solve that ends neither FEASIBLE nor INFEASIBLE says nothing about the set
-UNDECIDED = [lp.LpStatus.UNBOUNDED, lp.LpStatus.ITERATION_LIMIT,
-             lp.LpStatus.PHASE_ONE_BREAKDOWN, lp.LpStatus.BAD_POINT]
+def _regular_polygon(k):
+    angles = 2.0 * np.pi * np.arange(k) / k
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-@pytest.mark.parametrize("status", UNDECIDED)
-def test_failed_boundedness_solve_is_not_read_as_unbounded(monkeypatch, status):
-    monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(status, residual=1e-3))
-    with pytest.raises(polytopes.PolytopeError,
-                       match=f"boundedness check failed: the solver returned {status.value}$"
-                       ) as info:
-        polytopes.validate_cset(np.vstack([np.eye(2), -np.eye(2)]))
-    assert not isinstance(info.value, polytopes.UnboundedSetError)
+BOX_2D = np.vstack([np.eye(2), -np.eye(2)])
+DIST_BOX = 0.05 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 
 
-@pytest.mark.parametrize("status", UNDECIDED)
-def test_failed_hull_solve_is_not_read_as_a_hull_without_the_origin(monkeypatch, status):
-    monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(status, residual=1e-3))
-    with pytest.raises(polytopes.PolytopeError,
-                       match=f"disturbance hull check failed: the solver returned {status.value}$"):
-        polytopes.DisturbanceSet(0.05 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]))
+def _no_solver(prob):
+    raise AssertionError("set checks must not call lp.solve")
+
+
+@pytest.mark.parametrize("check", [
+    lambda: polytopes.validate_cset(BOX_2D),
+    lambda: polytopes.validate_cset(_regular_polygon(24)),
+    lambda: polytopes.validate_cset(np.vstack([np.eye(3), -np.eye(3)])),
+    lambda: polytopes.validate_cset([[2.0], [-0.5]]),
+    lambda: polytopes.DisturbanceSet(DIST_BOX),
+    lambda: polytopes.DisturbanceSet([[0.0, 0.1], [0.0, -0.2]]),
+], ids=["box", "24-gon", "cube", "interval", "disturbance-box", "disturbance-segment"])
+def test_set_checks_run_without_the_solver(monkeypatch, check):
+    monkeypatch.setattr(lp, "solve", _no_solver)
+    check()
+
+
+def test_set_rejections_run_without_the_solver(monkeypatch):
+    monkeypatch.setattr(lp, "solve", _no_solver)
+    with pytest.raises(polytopes.UnboundedSetError):
+        polytopes.validate_cset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="must contain the origin"):
+        polytopes.DisturbanceSet(np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]]))
+    assert not hasattr(polytopes, "lp")
+
+
+SCALES = 10.0 ** np.arange(-9, 13)
+
+
+@pytest.mark.parametrize("rows, count", [
+    *[(_regular_polygon(k), k) for k in (4, 8, 12, 16, 24)],
+    (np.vstack([BOX_2D, np.eye(2)]), 4),
+], ids=["4-gon", "8-gon", "12-gon", "16-gon", "24-gon", "duplicated-row-box"])
+def test_scaled_sets_keep_every_vertex(rows, count):
+    # {x : c H x <= 1} is the set shrunk by c: the same vertex count at
+    # every scale, and the vertices of the unscaled set over c
+    base = polytopes.validate_cset(rows).vertices
+    assert base.shape[0] == count
+    for scale in SCALES:
+        verts = polytopes.validate_cset(scale * rows).vertices
+        assert verts.shape[0] == count, scale
+        assert same_point_set(scale * verts, base, tol=1e-9), scale
+
+
+@pytest.mark.parametrize("verts, holds", [
+    (DIST_BOX, True),
+    (np.zeros((1, 2)), True),
+    (np.array([[0.0, 0.1], [0.0, -0.2]]), True),
+    (np.array([[-0.1, 0.0], [0.2, 0.0], [0.0, 0.3]]), True),
+    (np.array([[0.0, 0.0], [0.2, 0.1], [0.1, 0.3]]), True),
+    (np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]]), False),
+    (np.array([[0.1, 0.1], [0.2, 0.2]]), False),
+    (np.array([[-0.3], [0.5]]), True),
+    (np.array([[0.3], [0.5]]), False),
+], ids=["box", "origin", "segment", "origin-on-edge", "origin-on-vertex", "shifted", "flat-shifted",
+        "interval", "shifted-interval"])
+def test_disturbance_verdict_does_not_depend_on_scale(verts, holds):
+    for scale in 10.0 ** np.arange(-9, 10):
+        dset = polytopes.DisturbanceSet.__new__(polytopes.DisturbanceSet)
+        dset.vertices = scale * verts
+        assert dset._hull_contains_origin() == holds, scale
+        if holds:
+            polytopes.DisturbanceSet(scale * verts)
+        else:
+            with pytest.raises(ValueError, match="must contain the origin"):
+                polytopes.DisturbanceSet(scale * verts)
+
+
+def _random_disturbance(rng, case):
+    n = int(rng.integers(1, 4))
+    nd = int(rng.integers({"edge": 2, "face": 3}.get(case, 1), 7))
+    verts = rng.normal(size=(nd, n)) + rng.uniform(0.0, 1.5) * rng.normal(size=n)
+    if case == "origin":
+        verts = np.zeros((1, n))
+    elif case == "segment":
+        verts = np.outer(rng.normal(size=2) + rng.uniform(-1.0, 1.0), rng.normal(size=n))
+    elif case == "flat":
+        span = rng.normal(size=(int(rng.integers(1, n + 1)) - (n > 1), n))
+        verts = rng.normal(size=(nd, span.shape[0])) @ span
+        verts += rng.normal(size=n) * (rng.random() < 0.5)
+    elif case == "vertex":
+        verts[0] = 0.0
+    elif case == "edge":
+        verts[0] = -rng.uniform(0.2, 3.0) * verts[1]
+    elif case == "face":
+        weights = rng.dirichlet(np.ones(3))
+        verts[2] = -(weights[0] * verts[0] + weights[1] * verts[1]) / weights[2]
+    return verts
+
+
+def test_hull_check_agrees_with_highs():
+    rng = np.random.default_rng(59)
+    cases = ["general", "origin", "segment", "flat", "vertex", "edge", "face"]
+    verdicts = {case: [] for case in cases}
+    for index in range(2100):
+        case = cases[index % len(cases)]
+        verts = _random_disturbance(rng, case)
+        dset = polytopes.DisturbanceSet.__new__(polytopes.DisturbanceSet)
+        dset.vertices = verts
+        holds = hull_holds_origin_highs(verts)
+        assert dset._hull_contains_origin() == holds, (case, verts.tolist())
+        verdicts[case].append(holds)
+    assert all(verdicts["origin"] + verdicts["vertex"] + verdicts["edge"] + verdicts["face"])
+    for case in ("general", "segment", "flat"):
+        assert 0 < sum(verdicts[case]) < len(verdicts[case]), case
+
+
+def test_hull_check_on_many_vertices_agrees_with_highs():
+    # the rays come from (n-1)-vertex subsets: 60 vertices in 3-d are 1770
+    # null vectors, where subsets of n + 1 vertices would be 487635
+    rng = np.random.default_rng(67)
+    for shift in (0.0, 0.5, 3.0):
+        verts = rng.normal(size=(60, 3)) + shift
+        dset = polytopes.DisturbanceSet.__new__(polytopes.DisturbanceSet)
+        dset.vertices = verts
+        assert dset._hull_contains_origin() == hull_holds_origin_highs(verts), shift
+
+
+def test_boundedness_rays_agree_with_highs_on_lines_and_near_parallel_rows():
+    # n = 1 has no (n-1)-row subsets, so its only rays are +-1; a row copied
+    # with a 1e-6 change gives near-parallel pairs whose null vectors are
+    # nearly the same ray
+    rng = np.random.default_rng(61)
+    verdicts = {1: [], "near-parallel": []}
+    while min(len(v) for v in verdicts.values()) < 300:
+        kind = 1 if len(verdicts[1]) < 300 else "near-parallel"
+        n = 1 if kind == 1 else int(rng.integers(2, 5))
+        rows = rng.normal(size=(int(rng.integers(n + 1, n + 6)), n))
+        if kind != 1:
+            copied = rows[rng.integers(rows.shape[0], size=int(rng.integers(1, 3)))]
+            rows = np.vstack([rows, copied + 1e-6 * rng.normal(size=copied.shape)])
+        if numerical_rank(rows) < n:
+            continue
+        try:
+            polytopes._check_bounded(rows)
+            bounded = True
+        except polytopes.UnboundedSetError:
+            bounded = False
+        assert bounded == positively_spans_highs(rows), rows.tolist()
+        verdicts[kind].append(bounded)
+    for kind, seen in verdicts.items():
+        assert 50 <= sum(seen) <= len(seen) - 50, kind
