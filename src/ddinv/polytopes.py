@@ -4,10 +4,10 @@ A state constraint set must be a C-set: convex, compact, with the origin in
 its interior. In the normalized form this reduces to H having full column
 rank and the set being bounded, which validate_cset checks constructively.
 
-Every check here runs on row subsets, in batched linear algebra and without
-an LP: vertices from the n-row subsets of H, and both boundedness and a
-disturbance hull's hold on the origin from the extreme rays of a cone, the
-null vectors of (n-1)-row subsets.
+No check here solves an LP. Vertices come from the n-row subsets of H in
+batched linear algebra. Boundedness and a disturbance hull's hold on the
+origin are each one nonnegative least-squares problem, whose residual is zero
+exactly when the set passes, solved by Lawson and Hanson's active-set method.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 from .numerics import _rank, numerical_rank
 
 DEDUP_TOL = 1e-7
-DEDUP_BLOCK = 128
 VERTEX_FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-7
-RAY_TOL = 1e-9
+NNLS_TOL = 1e-9
+NNLS_ITER_FACTOR = 10
 
 
 class PolytopeError(ValueError):
@@ -88,57 +88,83 @@ class DisturbanceSet:
             raise ValueError("disturbance hull must contain the origin")
 
     def _hull_contains_origin(self) -> bool:
-        """Whether the origin is a convex combination of the vertices D. By
-        Gordan's theorem it is not exactly when some c has D c > 0, that is
-        when the cone {c : D c >= 0} has an interior. In coordinates of the
-        span of D, scaled to unit size, that cone is pointed, so it is
-        generated by its extreme rays, each a unit null vector of an
-        (r-1)-vertex subset, and the sum of those rays lies in its interior
-        when it has one. The origin is outside exactly when that sum c has
-        D c > 0, each vertex allowed RAY_TOL."""
+        """Whether weights w >= 0 with sum 1 put the origin at sum_i w_i d_i:
+        the least-squares residual of [D^T; 1^T] w = (0, 1) over w >= 0, with
+        D scaled to unit size, is at most NNLS_TOL."""
         scale = np.abs(self.vertices).max()
         if scale == 0.0:
             return True
-        verts = self.vertices / scale
-        _, sing, basis = np.linalg.svd(verts, full_matrices=False)
-        coords = verts @ basis[sing > RAY_TOL * sing[0]].T
-        rays = _null_rays(coords)
-        images = rays @ coords.T
-        inward = (rays * (images >= -RAY_TOL).all(axis=1)[:, None]
-                  - rays * (images <= RAY_TOL).all(axis=1)[:, None]).sum(axis=0)
-        return not (coords @ inward > RAY_TOL * np.linalg.norm(inward)).all()
+        nd, n = self.vertices.shape
+        target = np.zeros(n + 1)
+        target[-1] = 1.0
+        _, resid = _nonneg_least_squares(np.vstack([self.vertices.T / scale, np.ones(nd)]),
+                                         target, "disturbance hull check")
+        return resid <= NNLS_TOL
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
 
-def _subsets(count: int, size: int) -> np.ndarray:
-    """Every size-element subset of range(count), one per row, in
-    itertools.combinations order."""
-    return np.fromiter(chain.from_iterable(combinations(range(count), size)),
-                       dtype=np.intp).reshape(-1, size)
+def _nonneg_least_squares(mat: np.ndarray, rhs: np.ndarray, what: str):
+    """w >= 0 minimizing |mat w - rhs|, and that residual norm, by Lawson and
+    Hanson's active-set method (Solving Least Squares Problems, 1974, ch. 23).
+    It frees the column whose gradient most lowers the residual, solves the
+    least squares on the free columns, and steps back to the boundary while
+    that solution has a nonpositive entry. scipy.optimize.nnls runs the same
+    method, but importing scipy.optimize takes longer than all of ddinv's
+    own import. The method ends in finitely many steps; past
+    NNLS_ITER_FACTOR steps per column the check fails with a PolytopeError
+    naming it."""
+    cols = mat.shape[1]
+    grad_tol = 10.0 * np.finfo(float).eps * np.abs(mat).sum(axis=0).max() * max(mat.shape)
+    weights = np.zeros(cols)
+    free = np.zeros(cols, dtype=bool)
+    stuck = np.zeros(cols, dtype=bool)
 
+    def solve_free():
+        trial = np.zeros(cols)
+        trial[free] = np.linalg.lstsq(mat[:, free], rhs, rcond=None)[0]
+        return trial
 
-def _null_rays(rows: np.ndarray) -> np.ndarray:
-    """The unit null vector of every (n-1)-row subset, one per row, from one
-    batched SVD; for n = 1 the single direction 1."""
-    n_rows, n = rows.shape
-    if n == 1:
-        return np.ones((1, 1))
-    return np.linalg.svd(rows[_subsets(n_rows, n - 1)])[2][:, -1, :]
+    for _ in range(NNLS_ITER_FACTOR * cols):
+        grad = np.where(free | stuck, -np.inf, mat.T @ (rhs - mat @ weights))
+        col = grad.argmax()
+        if grad[col] <= grad_tol:
+            return weights, float(np.linalg.norm(mat @ weights - rhs))
+        free[col] = True
+        trial = solve_free()
+        if trial[col] <= 0.0:
+            # rounding cancelled the column's gradient: leave it out until
+            # the weights move
+            free[col], stuck[col] = False, True
+            continue
+        stuck[:] = False
+        # each pass fixes at least one free column at zero
+        while (trial[free] <= 0.0).any():
+            blocked = np.flatnonzero(free & (trial <= 0.0))
+            ratios = weights[blocked] / (weights[blocked] - trial[blocked])
+            weights += ratios.min() * (trial - weights)
+            weights[blocked[ratios.argmin()]] = 0.0
+            free &= weights > 0.0
+            weights[~free] = 0.0
+            trial = solve_free()
+        weights = trial
+    raise PolytopeError(f"{what} failed: no answer after {NNLS_ITER_FACTOR * cols} steps")
 
 
 def _check_bounded(h_matrix: np.ndarray):
     """Reject sets with a recession direction. For H of full column rank the
-    recession cone {d : H d <= 0} is pointed, so it is {0} exactly when it
-    has no extreme ray (Minkowski-Weyl). An extreme ray spans the null space
-    of n - 1 independent rows of H. So the set is bounded exactly when no
-    unit null vector d of an (n-1)-row subset (_null_rays) has H d <= 0 or
-    H d >= 0, each row allowed RAY_TOL times its norm."""
-    images = _null_rays(h_matrix) @ h_matrix.T
-    slack = RAY_TOL * np.linalg.norm(h_matrix, axis=1)
-    if ((images <= slack).all(axis=1) | (images >= -slack).all(axis=1)).any():
+    set is bounded exactly when the rows positively span the space, that is
+    when H^T y = 0 has a solution y > 0 (Stiemke's transposition theorem).
+    With unit rows G and y = 1 + z, that is a zero residual of the least
+    squares G^T z = -G^T 1 over z >= 0, up to NNLS_TOL times sum(y), the
+    largest |G^T y| can be."""
+    norms = np.linalg.norm(h_matrix, axis=1)
+    rows = h_matrix / np.where(norms > 0.0, norms, 1.0)[:, None]
+    pull = rows.sum(axis=0)
+    extra, resid = _nonneg_least_squares(rows.T, -pull, "boundedness check")
+    if resid > NNLS_TOL * (rows.shape[0] + extra.sum()):
         raise UnboundedSetError("set is unbounded: its rows do not positively span the space")
 
 
@@ -162,7 +188,9 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
         raise RankDeficientError("H must have full column rank")
     _check_bounded(h_matrix)
     ones = np.ones(n)
-    subs = h_matrix[_subsets(n_rows, n)]
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n_rows), n)),
+                          dtype=np.intp).reshape(-1, n)
+    subs = h_matrix[subsets]
     subs = subs[np.linalg.slogdet(subs).sign != 0]
     cands = np.linalg.solve(subs, ones)
     resid = np.abs(np.matmul(subs, cands[:, :, None])[:, :, 0] - ones).max(axis=1)
@@ -170,25 +198,16 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     # does in the subset-by-subset form
     keep = (np.isfinite(cands).all(axis=1) & ~(resid > 1e-7)
             & ~((cands @ h_matrix.T).max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
-    cands = cands[keep]
-    if cands.shape[0] == 0:
-        return cands
-    tol = DEDUP_TOL * np.linalg.norm(cands, axis=1).max()
     # numpy runs a stack of 1 x n by n x 1 products as one BLAS dot product
-    # each, the one np.linalg.norm takes, so every pairwise distance has the
-    # bits of np.linalg.norm(a - b). Rows come DEDUP_BLOCK at a time to bound
-    # the array, and only candidates with a close earlier one need the
-    # first-representative pass.
-    close_earlier = []
-    for start in range(0, cands.shape[0], DEDUP_BLOCK):
-        diffs = cands[start:start + DEDUP_BLOCK, None, :] - cands[None, :, :]
-        dists = np.sqrt(np.matmul(diffs[:, :, None, :], diffs[:, :, :, None])[:, :, 0, 0])
-        close = np.tril(dists <= tol, k=start - 1)
-        close_earlier += [(start + row, np.flatnonzero(close[row]))
-                          for row in np.flatnonzero(close.any(axis=1))]
-    found = np.ones(cands.shape[0], dtype=bool)
-    for i, near in close_earlier:
-        found[i] = not found[near].any()
+    # each, the one np.linalg.norm takes, so every distance to the vertices
+    # kept so far carries its bits
+    cands = cands[keep]
+    tol = DEDUP_TOL * np.linalg.norm(cands, axis=1).max(initial=0.0)
+    found = np.zeros(cands.shape[0], dtype=bool)
+    for i, cand in enumerate(cands):
+        diffs = cand - cands[found]
+        dists = np.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0])
+        found[i] = not (dists <= tol).any()
     return cands[found]
 
 

@@ -346,6 +346,26 @@ def test_generate_and_load_run_without_the_solver(tmp_path, monkeypatch, config)
     assert (spec.disturbance is None) == ("disturbance_radius" not in config)
 
 
+def test_generate_and_load_a_six_state_plant_with_a_disturbance_box(tmp_path):
+    # the disturbance box has 2^6 corners and the state box 12 rows: both set
+    # checks stay one small least-squares problem each
+    n = 6
+    config = {
+        "model": {"A": (0.5 * np.eye(n) + 0.1 * np.eye(n, k=1)).tolist(),
+                  "B": np.eye(n, 1, k=-(n - 1)).tolist()},
+        "state_set": np.vstack([np.eye(n), -np.eye(n)]).tolist(),
+        "input_set": [[1.0], [-1.0]],
+        "samples": 20,
+        "seed": 3,
+        "disturbance_radius": 0.01,
+    }
+    out = tmp_path / "problem.json"
+    assert cli.main(["generate", _write_config(tmp_path, config), "--out", str(out)]) == 0
+    spec = fileio.load_problem(str(out))
+    assert spec.state_set.vertices.shape == (2 ** n, n)
+    assert spec.disturbance.vertices.shape == (2 ** n, n)
+
+
 @pytest.mark.parametrize("status, named", [
     (lp.LpStatus.PHASE_ONE_BREAKDOWN, "phase one broke down"),
     (lp.LpStatus.ITERATION_LIMIT, "solver returned iteration_limit"),

@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from ddinv import lp, polytopes
 from ddinv.numerics import numerical_rank
@@ -279,6 +282,27 @@ def test_scaled_sets_keep_every_vertex(rows, count):
         assert same_point_set(scale * verts, base, tol=1e-9), scale
 
 
+@pytest.mark.parametrize("rows", [
+    np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, 0.0]]),
+    np.array([[1.0], [2.0]]),
+], ids=["half-strip", "3-d-slab-corner", "half-line"])
+def test_scaled_unbounded_sets_stay_unbounded(rows):
+    for scale in SCALES:
+        with pytest.raises(polytopes.UnboundedSetError):
+            polytopes.validate_cset(scale * rows)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_thin_wedges_are_told_from_thin_triangles(eps):
+    # {x1 + eps x2 <= 1, -x1 + eps x2 <= 1} runs off to x2 = -inf, and its
+    # unit rows leave a residual of about 2 eps; a third row closes it
+    wedge = np.array([[1.0, eps], [-1.0, eps]])
+    with pytest.raises(polytopes.UnboundedSetError):
+        polytopes._check_bounded(wedge)
+    polytopes._check_bounded(np.vstack([wedge, [0.0, -1.0]]))
+
+
 @pytest.mark.parametrize("verts, holds", [
     (DIST_BOX, True),
     (np.zeros((1, 2)), True),
@@ -343,20 +367,50 @@ def test_hull_check_agrees_with_highs():
 
 
 def test_hull_check_on_many_vertices_agrees_with_highs():
-    # the rays come from (n-1)-vertex subsets: 60 vertices in 3-d are 1770
-    # null vectors, where subsets of n + 1 vertices would be 487635
+    # one least-squares problem whatever the vertex count: 60 vertices in
+    # 3-d, and the 2^n corners of the boxes that generate builds up to n = 8
     rng = np.random.default_rng(67)
     for shift in (0.0, 0.5, 3.0):
         verts = rng.normal(size=(60, 3)) + shift
         dset = polytopes.DisturbanceSet.__new__(polytopes.DisturbanceSet)
         dset.vertices = verts
         assert dset._hull_contains_origin() == hull_holds_origin_highs(verts), shift
+    for n in (6, 7, 8):
+        corners = 0.05 * np.array(list(product((1.0, -1.0), repeat=n)))
+        polytopes.DisturbanceSet(corners)
+        with pytest.raises(ValueError, match="must contain the origin"):
+            polytopes.DisturbanceSet(corners + 0.06)
 
 
-def test_boundedness_rays_agree_with_highs_on_lines_and_near_parallel_rows():
-    # n = 1 has no (n-1)-row subsets, so its only rays are +-1; a row copied
-    # with a 1e-6 change gives near-parallel pairs whose null vectors are
-    # nearly the same ray
+def test_least_squares_past_its_step_cap_is_a_clean_set_error(monkeypatch):
+    monkeypatch.setattr(polytopes, "NNLS_ITER_FACTOR", 0)
+    with pytest.raises(polytopes.PolytopeError, match="^boundedness check failed: no answer") as info:
+        polytopes.validate_cset(BOX_2D)
+    assert not isinstance(info.value, polytopes.UnboundedSetError)
+    with pytest.raises(polytopes.PolytopeError, match="^disturbance hull check failed: no answer"):
+        polytopes.DisturbanceSet(DIST_BOX)
+
+
+def test_least_squares_matches_scipy_nnls():
+    # the same method as scipy.optimize.nnls: the same residual, including
+    # wide, tall and rank-deficient matrices and solutions on the boundary
+    rng = np.random.default_rng(71)
+    for _ in range(500):
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        mat = rng.normal(size=(rows, cols))
+        if rng.random() < 0.3:
+            mat[:, -1] = mat[:, 0]
+        rhs = rng.normal(size=rows)
+        weights, resid = polytopes._nonneg_least_squares(mat, rhs, "test")
+        assert (weights >= 0.0).all()
+        assert resid == pytest.approx(np.linalg.norm(mat @ weights - rhs), abs=1e-12)
+        assert resid == pytest.approx(nnls(mat, rhs)[1], rel=1e-9, abs=1e-12), (mat, rhs)
+
+
+def test_boundedness_check_agrees_with_highs_on_lines_and_near_parallel_rows():
+    # n = 1 is bounded only with rows of both signs; a row copied with a 1e-6
+    # change gives near-parallel pairs, whose unit rows nearly cancel in the
+    # least squares
     rng = np.random.default_rng(61)
     verdicts = {1: [], "near-parallel": []}
     while min(len(v) for v in verdicts.values()) < 300:
@@ -374,6 +428,13 @@ def test_boundedness_rays_agree_with_highs_on_lines_and_near_parallel_rows():
         except polytopes.UnboundedSetError:
             bounded = False
         assert bounded == positively_spans_highs(rows), rows.tolist()
+        # unit rows make the verdict blind to each row's scale
+        scaled = rows * 10.0 ** rng.uniform(-8.0, 8.0, size=(rows.shape[0], 1))
+        try:
+            polytopes._check_bounded(scaled)
+            assert bounded, rows.tolist()
+        except polytopes.UnboundedSetError:
+            assert not bounded, rows.tolist()
         verdicts[kind].append(bounded)
     for kind, seen in verdicts.items():
         assert 50 <= sum(seen) <= len(seen) - 50, kind
