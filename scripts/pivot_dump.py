@@ -12,11 +12,13 @@ one line per instance: its index, its verdict, and one `module=pivots:hash`
 field for each ddinv module that called lp.solve (polytopes, synthesis,
 verification), in name order. The pivots are those of that module's solves,
 and the hash is a sha256 over the status, objective, residual and primal
-bytes of each of their results, so the sign of a zero counts. On
-cli_rollout a `files=hash` field covers every file the chain wrote. Run the
-script from two checkouts to compare their solvers. --compare prints the
-instances whose lines differ, with the fields that moved, and exits 1 when
-any does.
+bytes of each of their results, so the sign of a zero counts. A
+`vertices=hash` field is a sha256 over the shape and bytes of every
+polytopes.enumerate_vertices result of the instance, in call order, and over
+the name of any error it raised. On cli_rollout a `files=hash` field covers
+every file the chain wrote. Run the script from two checkouts to compare
+their solvers and set validation. --compare prints the instances whose lines
+differ, with the fields that moved, and exits 1 when any does.
 """
 
 import argparse
@@ -45,7 +47,7 @@ def dump(workload_name, seed, count, out):
     import workloads
 
     dd = bench.import_ddinv()
-    lp = dd.lp
+    lp, polytopes = dd.lp, dd.polytopes
     workload = workloads.WORKLOADS[workload_name]
     lines = [f"# {workload_name} seed {seed} count {count}"]
     with tempfile.TemporaryDirectory() as workdir, warnings.catch_warnings():
@@ -69,16 +71,33 @@ def dump(workload_name, seed, count, out):
             digest.update(primal)
             return sol
 
+        enumerate_vertices, vertices = polytopes.enumerate_vertices, []
+
+        def fingerprinted(h_matrix):
+            # validate_cset calls enumerate_vertices through the module, so
+            # every caller's sets pass through here
+            try:
+                verts = enumerate_vertices(h_matrix)
+            except Exception as exc:
+                vertices.append(type(exc).__name__.encode())
+                raise
+            vertices.append(f"{verts.shape}".encode() + verts.tobytes())
+            return verts
+
         lp._pivot, lp.solve = counted, recorded
+        polytopes.enumerate_vertices = fingerprinted
         try:
             for index in range(count):
                 inst = workload.make(seed, index, workdir)
                 pivots.clear()
                 digests.clear()
+                vertices.clear()
                 outcome = runner.attempt(inst)[1]
                 fields = [f"{name}={pivots[name]}:"
                           f"{digests.get(name, hashlib.sha256()).hexdigest()}"
                           for name in sorted(pivots)]
+                if vertices:
+                    fields.append(f"vertices={hashlib.sha256(b'|'.join(vertices)).hexdigest()}")
                 written = [path for path in sorted(Path(workdir).iterdir())
                            if path.name != f"config_{index}.json"]
                 if written:
@@ -90,6 +109,7 @@ def dump(workload_name, seed, count, out):
                 lines.append("\t".join([str(index), _verdict(outcome), *fields]))
         finally:
             lp._pivot, lp.solve = budgeted, solve
+            polytopes.enumerate_vertices = enumerate_vertices
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -100,8 +120,8 @@ def _instances(path):
 
 
 def _fields(line):
-    """A dump line's fields by name: the verdict, then module=pivots:hash
-    and files=hash fields."""
+    """A dump line's fields by name: the verdict, then module=pivots:hash,
+    vertices=hash and files=hash fields."""
     if line is None:
         return {}
     index, *rest = line.split("\t")

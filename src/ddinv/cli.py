@@ -45,10 +45,14 @@ def _count(value, name: str, least: int) -> int:
 
 
 def _magnitude(value, name: str) -> float:
-    """A finite non-negative JSON number."""
+    """A finite non-negative JSON number r whose range [-r, r] has a finite
+    width, as the uniform draws of generate need."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not 0.0 <= float(value) < np.inf):
         raise ValueError(f"{name} must be a finite non-negative number")
+    if not 2.0 * float(value) < np.inf:
+        raise ValueError(f"{name} must be at most half the largest float, "
+                         f"so that [-{name}, {name}] has a finite width")
     return float(value)
 
 
@@ -126,7 +130,12 @@ def _cmd_generate(args) -> int:
     if radius is not None:
         disturbance = DisturbanceSet(np.array(list(product((radius, -radius), repeat=plant.n))))
         disturbances = rng.uniform(-radius, radius, size=(samples, plant.n))
-    states = simulate(plant, x0, inputs, disturbances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = simulate(plant, x0, inputs, disturbances)
+    overflow = ~np.isfinite(states).all(axis=1)
+    if overflow.any():
+        return _fail(f"the experiment overflows: state x({int(overflow.argmax())}) "
+                     "is not finite")
     data = build_data_matrices(inputs, states)
 
     order = 0

@@ -137,12 +137,7 @@ def hankel(sequence, start: int, depth: int, width: int) -> np.ndarray:
         raise ValueError("depth and width must be positive")
     if start < 0 or start + depth + width - 1 > seq.shape[0]:
         raise ValueError("sequence too short for the requested window")
-    sigma = seq.shape[1]
-    out = np.zeros((sigma * depth, width))
-    for r in range(depth):
-        for c in range(width):
-            out[r * sigma : (r + 1) * sigma, c] = seq[start + r + c]
-    return out
+    return np.vstack([seq[start + r : start + r + width].T for r in range(depth)])
 
 
 def is_persistently_exciting(inputs, order: int) -> bool:

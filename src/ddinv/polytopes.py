@@ -8,6 +8,13 @@ No check here solves an LP. Vertices come from the n-row subsets of H in
 batched linear algebra. Boundedness and a disturbance hull's hold on the
 origin are each one nonnegative least-squares problem, whose residual is zero
 exactly when the set passes, solved by Lawson and Hanson's active-set method.
+
+No rule here depends on the size of the set. Each check runs on its matrix
+times the power of two that brings the largest entry into [0.5, 1)
+(_unit_scale). That scaling is exact, so every product, solve and norm is
+the unscaled one times a power of two, and none overflows or underflows for
+the size of the set alone. Vertices are told apart by the rows active at
+them, and a row's activity |row . v - 1| has no unit.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import numpy as np
 
 from .numerics import _rank, numerical_rank
 
-DEDUP_TOL = 1e-7
 VERTEX_FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-7
 NNLS_TOL = 1e-9
@@ -90,20 +96,28 @@ class DisturbanceSet:
     def _hull_contains_origin(self) -> bool:
         """Whether weights w >= 0 with sum 1 put the origin at sum_i w_i d_i:
         the least-squares residual of [D^T; 1^T] w = (0, 1) over w >= 0, with
-        D scaled to unit size, is at most NNLS_TOL."""
-        scale = np.abs(self.vertices).max()
-        if scale == 0.0:
-            return True
-        nd, n = self.vertices.shape
+        D brought to unit size by _unit_scale, is at most NNLS_TOL."""
+        scaled = _unit_scale(self.vertices)[0]
+        nd, n = scaled.shape
         target = np.zeros(n + 1)
         target[-1] = 1.0
-        _, resid = _nonneg_least_squares(np.vstack([self.vertices.T / scale, np.ones(nd)]),
+        _, resid = _nonneg_least_squares(np.vstack([scaled.T, np.ones(nd)]),
                                          target, "disturbance hull check")
         return resid <= NNLS_TOL
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
+
+
+def _unit_scale(mat: np.ndarray):
+    """mat times 2^-e, with e chosen so that the largest magnitude lies in
+    [0.5, 1), and e. Scaling by a power of two is exact, so a product, solve
+    or norm of the result carries the bits of the unscaled one times a power
+    of two, and none of them overflows or underflows where the set itself is
+    representable."""
+    exp = int(np.frexp(np.abs(mat).max(initial=0.0))[1])
+    return np.ldexp(mat, -exp), exp
 
 
 def _nonneg_least_squares(mat: np.ndarray, rhs: np.ndarray, what: str):
@@ -172,9 +186,10 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     """All vertices of {x : H x <= 1} by enumerating row subsets of size n.
 
     Candidate points solve H_J x = 1 for an invertible row subset J and are
-    kept when feasible for every row. Duplicates within DEDUP_TOL times the
-    largest candidate norm (Euclidean) collapse to the first representative
-    found, so the rule does not change with the scale of the set.
+    kept when feasible for every row. Two candidates are the same vertex when
+    the same rows are active at them, |H v - 1| <= ACTIVE_TOL, and the first
+    one found stands for the vertex. The work runs on H scaled by _unit_scale
+    and the vertices are scaled back, so every bit is the same at any scale.
 
     All subsets are solved in one batched call. A subset is skipped when its
     LU factorization meets an exactly zero pivot (slogdet sign 0), the same
@@ -182,7 +197,7 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     gesv one matrix at a time, so the candidates and their order match a
     subset-by-subset loop.
     """
-    h_matrix = np.atleast_2d(np.asarray(h_matrix, dtype=float))
+    h_matrix, exp = _unit_scale(np.atleast_2d(np.asarray(h_matrix, dtype=float)))
     n_rows, n = h_matrix.shape
     if numerical_rank(h_matrix) < n:
         raise RankDeficientError("H must have full column rank")
@@ -194,21 +209,18 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     subs = subs[np.linalg.slogdet(subs).sign != 0]
     cands = np.linalg.solve(subs, ones)
     resid = np.abs(np.matmul(subs, cands[:, :, None])[:, :, 0] - ones).max(axis=1)
+    images = cands @ h_matrix.T
     # "not above" rather than "at most": a NaN passes these two tests, as it
     # does in the subset-by-subset form
     keep = (np.isfinite(cands).all(axis=1) & ~(resid > 1e-7)
-            & ~((cands @ h_matrix.T).max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
-    # numpy runs a stack of 1 x n by n x 1 products as one BLAS dot product
-    # each, the one np.linalg.norm takes, so every distance to the vertices
-    # kept so far carries its bits
-    cands = cands[keep]
-    tol = DEDUP_TOL * np.linalg.norm(cands, axis=1).max(initial=0.0)
-    found = np.zeros(cands.shape[0], dtype=bool)
-    for i, cand in enumerate(cands):
-        diffs = cand - cands[found]
-        dists = np.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0])
-        found[i] = not (dists <= tol).any()
-    return cands[found]
+            & ~(images.max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
+    first = {}
+    for index, active in zip(np.flatnonzero(keep), np.abs(images[keep] - 1.0) <= ACTIVE_TOL):
+        first.setdefault(active.tobytes(), index)
+    # a vertex past the largest float comes back infinite, for validate_cset
+    # to refuse
+    with np.errstate(over="ignore"):
+        return np.ldexp(cands[list(first.values())], -exp)
 
 
 def validate_cset(h_matrix) -> PolyhedralCSet:
@@ -223,10 +235,9 @@ def validate_cset(h_matrix) -> PolyhedralCSet:
     verts = enumerate_vertices(h_matrix)
     if verts.shape[0] == 0:
         raise PolytopeError("no vertices found; representation is degenerate")
-    images = verts @ h_matrix.T
-    if (images.max(axis=1) > 1.0 + VERTEX_FEAS_TOL).any():
-        raise PolytopeError("vertex fails feasibility")
-    for active in np.abs(images - 1.0) <= ACTIVE_TOL:
+    if not np.isfinite(verts).all():
+        raise PolytopeError("set too large: a vertex lies past the largest float")
+    for active in np.abs(verts @ h_matrix.T - 1.0) <= ACTIVE_TOL:
         if active.sum() < n or _rank(h_matrix[active]) < n:
             raise PolytopeError("vertex lacks n independent active rows")
     return PolyhedralCSet(h_matrix=h_matrix, vertices=verts)

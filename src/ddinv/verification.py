@@ -113,8 +113,8 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
     shift = s_h @ disturbance.vertices.T
     d_worst = shift.max(axis=1)
     base = s_h @ data.x1t @ g_matrix
-    nominal = np.array([base @ vert for vert in cset.vertices])
-    gs = np.array([g_matrix @ vert for vert in cset.vertices])
+    nominal = _images(base, cset.vertices)
+    gs = _images(g_matrix, cset.vertices)
     # subtracting the column spike j changes row r by T * shift[r, i] * gs[j];
     # rows[v, i, j] over (vertex, disturbance vertex, sample)
     rows = (nominal[:, None, None, :]

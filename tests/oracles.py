@@ -20,6 +20,8 @@ identity included, so the library's condensed exchange can be pinned to it
 bit for bit. `simulate_rows_loop` and `frame_points` are the per-row CSV
 loop and the per-point screen mapping the `simulate` command and its plots
 once used, kept to pin the table and array forms that replaced them.
+`hankel_loop` fills a block Hankel matrix one block at a time, as
+`experiment.hankel` once did.
 """
 
 from fractions import Fraction
@@ -518,6 +520,20 @@ def simulate_rows_loop(f_matrix, gain, cset, x0, steps):
                     + [repr(float(np.max(np.abs(cset.h_matrix @ x))))])
         x = f_matrix @ x
     return rows
+
+
+def hankel_loop(sequence, start, depth, width):
+    """The block Hankel matrix with block (r, c) the sample at
+    start + r + c, written block by block."""
+    seq = np.asarray(sequence, dtype=float)
+    if seq.ndim == 1:
+        seq = seq.reshape(-1, 1)
+    sigma = seq.shape[1]
+    out = np.zeros((sigma * depth, width))
+    for r in range(depth):
+        for c in range(width):
+            out[r * sigma : (r + 1) * sigma, c] = seq[start + r + c]
+    return out
 
 
 def frame_points(points, xlim, ylim, width=640, height=480):

@@ -594,6 +594,20 @@ def test_overflowing_rollout_exits_one_and_writes_nothing(tmp_path, capsys):
                          "--out", str(tmp_path / "short"), "--format", "csv"]) == code
 
 
+@pytest.mark.parametrize("config", [
+    {**DEMO_CONFIG, "model": {"A": [[1e308, 0.5], [-0.4, 1.2]], "B": [[0.0], [1.0]]}},
+    {**DEMO_CONFIG, "x0": [1e308, 0.0]},
+], ids=["huge-model-entry", "huge-x0"])
+def test_overflowing_experiment_exits_one_and_writes_nothing(tmp_path, capsys, config):
+    out = tmp_path / "problem.json"
+    capsys.readouterr()
+    assert cli.main(["generate", _write_config(tmp_path, config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: the experiment overflows: state x\(\d+\) is not finite\n",
+                        captured.err)
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("steps", [467, 468])
 def test_rollout_too_large_to_plot_exits_one_and_writes_nothing(tmp_path, capsys, steps):
     # the rollout of the test above is still finite at these steps, near
@@ -672,6 +686,8 @@ def _forge_level_above_one(raw, spec):
     ("certificate", lambda raw, _: raw.update({"lambda": 1e308})),
     ("certificate", lambda raw, _: raw.update({"lambda": -0.5})),
     ("certificate", lambda raw, _: raw.update({"lambda": float("nan")})),
+    ("config", {**DEMO_CONFIG, "input_amplitude": 1e308}),
+    ("config", {**ROBUST_CONFIG, "disturbance_radius": 1e308}),
 ])
 def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, capsys,
                                                     target, content):

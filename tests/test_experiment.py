@@ -8,6 +8,7 @@ from scipy.linalg.lapack import dgeqp3
 from ddinv import experiment, numerics
 from ddinv.numerics import numerical_rank
 from generators import controllability_matrix, is_controllable, random_controllable_plant
+from oracles import hankel_loop
 
 
 def test_simulate_identity_plant_with_zero_input():
@@ -78,6 +79,20 @@ def test_hankel_depth_nesting(seed):
     deeper = experiment.hankel(seq, 0, depth + 1, width)
     shallow = experiment.hankel(seq, 0, depth, width)
     assert np.array_equal(deeper[: sigma * depth], shallow)
+
+
+def test_hankel_matches_block_loop():
+    # one slice per block row copies the same values as a block-by-block fill
+    rng = np.random.default_rng(83)
+    for _ in range(300):
+        T, sigma = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        seq = rng.normal(size=(T, sigma)) if rng.random() < 0.7 else rng.normal(size=T)
+        depth = int(rng.integers(1, T + 1))
+        start = int(rng.integers(0, T - depth + 1))
+        width = int(rng.integers(1, T - depth - start + 2))
+        out = experiment.hankel(seq, start, depth, width)
+        expected = hankel_loop(seq, start, depth, width)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
 
 def test_constant_signal_not_exciting_at_depth_two():

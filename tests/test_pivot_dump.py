@@ -19,19 +19,22 @@ def test_dump_compared_with_itself_reports_no_difference(tmp_path):
     assert [line.split("\t")[0] for line in lines] == ["0", "1", "2", "3"]
     for line in lines:
         # set validation solves nothing: the design program is the only solve
-        index, verdict, design = line.split("\t")
+        index, verdict, design, vertices = line.split("\t")
         name, fingerprint = design.split("=")
         pivots, digest = fingerprint.split(":")
         assert verdict == "certified" and name == "synthesis"
         assert int(pivots) > 0 and len(digest) == 64
+        # every instance validates the same box, so its vertices hash alike
+        assert vertices == lines[0].split("\t")[-1] and len(vertices) == len("vertices=") + 64
     same = _run("--compare", str(dump), str(dump))
     assert same.returncode == 0 and same.stdout == "0 of 5 lines differ\n"
     # one instance with another design pivot count is named, with the field
     changed = tmp_path / "changed.txt"
-    index, verdict, design = lines[2].split("\t")
+    index, verdict, design, vertices = lines[2].split("\t")
     pivots, digest = design.split("=")[1].split(":")
     changed.write_text("\n".join([header, *lines[:2], f"{index}\t{verdict}"
-                                  f"\tsynthesis={int(pivots) + 1}:{digest}", lines[3]]) + "\n")
+                                  f"\tsynthesis={int(pivots) + 1}:{digest}\t{vertices}",
+                                  lines[3]]) + "\n")
     differ = _run("--compare", str(dump), str(changed))
     assert differ.returncode == 1
     assert differ.stdout.startswith("2: synthesis\n")
@@ -45,7 +48,7 @@ def test_dump_fingerprints_each_calling_module_and_the_files(tmp_path):
     for line in dump.read_text().splitlines()[1:]:
         index, verdict, *fields = line.split("\t")
         names = [field.split("=")[0] for field in fields]
-        assert names[-1] == "files" and names[:-1] == sorted(names[:-1])
+        assert names[-2:] == ["vertices", "files"] and names[:-2] == sorted(names[:-2])
         assert "synthesis" in names and "polytopes" not in names
     # a verification solve that moves is told apart from the design solve
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -53,3 +56,8 @@ def test_dump_fingerprints_each_calling_module_and_the_files(tmp_path):
     b.write_text("# h\n0\tcertified\tsynthesis=5:aa\tverification=3:cc\n")
     differ = _run("--compare", str(a), str(b))
     assert differ.returncode == 1 and differ.stdout.startswith("0: verification\n")
+    # so is a vertex that moves while every solve stays
+    a.write_text("# h\n0\tcertified\tsynthesis=5:aa\tverification=2:bb\tvertices=dd\n")
+    b.write_text("# h\n0\tcertified\tsynthesis=5:aa\tverification=2:bb\tvertices=ee\n")
+    differ = _run("--compare", str(a), str(b))
+    assert differ.returncode == 1 and differ.stdout.startswith("0: vertices\n")

@@ -264,7 +264,9 @@ def test_set_rejections_run_without_the_solver(monkeypatch):
     assert not hasattr(polytopes, "lp")
 
 
-SCALES = 10.0 ** np.arange(-9, 13)
+# every decade near unit size, and steps of 1e50 out to 1e-300 and 1e300
+WIDE = 10.0 ** np.arange(-300, 301, 50)
+SCALES = np.concatenate([10.0 ** np.arange(-9, 13), WIDE])
 
 
 @pytest.mark.parametrize("rows, count", [
@@ -280,6 +282,31 @@ def test_scaled_sets_keep_every_vertex(rows, count):
         verts = polytopes.validate_cset(scale * rows).vertices
         assert verts.shape[0] == count, scale
         assert same_point_set(scale * verts, base, tol=1e-9), scale
+
+
+def test_tiny_octagon_keeps_every_vertex_without_a_warning():
+    # the suite turns numpy's RuntimeWarning into an error, so this also
+    # checks that no step overflows or underflows
+    verts = polytopes.validate_cset(1e-300 * _regular_polygon(8)).vertices
+    assert verts.shape[0] == 8
+    assert same_point_set(1e-300 * verts, polytopes.validate_cset(_regular_polygon(8)).vertices,
+                          tol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-309, 4e-320])
+def test_set_past_the_largest_float_is_a_clean_error(scale):
+    # rows this small put the vertices past 1.8e308: a set error, no warning
+    with pytest.raises(polytopes.PolytopeError, match="^set too large"):
+        polytopes.validate_cset(scale * BOX_2D)
+
+
+@pytest.mark.parametrize("power", [-990, -500, -1, 1, 500, 990])
+def test_power_of_two_scales_keep_the_vertex_bits(power):
+    # scaling H by 2^p scales the vertices by 2^-p exactly, in the same order
+    for rows in (_regular_polygon(16), np.vstack([BOX_2D, np.eye(2)])):
+        base = polytopes.validate_cset(rows).vertices
+        verts = polytopes.validate_cset(np.ldexp(rows, power)).vertices
+        assert np.array_equal(np.ldexp(verts, power), base), power
 
 
 @pytest.mark.parametrize("rows", [
@@ -316,7 +343,7 @@ def test_thin_wedges_are_told_from_thin_triangles(eps):
 ], ids=["box", "origin", "segment", "origin-on-edge", "origin-on-vertex", "shifted", "flat-shifted",
         "interval", "shifted-interval"])
 def test_disturbance_verdict_does_not_depend_on_scale(verts, holds):
-    for scale in 10.0 ** np.arange(-9, 10):
+    for scale in np.concatenate([10.0 ** np.arange(-9, 10), WIDE]):
         dset = polytopes.DisturbanceSet.__new__(polytopes.DisturbanceSet)
         dset.vertices = scale * verts
         assert dset._hull_contains_origin() == holds, scale
