@@ -22,7 +22,6 @@ from .synthesis import (Certificate, InfeasibleProblem, SolverFailure,
                         build_modelbased_lp, build_robust_lp, extract_gain,
                         minimize_lambda, synthesize)
 from .verification import (VerificationReport, check_admissibility,
-                           check_decay_along_trajectory,
                            check_invariance_certificate,
                            check_robust_invariance,
                            check_vertex_contractivity,

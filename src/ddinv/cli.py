@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import sys
 from itertools import product
@@ -62,16 +63,8 @@ def _json_number(value):
 
 
 def _report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "contractivity_ok": report.contractivity_ok,
-        "certificate_ok": report.certificate_ok,
-        "admissibility_ok": report.admissibility_ok,
-        "robust_ok": report.robust_ok,
-        "worst_vertex_gauge": _json_number(report.worst_vertex_gauge),
-        "worst_input_violation": _json_number(report.worst_input_violation),
-        "lyapunov_decay_margin": _json_number(report.lyapunov_decay_margin),
-        "tolerance": DEFAULT_TOL,
-    }
+    fields = {key: _json_number(value) for key, value in dataclasses.asdict(report).items()}
+    return {**fields, "tolerance": DEFAULT_TOL}
 
 
 def _print_report(report: VerificationReport):
@@ -87,8 +80,6 @@ def _print_report(report: VerificationReport):
         print("robustness      n/a")
     else:
         print(f"robustness      {word(report.robust_ok)}")
-    if report.lyapunov_decay_margin is not None:
-        print(f"decay margin    {report.lyapunov_decay_margin:.9g}")
 
 
 def _cmd_generate(args) -> int:

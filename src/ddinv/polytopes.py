@@ -13,8 +13,11 @@ No rule here depends on the size of the set. Each check runs on its matrix
 times the power of two that brings the largest entry into [0.5, 1)
 (_unit_scale). That scaling is exact, so every product, solve and norm is
 the unscaled one times a power of two, and none overflows or underflows for
-the size of the set alone. Vertices are told apart by the rows active at
-them, and a row's activity |row . v - 1| has no unit.
+the size of the set alone. The rank and boundedness checks read only row
+directions, so they see each row at unit size by its own power of two
+(_unit_rows), and no rule depends on one row's size next to another's either.
+Vertices are told apart by the rows active at them, and a row's activity
+|row . v - 1| has no unit.
 """
 
 from __future__ import annotations
@@ -120,6 +123,12 @@ def _unit_scale(mat: np.ndarray):
     return np.ldexp(mat, -exp), exp
 
 
+def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    """mat with each row times the power of two that brings its largest
+    magnitude into [0.5, 1); a zero row stays zero."""
+    return np.ldexp(mat, -np.frexp(np.abs(mat).max(axis=1))[1][:, None])
+
+
 def _nonneg_least_squares(mat: np.ndarray, rhs: np.ndarray, what: str):
     """w >= 0 minimizing |mat w - rhs|, and that residual norm, by Lawson and
     Hanson's active-set method (Solving Least Squares Problems, 1974, ch. 23).
@@ -174,8 +183,9 @@ def _check_bounded(h_matrix: np.ndarray):
     With unit rows G and y = 1 + z, that is a zero residual of the least
     squares G^T z = -G^T 1 over z >= 0, up to NNLS_TOL times sum(y), the
     largest |G^T y| can be."""
-    norms = np.linalg.norm(h_matrix, axis=1)
-    rows = h_matrix / np.where(norms > 0.0, norms, 1.0)[:, None]
+    rows = _unit_rows(h_matrix)
+    norms = np.linalg.norm(rows, axis=1)
+    rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     pull = rows.sum(axis=0)
     extra, resid = _nonneg_least_squares(rows.T, -pull, "boundedness check")
     if resid > NNLS_TOL * (rows.shape[0] + extra.sum()):
@@ -199,7 +209,7 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     """
     h_matrix, exp = _unit_scale(np.atleast_2d(np.asarray(h_matrix, dtype=float)))
     n_rows, n = h_matrix.shape
-    if numerical_rank(h_matrix) < n:
+    if numerical_rank(_unit_rows(h_matrix)) < n:
         raise RankDeficientError("H must have full column rank")
     _check_bounded(h_matrix)
     ones = np.ones(n)
@@ -237,8 +247,9 @@ def validate_cset(h_matrix) -> PolyhedralCSet:
         raise PolytopeError("no vertices found; representation is degenerate")
     if not np.isfinite(verts).all():
         raise PolytopeError("set too large: a vertex lies past the largest float")
+    rows = _unit_rows(h_matrix)
     for active in np.abs(verts @ h_matrix.T - 1.0) <= ACTIVE_TOL:
-        if active.sum() < n or _rank(h_matrix[active]) < n:
+        if active.sum() < n or _rank(rows[active]) < n:
             raise PolytopeError("vertex lacks n independent active rows")
     return PolyhedralCSet(h_matrix=h_matrix, vertices=verts)
 

@@ -3,8 +3,7 @@
 These deliberately do not call into the library solve paths: the LP oracle
 enumerates candidate basic points directly, the vertex oracle intersects
 row pairs, and the polygon rebuild works from cross products. The loop
-references (`vertices_loop`, `decay_margin_loop`, `dense_pivot`, the robust
-loops) are the one-at-a-time forms of vectorized library code, kept so the
+references (`vertices_loop`, `dense_pivot`, the robust loops) are the one-at-a-time forms of vectorized library code, kept so the
 tests can pin the vectorized forms to them. `fused_pivot` computes each
 entry of a pivot exactly in rationals and rounds it once, as a fused
 multiply-add does. `bounded_coordinate_lps` is the 2n-LP boundedness test
@@ -196,23 +195,6 @@ def vertices_loop(h_matrix, dedup_tol=1e-7, feas_tol=1e-8):
         if not any(np.linalg.norm(cand - v) <= tol for v in found):
             found.append(cand)
     return np.array(found)
-
-
-def decay_margin_loop(f_matrix, cset, lam, steps=50):
-    """Worst one-step decay margin V(x+) - lam V(x), with V(x) =
-    max_i |row_i(S) x|, over `steps` steps of x+ = F x from every vertex,
-    one vertex and one step at a time."""
-    s_h = cset.h_matrix
-    worst = -np.inf
-    for vert in cset.vertices:
-        x = np.asarray(vert, dtype=float)
-        for _ in range(steps):
-            x_next = f_matrix @ x
-            margin = (float(np.max(np.abs(s_h @ x_next)))
-                      - lam * float(np.max(np.abs(s_h @ x))))
-            worst = max(worst, margin)
-            x = x_next
-    return worst
 
 
 def robust_rows_loop(data, state_set, input_set, disturbance):

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ddinv import __version__, cli, fileio, lp
@@ -148,16 +150,68 @@ def test_tampered_gain_fails_verification(tmp_path, demo_problem, capsys):
 
 
 def test_overflowing_decay_rollout_prints_no_warning(tmp_path, demo_problem, capsys):
+    # a combiner scaled by 1e308 overflows the closed loop X1 G itself: the
+    # checks fail on its inf and NaN entries, with nothing on stderr
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
     record, digest = fileio.load_certificate(cert_path)
-    record.g_matrix = 1e8 * record.g_matrix
+    record.g_matrix = 1e308 * record.g_matrix
     fileio.save_certificate(record, cert_path, {}, digest)
     capsys.readouterr()
     assert cli.main(["verify", demo_problem, cert_path]) == 2
     captured = capsys.readouterr()
-    assert "decay margin    inf" in captured.out
+    assert "worst vertex gauge nan" in captured.out
     assert captured.err == ""
+
+
+def test_certificate_with_an_old_report_key_still_verifies(tmp_path, demo_problem, capsys):
+    # certificates written while verify rolled the closed loop out carry a
+    # decay margin in their report; nothing reads the report back
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 0
+    raw = json.loads(cert_path.read_text())
+    assert "lyapunov_decay_margin" not in raw["verification"]
+    raw["verification"]["lyapunov_decay_margin"] = 0.0
+    cert_path.write_text(fileio.canonical_dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["verify", demo_problem, str(cert_path)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    record, digest = fileio.load_certificate(str(cert_path))
+    resaved = tmp_path / "resaved.json"
+    fileio.save_certificate(record, resaved, raw["verification"], digest)
+    assert resaved.read_bytes() == cert_path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def demo_certified(tmp_path_factory):
+    """A demo problem and the certificate synthesize writes for it."""
+    tmp_path = tmp_path_factory.mktemp("certified")
+    problem, cert_path = str(tmp_path / "problem.json"), str(tmp_path / "certificate.json")
+    assert cli.main(["generate", _write_config(tmp_path, DEMO_CONFIG), "--out", problem]) == 0
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
+    return problem, cert_path
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(["gain", "g_matrix", "p_matrix"]),
+       exponent=st.floats(-308.0, 308.0), sign=st.sampled_from([1.0, -1.0]))
+@example(field="g_matrix", exponent=300.0, sign=1.0)
+@example(field="g_matrix", exponent=308.0, sign=-1.0)
+@example(field="gain", exponent=308.0, sign=1.0)
+@example(field="p_matrix", exponent=308.0, sign=1.0)
+def test_scaled_certificates_end_in_a_clean_exit(tmp_path_factory, demo_certified,
+                                                 field, exponent, sign):
+    # the suite turns numpy's RuntimeWarning into an error, so an overflow
+    # that reached a warning would end in a traceback instead of an exit code
+    problem, cert_path = demo_certified
+    record, digest = fileio.load_certificate(cert_path)
+    setattr(record, field, sign * 10.0 ** exponent * getattr(record, field))
+    tmp_path = tmp_path_factory.mktemp("scaled")
+    scaled = str(tmp_path / "certificate.json")
+    fileio.save_certificate(record, scaled, {}, digest)
+    assert cli.main(["verify", problem, scaled]) in (0, 1, 2)
+    assert cli.main(["simulate", problem, scaled, "--x0", "6,-0.5", "--format", "csv",
+                     "--out", str(tmp_path / "run")]) in (0, 1, 2)
 
 
 def test_gain_shape_mismatch_exits_one(tmp_path, demo_problem):
@@ -291,13 +345,15 @@ def _patched_synthesize(monkeypatch, change):
 
 def test_certificate_with_overflowing_margin_is_strict_json(tmp_path, demo_problem,
                                                             monkeypatch, capsys):
-    # a combiner scaled by 1e8 overflows the decay rollout: the margin is +inf
-    _patched_synthesize(monkeypatch, lambda cert: setattr(cert, "g_matrix", 1e8 * cert.g_matrix))
+    # a combiner scaled by 1e308 overflows the closed loop: the worst vertex
+    # gauge is NaN, written as the string "nan"
+    _patched_synthesize(monkeypatch,
+                        lambda cert: setattr(cert, "g_matrix", 1e308 * cert.g_matrix))
     cert_path = tmp_path / "certificate.json"
     assert cli.main(["synthesize", demo_problem, "--out", str(cert_path)]) == 2
-    assert "decay margin    inf" in capsys.readouterr().out
+    assert "worst vertex gauge nan" in capsys.readouterr().out
     raw = json.loads(cert_path.read_text(), parse_constant=_refuse_constant)
-    assert raw["verification"]["lyapunov_decay_margin"] == "inf"
+    assert raw["verification"]["worst_vertex_gauge"] == "nan"
     record, digest = fileio.load_certificate(str(cert_path))
     resaved = tmp_path / "resaved.json"
     fileio.save_certificate(record, resaved, raw["verification"], digest)

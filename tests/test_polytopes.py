@@ -293,6 +293,18 @@ def test_tiny_octagon_keeps_every_vertex_without_a_warning():
                           tol=1e-9)
 
 
+@pytest.mark.parametrize("top, bottom", [(1e-9, 1.0), (1e-200, 1.0), (1e-12, 1e-12)],
+                         ids=["thin-row", "underflowing-row", "thin-row-pair"])
+def test_rectangles_with_rows_of_any_size_keep_every_vertex(top, bottom):
+    # the rank and boundedness checks see each row at unit size, so a row
+    # far smaller than the others neither drops the rank nor opens the set
+    rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, top], [0.0, -bottom]])
+    verts = polytopes.validate_cset(rows).vertices
+    expected = [(x, y) for x in (1.0, -1.0) for y in (1.0 / top, -1.0 / bottom)]
+    assert verts.shape == (4, 2)
+    assert np.allclose(sorted(map(tuple, verts)), sorted(expected), rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("scale", [1e-309, 4e-320])
 def test_set_past_the_largest_float_is_a_clean_error(scale):
     # rows this small put the vertices past 1.8e308: a set error, no warning
