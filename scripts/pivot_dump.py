@@ -18,7 +18,8 @@ polytopes.enumerate_vertices result of the instance, in call order, and over
 the name of any error it raised. On cli_rollout a `files=hash` field covers
 every file the chain wrote. Run the script from two checkouts to compare
 their solvers and set validation. --compare prints the instances whose lines
-differ, with the fields that moved, and exits 1 when any does.
+differ, with the fields that moved, and exits 1 when any does; it then
+tallies each file's verdicts, one line per file.
 """
 
 import argparse
@@ -27,6 +28,7 @@ import json
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +143,12 @@ def compare(path_a, path_b):
                  if fields_a.get(name) != fields_b.get(name)]
         print(f"{key}: {', '.join(moved)}\n  {path_a}: {a.get(key, '(missing)')}"
               f"\n  {path_b}: {b.get(key, '(missing)')}")
+    if differ:
+        for path, lines in ((path_a, a), (path_b, b)):
+            tally = Counter(_fields(line)["verdict"] for line in lines.values()
+                            if not line.startswith("#"))
+            print(f"{path}: " + ", ".join(f"{count} {verdict}"
+                                          for verdict, count in tally.most_common()))
     print(f"{len(differ)} of {len(keys)} lines differ")
     return 1 if differ else 0
 

@@ -5,8 +5,9 @@ synthesize (solve for a gain and write a certificate file with the
 verification report embedded), verify (recheck a certificate against a
 problem), simulate (roll the closed loop out and write CSV/SVG).
 
-Exit codes: 0 on success, 1 for usage, IO or validation trouble, 2 for
-infeasibility, failed verification, or an initial state outside the set.
+Exit codes: 0 on success, 1 for usage, IO or validation trouble or a size
+too large to allocate, 2 for infeasibility, failed verification, or an
+initial state outside the set.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .polytopes import (DisturbanceSet, InputPolytope, gauge, ordered_vertices_2
                         validate_cset)
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
-from .verification import (DEFAULT_TOL, VerificationReport, _images, closed_loop,
-                           lyapunov_values, rollout, verify_certificate)
+from .verification import (DEFAULT_TOL, VerificationReport, _images, check_data_consistency,
+                           closed_loop, lyapunov_values, rollout, verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -281,6 +282,11 @@ def _cmd_simulate(args) -> int:
     if spec.model is None and certificate.p_matrix is None:
         return _fail("simulating a robust certificate needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")
+    if spec.model is None and not check_data_consistency(spec.data, certificate.g_matrix,
+                                                         certificate.gain):
+        print("error: the certificate fails X0 G = I or U0 G = K, so its gain does not "
+              "drive the closed loop it certifies", file=sys.stderr)
+        return 2
     # one row per step: the state, the input K x and V(x)
     states = rollout(f_matrix, x0, args.steps)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -399,7 +405,10 @@ def main(argv=None) -> int:
         args = _parser().parse_args(_join_x0(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # e.g. --steps or samples of 10**17, before any write
+        return _fail(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

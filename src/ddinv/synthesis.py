@@ -15,16 +15,15 @@ D = K for the model, (0, S X1) with D = G for the data.
 
 The robust program drops P, fixes the level at one, and tightens every
 vertex condition against the worst disturbance column the data could have
-contained. Each of its rows is affine in the projection of a disturbance
-vertex onto one set row, so only the largest and the smallest projection
-can bind: the builder keeps those two of the disturbance vertices per set
-row, which halves the robust rows for a box disturbance in the plane and
-leaves the feasible set as it was.
+contained. Each of its rows is affine in the projection S_r d of a
+disturbance vertex d onto one set row, so only the largest and the smallest
+projection can bind: the program has rows for those two per set row,
+whatever the number of disturbance vertices, and the feasible set of the
+rows for every vertex. The verifier evaluates the same two projections.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,7 +36,6 @@ from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 EPS_STRICT = 1e-6
 MINIMIZE = "minimize"
-ROBUST_ROW_CAP = 20000
 
 
 class InfeasibleProblem(RuntimeError):
@@ -116,6 +114,18 @@ class Certificate:
         self.lam = float(self.lam)
 
 
+def _vertex_rows(verts, mat) -> np.ndarray:
+    """kron(s, mat) for every vertex s, stacked; mat may have no columns."""
+    (n_v, n), (rows, q) = verts.shape, mat.shape
+    return (verts[:, None, :, None] * mat[None, :, None, :]).reshape(n_v * rows, n * q)
+
+
+def _extreme_shifts(s_h, disturbance: DisturbanceSet) -> np.ndarray:
+    """[max, min] over the disturbance vertices d of S_r d, per set row r."""
+    shift = s_h @ disturbance.vertices.T
+    return np.column_stack([shift.max(axis=1), shift.min(axis=1)])
+
+
 def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
                 consistency=None) -> lp.LinearProgram:
     """Nominal program for the closed loop S F = s_f0 + s_m D in the decision
@@ -143,10 +153,8 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
 
     sum_rows = np.zeros((n_s, nvars))
     sum_rows[:, p_off : p_off + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
-    # one block kron(s, admiss) per vertex s
     admiss_rows = np.zeros((verts.shape[0] * admiss.shape[0], nvars))
-    admiss_rows[:, :p_off] = (verts[:, None, :, None]
-                              * admiss[None, :, None, :]).reshape(len(admiss_rows), p_off)
+    admiss_rows[:, :p_off] = _vertex_rows(verts, admiss)
     lower = np.full(nvars, -np.inf)
     upper = np.full(nvars, np.inf)
     lower[p_off : p_off + n_s * n_s] = 0.0
@@ -193,45 +201,26 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     """
     n, T = data.n, data.samples
     s_h = state_set.h_matrix
-    n_s = state_set.num_rows
-    n_d = disturbance.vertices.shape[0]
-    nvars = T * n
+    verts = state_set.vertices
 
     base = s_h @ data.x1t
-    shift_cols = s_h @ disturbance.vertices.T  # (n_s, n_d), column i is S d_i
-    # worst additive disturbance per set row
-    d_shift = shift_cols.max(axis=1)
-    if n_d > 2:
-        # each row is affine in shift_cols[r, i], so only the largest and
-        # the smallest entry of a set row can bind: the feasible set stays
-        shift_cols = np.column_stack([d_shift, shift_cols.min(axis=1)])
-        n_d = 2
-
-    n_rows = n_s * state_set.vertices.shape[0] * n_d * T
-    n_rows += input_set.h_matrix.shape[0] * state_set.vertices.shape[0]
-    if n_rows > ROBUST_ROW_CAP:
-        warnings.warn(f"robust program has {n_rows} inequality rows", stacklevel=2)
-
-    # prop[j, i] is base with column j shifted by T times shift_cols[:, i];
-    # a row block is kron(vertex, prop[j, i]), blocks ordered by vertex,
-    # then j, then i
-    prop = np.empty((T, n_d, n_s, T))
+    shift = _extreme_shifts(s_h, disturbance)
+    # prop[j, i] is base with column j shifted by T times shift[:, i]; row
+    # blocks kron(vertex, prop[j, i]) go by vertex, then j, then i
+    prop = np.empty((T, 2, s_h.shape[0], T))
     prop[...] = base
     cols = np.arange(T)
-    prop[cols, :, :, cols] = base.T[:, None, :] - (T * shift_cols).T[None, :, :]
-    verts = state_set.vertices
-    robust_rows = (verts[:, None, None, None, :, None]
-                   * prop[None, :, :, :, None, :]).reshape(-1, nvars)
+    prop[cols, :, :, cols] = base.T[:, None, :] - (T * shift).T[None, :, :]
     admiss = input_set.h_matrix @ data.u0t
-    admiss_rows = (verts[:, None, :, None] * admiss[None, :, None, :]).reshape(-1, nvars)
-    ineq_rhs = np.concatenate([np.tile(1.0 - d_shift, verts.shape[0] * T * n_d),
-                               np.ones(admiss_rows.shape[0])])
-
-    consistency = np.kron(np.eye(n), data.x0t)
+    # the worst additive disturbance per set row comes off the right-hand side
+    ineq_rhs = np.concatenate([np.tile(1.0 - shift[:, 0], verts.shape[0] * T * 2),
+                               np.ones(verts.shape[0] * admiss.shape[0])])
     return lp.LinearProgram(
-        num_vars=nvars, objective=np.zeros(nvars),
-        eq_lhs=consistency, eq_rhs=np.eye(n).ravel(),
-        ineq_lhs=np.vstack([robust_rows, admiss_rows]), ineq_rhs=ineq_rhs)
+        num_vars=T * n, objective=np.zeros(T * n),
+        eq_lhs=np.kron(np.eye(n), data.x0t), eq_rhs=np.eye(n).ravel(),
+        ineq_lhs=np.vstack([_vertex_rows(verts, prop.reshape(-1, T)),
+                            _vertex_rows(verts, admiss)]),
+        ineq_rhs=ineq_rhs)
 
 
 def extract_gain(data: ExperimentData, g_matrix) -> np.ndarray:

@@ -112,17 +112,17 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
     shifted propagations)."""
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
     s_h = cset.h_matrix
-    T = data.samples
-    shift = s_h @ disturbance.vertices.T
-    d_worst = shift.max(axis=1)
+    shift = synthesis._extreme_shifts(s_h, disturbance)
     base = s_h @ data.x1t @ g_matrix
     nominal = _images(base, cset.vertices)
     gs = _images(g_matrix, cset.vertices)
     # subtracting the column spike j changes row r by T * shift[r, i] * gs[j];
-    # rows[v, i, j] over (vertex, disturbance vertex, sample)
+    # rows[v, i, j] over (vertex, extreme projection, sample). Each row is
+    # monotone in S_r d, roundings included, so the largest and the smallest
+    # projection give the worst value of all disturbance vertices bit for bit
     rows = (nominal[:, None, None, :]
-            - (T * shift.T)[None, :, None, :] * gs[:, None, :, None]
-            + d_worst)
+            - (data.samples * shift.T)[None, :, None, :] * gs[:, None, :, None]
+            + shift[:, 0])
     # np.maximum keeps a NaN, so a NaN anywhere fails the check
     worst = float(np.maximum(0.0, np.max(rows)))
     return worst <= 1.0 + tol, worst
@@ -188,9 +188,10 @@ def check_data_consistency(data, g_matrix, gain, tol: float = DEFAULT_TOL) -> bo
     """X0 G = I, which makes X1 G the closed loop A + B K of K = U0 G, and
     U0 G equal to the stored gain, both entrywise within tol."""
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
-    # a NaN residual compares False, so a NaN anywhere fails the check
-    return bool(np.max(np.abs(data.x0t @ g_matrix - np.eye(data.n))) <= tol
-                and np.max(np.abs(data.u0t @ g_matrix - gain)) <= tol)
+    # a residual that overflows to inf fails, and a NaN one compares False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.max(np.abs(data.x0t @ g_matrix - np.eye(data.n))) <= tol
+                    and np.max(np.abs(data.u0t @ g_matrix - gain)) <= tol)
 
 
 def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certificate,

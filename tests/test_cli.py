@@ -503,6 +503,43 @@ def test_forged_data_certificate_fails_verification(tmp_path, demo_problem, caps
     assert "certificate     FAILED" in capsys.readouterr().out
 
 
+def test_simulate_refuses_a_gain_the_combiner_does_not_give(tmp_path, demo_problem, capsys):
+    # X1 G is the closed loop of K = U0 G; with another gain stored the states
+    # and the inputs of the table would belong to two different loops
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    record, digest = fileio.load_certificate(cert_path)
+    record.gain = 2.0 * record.gain
+    fileio.save_certificate(record, cert_path, {}, digest)
+    assert cli.main(["verify", demo_problem, cert_path]) == 2
+    capsys.readouterr()
+    assert cli.main(["simulate", demo_problem, cert_path, "--x0", "1,0",
+                     "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the certificate fails X0 G = I or U0 G = K")
+    assert captured.out == "" and not list(tmp_path.glob("run*"))
+
+
+def test_sizes_too_large_to_allocate_exit_one_and_write_nothing(tmp_path, demo_problem,
+                                                                capsys):
+    # no 64-bit address space holds 10**17 rows, so numpy refuses the size
+    # before it allocates anything
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", demo_problem, cert_path, "--x0", "1,0",
+                     "--steps", str(10**17), "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: ") and "Traceback" not in captured.err
+    assert not list(tmp_path.glob("run*"))
+    out = tmp_path / "huge.json"
+    config = _write_config(tmp_path, {**DEMO_CONFIG, "samples": 10**17})
+    assert cli.main(["generate", config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: ") and captured.out == ""
+    assert not out.exists()
+
+
 def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, capsys):
     problem = str(tmp_path / "problem.json")
     assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0

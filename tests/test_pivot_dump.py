@@ -61,3 +61,18 @@ def test_dump_fingerprints_each_calling_module_and_the_files(tmp_path):
     b.write_text("# h\n0\tcertified\tsynthesis=5:aa\tverification=2:bb\tvertices=ee\n")
     differ = _run("--compare", str(a), str(b))
     assert differ.returncode == 1 and differ.stdout.startswith("0: vertices\n")
+
+
+def test_compare_tallies_each_files_verdicts_when_lines_differ(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("# h\n0\tcertified\tsynthesis=5:aa\n1\tcertified\tsynthesis=4:bb\n"
+                 "2\tinfeasible\tsynthesis=9:cc\n")
+    b.write_text("# h\n0\tcertified\tsynthesis=5:aa\n1\tinfeasible\tsynthesis=7:dd\n"
+                 "2\tinfeasible\tsynthesis=9:cc\n")
+    differ = _run("--compare", str(a), str(b))
+    assert differ.returncode == 1 and differ.stdout.startswith("1: verdict, synthesis\n")
+    assert differ.stdout.endswith(f"{a}: 2 certified, 1 infeasible\n"
+                                  f"{b}: 2 infeasible, 1 certified\n1 of 4 lines differ\n")
+    # lines that all agree print the count alone
+    same = _run("--compare", str(a), str(a))
+    assert same.returncode == 0 and same.stdout == "0 of 4 lines differ\n"

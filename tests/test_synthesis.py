@@ -1,4 +1,3 @@
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -149,13 +148,6 @@ def test_robust_box_problem_sound():
     report = verification.verify_certificate(box, uset, cert, data=data,
                                              disturbance=dset)
     assert report.all_ok()
-
-
-def test_robust_row_budget_warning(demo_state_set, demo_input_set, demo_data, monkeypatch):
-    dset = DisturbanceSet(0.01 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]))
-    monkeypatch.setattr(synthesis, "ROBUST_ROW_CAP", 100)
-    with pytest.warns(UserWarning):
-        synthesis.build_robust_lp(demo_data, demo_state_set, demo_input_set, dset)
 
 
 def test_problem_validation():
@@ -309,6 +301,7 @@ ROBUST_CASES = [
     (_regular_polygon(7), 0.01 * np.array([[1, 1], [-1, -1]]), 12),
     (_regular_polygon(5), 0.03 * PENTAGON, 6),
     (CUBE, 0.01 * CUBE, 5),
+    (BOX, np.zeros((1, 2)), 4),
 ]
 
 
@@ -322,12 +315,12 @@ def test_robust_builder_matches_loop_oracle(rows, disturbance, samples):
     dset = DisturbanceSet(disturbance)
     program = synthesis.build_robust_lp(data, cset, uset, dset)
     lhs, rhs = robust_rows_loop(data, cset, uset, dset)
-    # with more than two disturbance vertices the builder keeps, per (vertex,
-    # sample, set row), the loop's rows for the largest and the smallest shift
+    # per (vertex, sample, set row) the builder keeps the loop's rows for the
+    # largest and the smallest shift, in that order, whatever the number of
+    # disturbance vertices
     shift = rows @ dset.vertices.T
     n_v, n_s, n_d = cset.vertices.shape[0], rows.shape[0], shift.shape[1]
-    pick = (np.stack([shift.argmax(axis=1), shift.argmin(axis=1)]) if n_d > 2
-            else np.arange(n_d)[:, None])
+    pick = np.stack([shift.argmax(axis=1), shift.argmin(axis=1)])
     n_rob = n_v * samples * n_d * n_s
     blocks = lhs[:n_rob].reshape(n_v, samples, n_d, n_s, -1)[:, :, pick, np.arange(n_s)]
     rhs_blocks = rhs[:n_rob].reshape(n_v, samples, n_d, n_s)[:, :, pick, np.arange(n_s)]
@@ -388,20 +381,3 @@ def test_pruned_robust_program_has_the_highs_verdict_of_the_full_one():
         assert outcomes[0] == outcomes[1] and outcomes[0] in (0, 2)
         verdicts.append(outcomes[0])
     assert verdicts.count(0) >= 4 and verdicts.count(2) >= 4
-
-
-def test_row_cap_counts_the_rows_built(monkeypatch):
-    # box state set and box disturbance: 32 T + 8 rows once pruned, 64 T + 8
-    # before, so a cap of 296 at T = 9 separates the two counts
-    rng = np.random.default_rng(4)
-    data = build_data_matrices(rng.normal(size=(9, 1)), rng.normal(size=(10, 2)))
-    args = (data, validate_cset(BOX), InputPolytope([[0.2], [-0.2]]),
-            DisturbanceSet(0.02 * BOX_CORNERS))
-    monkeypatch.setattr(synthesis, "ROBUST_ROW_CAP", 296)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        program = synthesis.build_robust_lp(*args)
-    assert program.ineq_lhs.shape[0] == 296
-    monkeypatch.setattr(synthesis, "ROBUST_ROW_CAP", 295)
-    with pytest.warns(UserWarning, match="has 296 inequality rows"):
-        synthesis.build_robust_lp(*args)

@@ -177,9 +177,23 @@ def _robust_data_case(seed, samples=7):
     return rng, box, data, DisturbanceSet(corners)
 
 
-def test_robust_data_conditions_match_loop_oracle():
+def _disturbance_around_origin(rng, count):
+    """count points at evenly spread angles with random radii, so their hull
+    holds the origin; the origin alone for count 1."""
+    angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(count) / count
+    radii = 0.05 * rng.uniform(0.5, 1.0, size=count) * (count > 1)
+    return DisturbanceSet(radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8])
+def test_robust_data_conditions_match_loop_oracle(count):
+    # the check sees only each set row's largest and smallest disturbance
+    # projection; the loop sweeps every disturbance vertex
     for seed in range(12):
         rng, box, data, dset = _robust_data_case(seed, samples=1 + seed)
+        if count != 4:
+            dset = _disturbance_around_origin(rng, count)
+        assert dset.vertices.shape[0] == count
         g = rng.normal(scale=0.3, size=(data.samples, 2))
         ok, worst = verification.check_robust_data_conditions(data, g, box, dset)
         expected = robust_data_worst_loop(data, g, box, dset)
