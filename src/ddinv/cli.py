@@ -22,12 +22,11 @@ from itertools import product
 import numpy as np
 
 from . import fileio, svgplot
-from .experiment import (PlantModel, build_data_matrices,
+from .experiment import (build_data_matrices,
                          data_has_full_row_rank, is_persistently_exciting,
                          min_samples, random_input_sequence, simulate)
 from .fileio import FileFormatError
-from .polytopes import (DisturbanceSet, InputPolytope, gauge, ordered_vertices_2d,
-                        validate_cset)
+from .polytopes import DisturbanceSet, gauge, ordered_vertices_2d
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
 from .verification import (DEFAULT_TOL, VerificationReport, _images, check_data_consistency,
@@ -89,12 +88,13 @@ def _cmd_generate(args) -> int:
     except (OSError, FileFormatError) as exc:
         return _fail(f"cannot read config: {exc}")
     try:
-        model = cfg["model"]
-        plant = PlantModel(fileio.rows_to_matrix(model["A"], "model.A"),
-                           fileio.rows_to_matrix(model["B"], "model.B"))
-        state_set = validate_cset(fileio.rows_to_matrix(cfg["state_set"], "state_set"))
-        input_set = InputPolytope(fileio.rows_to_matrix(cfg["input_set"], "input_set"))
-        lam = fileio.contraction_level(cfg.get("lambda", "min"))
+        if cfg.get("model") is None:
+            raise FileFormatError(f"{args.config}: missing 'model'")
+        # the model, the sets and the level follow the problem file's rules
+        problem = {key: cfg[key] for key in ("model", "state_set", "input_set") if key in cfg}
+        spec = fileio.parse_problem({**problem, "lambda": cfg.get("lambda", "min")},
+                                    args.config)
+        plant = spec.model
         samples = _count(cfg["samples"], "samples", 1)
         seed = _count(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
         x0 = np.asarray(cfg.get("x0", np.zeros(plant.n)), dtype=float).reshape(-1)
@@ -104,8 +104,6 @@ def _cmd_generate(args) -> int:
             radius = _magnitude(radius, "disturbance_radius")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return _fail(f"bad config: {exc}")
-    if (state_set.dim, input_set.dim) != (plant.n, plant.m):
-        return _fail("set dimensions do not match the model")
     if x0.shape != (plant.n,):
         return _fail("x0 length does not match the plant dimension")
     if not np.all(np.isfinite(x0)):
@@ -140,9 +138,8 @@ def _cmd_generate(args) -> int:
     full = data_has_full_row_rank(data)
     print(f"stacked data matrix full row rank: {'yes' if full else 'NO'}")
 
-    spec = fileio.ProblemSpec(
-        state_set=state_set, input_set=input_set, lam=lam, data=data,
-        disturbance=disturbance,
+    spec = dataclasses.replace(
+        spec, data=data, model=None, disturbance=disturbance,
         meta={"seed": seed, "input_amplitude": amplitude,
               "x0": [float(v) for v in x0],
               "description": "seeded open-loop experiment"})
@@ -203,43 +200,18 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _load_certified(args):
-    """Problem, certificate and the certificate's recorded problem digest for
-    verify and simulate, the certificate's shapes checked against the
-    problem. Raises OSError or ValueError with the message for the error
-    line."""
-    spec = fileio.load_problem(args.problem)
-    certificate, digest = fileio.load_certificate(args.certificate)
-    n = spec.state_set.dim
-    m = spec.input_set.dim
-    if certificate.gain.shape != (m, n):
-        raise ValueError(f"gain shape {certificate.gain.shape} does not match ({m}, {n})")
-    if (certificate.p_matrix is not None
-            and certificate.p_matrix.shape != (spec.state_set.num_rows,) * 2):
-        raise ValueError("p_matrix shape does not match the state set")
-    if certificate.g_matrix is not None:
-        if spec.data is None:
-            raise ValueError("certificate carries a data combiner but the problem has no data")
-        if certificate.g_matrix.shape != (spec.data.samples, n):
-            raise ValueError("g_matrix shape does not match the data")
-    return spec, certificate, digest
-
-
 def _cmd_verify(args) -> int:
     try:
-        spec, certificate, digest = _load_certified(args)
+        spec = fileio.load_problem(args.problem)
+        certificate, digest = fileio.load_certificate(args.certificate)
+        report = verify_certificate(spec.state_set, spec.input_set, certificate,
+                                    data=spec.data, plant=spec.model,
+                                    disturbance=spec.disturbance)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if digest and fileio.file_digest(args.problem) != digest:
         print("warning: problem file digest differs from the one recorded "
               "in the certificate", file=sys.stderr)
-
-    try:
-        report = verify_certificate(spec.state_set, spec.input_set, certificate,
-                                    data=spec.data, plant=spec.model,
-                                    disturbance=spec.disturbance)
-    except ValueError as exc:
-        return _fail(str(exc))
     _print_report(report)
     if not report.all_ok():
         return 2
@@ -257,7 +229,10 @@ def _input_bounds(input_rows: np.ndarray):
 
 def _cmd_simulate(args) -> int:
     try:
-        spec, certificate, _ = _load_certified(args)
+        spec = fileio.load_problem(args.problem)
+        certificate, _ = fileio.load_certificate(args.certificate)
+        f_matrix = closed_loop(certificate, spec.state_set, spec.input_set,
+                               spec.data, spec.model)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     state_set, input_set = spec.state_set, spec.input_set
@@ -276,9 +251,6 @@ def _cmd_simulate(args) -> int:
     if args.steps < 1:
         return _fail("--steps must be positive")
 
-    f_matrix = closed_loop(certificate, spec.data, spec.model)
-    if f_matrix is None:
-        return _fail("problem gives no way to form the closed loop")
     if spec.model is None and certificate.p_matrix is None:
         return _fail("simulating a robust certificate needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")

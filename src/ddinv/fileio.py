@@ -4,9 +4,11 @@ library's own objects.
 `load_problem` returns a `ProblemSpec`: the state set validated as a C-set,
 the input set, the experiment data and/or the plant model, the disturbance
 set and the level, where the file's "min" becomes `synthesis.MINIMIZE`. A
-file whose content those objects refuse is a FileFormatError. A certificate
-file holds a `synthesis.Certificate` plus the verification report that
-`synthesize` embedded, the tool version and the digest of the problem file;
+file whose content those objects refuse is a FileFormatError.
+`parse_problem` applies the same rules to a JSON object already read, such
+as the problem part of a generate config. A certificate file holds a
+`synthesis.Certificate` plus the verification report that `synthesize`
+embedded, the tool version and the digest of the problem file;
 `load_certificate` returns the certificate and the digest.
 
 Matrices travel as {"shape": [rows, cols], "values": [row-major flat list]}.
@@ -149,10 +151,15 @@ class ProblemSpec:
 
 
 def load_problem(path) -> ProblemSpec:
-    raw = read_json_object(path)
+    return parse_problem(read_json_object(path), path)
+
+
+def parse_problem(raw: dict, where) -> ProblemSpec:
+    """The problem a JSON object spells, under the rules of a problem file;
+    `where` names its source in the message of a missing key."""
     for key in ("state_set", "input_set", "lambda"):
         if key not in raw:
-            raise FileFormatError(f"{path}: missing '{key}'")
+            raise FileFormatError(f"{where}: missing '{key}'")
     for key in ("data", "model", "disturbance"):
         if raw.get(key) is not None and not isinstance(raw[key], dict):
             raise FileFormatError(f"{key} must be a JSON object")

@@ -307,12 +307,13 @@ def solve(lp: LinearProgram) -> LpSolution:
     after phase one and report FEASIBLE; anything else reports OPTIMAL,
     INFEASIBLE, UNBOUNDED, ITERATION_LIMIT or PHASE_ONE_BREAKDOWN. A
     FEASIBLE or OPTIMAL point that breaks lp by more than GUARD_TOL is
-    withheld as BAD_POINT."""
-    sol = _simplex(lp)
-    if sol.primal is not None:
-        residual = max_violation(lp, sol.primal)
-        if not residual <= GUARD_TOL:
-            return LpSolution(LpStatus.BAD_POINT, residual=residual)
+    withheld as BAD_POINT. A tableau that overflows the float range is left
+    to the statuses and the guard to judge, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = _simplex(lp)
+        residual = None if sol.primal is None else max_violation(lp, sol.primal)
+    if residual is not None and not residual <= GUARD_TOL:
+        return LpSolution(LpStatus.BAD_POINT, residual=residual)
     return sol
 
 

@@ -196,7 +196,7 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     """All vertices of {x : H x <= 1} by enumerating row subsets of size n.
 
     Candidate points solve H_J x = 1 for an invertible row subset J and are
-    kept when feasible for every row. Two candidates are the same vertex when
+    kept when the rows of J are active at them and every row holds. Two candidates are the same vertex when
     the same rows are active at them, |H v - 1| <= ACTIVE_TOL, and the first
     one found stands for the vertex. The work runs on H scaled by _unit_scale
     and the vertices are scaled back, so every bit is the same at any scale.
@@ -222,7 +222,7 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     images = cands @ h_matrix.T
     # "not above" rather than "at most": a NaN passes these two tests, as it
     # does in the subset-by-subset form
-    keep = (np.isfinite(cands).all(axis=1) & ~(resid > 1e-7)
+    keep = (np.isfinite(cands).all(axis=1) & ~(resid > ACTIVE_TOL)
             & ~(images.max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
     first = {}
     for index, active in zip(np.flatnonzero(keep), np.abs(images[keep] - 1.0) <= ACTIVE_TOL):

@@ -238,6 +238,19 @@ def _unpack_p(primal, offset: int, n_s: int) -> np.ndarray:
     return primal[offset : offset + n_s * n_s].reshape(n_s, n_s).copy()
 
 
+def _build(build, what: str, *args) -> lp.LinearProgram:
+    """The program build(*args) makes. Finite data can still overflow the
+    float range in its products; such a program has no finite rows, and
+    the overflow is a SolverFailure. The callers pass a builder read from
+    the module globals at call time, so a wrapper set on the module sees
+    each call."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return build(*args)
+    except FloatingPointError as exc:
+        raise SolverFailure(f"{what}: the program overflows while being built ({exc})") from exc
+
+
 def _solve_or_raise(program: lp.LinearProgram, what: str) -> np.ndarray:
     sol = lp.solve(program)
     if sol.status == lp.LpStatus.INFEASIBLE:
@@ -257,8 +270,8 @@ def synthesize(problem: SynthesisProblem) -> Certificate:
     'minimize' delegates to minimize_lambda."""
     if problem.disturbance is not None:
         data = problem.source
-        program = build_robust_lp(data, problem.state_set, problem.input_set,
-                                  problem.disturbance)
+        program = _build(build_robust_lp, "robust design", data, problem.state_set,
+                         problem.input_set, problem.disturbance)
         primal = _solve_or_raise(program, "robust design")
         g = _unpack_d(primal, data.samples, data.n)
         return Certificate(gain=extract_gain(data, g), lam=1.0, g_matrix=g)
@@ -284,7 +297,8 @@ def _nominal_design(problem: SynthesisProblem, lam: Optional[float]) -> Certific
         route, build, q = "model-based", build_modelbased_lp, source.m
     else:
         route, build, q = "data-based", build_databased_lp, source.samples
-    program = build(source, problem.state_set, problem.input_set, lam)
+    program = _build(build, f"{route} {what}", source, problem.state_set,
+                     problem.input_set, lam)
     primal = _solve_or_raise(program, f"{route} {what}")
     d = _unpack_d(primal, q, source.n)
     g = None if isinstance(source, PlantModel) else d

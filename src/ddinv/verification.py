@@ -158,17 +158,30 @@ class VerificationReport:
         return all(checks)
 
 
-def closed_loop(certificate, data=None, plant=None) -> Optional[np.ndarray]:
+def closed_loop(certificate, cset: PolyhedralCSet, input_set: InputPolytope,
+                data=None, plant=None) -> np.ndarray:
     """The closed-loop map the certificate stands for: A + B K when the
-    plant is given, otherwise X1 G from the data; None when neither can be
-    formed. Entries too large may overflow to inf and NaN, which is left to
-    the caller to judge."""
+    plant is given, otherwise X1 G from the data. A gain, P or G whose shape
+    does not fit the problem, a G without data, or a problem that gives no
+    way to form the loop is a ValueError. Entries too large may overflow to
+    inf and NaN, which is left to the caller to judge."""
+    n, m = cset.dim, input_set.dim
+    if certificate.gain.shape != (m, n):
+        raise ValueError(f"gain shape {certificate.gain.shape} does not match ({m}, {n})")
+    if (certificate.p_matrix is not None
+            and certificate.p_matrix.shape != (cset.num_rows,) * 2):
+        raise ValueError("p_matrix shape does not match the state set")
+    if certificate.g_matrix is not None:
+        if data is None:
+            raise ValueError("certificate carries a data combiner but the problem has no data")
+        if certificate.g_matrix.shape != (data.samples, n):
+            raise ValueError("g_matrix shape does not match the data")
     with np.errstate(over="ignore", invalid="ignore"):
         if plant is not None:
             return plant.a_matrix + plant.b_matrix @ certificate.gain
-        if data is not None and certificate.g_matrix is not None:
+        if certificate.g_matrix is not None:
             return data.x1t @ certificate.g_matrix
-    return None
+    raise ValueError("no way to form the closed loop: it needs a plant or data with a combiner G")
 
 
 def rollout(f_matrix, starts, steps: int) -> np.ndarray:
@@ -199,7 +212,8 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
                        tol: float = DEFAULT_TOL) -> VerificationReport:
     """Full report on a certificate.
 
-    The closed-loop map comes from `closed_loop`. On the data route (no
+    The closed-loop map comes from `closed_loop`, which refuses a
+    certificate whose matrices do not fit the problem. On the data route (no
     plant) the certificate only counts when G is consistent with the data
     and the gain (`check_data_consistency`). Robust certificates (no P) get
     the robust vertex test; when only data is available for them, the
@@ -208,11 +222,9 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     """
     synthesis.certified_level(certificate.lam)
     gain = certificate.gain
-    f_matrix = closed_loop(certificate, data, plant)
+    f_matrix = closed_loop(certificate, cset, input_set, data, plant)
     if certificate.p_matrix is None and disturbance is None:
         raise ValueError("certificate has no P; a disturbance set is required")
-    if f_matrix is None:
-        raise ValueError("verification needs a plant or data to form the closed loop")
     # a certificate with huge entries may overflow to inf and NaN, which
     # every check fails
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -540,6 +542,31 @@ def test_sizes_too_large_to_allocate_exit_one_and_write_nothing(tmp_path, demo_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config", [
+    ([], DEMO_CONFIG), (["--robust"], {**DEMO_CONFIG, "disturbance_radius": 0.001}),
+], ids=["nominal", "robust"])
+def test_data_entry_near_the_float_limit_ends_in_one_error_line(tmp_path, flags, config):
+    # a separate process, so that stderr shows any numpy warning as a user
+    # would see it: the nominal program's tableau overflows in the simplex,
+    # the robust one's rows overflow while the program is built
+    problem = tmp_path / "problem.json"
+    assert cli.main(["generate", _write_config(tmp_path, config), "--out", str(problem)]) == 0
+    raw = json.loads(problem.read_text())
+    raw["data"]["x1t"]["values"][21] = 1e308
+    problem.write_text(json.dumps(raw))
+    out = tmp_path / "certificate.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "ddinv.cli", "synthesize", str(problem), "--out", str(out),
+         *flags], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    assert run.returncode == 1
+    assert re.fullmatch(r"error: [^\n]+\n", run.stderr), run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+    if flags:
+        assert "overflows while being built" in run.stderr
+    assert not out.exists()
+
+
 def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, capsys):
     problem = str(tmp_path / "problem.json")
     assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0
@@ -655,7 +682,8 @@ def test_simulate_csv_matches_the_row_by_row_loop(tmp_path, demo_problem, route,
     with open(prefix + ".csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert rows == oracles.simulate_rows_loop(
-        closed_loop(certificate, spec.data, spec.model), certificate.gain, spec.state_set,
+        closed_loop(certificate, spec.state_set, spec.input_set, spec.data, spec.model),
+        certificate.gain, spec.state_set,
         [float(v) for v in start.split(",")], steps)
 
 

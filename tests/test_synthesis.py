@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from ddinv import lp, synthesis, verification
-from ddinv.experiment import (PlantModel, build_data_matrices,
+from ddinv.experiment import (ExperimentData, PlantModel, build_data_matrices,
                               random_input_sequence, simulate,
                               stacked_data_matrix)
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
@@ -58,6 +58,21 @@ def test_point_that_breaks_the_program_is_a_solver_failure(demo_state_set, demo_
                              r"the program by \d"):
         synthesis.synthesize(
             synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
+
+
+@pytest.mark.parametrize("route", ["model", "data", "robust"])
+def test_program_that_overflows_while_built_is_a_solver_failure(demo_plant, demo_data, route):
+    # set rows of 4 times a plant or data entry of 1e308 overflow in S A or
+    # S X1; no numpy warning and no error from the program's own checks
+    box = validate_cset(4.0 * np.vstack([np.eye(2), -np.eye(2)]))
+    inputs = InputPolytope([[1.0], [-1.0]])
+    x1t = demo_data.x1t.copy()
+    x1t[0, 0] = 1e308
+    source = (PlantModel([[1e308, 0.0], [0.0, 1.0]], demo_plant.b_matrix) if route == "model"
+              else ExperimentData(demo_data.u0t, demo_data.x0t, x1t))
+    disturbance = DisturbanceSet([[0.01, 0.01], [-0.01, -0.01]]) if route == "robust" else None
+    with pytest.raises(synthesis.SolverFailure, match="overflows while being built"):
+        synthesis.synthesize(synthesis.SynthesisProblem(box, inputs, 0.5, source, disturbance))
 
 
 def test_zero_input_data_infeasible(demo_state_set, demo_input_set, demo_plant):

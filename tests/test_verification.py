@@ -253,12 +253,42 @@ def test_overflowing_rollout_reports_infinite_margin():
 def test_closed_loop_follows_the_route(demo_plant, demo_data, demo_state_set, demo_input_set):
     cert = synthesis.synthesize(
         synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
-    assert np.array_equal(verification.closed_loop(cert, data=demo_data),
+    sets = (demo_state_set, demo_input_set)
+    assert np.array_equal(verification.closed_loop(cert, *sets, data=demo_data),
                           demo_data.x1t @ cert.g_matrix)
-    assert np.array_equal(verification.closed_loop(cert, data=demo_data, plant=demo_plant),
+    assert np.array_equal(verification.closed_loop(cert, *sets, data=demo_data, plant=demo_plant),
                           demo_plant.a_matrix + demo_plant.b_matrix @ cert.gain)
     model_cert = synthesis.Certificate(gain=cert.gain, lam=0.84)
-    assert verification.closed_loop(model_cert, data=demo_data) is None
+    with pytest.raises(ValueError, match="plant or data"):
+        verification.closed_loop(model_cert, *sets, data=demo_data)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("gain (1, 3)", "gain shape"),
+    ("P (1, n_s)", "p_matrix shape"),
+    ("G a row short", "g_matrix shape"),
+    ("G on a model", "data combiner"),
+    ("model certificate on data", "plant or data"),
+])
+def test_certificate_that_does_not_fit_the_problem_is_refused(
+        demo_plant, demo_data, demo_state_set, demo_input_set, case, match):
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
+    source = {"data": demo_data}
+    if case == "gain (1, 3)":
+        cert.gain = np.zeros((1, 3))
+    elif case == "P (1, n_s)":
+        cert.p_matrix = cert.p_matrix[:1]
+    elif case == "G a row short":
+        cert.g_matrix = cert.g_matrix[1:]
+    elif case == "G on a model":
+        source = {"plant": demo_plant}
+    else:
+        cert.g_matrix = None
+    with pytest.raises(ValueError, match=match):
+        verification.closed_loop(cert, demo_state_set, demo_input_set, **source)
+    with pytest.raises(ValueError, match=match):
+        verification.verify_certificate(demo_state_set, demo_input_set, cert, **source)
 
 
 def test_rollout_matches_the_step_loop():
