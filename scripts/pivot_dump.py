@@ -9,21 +9,25 @@ A dump runs the first --count instances of the workload and seed from
 bench/workloads.py under the workload's pivot budget, as bench/run.py does,
 with ddinv imported from the src directory next to this script. It writes
 one line per instance: its index, its verdict, and one `module=pivots:hash`
-field for each ddinv module that called lp.solve (polytopes, synthesis,
-verification), in name order. The pivots are those of that module's solves,
-and the hash is a sha256 over the status, objective, residual and primal
-bytes of each of their results, so the sign of a zero counts. A
+field for each ddinv module that called lp.solve (on these workloads only
+synthesis does), in name order. The pivots are those of that module's
+solves, and the hash is a sha256 over the status, objective, residual and
+primal bytes of each of their results, so the sign of a zero counts. A
 `vertices=hash` field is a sha256 over the shape and bytes of every
 polytopes.enumerate_vertices result of the instance, in call order, and over
 the name of any error it raised. On cli_rollout a `files=hash` field covers
-every file the chain wrote. Run the script from two checkouts to compare
-their solvers and set validation. --compare prints the instances whose lines
+every file the chain wrote, and an `output=hash` field what each cli.main
+call printed, with the work directory's path replaced by a fixed token so
+that two dumps of one checkout agree. Run the script from two checkouts to
+compare their solvers, set validation and messages. --compare prints the instances whose lines
 differ, with the fields that moved, and exits 1 when any does; it then
 tallies each file's verdicts, one line per file.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -49,7 +53,7 @@ def dump(workload_name, seed, count, out):
     import workloads
 
     dd = bench.import_ddinv()
-    lp, polytopes = dd.lp, dd.polytopes
+    cli, lp, polytopes = dd.cli, dd.lp, dd.polytopes
     workload = workloads.WORKLOADS[workload_name]
     lines = [f"# {workload_name} seed {seed} count {count}"]
     with tempfile.TemporaryDirectory() as workdir, warnings.catch_warnings():
@@ -86,14 +90,27 @@ def dump(workload_name, seed, count, out):
             vertices.append(f"{verts.shape}".encode() + verts.tobytes())
             return verts
 
+        main, said = cli.main, []
+
+        def spoken(argv):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+            said.append(sink.getvalue().replace(workdir, "<workdir>").encode())
+            # the caller's own redirect still gets every line
+            print(sink.getvalue(), end="")
+            return code
+
         lp._pivot, lp.solve = counted, recorded
         polytopes.enumerate_vertices = fingerprinted
+        cli.main = spoken
         try:
             for index in range(count):
                 inst = workload.make(seed, index, workdir)
                 pivots.clear()
                 digests.clear()
                 vertices.clear()
+                said.clear()
                 outcome = runner.attempt(inst)[1]
                 fields = [f"{name}={pivots[name]}:"
                           f"{digests.get(name, hashlib.sha256()).hexdigest()}"
@@ -108,10 +125,14 @@ def dump(workload_name, seed, count, out):
                         files.update(path.name.encode() + b"\0" + path.read_bytes())
                         path.unlink()
                     fields.append(f"files={files.hexdigest()}")
+                if said:
+                    output = hashlib.sha256(b"\0".join(said))
+                    fields.append(f"output={output.hexdigest()}")
                 lines.append("\t".join([str(index), _verdict(outcome), *fields]))
         finally:
             lp._pivot, lp.solve = budgeted, solve
             polytopes.enumerate_vertices = enumerate_vertices
+            cli.main = main
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -123,7 +144,7 @@ def _instances(path):
 
 def _fields(line):
     """A dump line's fields by name: the verdict, then module=pivots:hash,
-    vertices=hash and files=hash fields."""
+    vertices=hash, files=hash and output=hash fields."""
     if line is None:
         return {}
     index, *rest = line.split("\t")

@@ -5,9 +5,10 @@ synthesize (solve for a gain and write a certificate file with the
 verification report embedded), verify (recheck a certificate against a
 problem), simulate (roll the closed loop out and write CSV/SVG).
 
-Exit codes: 0 on success, 1 for usage, IO or validation trouble or a size
-too large to allocate, 2 for infeasibility, failed verification, or an
-initial state outside the set.
+Exit codes, which `main` alone maps exceptions to: 0 on success, 1 for
+usage, IO or validation trouble, a solver failure or a size too large to
+allocate, 2 for infeasibility, failed verification, or an initial state
+outside the set. The commands catch only to add context to a message.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import sys
 from itertools import product
 
@@ -25,7 +27,6 @@ from . import fileio, svgplot
 from .experiment import (build_data_matrices,
                          data_has_full_row_rank, is_persistently_exciting,
                          min_samples, random_input_sequence, simulate)
-from .fileio import FileFormatError
 from .polytopes import DisturbanceSet, gauge, ordered_vertices_2d
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
@@ -83,13 +84,10 @@ def _print_report(report: VerificationReport):
 
 
 def _cmd_generate(args) -> int:
+    cfg = fileio.read_json_object(args.config)
+    if cfg.get("model") is None:
+        return _fail(f"bad config: {args.config}: missing 'model'")
     try:
-        cfg = fileio.read_json_object(args.config)
-    except (OSError, FileFormatError) as exc:
-        return _fail(f"cannot read config: {exc}")
-    try:
-        if cfg.get("model") is None:
-            raise FileFormatError(f"{args.config}: missing 'model'")
         # the model, the sets and the level follow the problem file's rules
         problem = {key: cfg[key] for key in ("model", "state_set", "input_set") if key in cfg}
         spec = fileio.parse_problem({**problem, "lambda": cfg.get("lambda", "min")},
@@ -143,19 +141,13 @@ def _cmd_generate(args) -> int:
         meta={"seed": seed, "input_amplitude": amplitude,
               "x0": [float(v) for v in x0],
               "description": "seeded open-loop experiment"})
-    try:
-        fileio.save_problem(spec, args.out)
-    except (OSError, FileFormatError) as exc:
-        return _fail(f"cannot write {args.out}: {exc}")
+    fileio.save_problem(spec, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_synthesize(args) -> int:
-    try:
-        spec = fileio.load_problem(args.problem)
-    except (OSError, FileFormatError) as exc:
-        return _fail(str(exc))
+    spec = fileio.load_problem(args.problem)
     lam = spec.lam
     if args.lam is not None:
         try:
@@ -164,32 +156,19 @@ def _cmd_synthesize(args) -> int:
             return _fail("--lambda takes 'min' or a number in [0, 1)")
     if spec.data is not None and spec.model is not None:
         return _fail("problem has both data and model; synthesis needs exactly one")
-    if args.robust:
-        if spec.disturbance is None:
-            return _fail("--robust needs a disturbance block in the problem")
-        if spec.data is None:
-            return _fail("--robust needs experiment data")
+    if args.robust and spec.disturbance is None:
+        return _fail("--robust needs a disturbance block in the problem")
     disturbance = spec.disturbance if args.robust else None
     problem = SynthesisProblem(
         state_set=spec.state_set, input_set=spec.input_set,
         lam=0.0 if args.robust else lam,  # level unused on the robust path
         source=spec.data if spec.data is not None else spec.model,
         disturbance=disturbance)
-    try:
-        certificate = synthesize(problem)
-    except InfeasibleProblem as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    except SolverFailure as exc:
-        return _fail(str(exc))
-
+    certificate = synthesize(problem)
     report = verify_certificate(spec.state_set, spec.input_set, certificate,
                                 data=spec.data, plant=spec.model, disturbance=disturbance)
-    try:
-        fileio.save_certificate(certificate, args.out, _report_to_dict(report),
-                                fileio.file_digest(args.problem))
-    except (OSError, FileFormatError) as exc:
-        return _fail(f"cannot write {args.out}: {exc}")
+    fileio.save_certificate(certificate, args.out, _report_to_dict(report),
+                            fileio.file_digest(args.problem))
     print(f"gain: {np.array2string(certificate.gain, precision=6)}")
     print(f"lambda: {certificate.lam:.9g}")
     _print_report(report)
@@ -201,14 +180,10 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        spec = fileio.load_problem(args.problem)
-        certificate, digest = fileio.load_certificate(args.certificate)
-        report = verify_certificate(spec.state_set, spec.input_set, certificate,
-                                    data=spec.data, plant=spec.model,
-                                    disturbance=spec.disturbance)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    spec = fileio.load_problem(args.problem)
+    certificate, digest = fileio.load_certificate(args.certificate)
+    report = verify_certificate(spec.state_set, spec.input_set, certificate,
+                                data=spec.data, plant=spec.model, disturbance=spec.disturbance)
     if digest and fileio.file_digest(args.problem) != digest:
         print("warning: problem file digest differs from the one recorded "
               "in the certificate", file=sys.stderr)
@@ -221,20 +196,17 @@ def _cmd_verify(args) -> int:
 
 def _input_bounds(input_rows: np.ndarray):
     """The band lower <= u <= upper that the rows of a scalar input set cut
-    out; a side no row bounds is infinite."""
-    inverse = 1.0 / input_rows[input_rows[:, 0] != 0, 0]
+    out; a side no row bounds within the float range is infinite."""
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / input_rows[input_rows[:, 0] != 0, 0]
     return (np.max(inverse[inverse < 0], initial=-np.inf),
             np.min(inverse[inverse > 0], initial=np.inf))
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        spec = fileio.load_problem(args.problem)
-        certificate, _ = fileio.load_certificate(args.certificate)
-        f_matrix = closed_loop(certificate, spec.state_set, spec.input_set,
-                               spec.data, spec.model)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    spec = fileio.load_problem(args.problem)
+    certificate, _ = fileio.load_certificate(args.certificate)
+    f_matrix = closed_loop(certificate, spec.state_set, spec.input_set, spec.data, spec.model)
     state_set, input_set = spec.state_set, spec.input_set
     try:
         x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
@@ -269,14 +241,21 @@ def _cmd_simulate(args) -> int:
         return _fail(f"the closed loop overflows: step {int(overflow.argmax())} "
                      "of the rollout is not finite")
 
-    # the scenes are drawn before any file is written, so a rollout that
-    # cannot be plotted leaves no files behind
-    scenes = []
+    # every file is drawn before any is written, so a rollout that cannot
+    # be plotted leaves no files behind
+    files = []
+    if args.format in (None, "csv"):
+        table_text = io.StringIO()
+        writer = csv.writer(table_text)
+        writer.writerow(["t"] + [f"x{i+1}" for i in range(state_set.dim)]
+                        + [f"u{i+1}" for i in range(input_set.dim)] + ["V"])
+        writer.writerows([t, *row] for t, row in enumerate(table.tolist()))
+        files.append((args.out + ".csv", table_text.getvalue()))
     if args.format in (None, "svg"):
         try:
             if state_set.dim == 2:
                 lam = certificate.lam if certificate.lam < 1.0 else None
-                scenes.append((args.out + ".svg", svgplot.state_plane_svg(
+                files.append((args.out + ".svg", svgplot.state_plane_svg(
                     ordered_vertices_2d(state_set), lam=lam, trajectory=states,
                     title=f"closed-loop trajectory, lambda {certificate.lam:.4g}")))
             else:
@@ -284,33 +263,18 @@ def _cmd_simulate(args) -> int:
                       file=sys.stderr)
             if input_set.dim == 1:
                 lower, upper = _input_bounds(input_set.h_matrix)
-                scenes.append((args.out + "_input.svg", svgplot.input_signal_svg(
+                files.append((args.out + "_input.svg", svgplot.input_signal_svg(
                     table[:-1, state_set.dim], lower, upper, title="input signal and bounds")))
         except ValueError as exc:
             return _fail(f"cannot plot the rollout: {exc}")
 
-    wrote = []
-    if args.format in (None, "csv"):
-        path = args.out + ".csv"
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t"] + [f"x{i+1}" for i in range(state_set.dim)]
-                                + [f"u{i+1}" for i in range(input_set.dim)] + ["V"])
-                writer.writerows([t, *row] for t, row in enumerate(table.tolist()))
-        except OSError as exc:
-            return _fail(f"cannot write {path}: {exc}")
-        wrote.append(path)
-    for path, scene in scenes:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(scene)
-        except OSError as exc:
-            return _fail(f"cannot write {path}: {exc}")
-        wrote.append(path)
+    for path, text in files:
+        # newline="" keeps the CSV's \r\n row ends as the csv module writes them
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
 
     print(f"final gauge after {args.steps} steps: {gauge(state_set, states[-1]):.6g}")
-    for path in wrote:
+    for path, _ in files:
         print(f"wrote {path}")
     return 0
 
@@ -379,8 +343,15 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InfeasibleProblem as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 2
     except MemoryError as exc:  # e.g. --steps or samples of 10**17, before any write
         return _fail(f"out of memory: {exc}")
+    except (OSError, ValueError, SolverFailure) as exc:
+        # ValueError covers FileFormatError, PolytopeError and the shape
+        # errors of closed_loop; any other type is a bug and stays loud
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@ library's own objects.
 
 `load_problem` returns a `ProblemSpec`: the state set validated as a C-set,
 the input set, the experiment data and/or the plant model, the disturbance
-set and the level, where the file's "min" becomes `synthesis.MINIMIZE`. A
-file whose content those objects refuse is a FileFormatError.
+set and the level, where the file's "min" becomes `synthesis.MINIMIZE`. This
+module is the gate for outside input: a file that is not UTF-8 JSON, that
+nests too deep, that holds a number too large for a float, or whose content
+those objects refuse is a FileFormatError.
 `parse_problem` applies the same rules to a JSON object already read, such
 as the problem part of a generate config. A certificate file holds a
 `synthesis.Certificate` plus the verification report that `synthesize`
@@ -48,16 +50,22 @@ def obj_to_matrix(obj, name: str) -> np.ndarray:
     try:
         rows, cols = (int(v) for v in obj["shape"])
         values = np.asarray(obj["values"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{name}: shape and values must be numbers ({exc})") from exc
-    if min(rows, cols) < 0 or values.size != rows * cols:
+        fits = min(rows, cols) >= 0 and values.size == rows * cols
+        # reshape refuses a shape too large for any array, such as [10**400, 0]
+        mat = values.reshape(rows, cols) if fits else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{name}: shape and values must be numbers that make "
+                              f"a matrix ({exc})") from exc
+    if mat is None:
         raise FileFormatError(f"{name}: {values.size} values for shape {rows}x{cols}")
-    return rows_to_matrix(values.reshape(rows, cols), name)
+    return rows_to_matrix(mat, name)
 
 
 def rows_to_matrix(obj, name: str) -> np.ndarray:
     try:
         mat = np.asarray(obj, dtype=float)
+    except OverflowError as exc:
+        raise FileFormatError(f"{name} has an entry too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{name} must be a list of equal-length rows") from exc
     if mat.ndim != 2:
@@ -73,21 +81,20 @@ def matrix_to_rows(mat) -> list:
 
 
 def canonical_dumps(payload) -> str:
-    """Strict JSON (RFC 8259): a non-finite number raises FileFormatError
-    instead of becoming a bare Infinity or NaN token."""
-    try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise FileFormatError(f"a non-finite number has no JSON form ({exc})") from exc
-    return text + "\n"
+    """Strict JSON (RFC 8259): a non-finite number raises ValueError instead
+    of becoming a bare Infinity or NaN token."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _number(value, name: str) -> float:
     """A JSON number as a float; booleans, strings and null are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{name} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FileFormatError(f"{name} is too large for a float") from exc
 
 
 def contraction_level(value):
@@ -113,11 +120,13 @@ def _typed(raw: dict, key: str, kind, default):
 
 
 def read_json_object(path) -> dict:
-    """The JSON object a file holds; other content is a FileFormatError."""
+    """The JSON object a file holds; other content, bytes that are not UTF-8
+    and nesting too deep for the parser included, is a FileFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise FileFormatError(f"{path}: must hold a JSON object")
@@ -130,7 +139,10 @@ def file_digest(path) -> str:
 
 
 def _write(payload: dict, path):
-    text = canonical_dumps(payload)
+    try:
+        text = canonical_dumps(payload)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: a non-finite number has no JSON form ({exc})") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -232,8 +244,9 @@ def load_certificate(path) -> Tuple[Certificate, str]:
     _typed(raw, "tool_version", str, "")
     matrices = {key: obj_to_matrix(raw[key], key) if raw.get(key) is not None else None
                 for key in ("g_matrix", "p_matrix")}
+    lam = _number(raw["lambda"], "lambda")
     try:
-        lam = synthesis.certified_level(_number(raw["lambda"], "lambda"))
+        lam = synthesis.certified_level(lam)
     except ValueError as exc:
         raise FileFormatError(f"lambda: {exc}") from exc
     certificate = Certificate(gain=rows_to_matrix(raw["gain"], "gain"), lam=lam, **matrices)

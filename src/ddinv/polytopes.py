@@ -209,6 +209,14 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     """
     h_matrix, exp = _unit_scale(np.atleast_2d(np.asarray(h_matrix, dtype=float)))
     n_rows, n = h_matrix.shape
+    if n == 0:
+        raise PolytopeError("H has no columns: a set needs at least one dimension")
+    # a row that the scale makes subnormal has lost its precision, so its
+    # vertices could not be told apart from rounding
+    sizes = np.abs(h_matrix).max(axis=1)
+    if ((sizes > 0.0) & (sizes < np.finfo(float).tiny)).any():
+        raise PolytopeError("rows too different in size: scaled with the largest, a row "
+                            "falls below the smallest normal float")
     if numerical_rank(_unit_rows(h_matrix)) < n:
         raise RankDeficientError("H must have full column rank")
     _check_bounded(h_matrix)

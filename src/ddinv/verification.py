@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import lp, synthesis
+from . import synthesis
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 DEFAULT_TOL = 1e-6
@@ -55,18 +55,22 @@ def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
 def find_certificate_matrix(f_matrix, cset: PolyhedralCSet, lam: float) -> Optional[np.ndarray]:
     """Search for a certificate matrix P by linear programming; None when no
     such P exists at the given level. The program is the nominal one with F
-    fixed: no decision matrix and no admissibility rows. A solve that ends
-    neither feasible nor infeasible raises synthesis.SolverFailure."""
+    fixed: no decision matrix and no admissibility rows. It is built and
+    solved as synthesis builds and solves its programs, so a program that
+    overflows while being built, or a solve that ends neither feasible nor
+    infeasible, raises synthesis.SolverFailure."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     n_s = cset.num_rows
-    sol = lp.solve(synthesis._nominal_lp(cset, cset.h_matrix @ f_matrix, np.zeros((n_s, 0)),
-                                         np.zeros((0, 0)), float(lam)))
-    if sol.status == lp.LpStatus.INFEASIBLE:
+
+    def build():
+        return synthesis._nominal_lp(cset, cset.h_matrix @ f_matrix, np.zeros((n_s, 0)),
+                                     np.zeros((0, 0)), float(lam))
+
+    program = synthesis._build(build, "certificate search")
+    try:
+        return synthesis._solve_or_raise(program, "certificate search").reshape(n_s, n_s)
+    except synthesis.InfeasibleProblem:
         return None
-    if sol.status != lp.LpStatus.FEASIBLE:
-        raise synthesis.SolverFailure(
-            f"certificate search failed: the solver returned {sol.status.value}")
-    return sol.primal.reshape(n_s, n_s)
 
 
 def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,

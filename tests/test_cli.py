@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import runpy
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ddinv import __version__, cli, fileio, lp
+from ddinv import __version__, cli, fileio, lp, synthesis
 from ddinv.experiment import PlantModel, simulate_closed_loop
 from ddinv.polytopes import InputPolytope, validate_cset
 from ddinv.verification import closed_loop, find_certificate_matrix
@@ -270,6 +273,21 @@ def test_robust_flag_requires_disturbance(tmp_path, demo_problem):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--robust",
                      "--out", cert_path]) == 1
+
+
+def test_robust_design_on_a_model_is_refused_by_the_problem(tmp_path, capsys):
+    # SynthesisProblem refuses a disturbance without data, and main reports it
+    path = tmp_path / "problem.json"
+    assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", str(path)]) == 0
+    raw = json.loads(path.read_text())
+    raw["model"] = ROBUST_CONFIG["model"]
+    del raw["data"]
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["synthesize", str(path), "--robust",
+                     "--out", str(tmp_path / "certificate.json")]) == 1
+    assert capsys.readouterr().err == "error: robust synthesis works on experiment data\n"
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_simulate_rejects_outside_start(tmp_path, demo_problem):
@@ -907,3 +925,147 @@ def test_example_script_writes_certificates_that_verify(tmp_path, monkeypatch, c
         capsys.readouterr()
         assert cli.main(["verify", str(tmp_path / "problem.json"), cert_path]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (synthesis.InfeasibleProblem("no gain"), 2, "infeasible: no gain"),
+    (MemoryError("no room"), 1, "error: out of memory: no room"),
+    (FileNotFoundError("gone"), 1, "error: gone"),
+    (ValueError("bad value"), 1, "error: bad value"),
+    (synthesis.SolverFailure("stuck"), 1, "error: stuck"),
+], ids=["infeasible", "memory", "os", "value", "solver"])
+def test_main_alone_maps_errors_to_exit_codes(monkeypatch, capsys, exc, code, line):
+    def raising(path):
+        raise exc
+
+    monkeypatch.setattr(fileio, "load_problem", raising)
+    assert cli.main(["verify", "problem.json", "certificate.json"]) == code
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_an_error_of_another_type_stays_a_traceback(monkeypatch):
+    # a TypeError is a bug in ddinv, not bad input: main lets it through
+    def raising(path):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(fileio, "load_problem", raising)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["verify", "problem.json", "certificate.json"])
+
+
+# --- a malformed file ends in an exit code, never in a traceback -----------
+# One node of a file is deleted or replaced. The commands run in process,
+# and the suite turns a RuntimeWarning into an error, so a warning fails the
+# test as a traceback would.
+
+class _Raw(bytes):
+    """Bytes spliced into a file in place of a JSON value."""
+
+    def __repr__(self):
+        return f"_Raw({bytes(self[:12])!r}, {len(self)} bytes)"
+
+
+DELETE = "(node deleted)"
+REPLACEMENTS = [DELETE, 10**400, -10**400, 1e308, -1e308, 5e-324, "x", True, None, [], [[]],
+                _Raw(b"[" * 40 + b"]" * 40), _Raw(b"[" * 100000 + b"]" * 100000)]
+FUZZ_COMMANDS = {
+    "config": [["generate", "{config}", "--out", "{out}.json"]],
+    "problem": [["synthesize", "{problem}", "--out", "{out}.json"],
+                ["verify", "{problem}", "{certificate}"],
+                ["simulate", "{problem}", "{certificate}", "--x0", "1,0", "--steps", "5",
+                 "--out", "{out}"]],
+    "certificate": [["verify", "{problem}", "{certificate}"],
+                    ["simulate", "{problem}", "{certificate}", "--x0", "1,0", "--steps", "5",
+                     "--out", "{out}"]],
+    "robust_problem": [["synthesize", "{robust_problem}", "--robust", "--out", "{out}.json"],
+                       ["verify", "{robust_problem}", "{robust_certificate}"]],
+    "robust_certificate": [["verify", "{robust_problem}", "{robust_certificate}"],
+                           ["simulate", "{robust_problem}", "{robust_certificate}",
+                            "--x0", "0.1,0", "--steps", "5", "--out", "{out}"]],
+}
+NOT_UTF8 = _Raw(b'"\xff\xfe"')
+RECTANGLE_1E308 = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1e308], [0.0, -1.0]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    files = {"config": _write_config(tmp_path, DEMO_CONFIG),
+             **{name: str(tmp_path / f"{name}.json") for name in
+                ("problem", "certificate", "robust_problem", "robust_certificate")}}
+    robust_config = _write_config(tmp_path, ROBUST_CONFIG, "robust_config.json")
+    assert cli.main(["generate", files["config"], "--out", files["problem"]]) == 0
+    assert cli.main(["synthesize", files["problem"], "--out", files["certificate"]]) == 0
+    assert cli.main(["generate", robust_config, "--out", files["robust_problem"]]) == 0
+    assert cli.main(["synthesize", files["robust_problem"], "--robust",
+                     "--out", files["robust_certificate"]]) == 0
+    return files
+
+
+def _node_path(document, walk):
+    """The path to the node a walk reaches. Each step picks a child of a JSON
+    object, by key or by an index into its sorted keys, or of a list, by an
+    index modulo its length; the walk ends early at a leaf."""
+    path, node = [], document
+    for step in walk:
+        if isinstance(node, dict) and node:
+            key = step if isinstance(step, str) else sorted(node)[step % len(node)]
+        elif isinstance(node, list) and node:
+            key = step % len(node)
+        else:
+            break
+        path.append(key)
+        node = node[key]
+    return path
+
+
+def _mutated(document, path, value) -> bytes:
+    """The file bytes of document with the node at path deleted or replaced
+    by value; deleting the whole document leaves an empty file."""
+    holder = [json.loads(json.dumps(document))]
+    *keys, key = [0, *path]
+    parent = holder
+    for step in keys:
+        parent = parent[step]
+    marker = "raw bytes go here"
+    if value == DELETE:
+        del parent[key]
+    else:
+        parent[key] = marker if isinstance(value, _Raw) else value
+    text = json.dumps(holder[0]).encode() if holder else b""
+    return text.replace(json.dumps(marker).encode(), value) if isinstance(value, _Raw) else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=st.sampled_from(sorted(FUZZ_COMMANDS)),
+       walk=st.lists(st.integers(0, 100), max_size=4), value=st.sampled_from(REPLACEMENTS))
+@example(document="config", walk=["lambda"], value=NOT_UTF8)
+@example(document="problem", walk=["lambda"], value=NOT_UTF8)
+@example(document="problem", walk=["state_set", 0, 0], value=10**400)
+@example(document="problem", walk=["data", "x1t", "values", 3], value=10**400)
+@example(document="problem", walk=["lambda"], value=10**400)
+@example(document="certificate", walk=["gain", 0, 0], value=10**400)
+@example(document="certificate", walk=["g_matrix", "values", 0], value=10**400)
+@example(document="certificate", walk=["lambda"], value=10**400)
+@example(document="config", walk=["state_set"], value=REPLACEMENTS[-1])
+@example(document="problem", walk=["state_set"], value=REPLACEMENTS[-1])
+@example(document="certificate", walk=["gain"], value=REPLACEMENTS[-1])
+@example(document="config", walk=["samples"], value=10**400)
+@example(document="config", walk=["model"], value=DELETE)
+@example(document="config", walk=["model"], value=None)
+@example(document="problem", walk=["state_set"], value=RECTANGLE_1E308)
+@example(document="problem", walk=["state_set"], value=[[]])
+def test_malformed_files_end_in_an_exit_code(fuzz_files, document, walk, value):
+    files = dict(fuzz_files)
+    raw = json.loads(Path(files[document]).read_text())
+    with tempfile.TemporaryDirectory() as workdir:
+        files[document] = os.path.join(workdir, "mutated.json")
+        files["out"] = os.path.join(workdir, "out")
+        Path(files[document]).write_bytes(_mutated(raw, _node_path(raw, walk), value))
+        for command in FUZZ_COMMANDS[document]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([arg.format(**files) for arg in command])
+            assert code in (0, 1, 2), err.getvalue()
+            if code == 1:
+                assert err.getvalue().splitlines()[-1].startswith("error:"), err.getvalue()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,32 @@ def test_unparseable_json_is_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(fileio.FileFormatError):
         fileio.load_problem(path)
+
+
+@pytest.mark.parametrize("content", [b'{"lambda": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_files_are_format_errors_that_name_the_file(tmp_path, content):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    with pytest.raises(fileio.FileFormatError, match=f"^{re.escape(str(path))}: not valid JSON"):
+        fileio.load_problem(path)
+
+
+def test_numbers_too_large_for_a_float_name_their_field():
+    with pytest.raises(fileio.FileFormatError, match="^lambda is too large for a float$"):
+        fileio.contraction_level(10**400)
+    with pytest.raises(fileio.FileFormatError, match="^gain has an entry too large for a float$"):
+        fileio.rows_to_matrix([[1.0, -10**400]], "gain")
+    for obj in ({"shape": [1, 1], "values": [10**400]}, {"shape": [10**400, 0], "values": []}):
+        with pytest.raises(fileio.FileFormatError, match="^data.x1t: "):
+            fileio.obj_to_matrix(obj, "data.x1t")
+
+
+def test_a_refused_write_names_the_file(tmp_path):
+    path = tmp_path / "certificate.json"
+    with pytest.raises(fileio.FileFormatError,
+                       match=f"^{re.escape(str(path))}: a non-finite number has no JSON form"):
+        fileio.save_certificate(Certificate(gain=[[np.nan, 1.0]], lam=0.5), path, {}, "")
 
 
 def test_matrix_codec_rejects_bad_shapes():

@@ -48,8 +48,21 @@ def test_dump_fingerprints_each_calling_module_and_the_files(tmp_path):
     for line in dump.read_text().splitlines()[1:]:
         index, verdict, *fields = line.split("\t")
         names = [field.split("=")[0] for field in fields]
-        assert names[-2:] == ["vertices", "files"] and names[:-2] == sorted(names[:-2])
+        assert names[-3:] == ["vertices", "files", "output"]
+        assert names[:-3] == sorted(names[:-3])
         assert "synthesis" in names and "polytopes" not in names
+    # a second dump runs in another work directory, whose path the output
+    # hash leaves out, so the two agree line for line
+    again = tmp_path / "again.txt"
+    made = _run("--workload", "cli_rollout", "--seed", "7", "--count", "2", "--out", str(again))
+    assert made.returncode == 0, made.stderr
+    assert again.read_text() == dump.read_text()
+    # output that moves while every solve and file stays is named
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("# h\n0\tcertified\tsynthesis=5:aa\tfiles=ff\toutput=11\n")
+    b.write_text("# h\n0\tcertified\tsynthesis=5:aa\tfiles=ff\toutput=22\n")
+    differ = _run("--compare", str(a), str(b))
+    assert differ.returncode == 1 and differ.stdout.startswith("0: output\n")
     # a verification solve that moves is told apart from the design solve
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text("# h\n0\tcertified\tsynthesis=5:aa\tverification=2:bb\n")

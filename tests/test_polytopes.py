@@ -305,6 +305,22 @@ def test_rectangles_with_rows_of_any_size_keep_every_vertex(top, bottom):
     assert np.allclose(sorted(map(tuple, verts)), sorted(expected), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("rows, reason", [
+    ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e308], [0.0, -1.0]], "^rows too different in size"),
+    ([[]], "^H has no columns"),
+], ids=["row-subnormal-next-to-1e308", "no-columns"])
+def test_degenerate_sets_are_one_clean_error(rows, reason):
+    # scaled with the 1e308 row, the rows [+-1, 0] become subnormal; the
+    # suite turns numpy's RuntimeWarning into an error, so no warning comes
+    # before the set error
+    with pytest.raises(polytopes.PolytopeError, match=reason):
+        polytopes.validate_cset(np.array(rows))
+    # with a 1e300 row every row stays normal, and the rectangle keeps its
+    # four vertices
+    rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e300], [0.0, -1.0]])
+    assert polytopes.validate_cset(rows).vertices.shape == (4, 2)
+
+
 @pytest.mark.parametrize("scale", [1e-309, 4e-320])
 def test_set_past_the_largest_float_is_a_clean_error(scale):
     # rows this small put the vertices past 1.8e308: a set error, no warning

@@ -36,16 +36,32 @@ def test_certificate_search_positive_and_negative():
     assert not ok and worst == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("status", [lp.LpStatus.UNBOUNDED, lp.LpStatus.ITERATION_LIMIT,
-                                    lp.LpStatus.PHASE_ONE_BREAKDOWN, lp.LpStatus.BAD_POINT])
+FAILED_SEARCH_MESSAGES = {
+    lp.LpStatus.UNBOUNDED: "solver returned unbounded",
+    lp.LpStatus.ITERATION_LIMIT: "solver returned iteration_limit",
+    lp.LpStatus.PHASE_ONE_BREAKDOWN: "phase one broke down",
+    lp.LpStatus.BAD_POINT: "solver point breaks the program by 0.001",
+}
+
+
+@pytest.mark.parametrize("status", list(FAILED_SEARCH_MESSAGES))
 def test_failed_certificate_search_is_not_read_as_no_certificate(monkeypatch, status):
     # only INFEASIBLE means that no P exists; a solve that ends otherwise
-    # is a solver failure
+    # is a solver failure, named as synthesize names it
     box = _unit_box()
     monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(status, residual=1e-3))
     with pytest.raises(synthesis.SolverFailure,
-                       match=f"certificate search failed: the solver returned {status.value}$"):
+                       match=f"^certificate search: {FAILED_SEARCH_MESSAGES[status]}$"):
         verification.find_certificate_matrix(0.5 * np.eye(2), box, 0.5)
+
+
+def test_certificate_search_that_overflows_is_a_solver_failure():
+    # S F overflows: built as synthesize builds its programs, that is a
+    # solver failure, with no numpy warning first
+    box = validate_cset(1e10 * np.vstack([np.eye(2), -np.eye(2)]))
+    with pytest.raises(synthesis.SolverFailure,
+                       match="^certificate search: the program overflows while being built"):
+        verification.find_certificate_matrix(1e300 * np.ones((2, 2)), box, 0.5)
 
 
 def test_rounded_gain_sits_just_outside_tight_level(demo_plant, demo_state_set):
