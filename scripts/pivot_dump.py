@@ -21,7 +21,8 @@ call printed, with the work directory's path replaced by a fixed token so
 that two dumps of one checkout agree. Run the script from two checkouts to
 compare their solvers, set validation and messages. --compare prints the instances whose lines
 differ, with the fields that moved, and exits 1 when any does; it then
-tallies each file's verdicts, one line per file.
+tallies the verdicts that moved, old -> new with their counts, and each
+file's verdicts, one line per file.
 """
 
 import argparse
@@ -165,6 +166,11 @@ def compare(path_a, path_b):
         print(f"{key}: {', '.join(moved)}\n  {path_a}: {a.get(key, '(missing)')}"
               f"\n  {path_b}: {b.get(key, '(missing)')}")
     if differ:
+        moves = Counter((_fields(a[key])["verdict"], _fields(b[key])["verdict"])
+                        for key in differ if key in a and key in b and not key.startswith("#"))
+        moved = [f"{count} {old} -> {new}" for (old, new), count in moves.most_common()
+                 if old != new]
+        print(f"verdict moves: {', '.join(moved) or 'none'}")
         for path, lines in ((path_a, a), (path_b, b)):
             tally = Counter(_fields(line)["verdict"] for line in lines.values()
                             if not line.startswith("#"))

@@ -85,23 +85,29 @@ def _print_report(report: VerificationReport):
 
 def _cmd_generate(args) -> int:
     cfg = fileio.read_json_object(args.config)
-    if cfg.get("model") is None:
-        return _fail(f"bad config: {args.config}: missing 'model'")
+    for key in ("model", "state_set", "input_set", "samples"):
+        if cfg.get(key) is None:
+            return _fail(f"bad config: {args.config}: missing '{key}'")
     try:
         # the model, the sets and the level follow the problem file's rules
-        problem = {key: cfg[key] for key in ("model", "state_set", "input_set") if key in cfg}
+        problem = {key: cfg[key] for key in ("model", "state_set", "input_set")}
         spec = fileio.parse_problem({**problem, "lambda": cfg.get("lambda", "min")},
                                     args.config)
         plant = spec.model
         samples = _count(cfg["samples"], "samples", 1)
+        # the experiment's arrays hold (samples + 1) rows of max(n, m) floats
+        most = sys.maxsize // (8 * max(plant.n, plant.m)) - 1
+        if samples > most:
+            raise ValueError(f"samples must be at most {most}, the most rows of "
+                             "the experiment that an array can hold")
         seed = _count(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
         x0 = np.asarray(cfg.get("x0", np.zeros(plant.n)), dtype=float).reshape(-1)
         amplitude = _magnitude(cfg.get("input_amplitude", 1.0), "input_amplitude")
         radius = cfg.get("disturbance_radius")
         if radius is not None:
             radius = _magnitude(radius, "disturbance_radius")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        return _fail(f"bad config: {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        return _fail(f"bad config: {args.config}: {exc}")
     if x0.shape != (plant.n,):
         return _fail("x0 length does not match the plant dimension")
     if not np.all(np.isfinite(x0)):

@@ -44,36 +44,55 @@ def matrix_to_obj(mat) -> dict:
             "values": [float(v) for v in mat.ravel()]}
 
 
-def obj_to_matrix(obj, name: str) -> np.ndarray:
-    if not isinstance(obj, dict) or "shape" not in obj or "values" not in obj:
-        raise FileFormatError(f"{name} must carry 'shape' and 'values'")
-    try:
-        rows, cols = (int(v) for v in obj["shape"])
-        values = np.asarray(obj["values"], dtype=float)
-        fits = min(rows, cols) >= 0 and values.size == rows * cols
-        # reshape refuses a shape too large for any array, such as [10**400, 0]
-        mat = values.reshape(rows, cols) if fits else None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{name}: shape and values must be numbers that make "
-                              f"a matrix ({exc})") from exc
-    if mat is None:
-        raise FileFormatError(f"{name}: {values.size} values for shape {rows}x{cols}")
-    return rows_to_matrix(mat, name)
+def _is_number(value) -> bool:
+    """A JSON number: an integer or a float, and not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def rows_to_matrix(obj, name: str) -> np.ndarray:
-    try:
-        mat = np.asarray(obj, dtype=float)
-    except OverflowError as exc:
-        raise FileFormatError(f"{name} has an entry too large for a float") from exc
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{name} must be a list of equal-length rows") from exc
-    if mat.ndim != 2:
-        raise FileFormatError(f"{name} must be a list of equal-length rows")
+def _finite(mat: np.ndarray, name: str) -> np.ndarray:
     # json.load accepts the bare NaN and Infinity tokens
     if not np.all(np.isfinite(mat)):
         raise FileFormatError(f"{name} has a non-finite entry")
     return mat
+
+
+def obj_to_matrix(obj, name: str) -> np.ndarray:
+    """The matrix of {"shape": [rows, cols], "values": [...]}: the shape two
+    non-negative JSON integers, the values a flat list of rows * cols JSON
+    numbers, all finite."""
+    if not isinstance(obj, dict) or "shape" not in obj or "values" not in obj:
+        raise FileFormatError(f"{name} must carry 'shape' and 'values'")
+    shape, values = obj["shape"], obj["values"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_number(v) and isinstance(v, int) and v >= 0 for v in shape)):
+        raise FileFormatError(f"{name}: shape must be a list of two non-negative integers")
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise FileFormatError(f"{name}: values must be a flat list of numbers")
+    rows, cols = shape
+    if len(values) != rows * cols:
+        raise FileFormatError(f"{name}: {len(values)} values for shape {rows}x{cols}")
+    try:
+        # reshape refuses a shape too large for any array, such as [10**400, 0]
+        mat = np.array(values, dtype=float).reshape(rows, cols)
+    except (ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{name}: the values make no float matrix ({exc})") from exc
+    return _finite(mat, name)
+
+
+def rows_to_matrix(obj, name: str) -> np.ndarray:
+    """The matrix of a list of equal-length rows of JSON numbers, all finite."""
+    if not (isinstance(obj, list)
+            and all(isinstance(row, list) and all(map(_is_number, row)) for row in obj)):
+        raise FileFormatError(f"{name} must be a list of equal-length rows of numbers")
+    try:
+        mat = np.array(obj, dtype=float)
+    except OverflowError as exc:
+        raise FileFormatError(f"{name} has an entry too large for a float") from exc
+    except ValueError as exc:
+        raise FileFormatError(f"{name} must be a list of equal-length rows") from exc
+    if mat.ndim != 2:
+        raise FileFormatError(f"{name} must be a list of equal-length rows")
+    return _finite(mat, name)
 
 
 def matrix_to_rows(mat) -> list:
@@ -89,7 +108,7 @@ def canonical_dumps(payload) -> str:
 
 def _number(value, name: str) -> float:
     """A JSON number as a float; booleans, strings and null are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise FileFormatError(f"{name} must be a number")
     try:
         return float(value)

@@ -28,7 +28,9 @@ def _coords(points, xlim, ylim) -> list:
                                   (y1 - points[:, 1]) / span_y * HEIGHT])
     if not (np.isfinite([span_x, span_y]).all() and np.isfinite(screen).all()):
         raise ValueError("the scene reaches too far out for finite screen coordinates")
-    return [(f"{sx:.2f}", f"{sy:.2f}") for sx, sy in screen.tolist()]
+    # one "%.2f" operation over every coordinate, the bits f"{v:.2f}" gives
+    flat = ("%.2f " * screen.size % tuple(screen.ravel().tolist())).split()
+    return list(zip(flat[::2], flat[1::2]))
 
 
 def _points(coords) -> str:

@@ -2,9 +2,9 @@
 
 All programs share one variable layout convention: the decision matrix (the
 data combiner G, or the gain K in the model-based program) is stacked
-column-major first, then the nonnegative certificate matrix P row-major,
-then the contraction level when it is being minimized. Feasibility programs
-carry a zero objective.
+column-major first, then the rows of the nonnegative certificate matrix P
+that the program carries, row-major, then the contraction level when it is
+being minimized. Feasibility programs carry a zero objective.
 
 The model-based program asks for P >= 0 with row sums at most lambda and
 P S = S (A + B K), plus input admissibility at every vertex of the state
@@ -12,6 +12,19 @@ set. The data-based program replaces A + B K by X1 G with the consistency
 condition X0 G = I and admissibility through U0 G. One builder makes both
 from the closed loop in the affine form S F0 + (S M) D: (S A, S B) with
 D = K for the model, (0, S X1) with D = G for the data.
+
+On a centrally symmetric set, S = [H; -H] up to row order, the program
+carries only the rows of P at the first row of each opposite pair.
+Swapping the rows of each pair and the columns of each pair maps a
+certificate to another, so their average is a certificate whose row at the
+second row of a pair is its row at the first with the columns of each pair
+swapped. Conversely, rows that meet P S = S F and the row sums at the first
+rows meet them at the second rows once so swapped, since those rows of S
+are the negated first ones. So the halved program is feasible exactly when
+the full one is, at the same levels (Blanchini and Miani, Set-Theoretic
+Methods in Control, 2008), and `_unpack_p` rebuilds the full P in S's row
+order. A set whose rows do not pair within SYMMETRY_TOL gets the full
+program.
 
 The robust program drops P, fixes the level at one, and tightens every
 vertex condition against the worst disturbance column the data could have
@@ -35,6 +48,7 @@ from .experiment import ExperimentData, PlantModel
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 EPS_STRICT = 1e-6
+SYMMETRY_TOL = 1e-12
 MINIMIZE = "minimize"
 
 
@@ -126,24 +140,45 @@ def _extreme_shifts(s_h, disturbance: DisturbanceSet) -> np.ndarray:
     return np.column_stack([shift.max(axis=1), shift.min(axis=1)])
 
 
+def _row_pairs(s_h):
+    """(reps, partner) for the rows of S. When every row has exactly one
+    other row that is its negative within SYMMETRY_TOL of S's largest
+    magnitude, partner[i] is that row and reps is the first row of each pair,
+    in row order. Otherwise reps is every row and partner is None."""
+    n_s = s_h.shape[0]
+    unit = s_h / np.abs(s_h).max()
+    close = np.abs(unit[:, None, :] + unit[None, :, :]).max(axis=2) <= SYMMETRY_TOL
+    partner = close.argmax(axis=1)
+    rows = np.arange(n_s)
+    # close is symmetric, so one close row each makes partner its own inverse
+    if not (close.sum(axis=1) == 1).all() or (partner == rows).any():
+        return rows, None
+    return np.flatnonzero(rows < partner), partner
+
+
 def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
                 consistency=None) -> lp.LinearProgram:
     """Nominal program for the closed loop S F = s_f0 + s_m D in the decision
     matrix D (q x n, stacked column-major): P >= 0 with P S = S F, the rows
-    P 1 <= lam 1, then admiss D s <= 1 at every vertex s. When given, the
-    rows consistency vec(D) = vec(I) close the equalities. lam=None
-    minimizes the level, the last variable, which then moves to the left of
-    the row sums."""
+    P 1 <= lam 1, then admiss D s <= 1 at every vertex s. P has a row for
+    each of S's representative rows (`_row_pairs`). When given, the rows
+    consistency vec(D) = vec(I) close the equalities. lam=None minimizes
+    the level, the last variable, which then moves to the left of the row
+    sums."""
     s_h = state_set.h_matrix
     n_s, n = s_h.shape
+    reps = _row_pairs(s_h)[0]
+    s_f0, s_m = s_f0[reps], s_m[reps]
+    n_r = reps.size
     verts = state_set.vertices
     p_off = s_m.shape[1] * n
-    nvars = p_off + n_s * n_s + (1 if lam is None else 0)
+    p_end = p_off + n_r * n_s
+    nvars = p_end + (1 if lam is None else 0)
 
     # P S = S F row by row: S^T p_i - kron(I, (s_m)_i) vec(D) = (s_f0)_i
-    eq = np.zeros((n_s * n, nvars))
-    eq[:, :p_off] = -(np.eye(n)[None, :, :, None] * s_m[:, None, None, :]).reshape(n_s * n, p_off)
-    eq[:, p_off : p_off + n_s * n_s] = block_diag(*[s_h.T] * n_s)
+    eq = np.zeros((n_r * n, nvars))
+    eq[:, :p_off] = -(np.eye(n)[None, :, :, None] * s_m[:, None, None, :]).reshape(n_r * n, p_off)
+    eq[:, p_off:p_end] = block_diag(*[s_h.T] * n_r)
     eq_rhs = s_f0.ravel()
     if consistency is not None:
         rows = np.zeros((consistency.shape[0], nvars))
@@ -151,20 +186,20 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
         eq = np.vstack([eq, rows])
         eq_rhs = np.concatenate([eq_rhs, np.eye(n).ravel()])
 
-    sum_rows = np.zeros((n_s, nvars))
-    sum_rows[:, p_off : p_off + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
+    sum_rows = np.zeros((n_r, nvars))
+    sum_rows[:, p_off:p_end] = np.kron(np.eye(n_r), np.ones((1, n_s)))
     admiss_rows = np.zeros((verts.shape[0] * admiss.shape[0], nvars))
     admiss_rows[:, :p_off] = _vertex_rows(verts, admiss)
     lower = np.full(nvars, -np.inf)
     upper = np.full(nvars, np.inf)
-    lower[p_off : p_off + n_s * n_s] = 0.0
+    lower[p_off:p_end] = 0.0
     objective = np.zeros(nvars)
     if lam is None:
         sum_rows[:, -1] = -1.0
         lower[-1] = 0.0
         upper[-1] = 1.0 - EPS_STRICT
         objective[-1] = 1.0
-    sum_rhs = np.zeros(n_s) if lam is None else np.full(n_s, float(lam))
+    sum_rhs = np.zeros(n_r) if lam is None else np.full(n_r, float(lam))
     return lp.LinearProgram(
         num_vars=nvars, objective=objective, eq_lhs=eq, eq_rhs=eq_rhs,
         ineq_lhs=np.vstack([sum_rows, admiss_rows]),
@@ -234,8 +269,20 @@ def _unpack_d(primal, q: int, n: int) -> np.ndarray:
     return primal[: q * n].reshape(n, q).T.copy()
 
 
-def _unpack_p(primal, offset: int, n_s: int) -> np.ndarray:
-    return primal[offset : offset + n_s * n_s].reshape(n_s, n_s).copy()
+def _unpack_p(primal, offset: int, s_h) -> np.ndarray:
+    """The full (n_s, n_s) certificate matrix P in S's row order, from the
+    rows of P a nominal program on S carries from offset on. On a paired set
+    the row at partner[r] is the row at r with the columns of each pair
+    swapped."""
+    n_s = s_h.shape[0]
+    reps, partner = _row_pairs(s_h)
+    rows = primal[offset : offset + reps.size * n_s].reshape(reps.size, n_s)
+    if partner is None:
+        return rows.copy()
+    p_matrix = np.empty((n_s, n_s))
+    p_matrix[reps] = rows
+    p_matrix[partner[reps]] = rows[:, partner]
+    return p_matrix
 
 
 def _build(build, what: str, *args) -> lp.LinearProgram:
@@ -304,4 +351,4 @@ def _nominal_design(problem: SynthesisProblem, lam: Optional[float]) -> Certific
     g = None if isinstance(source, PlantModel) else d
     return Certificate(gain=d if g is None else extract_gain(source, g),
                        lam=float(primal[-1]) if lam is None else lam, g_matrix=g,
-                       p_matrix=_unpack_p(primal, q * source.n, problem.state_set.num_rows))
+                       p_matrix=_unpack_p(primal, q * source.n, problem.state_set.h_matrix))

@@ -55,10 +55,11 @@ def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
 def find_certificate_matrix(f_matrix, cset: PolyhedralCSet, lam: float) -> Optional[np.ndarray]:
     """Search for a certificate matrix P by linear programming; None when no
     such P exists at the given level. The program is the nominal one with F
-    fixed: no decision matrix and no admissibility rows. It is built and
-    solved as synthesis builds and solves its programs, so a program that
-    overflows while being built, or a solve that ends neither feasible nor
-    infeasible, raises synthesis.SolverFailure."""
+    fixed: no decision matrix and no admissibility rows, and half the rows
+    of P on a centrally symmetric set. It is built and solved as synthesis
+    builds and solves its programs, so a program that overflows while being
+    built, or a solve that ends neither feasible nor infeasible, raises
+    synthesis.SolverFailure. The P returned is the full (n_s, n_s) one."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     n_s = cset.num_rows
 
@@ -68,9 +69,10 @@ def find_certificate_matrix(f_matrix, cset: PolyhedralCSet, lam: float) -> Optio
 
     program = synthesis._build(build, "certificate search")
     try:
-        return synthesis._solve_or_raise(program, "certificate search").reshape(n_s, n_s)
+        primal = synthesis._solve_or_raise(program, "certificate search")
     except synthesis.InfeasibleProblem:
         return None
+    return synthesis._unpack_p(primal, 0, cset.h_matrix)
 
 
 def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,

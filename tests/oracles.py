@@ -12,7 +12,8 @@ the library once ran; it calls `lp.solve`, as that test did.
 (Stiemke's form) and a disturbance hull's hold on the origin with HiGHS, as
 feasibility LPs, for the LP-free set checks to be compared against.
 `nominal_lp_loop` builds both nominal programs the way the two separate
-builders did, a block per vertex and per set row. `full_tableau_solve` is
+builders did, a block per vertex and per set row, and finds a centrally
+symmetric set's opposite rows with a loop of its own. `full_tableau_solve` is
 the simplex as it was before the library kept only nonbasic columns: the
 same pivots on a tableau that also stores every basic column, the slack
 identity included, so the library's condensed exchange can be pinned to it
@@ -277,16 +278,28 @@ def hull_holds_origin_highs(verts):
     return result.status == 0
 
 
-def nominal_lp_loop(source, state_set, input_set, lam=None):
+def nominal_lp_loop(source, state_set, input_set, lam=None, pair_rows=True):
     """Nominal program built block by block, one vertex and one set row at a
     time: the model-based program when `source` has an A matrix, the
-    data-based one otherwise."""
+    data-based one otherwise. With pair_rows, on a set where every row has
+    exactly one other row that is its negative within 1e-12 of the largest
+    magnitude, P has rows only at the first row of each such pair; without
+    it, or on any other set, P is the full n_s x n_s matrix."""
     model = hasattr(source, "a_matrix")
     s_h = state_set.h_matrix
     n_s, n = s_h.shape
+    reps = list(range(n_s))
+    if pair_rows:
+        largest = max(abs(float(v)) for v in s_h.ravel())
+        partners = [[j for j in range(n_s)
+                     if max(abs(s_h[i] / largest + s_h[j] / largest)) <= 1e-12]
+                    for i in range(n_s)]
+        if all(len(found) == 1 and found[0] != i for i, found in enumerate(partners)):
+            reps = [i for i in range(n_s) if i < partners[i][0]]
+    n_r = len(reps)
     q = source.m if model else source.samples
     p_off = q * n
-    nvars = p_off + n_s * n_s + (1 if lam is None else 0)
+    nvars = p_off + n_r * n_s + (1 if lam is None else 0)
     admiss = input_set.h_matrix if model else input_set.h_matrix @ source.u0t
     prop = s_h @ (source.b_matrix if model else source.x1t)
     ineq, ineq_rhs, eq, eq_rhs = [], [], [], []
@@ -295,10 +308,10 @@ def nominal_lp_loop(source, state_set, input_set, lam=None):
         block[:, :p_off] = np.kron(vert[None, :], admiss)
         ineq.append(block)
         ineq_rhs.append(np.ones(admiss.shape[0]))
-    for i in range(n_s):
+    for k, i in enumerate(reps):
         block = np.zeros((n, nvars))
         block[:, :p_off] = -np.kron(np.eye(n), prop[i : i + 1, :])
-        block[:, p_off + i * n_s : p_off + (i + 1) * n_s] = s_h.T
+        block[:, p_off + k * n_s : p_off + (k + 1) * n_s] = s_h.T
         eq.append(block)
         eq_rhs.append((s_h @ source.a_matrix)[i] if model else np.zeros(n))
     if not model:
@@ -306,16 +319,17 @@ def nominal_lp_loop(source, state_set, input_set, lam=None):
         block[:, :p_off] = np.kron(np.eye(n), source.x0t)
         eq.append(block)
         eq_rhs.append(np.eye(n).ravel())
-    sums = np.zeros((n_s, nvars))
-    sums[:, p_off : p_off + n_s * n_s] = np.kron(np.eye(n_s), np.ones((1, n_s)))
+    sums = np.zeros((n_r, nvars))
+    for k in range(n_r):
+        sums[k, p_off + k * n_s : p_off + (k + 1) * n_s] = 1.0
     lower = np.full(nvars, -np.inf)
     upper = np.full(nvars, np.inf)
-    lower[p_off : p_off + n_s * n_s] = 0.0
+    lower[p_off : p_off + n_r * n_s] = 0.0
     objective = np.zeros(nvars)
     if lam is None:
         sums[:, -1] = -1.0
         lower[-1], upper[-1], objective[-1] = 0.0, 1.0 - 1e-6, 1.0
-    sum_rhs = np.zeros(n_s) if lam is None else np.full(n_s, float(lam))
+    sum_rhs = np.zeros(n_r) if lam is None else np.full(n_r, float(lam))
     return lp.LinearProgram(
         num_vars=nvars, objective=objective,
         eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),

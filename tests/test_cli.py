@@ -797,6 +797,20 @@ def _forge_level_above_one(raw, spec):
                 "g_matrix": fileio.matrix_to_obj(g), "p_matrix": fileio.matrix_to_obj(p)})
 
 
+@pytest.mark.parametrize("samples", [10**400, 2**62], ids=["10**400", "2**62"])
+def test_too_many_samples_is_a_bad_config_that_names_the_field_and_the_file(tmp_path, capsys,
+                                                                           samples):
+    # numpy would refuse the experiment's arrays with a line that names
+    # neither the field nor the file
+    config = _write_config(tmp_path, {**DEMO_CONFIG, "samples": samples})
+    out = tmp_path / "out.json"
+    assert cli.main(["generate", config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad config: {config}: samples must be at most ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target, content", [
     ("config", 5),
     ("config", {**DEMO_CONFIG, "seed": -1}),
@@ -827,6 +841,14 @@ def _forge_level_above_one(raw, spec):
     ("certificate", lambda raw, _: raw.update({"lambda": float("nan")})),
     ("config", {**DEMO_CONFIG, "input_amplitude": 1e308}),
     ("config", {**ROBUST_CONFIG, "disturbance_radius": 1e308}),
+    # matrices that ddinv never writes: a fractional shape, a numeric string,
+    # nested values that still hold rows * cols numbers, a boolean entry
+    ("problem", lambda raw, _: raw["data"]["x1t"]["shape"].__setitem__(0, 2.7)),
+    ("problem", lambda raw, _: raw["data"]["x1t"]["values"].__setitem__(3, "0.2")),
+    ("certificate", lambda raw, _: raw["g_matrix"].update(
+        values=[[value] for value in raw["g_matrix"]["values"]])),
+    ("certificate", lambda raw, _: raw["gain"][0].__setitem__(0, str(raw["gain"][0][0]))),
+    ("certificate", lambda raw, _: raw["p_matrix"]["values"].__setitem__(0, True)),
 ])
 def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, capsys,
                                                     target, content):
@@ -1051,6 +1073,10 @@ def _mutated(document, path, value) -> bytes:
 @example(document="problem", walk=["state_set"], value=REPLACEMENTS[-1])
 @example(document="certificate", walk=["gain"], value=REPLACEMENTS[-1])
 @example(document="config", walk=["samples"], value=10**400)
+@example(document="config", walk=["samples"], value=2**62)
+@example(document="problem", walk=["data", "x1t", "shape", 0], value=2.7)
+@example(document="problem", walk=["data", "x1t", "values", 3], value="0.2")
+@example(document="certificate", walk=["g_matrix", "values", 0], value=[[[1.0]]])
 @example(document="config", walk=["model"], value=DELETE)
 @example(document="config", walk=["model"], value=None)
 @example(document="problem", walk=["state_set"], value=RECTANGLE_1E308)

@@ -187,6 +187,30 @@ def test_matrix_codec_rejects_non_numeric_parts(obj):
         fileio.obj_to_matrix(obj, "block")
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"shape": [1, 1], "values": [[[[1]]]]}, "values"),
+    ({"shape": [1, 1], "values": ["0.2"]}, "values"),
+    ({"shape": [1, 1], "values": [False]}, "values"),
+    ({"shape": [1, 1], "values": 0.2}, "values"),
+    ({"shape": [2.7, 1], "values": [1.0, 2.0]}, "shape"),
+    ({"shape": ["1", 1], "values": [1.0]}, "shape"),
+    ({"shape": [True, 1], "values": [1.0]}, "shape"),
+    ({"shape": [1, 1, 1], "values": [1.0]}, "shape"),
+])
+def test_matrix_objects_take_only_what_ddinv_writes(obj, field):
+    # a shape is two non-negative JSON integers and the values a flat list
+    # of JSON numbers; nothing is truncated, flattened or parsed from text
+    with pytest.raises(fileio.FileFormatError, match=f"^data.x1t: {field} must be "):
+        fileio.obj_to_matrix(obj, "data.x1t")
+
+
+@pytest.mark.parametrize("rows", [[["0.2", 1.0]], [[True, 1.0]], [[[1.0], 2.0]], ["ab"], "ab"])
+def test_matrix_rows_take_only_json_numbers(rows):
+    with pytest.raises(fileio.FileFormatError,
+                       match="^gain must be a list of equal-length rows of numbers$"):
+        fileio.rows_to_matrix(rows, "gain")
+
+
 @pytest.mark.parametrize("level", [False, True, None, [0.5]])
 def test_level_must_be_a_number(tmp_path, level):
     path = tmp_path / "problem.json"

@@ -538,8 +538,10 @@ def _tall_robust_programs(rng, per_shape=2):
 def _kgon_programs(rng, per_shape=2):
     """Level minimizations shaped as the benchmark's: noise-free data from a
     plant of spectral radius 1, a regular k-gon and the input interval
-    [-2, 2]. Most of their iterations run under Bland's rule, and some spin
-    until the iteration cap."""
+    [-2, 2]. Each comes twice: as the builder makes it, with the rows of P
+    that the k-gon's opposite pairs leave, and in the full layout of
+    oracles.nominal_lp_loop. Most of their iterations run under Bland's
+    rule, and some of the full ones spin until the iteration cap."""
     programs = []
     for k in (8, 16, 24):
         angles = 2.0 * np.pi * np.arange(k) / k
@@ -550,8 +552,9 @@ def _kgon_programs(rng, per_shape=2):
                 inputs = random_input_sequence(rng, samples, 1)
                 data = build_data_matrices(
                     inputs, simulate(plant, rng.uniform(-0.5, 0.5, 2), inputs))
-                programs.append(synthesis.build_databased_lp(
-                    data, cset, InputPolytope([[0.5], [-0.5]]), None))
+                uset = InputPolytope([[0.5], [-0.5]])
+                programs += [synthesis.build_databased_lp(data, cset, uset, None),
+                             oracles.nominal_lp_loop(data, cset, uset, None, pair_rows=False)]
     return programs
 
 

@@ -84,8 +84,30 @@ def test_compare_tallies_each_files_verdicts_when_lines_differ(tmp_path):
                  "2\tinfeasible\tsynthesis=9:cc\n")
     differ = _run("--compare", str(a), str(b))
     assert differ.returncode == 1 and differ.stdout.startswith("1: verdict, synthesis\n")
+    assert f"\nverdict moves: 1 certified -> infeasible\n{a}: " in differ.stdout
     assert differ.stdout.endswith(f"{a}: 2 certified, 1 infeasible\n"
                                   f"{b}: 2 infeasible, 1 certified\n1 of 4 lines differ\n")
     # lines that all agree print the count alone
     same = _run("--compare", str(a), str(a))
     assert same.returncode == 0 and same.stdout == "0 of 4 lines differ\n"
+
+
+def test_compare_tallies_the_verdicts_that_moved(tmp_path):
+    # a change that moves verdicts on purpose shows which way they went,
+    # most frequent first; instances whose verdict stayed are not moves
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    old = ["pivot_budget", "pivot_budget", "pivot_budget", "certified", "infeasible",
+           "certified"]
+    new = ["certified", "certified", "infeasible", "solver_failure", "infeasible",
+           "certified"]
+    a.write_text("# h\n" + "".join(f"{i}\t{v}\tsynthesis=5:aa\n" for i, v in enumerate(old)))
+    b.write_text("# h\n" + "".join(f"{i}\t{v}\tsynthesis={6 + (i == 4)}:bb\n"
+                                   for i, v in enumerate(new)))
+    differ = _run("--compare", str(a), str(b))
+    assert differ.returncode == 1
+    assert ("\nverdict moves: 2 pivot_budget -> certified, 1 pivot_budget -> infeasible, "
+            "1 certified -> solver_failure\n") in differ.stdout
+    # lines that differ with every verdict in place say so
+    b.write_text("# h\n" + "".join(f"{i}\t{v}\tsynthesis=6:bb\n" for i, v in enumerate(old)))
+    differ = _run("--compare", str(a), str(b))
+    assert differ.returncode == 1 and "\nverdict moves: none\n" in differ.stdout

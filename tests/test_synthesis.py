@@ -122,7 +122,13 @@ def test_model_gain_embeds_into_data_program(demo_plant, demo_data,
     g = np.linalg.pinv(theta) @ target
     program = synthesis.build_databased_lp(demo_data, demo_state_set,
                                            demo_input_set, 0.84)
-    z = np.concatenate([g.T.ravel(), cert.p_matrix.ravel()])
+    # the demo set pairs its rows, so the program carries the rows of P at
+    # the first row of each pair, with Lambda+ and Lambda- in S's column
+    # order: fold P into them
+    reps, partner = synthesis._row_pairs(demo_state_set.h_matrix)
+    p = cert.p_matrix
+    folded = (p[reps] + p[partner[reps]][:, partner]) / 2
+    z = np.concatenate([g.T.ravel(), folded.ravel()])
     assert lp.check_feasible(program, z, tol=1e-7)
 
 
@@ -300,6 +306,29 @@ def test_nominal_builders_match_loop_oracle():
                     assert got.tobytes() == want.tobytes()
 
 
+def test_paired_builder_matches_loop_oracle():
+    # on a centrally symmetric set the builder keeps P's rows at the first
+    # row of each opposite pair, as the block-by-block form does
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        plant = PlantModel(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
+        cset = _symmetric_set(rng, n)
+        uset = InputPolytope(box_input_rows(m, rng.uniform(2.0, 8.0)))
+        inputs = random_input_sequence(rng, int(rng.integers(n + m, 3 * (n + m))), m)
+        data = build_data_matrices(inputs, simulate(plant, rng.normal(size=n), inputs))
+        for build, source in ((synthesis.build_modelbased_lp, plant),
+                              (synthesis.build_databased_lp, data)):
+            for lam in (float(rng.uniform(0.3, 0.99)), None):
+                built = _program_arrays(build(source, cset, uset, lam))
+                expected = _program_arrays(nominal_lp_loop(source, cset, uset, lam))
+                assert built[0] == expected[0] < _program_arrays(
+                    nominal_lp_loop(source, cset, uset, lam, pair_rows=False))[0]
+                for got, want in zip(built, expected):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
 def _regular_polygon(k, radius=1.0):
     angles = 2.0 * np.pi * np.arange(k) / k
     return polygon_rows_from_vertices(radius * np.column_stack([np.cos(angles), np.sin(angles)]))
@@ -396,3 +425,104 @@ def test_pruned_robust_program_has_the_highs_verdict_of_the_full_one():
         assert outcomes[0] == outcomes[1] and outcomes[0] in (0, 2)
         verdicts.append(outcomes[0])
     assert verdicts.count(0) >= 4 and verdicts.count(2) >= 4
+
+
+def _symmetric_set(rng, n):
+    """A random centrally symmetric C-set: S = [H; -H] with its rows in a
+    random order."""
+    while True:
+        h = rng.normal(size=(int(rng.integers(n, n + 3)), n))
+        h /= np.linalg.norm(h, axis=1)[:, None] * rng.uniform(0.5, 2.0, size=(h.shape[0], 1))
+        try:
+            return validate_cset(rng.permutation(np.vstack([h, -h])))
+        except ValueError:
+            continue
+
+
+def _verdict(status):
+    return {lp.LpStatus.OPTIMAL: 0, lp.LpStatus.FEASIBLE: 0,
+            lp.LpStatus.INFEASIBLE: 2}.get(status)
+
+
+def test_symmetric_sets_halve_the_program_with_the_general_verdicts_and_levels():
+    # the paired program carries half the rows of P; where the simplex
+    # answers on it, HiGHS agrees, and its optimal level is the general
+    # form's (oracles.nominal_lp_loop, the full layout) within 1e-9
+    rng = np.random.default_rng(2024)
+    answered, compared = Counter(), 0
+    for _ in range(104):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        cset = _symmetric_set(rng, n)
+        n_s = cset.num_rows
+        plant = random_controllable_plant(rng, n, m, spectral_radius=rng.uniform(0.3, 1.3))
+        uset = InputPolytope(box_input_rows(m, rng.uniform(2.0, 8.0)))
+        inputs = random_input_sequence(rng, 20, m)
+        data = build_data_matrices(inputs, simulate(plant, rng.uniform(-0.3, 0.3, n), inputs))
+        for build, source in ((synthesis.build_modelbased_lp, plant),
+                              (synthesis.build_databased_lp, data)):
+            general = nominal_lp_loop(source, cset, uset, None, pair_rows=False)
+            paired = build(source, cset, uset, None)
+            assert paired.num_vars == general.num_vars - n_s * n_s // 2
+            assert paired.eq_lhs.shape[0] == general.eq_lhs.shape[0] - n_s * n // 2
+            reference = _highs(general)
+            assert reference.status in (0, 2)
+            # the fixed levels straddle the general optimum, so its verdict
+            # at each follows from that optimum
+            levels = ([reference.fun - 0.02, reference.fun + 0.02]
+                      if reference.status == 0 else [0.5])
+            for lam in [None] + [lam for lam in levels if 0.0 <= lam < 1.0]:
+                truth = 0 if reference.status == 0 and (lam is None or lam > reference.fun) else 2
+                if lam is not None:
+                    paired = build(source, cset, uset, lam)
+                highs = _highs(paired)
+                assert highs.status == truth
+                if lam is None and truth == 0:
+                    assert highs.fun == pytest.approx(reference.fun, abs=1e-7)
+                sol = lp.solve(paired)
+                verdict = _verdict(sol.status)
+                answered[verdict is not None] += 1
+                if verdict is None:
+                    continue
+                assert verdict == truth
+                if lam is None and sol.status == lp.LpStatus.OPTIMAL:
+                    full = lp.solve(general)
+                    if full.status == lp.LpStatus.OPTIMAL:
+                        assert abs(sol.objective_value - full.objective_value) <= 1e-9
+                        compared += 1
+    assert answered[True] >= 400 and compared >= 100
+
+
+def test_a_set_one_row_off_symmetric_builds_the_general_program(demo_plant, demo_data,
+                                                                 demo_input_set):
+    # the 24-gon's opposite rows cancel only to within rounding, and pair;
+    # moving one row by 1e-9 leaves that row without a partner, and the
+    # program is the general one, byte for byte
+    angles = 2.0 * np.pi * np.arange(24) / 24
+    rows = polygon_rows_from_vertices(np.column_stack([np.cos(angles), np.sin(angles)]))
+    reps, partner = synthesis._row_pairs(rows)
+    assert reps.size == 12 and np.array_equal(partner[partner], np.arange(24))
+    rows[5, 0] += 1e-9
+    cset = validate_cset(rows)
+    assert synthesis._row_pairs(rows)[1] is None
+    for build, source in ((synthesis.build_modelbased_lp, demo_plant),
+                          (synthesis.build_databased_lp, demo_data)):
+        built = _program_arrays(build(source, cset, demo_input_set, None))
+        expected = _program_arrays(nominal_lp_loop(source, cset, demo_input_set, None,
+                                                   pair_rows=False))
+        for got, want in zip(built, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_certificate_search_on_a_symmetric_set_returns_the_full_p():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        cset = _symmetric_set(rng, int(rng.integers(2, 4)))
+        n, n_s = cset.dim, cset.num_rows
+        # F maps every vertex to gauge 0.9, so a certificate exists at 0.95
+        f_matrix = rng.normal(size=(n, n))
+        f_matrix *= 0.9 / np.max(cset.h_matrix @ f_matrix @ cset.vertices.T)
+        p = verification.find_certificate_matrix(f_matrix, cset, 0.95)
+        assert p.shape == (n_s, n_s)
+        assert verification.check_invariance_certificate(f_matrix, cset, p, 0.95)
+        # and none at a level below the worst vertex gauge
+        assert verification.find_certificate_matrix(f_matrix, cset, 0.85) is None
