@@ -101,17 +101,16 @@ def _cmd_generate(args) -> int:
             raise ValueError(f"samples must be at most {most}, the most rows of "
                              "the experiment that an array can hold")
         seed = _count(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
-        x0 = np.asarray(cfg.get("x0", np.zeros(plant.n)), dtype=float).reshape(-1)
+        x0 = cfg.get("x0")
+        x0 = np.zeros(plant.n) if x0 is None else fileio.number_list(x0, "x0")
+        if x0.shape != (plant.n,):
+            raise ValueError(f"x0 must hold {plant.n} numbers, one per state")
         amplitude = _magnitude(cfg.get("input_amplitude", 1.0), "input_amplitude")
         radius = cfg.get("disturbance_radius")
         if radius is not None:
             radius = _magnitude(radius, "disturbance_radius")
     except (TypeError, ValueError, OverflowError) as exc:
         return _fail(f"bad config: {args.config}: {exc}")
-    if x0.shape != (plant.n,):
-        return _fail("x0 length does not match the plant dimension")
-    if not np.all(np.isfinite(x0)):
-        return _fail("x0 entries must be finite")
     floor = min_samples(plant.n, plant.m)
     if samples < floor:
         print(f"warning: {samples} samples is below the minimum {floor} "

@@ -95,6 +95,17 @@ def rows_to_matrix(obj, name: str) -> np.ndarray:
     return _finite(mat, name)
 
 
+def number_list(obj, name: str) -> np.ndarray:
+    """The vector of a flat list of JSON numbers, all finite."""
+    if not (isinstance(obj, list) and all(map(_is_number, obj))):
+        raise FileFormatError(f"{name} must be a flat list of numbers")
+    try:
+        vec = np.array(obj, dtype=float)
+    except OverflowError as exc:
+        raise FileFormatError(f"{name} has an entry too large for a float") from exc
+    return _finite(vec, name)
+
+
 def matrix_to_rows(mat) -> list:
     return [[float(v) for v in row] for row in np.atleast_2d(np.asarray(mat, dtype=float))]
 

@@ -15,9 +15,9 @@ slacks of rows flipped for a negative right-hand side start nonbasic; the
 other slacks and the artificials start basic. A pivot exchanges two
 variables: the leaving one takes over the entering one's slot with the
 column the full tableau would give it, 1 / pivot on the pivot row and
--other * (1 / pivot) elsewhere. The robust programs have 32·T + 8
-inequality rows on 2·T·n structural columns, so the slack identity this
-leaves out filled nearly nine tenths of the full tableau's width.
+-other * (1 / pivot) elsewhere. The robust programs on the benchmark's box
+have 16·T + 8 inequality rows on 2·T·n structural columns, so the slack
+identity this leaves out filled four fifths of the full tableau's width.
 
 Artificials never have a column. The phase-one cost row is minus the sum
 of the rows that start on one, and an artificial that leaves the basis

@@ -33,6 +33,12 @@ disturbance vertex d onto one set row, so only the largest and the smallest
 projection can bind: the program has rows for those two per set row,
 whatever the number of disturbance vertices, and the feasible set of the
 rows for every vertex. The verifier evaluates the same two projections.
+On a paired set the robust program carries the rows of the first row r of
+each pair only. The row it drops at vertex v, extreme i and the partner r'
+has the left-hand side of the row it keeps at -v, the other extreme and r,
+since S_r' = -S_r and the largest projection on r' is minus the smallest
+on r; so the kept row takes the right-hand side 1 - max(hi_r, hi_r') and
+the feasible set is the full program's.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import lp
 from .experiment import ExperimentData, PlantModel
@@ -178,7 +183,9 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
     # P S = S F row by row: S^T p_i - kron(I, (s_m)_i) vec(D) = (s_f0)_i
     eq = np.zeros((n_r * n, nvars))
     eq[:, :p_off] = -(np.eye(n)[None, :, :, None] * s_m[:, None, None, :]).reshape(n_r * n, p_off)
-    eq[:, p_off:p_end] = block_diag(*[s_h.T] * n_r)
+    # S^T on the diagonal of an (n_r, n, n_r, n_s) view of the P columns
+    diag = np.arange(n_r)
+    eq[:, p_off:p_end].reshape(n_r, n, n_r, n_s)[diag, :, diag] = s_h.T
     eq_rhs = s_f0.ravel()
     if consistency is not None:
         rows = np.zeros((consistency.shape[0], nvars))
@@ -232,7 +239,9 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     For every state-set vertex the propagated point must stay inside the
     set even after shifting the data by any admissible single-column
     disturbance block, and with the worst additive disturbance folded into
-    the right-hand side row by row.
+    the right-hand side row by row. The rows are computed on the full S and
+    then only the carried set rows are taken (`_row_pairs`), so a kept row
+    has the bytes it has in the full program.
     """
     n, T = data.n, data.samples
     s_h = state_set.h_matrix
@@ -241,19 +250,25 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     base = s_h @ data.x1t
     shift = _extreme_shifts(s_h, disturbance)
     # prop[j, i] is base with column j shifted by T times shift[:, i]; row
-    # blocks kron(vertex, prop[j, i]) go by vertex, then j, then i
+    # blocks kron(vertex, prop[j, i]) go by vertex, then j, then i, then the
+    # set rows carried (`_row_pairs`)
     prop = np.empty((T, 2, s_h.shape[0], T))
     prop[...] = base
     cols = np.arange(T)
     prop[cols, :, :, cols] = base.T[:, None, :] - (T * shift).T[None, :, :]
+    reps, partner = _row_pairs(s_h)
+    # the worst additive disturbance per set row comes off the right-hand
+    # side; a carried row also stands for its partner's rows
+    hi = shift[reps, 0]
+    if partner is not None:
+        hi = np.maximum(hi, shift[partner[reps], 0])
     admiss = input_set.h_matrix @ data.u0t
-    # the worst additive disturbance per set row comes off the right-hand side
-    ineq_rhs = np.concatenate([np.tile(1.0 - shift[:, 0], verts.shape[0] * T * 2),
+    ineq_rhs = np.concatenate([np.tile(1.0 - hi, verts.shape[0] * T * 2),
                                np.ones(verts.shape[0] * admiss.shape[0])])
     return lp.LinearProgram(
         num_vars=T * n, objective=np.zeros(T * n),
         eq_lhs=np.kron(np.eye(n), data.x0t), eq_rhs=np.eye(n).ravel(),
-        ineq_lhs=np.vstack([_vertex_rows(verts, prop.reshape(-1, T)),
+        ineq_lhs=np.vstack([_vertex_rows(verts, prop[:, :, reps].reshape(-1, T)),
                             _vertex_rows(verts, admiss)]),
         ineq_rhs=ineq_rhs)
 

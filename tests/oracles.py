@@ -198,15 +198,35 @@ def vertices_loop(h_matrix, dedup_tol=1e-7, feas_tol=1e-8):
     return np.array(found)
 
 
-def robust_rows_loop(data, state_set, input_set, disturbance):
+def opposite_pairs(s_h):
+    """The first row of each opposite pair, and every row's partner, when
+    every row of s_h has exactly one other row that is its negative within
+    1e-12 of the largest magnitude; all rows and None otherwise."""
+    n_s = s_h.shape[0]
+    largest = max(abs(float(v)) for v in s_h.ravel())
+    partners = [[j for j in range(n_s)
+                 if max(abs(s_h[i] / largest + s_h[j] / largest)) <= 1e-12]
+                for i in range(n_s)]
+    if all(len(found) == 1 and found[0] != i for i, found in enumerate(partners)):
+        return [i for i in range(n_s) if i < partners[i][0]], [found[0] for found in partners]
+    return list(range(n_s)), None
+
+
+def robust_rows_loop(data, state_set, input_set, disturbance, pair_rows=False):
     """Inequality rows of the robust program, one Kronecker block per
     (vertex, sample, disturbance vertex) and then one admissibility block
-    per vertex. Returns (lhs, rhs)."""
+    per vertex. Returns (lhs, rhs). With pair_rows, on a set whose rows
+    pair as in nominal_lp_loop, each block keeps only the first row of each
+    pair, with the right-hand side 1 minus the larger of the two rows'
+    largest shifts; without it, or on any other set, it keeps every row."""
     T = data.samples
     s_h = state_set.h_matrix
     base = s_h @ data.x1t
     shift_cols = s_h @ disturbance.vertices.T
     d_shift = shift_cols.max(axis=1)
+    reps, partners = opposite_pairs(s_h) if pair_rows else (list(range(s_h.shape[0])), None)
+    if partners is not None:
+        d_shift = np.array([max(d_shift[r], d_shift[partners[r]]) for r in reps])
     lhs = []
     rhs = []
     for vert in state_set.vertices:
@@ -214,7 +234,7 @@ def robust_rows_loop(data, state_set, input_set, disturbance):
             for i in range(disturbance.vertices.shape[0]):
                 prop = base.copy()
                 prop[:, j - 1] -= T * shift_cols[:, i]
-                lhs.append(np.kron(vert[None, :], prop))
+                lhs.append(np.kron(vert[None, :], prop[reps]))
                 rhs.append(1.0 - d_shift)
     admiss = input_set.h_matrix @ data.u0t
     for vert in state_set.vertices:
@@ -288,14 +308,7 @@ def nominal_lp_loop(source, state_set, input_set, lam=None, pair_rows=True):
     model = hasattr(source, "a_matrix")
     s_h = state_set.h_matrix
     n_s, n = s_h.shape
-    reps = list(range(n_s))
-    if pair_rows:
-        largest = max(abs(float(v)) for v in s_h.ravel())
-        partners = [[j for j in range(n_s)
-                     if max(abs(s_h[i] / largest + s_h[j] / largest)) <= 1e-12]
-                    for i in range(n_s)]
-        if all(len(found) == 1 and found[0] != i for i, found in enumerate(partners)):
-            reps = [i for i in range(n_s) if i < partners[i][0]]
+    reps = opposite_pairs(s_h)[0] if pair_rows else list(range(n_s))
     n_r = len(reps)
     q = source.m if model else source.samples
     p_off = q * n

@@ -797,6 +797,27 @@ def _forge_level_above_one(raw, spec):
                 "g_matrix": fileio.matrix_to_obj(g), "p_matrix": fileio.matrix_to_obj(p)})
 
 
+@pytest.mark.parametrize("x0, refusal", [
+    (["1", "0"], "x0 must be a flat list of numbers"),
+    ([True, False], "x0 must be a flat list of numbers"),
+    ([[1.0], [0.0]], "x0 must be a flat list of numbers"),
+    ({"values": [1.0, 0.0]}, "x0 must be a flat list of numbers"),
+    ([1.0, 0.0, 0.0], "x0 must hold 2 numbers, one per state"),
+    ([10**400, 0.0], "x0 has an entry too large for a float"),
+    ([float("nan"), 0.0], "x0 has a non-finite entry"),
+], ids=["strings", "booleans", "nested", "object", "too-long", "10**400", "nan"])
+def test_loose_x0_is_a_bad_config_that_names_the_field_and_the_file(tmp_path, capsys, x0,
+                                                                     refusal):
+    # the start follows the rule of a matrix file's values: JSON numbers,
+    # flat and finite, and one per state
+    config = _write_config(tmp_path, {**DEMO_CONFIG, "x0": x0})
+    out = tmp_path / "out.json"
+    assert cli.main(["generate", config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config: {config}: {refusal}\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("samples", [10**400, 2**62], ids=["10**400", "2**62"])
 def test_too_many_samples_is_a_bad_config_that_names_the_field_and_the_file(tmp_path, capsys,
                                                                            samples):
@@ -849,6 +870,10 @@ def test_too_many_samples_is_a_bad_config_that_names_the_field_and_the_file(tmp_
         values=[[value] for value in raw["g_matrix"]["values"]])),
     ("certificate", lambda raw, _: raw["gain"][0].__setitem__(0, str(raw["gain"][0][0]))),
     ("certificate", lambda raw, _: raw["p_matrix"]["values"].__setitem__(0, True)),
+    # a start that is not a flat list of JSON numbers
+    ("config", {**DEMO_CONFIG, "x0": ["1", "0"]}),
+    ("config", {**DEMO_CONFIG, "x0": [True, False]}),
+    ("config", {**DEMO_CONFIG, "x0": [[1.0], [0.0]]}),
 ])
 def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, capsys,
                                                     target, content):
@@ -1081,6 +1106,9 @@ def _mutated(document, path, value) -> bytes:
 @example(document="config", walk=["model"], value=None)
 @example(document="problem", walk=["state_set"], value=RECTANGLE_1E308)
 @example(document="problem", walk=["state_set"], value=[[]])
+@example(document="config", walk=["x0"], value=["1", "0"])
+@example(document="config", walk=["x0"], value=[True, False])
+@example(document="config", walk=["x0"], value=[[1.0], [0.0]])
 def test_malformed_files_end_in_an_exit_code(fuzz_files, document, walk, value):
     files = dict(fuzz_files)
     raw = json.loads(Path(files[document]).read_text())

@@ -516,9 +516,9 @@ def _robust_programs(rng):
 def _tall_robust_programs(rng, per_shape=2):
     """Robust programs shaped as the benchmark's tallest: a box set, a box
     disturbance of radius 0.05 / T, plants of spectral radius 0.3 and the
-    input interval [-5, 5], for T = 24 and 40 (776 and 1288 rows). Their
-    pivot rows are sparse on the full tableau's width and nearly full on
-    the columns kept."""
+    input interval [-5, 5], for T = 24 and 40 (392 and 648 rows, the box's
+    opposite rows paired). Their pivot rows are sparse on the full
+    tableau's width and nearly full on the columns kept."""
     box = np.vstack([np.eye(2), -np.eye(2)])
     corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
     programs = []
@@ -602,7 +602,7 @@ def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
     # twice-rounded update over every column kept
     seen.clear()
     for program in tall_robust_programs:
-        assert program.ineq_lhs.shape[0] in (32 * 24 + 8, 32 * 40 + 8)
+        assert program.ineq_lhs.shape[0] in (16 * 24 + 8, 16 * 40 + 8)
         same_as_full_tableau(program)
     assert seen == {lp.LpStatus.FEASIBLE}
     # the benchmark-shaped minimizations, under a cap of twice the
@@ -653,7 +653,7 @@ def test_a_patched_pivot_sees_every_pivot_of_a_level_minimization(monkeypatch):
 
 
 def test_robust_tableau_keeps_no_slack_identity(monkeypatch):
-    # the box program has 32 T + 8 inequality rows on 2 T n structural
+    # the box program has 16 T + 8 inequality rows on 2 T n structural
     # columns, none of which starts flipped: each pivot sees those columns
     # and the right-hand side, and none of the slacks
     rng = np.random.default_rng(6)
@@ -665,7 +665,7 @@ def test_robust_tableau_keeps_no_slack_identity(monkeypatch):
         build_data_matrices(inputs, states), validate_cset(np.vstack([np.eye(2), -np.eye(2)])),
         InputPolytope([[0.2], [-0.2]]),
         DisturbanceSet(0.01 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])))
-    assert program.ineq_lhs.shape == (32 * samples + 8, samples * n)
+    assert program.ineq_lhs.shape == (16 * samples + 8, samples * n)
     widths = []
     original = lp._pivot
 

@@ -10,7 +10,8 @@ from ddinv.experiment import (ExperimentData, PlantModel, build_data_matrices,
                               stacked_data_matrix)
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
 from generators import box_input_rows, random_controllable_plant, random_cset_rows
-from oracles import nominal_lp_loop, polygon_rows_from_vertices, robust_rows_loop
+from oracles import (nominal_lp_loop, opposite_pairs, polygon_rows_from_vertices,
+                     robust_rows_loop)
 
 
 def _interval_set():
@@ -349,6 +350,22 @@ ROBUST_CASES = [
 ]
 
 
+def _extreme_loop_rows(data, cset, uset, dset, pair_rows):
+    """The loop oracle's rows that the builder keeps: per (vertex, sample,
+    set row carried) the rows for the largest and the smallest shift, in
+    that order, whatever the number of disturbance vertices."""
+    lhs, rhs = robust_rows_loop(data, cset, uset, dset, pair_rows=pair_rows)
+    shift = cset.h_matrix @ dset.vertices.T
+    carried = opposite_pairs(cset.h_matrix)[0] if pair_rows else list(range(cset.num_rows))
+    n_v, n_r, n_d = cset.vertices.shape[0], len(carried), shift.shape[1]
+    pick = np.stack([shift.argmax(axis=1), shift.argmin(axis=1)])[:, carried]
+    n_rob = n_v * data.samples * n_d * n_r
+    blocks = lhs[:n_rob].reshape(n_v, data.samples, n_d, n_r, -1)[:, :, pick, np.arange(n_r)]
+    rhs_blocks = rhs[:n_rob].reshape(n_v, data.samples, n_d, n_r)[:, :, pick, np.arange(n_r)]
+    return (np.vstack([blocks.reshape(-1, lhs.shape[1]), lhs[n_rob:]]),
+            np.concatenate([rhs_blocks.ravel(), rhs[n_rob:]]))
+
+
 @pytest.mark.parametrize("rows, disturbance, samples", ROBUST_CASES)
 def test_robust_builder_matches_loop_oracle(rows, disturbance, samples):
     rng = np.random.default_rng(samples)
@@ -358,18 +375,12 @@ def test_robust_builder_matches_loop_oracle(rows, disturbance, samples):
     data = build_data_matrices(rng.normal(size=(samples, 2)), rng.normal(size=(samples + 1, n)))
     dset = DisturbanceSet(disturbance)
     program = synthesis.build_robust_lp(data, cset, uset, dset)
-    lhs, rhs = robust_rows_loop(data, cset, uset, dset)
-    # per (vertex, sample, set row) the builder keeps the loop's rows for the
-    # largest and the smallest shift, in that order, whatever the number of
-    # disturbance vertices
-    shift = rows @ dset.vertices.T
-    n_v, n_s, n_d = cset.vertices.shape[0], rows.shape[0], shift.shape[1]
-    pick = np.stack([shift.argmax(axis=1), shift.argmin(axis=1)])
-    n_rob = n_v * samples * n_d * n_s
-    blocks = lhs[:n_rob].reshape(n_v, samples, n_d, n_s, -1)[:, :, pick, np.arange(n_s)]
-    rhs_blocks = rhs[:n_rob].reshape(n_v, samples, n_d, n_s)[:, :, pick, np.arange(n_s)]
-    lhs = np.vstack([blocks.reshape(-1, lhs.shape[1]), lhs[n_rob:]])
-    rhs = np.concatenate([rhs_blocks.ravel(), rhs[n_rob:]])
+    # on the box and the cube the set rows pair and the builder carries
+    # half of them; the odd polygons carry all
+    lhs, rhs = _extreme_loop_rows(data, cset, uset, dset, pair_rows=True)
+    n_r = rows.shape[0] // 2 if rows.shape[0] % 2 == 0 else rows.shape[0]
+    n_u = uset.h_matrix.shape[0]
+    assert program.ineq_lhs.shape[0] == cset.vertices.shape[0] * (samples * 2 * n_r + n_u)
     assert program.ineq_lhs.shape == lhs.shape
     assert program.ineq_lhs.tobytes() == lhs.tobytes()
     assert program.ineq_rhs.tobytes() == rhs.tobytes()
@@ -526,3 +537,88 @@ def test_certificate_search_on_a_symmetric_set_returns_the_full_p():
         assert verification.check_invariance_certificate(f_matrix, cset, p, 0.95)
         # and none at a level below the worst vertex gauge
         assert verification.find_certificate_matrix(f_matrix, cset, 0.85) is None
+
+
+def _hull_around_origin(rng, n):
+    """A random disturbance polytope with no symmetry whose hull holds the
+    origin: random points less one of their convex combinations."""
+    points = rng.normal(size=(int(rng.integers(2, 6)), n))
+    return points - rng.dirichlet(np.ones(points.shape[0])) @ points
+
+
+def test_paired_robust_program_has_the_full_verdict_and_worst_violation():
+    # on a centrally symmetric set the robust program carries one row of
+    # each opposite pair; HiGHS gives it the verdict of the full program
+    # (the loop oracle's rows for every disturbance vertex and set row), and
+    # no G violates the one by more or less than the other
+    rng = np.random.default_rng(25)
+    verdicts = Counter()
+    for _ in range(150):
+        n, samples = int(rng.integers(2, 4)), int(rng.integers(3, 11))
+        cset = _symmetric_set(rng, n)
+        radius = rng.choice([0.002, 0.01, 0.05])
+        data = _disturbed_experiment(rng, n, samples, radius)
+        uset = InputPolytope(np.array([[0.5], [-0.5]]))
+        dset = DisturbanceSet(radius * _hull_around_origin(rng, n))
+        program = synthesis.build_robust_lp(data, cset, uset, dset)
+        assert program.ineq_lhs.shape[0] == cset.vertices.shape[0] * (samples * cset.num_rows + 2)
+        lhs, rhs = robust_rows_loop(data, cset, uset, dset)
+        outcomes = [
+            linprog(np.zeros(program.num_vars), A_ub=a_ub, b_ub=b_ub, A_eq=program.eq_lhs,
+                    b_eq=program.eq_rhs, bounds=(None, None), method="highs").status
+            for a_ub, b_ub in [(program.ineq_lhs, program.ineq_rhs), (lhs, rhs)]]
+        assert outcomes[0] == outcomes[1] and outcomes[0] in (0, 2)
+        verdicts[outcomes[0]] += 1
+        for _ in range(5):
+            g = rng.normal(scale=rng.uniform(0.1, 10.0), size=samples * n)
+            paired = np.max(program.ineq_lhs @ g - program.ineq_rhs)
+            full = np.max(lhs @ g - rhs)
+            assert abs(paired - full) <= 1e-12 * max(1.0, abs(full))
+    assert verdicts[0] >= 40 and verdicts[2] >= 20
+
+
+def test_a_set_one_row_off_symmetric_builds_the_full_robust_program():
+    # the 8-gon pairs; moving one row by 1e-9 leaves that row without a
+    # partner, and the robust program is the full one, byte for byte
+    rng = np.random.default_rng(9)
+    rows = _regular_polygon(8)
+    assert synthesis._row_pairs(rows)[0].size == 4
+    rows[3, 1] += 1e-9
+    assert synthesis._row_pairs(rows)[1] is None
+    cset = validate_cset(rows)
+    uset = InputPolytope(box_input_rows(1, 3.0))
+    data = _disturbed_experiment(rng, 2, 6, 0.01)
+    dset = DisturbanceSet(0.01 * _hull_around_origin(rng, 2))
+    program = synthesis.build_robust_lp(data, cset, uset, dset)
+    lhs, rhs = _extreme_loop_rows(data, cset, uset, dset, pair_rows=False)
+    assert program.ineq_lhs.shape == lhs.shape == (8 * (6 * 2 * 8 + 2), 12)
+    assert program.ineq_lhs.tobytes() == lhs.tobytes()
+    assert program.ineq_rhs.tobytes() == rhs.tobytes()
+
+
+@pytest.mark.parametrize("rows", [BOX, CUBE, _regular_polygon(8)], ids=["box", "cube", "8-gon"])
+def test_paired_robust_certificates_pass_the_full_check(rows):
+    # verify evaluates every vertex, sample, extreme shift and set row, so
+    # it checks the rows the paired program left out
+    rng = np.random.default_rng(rows.shape[0])
+    n, n_s = rows.shape[1], rows.shape[0]
+    cset = validate_cset(rows)
+    uset = InputPolytope(box_input_rows(1, 5.0))
+    certified = 0
+    for _ in range(10):
+        samples = int(rng.integers(3, 11))
+        radius = 0.05 / samples
+        data = _disturbed_experiment(rng, n, samples, radius)
+        dset = DisturbanceSet(radius * _hull_around_origin(rng, n))
+        program = synthesis.build_robust_lp(data, cset, uset, dset)
+        assert program.ineq_lhs.shape[0] == cset.vertices.shape[0] * (samples * n_s + 2)
+        try:
+            cert = synthesis.synthesize(
+                synthesis.SynthesisProblem(cset, uset, 0.0, data, disturbance=dset))
+        except synthesis.InfeasibleProblem:
+            continue
+        report = verification.verify_certificate(cset, uset, cert, data=data,
+                                                 disturbance=dset)
+        assert report.robust_ok and report.all_ok()
+        certified += 1
+    assert certified >= 5
