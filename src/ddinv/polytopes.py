@@ -27,7 +27,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .numerics import _rank, numerical_rank
+from .numerics import numerical_rank
 
 VERTEX_FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-7
@@ -255,10 +255,11 @@ def validate_cset(h_matrix) -> PolyhedralCSet:
         raise PolytopeError("no vertices found; representation is degenerate")
     if not np.isfinite(verts).all():
         raise PolytopeError("set too large: a vertex lies past the largest float")
-    rows = _unit_rows(h_matrix)
-    for active in np.abs(verts @ h_matrix.T - 1.0) <= ACTIVE_TOL:
-        if active.sum() < n or _rank(rows[active]) < n:
-            raise PolytopeError("vertex lacks n independent active rows")
+    # zeroing a vertex's inactive rows keeps the singular values of its
+    # active ones, so one stacked call ranks every vertex
+    active = np.abs(verts @ h_matrix.T - 1.0) <= ACTIVE_TOL
+    if (numerical_rank(np.where(active[:, :, None], _unit_rows(h_matrix), 0.0)) < n).any():
+        raise PolytopeError("vertex lacks n independent active rows")
     return PolyhedralCSet(h_matrix=h_matrix, vertices=verts)
 
 

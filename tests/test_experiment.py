@@ -1,9 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgeqp3
 
 from ddinv import experiment, numerics
 from ddinv.numerics import numerical_rank
@@ -181,20 +183,24 @@ def test_numerical_rank_edges():
     assert numerical_rank(np.eye(4)) == 4
     near = np.diag([1.0, 1e-12])
     assert numerical_rank(near) == 1
+    # straddling the threshold; a rotation and a scale keep the singular
+    # values' ratio, and so the rank
+    turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+    for small, rank in [(2e-9, 2), (0.5e-9, 1), (1.01e-9, 2), (0.99e-9, 1)]:
+        assert numerical_rank(np.diag([1.0, small])) == rank
+        assert numerical_rank(1e6 * turn @ np.diag([1.0, small]) @ turn.T) == rank
 
 
-def _qr_rank(mat):
-    """numerical_rank's rule on the R of scipy.linalg.qr(pivoting=True)."""
+def _svdvals_rank(mat):
+    """numerical_rank's rule on the singular values from scipy.linalg.svdvals."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return 0
-    diag = np.abs(np.diag(scipy.linalg.qr(mat, mode="r", pivoting=True)[0]))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.sum(diag > 1e-9 * diag[0]))
+    svals = scipy.linalg.svdvals(mat)
+    return int(np.sum(svals > 1e-9 * svals[0]))
 
 
-def test_numerical_rank_matches_the_scipy_qr_form():
+def test_numerical_rank_matches_an_independent_svd():
     rng = np.random.default_rng(17)
     mats = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((4, 2)), rng.normal(size=(200, 150))]
     for _ in range(200):
@@ -205,42 +211,52 @@ def test_numerical_rank_matches_the_scipy_qr_form():
         mat += rng.choice([0.0, 0.5e-9, 2e-9]) * rng.normal(size=(rows, cols))
         mats.append(mat)
     ranks = [numerical_rank(mat) for mat in mats]
-    assert ranks == [_qr_rank(mat) for mat in mats]
+    assert ranks == [_svdvals_rank(mat) for mat in mats]
     assert len(set(ranks)) >= 5
+    # The same rule on the diagonal of a column-pivoted QR's R counts higher
+    # on 12 of these matrices, the first at index 14 (4 against 3): their
+    # trailing singular values sit under the threshold while R's diagonal
+    # does not.
     with pytest.raises(ValueError):
         numerical_rank([[1.0, np.nan]])
 
 
-def test_one_workspace_query_per_shape_gives_the_same_rank_and_r():
-    # the workspace is queried once per shape; R, and so the rank, carry the
-    # bits of a dgeqp3 call with the workspace queried for that very matrix
-    rng = np.random.default_rng(29)
-    mats = [rng.normal(size=shape) for shape in ((2, 2), (3, 2), (24, 2), (200, 150))]
-    mats.append(rng.normal(size=(24, 3)) @ rng.normal(size=(3, 8)))
-    for mat in mats:
-        queried = int(dgeqp3(mat, lwork=-1)[3][0])
-        assert numerics._qr_workspace(*mat.shape) == queried
-        r_matrix = dgeqp3(mat, lwork=queried)[0]
-        cached = dgeqp3(mat, lwork=numerics._qr_workspace(*mat.shape))[0]
-        assert cached.tobytes() == r_matrix.tobytes()
-        diag = np.abs(np.diag(r_matrix))
-        assert numerical_rank(mat) == int(np.sum(diag > numerics.RANK_TOL_FACTOR * diag[0]))
-    assert [numerical_rank(mat) for mat in mats] == [2, 2, 2, 150, 3]
+def test_numerical_rank_of_a_stack_is_one_rank_per_matrix():
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(6, 5, 3))
+    stack[1] = 0.0
+    stack[2, 2:] = 0.0
+    stack[3] = rng.normal(size=(5, 1)) @ rng.normal(size=(1, 3))
+    stack[4] = 0.0
+    stack[4, [0, 3]] = np.diag([1.0, 2e-9, 0.5e-9])[:2]
+    stack[5] = 0.0
+    stack[5, :3] = np.diag([1.0, 1.0, 0.5e-9])
+    ranks = numerical_rank(stack)
+    assert ranks.tolist() == [numerical_rank(mat) for mat in stack] == [3, 0, 2, 1, 2, 2]
+    assert numerical_rank(stack.reshape(2, 3, 5, 3)).tolist() == [[3, 0, 2], [1, 2, 2]]
+    assert numerical_rank(np.zeros((4, 0, 3))).tolist() == [0] * 4
+    assert numerical_rank(np.zeros((2, 3, 0))).tolist() == [0] * 2
+    stack[3, 1, 2] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        numerical_rank(stack)
 
 
-def test_rank_calls_on_one_shape_query_the_workspace_once(monkeypatch):
-    calls = []
-
-    def counted(mat, lwork):
-        calls.append(lwork)
-        return dgeqp3(mat, lwork=lwork)
-
-    monkeypatch.setattr(numerics, "dgeqp3", counted)
-    numerics._qr_workspace.cache_clear()
-    rng = np.random.default_rng(30)
-    for _ in range(5):
-        numerical_rank(rng.normal(size=(7, 3)))
-    assert calls[0] == -1 and -1 not in calls[1:] and len(calls) == 6
+def test_numerics_ranks_without_scipy():
+    # numerics runs on numpy alone, so a process that cannot import scipy
+    # still loads it and takes a rank
+    code = "\n".join([
+        "import importlib.util, sys",
+        "sys.modules['scipy'] = None",
+        f"spec = importlib.util.spec_from_file_location('numerics', {numerics.__file__!r})",
+        "module = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(module)",
+        "print(module.numerical_rank([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]]),",
+        "      module.numerical_rank([[1.0, 2.0], [2.0, 4.0]]))",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["2", "1"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -321,6 +321,18 @@ def test_degenerate_sets_are_one_clean_error(rows, reason):
     assert polytopes.validate_cset(rows).vertices.shape == (4, 2)
 
 
+def test_vertex_whose_active_rows_are_nearly_parallel_is_refused():
+    # the row [1, eps] cuts the box at (1, 0), where it and [1, 0] are the
+    # only active rows; at eps = 1e-10 they are parallel to the rank rule
+    with pytest.raises(polytopes.PolytopeError, match="^vertex lacks n independent active rows"):
+        polytopes.validate_cset(np.vstack([BOX_2D, [1.0, 1e-10]]))
+    cset = polytopes.validate_cset(np.vstack([BOX_2D, [1.0, 1e-8]]))
+    assert same_point_set(cset.vertices, [[1, 1], [1, -1], [1, 0], [-1, 1], [-1, -1]], tol=1e-9)
+    # four active rows at each vertex of the octahedron, more than n = 3
+    octahedron = polytopes.validate_cset(np.array(list(product((1.0, -1.0), repeat=3))))
+    assert same_point_set(octahedron.vertices, np.vstack([np.eye(3), -np.eye(3)]), tol=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e-309, 4e-320])
 def test_set_past_the_largest_float_is_a_clean_error(scale):
     # rows this small put the vertices past 1.8e308: a set error, no warning
