@@ -20,10 +20,9 @@ from .polytopes import (DisturbanceSet, InputPolytope, PolyhedralCSet,
 from .synthesis import (Certificate, InfeasibleProblem, SolverFailure,
                         SynthesisProblem, build_databased_lp,
                         build_modelbased_lp, build_robust_lp, extract_gain,
-                        minimize_lambda, synthesize)
+                        find_certificate_matrix, minimize_lambda, synthesize)
 from .verification import (VerificationReport, check_admissibility,
                            check_invariance_certificate,
                            check_robust_invariance,
-                           check_vertex_contractivity,
-                           find_certificate_matrix, lyapunov_value,
+                           check_vertex_contractivity, lyapunov_value,
                            verify_certificate)

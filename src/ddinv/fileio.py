@@ -32,6 +32,7 @@ from . import __version__, polytopes, synthesis
 from .experiment import ExperimentData, PlantModel
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 from .synthesis import Certificate
+from .verification import certified_level
 
 
 class FileFormatError(ValueError):
@@ -276,7 +277,7 @@ def load_certificate(path) -> Tuple[Certificate, str]:
                 for key in ("g_matrix", "p_matrix")}
     lam = _number(raw["lambda"], "lambda")
     try:
-        lam = synthesis.certified_level(lam)
+        lam = certified_level(lam)
     except ValueError as exc:
         raise FileFormatError(f"lambda: {exc}") from exc
     certificate = Certificate(gain=rows_to_matrix(raw["gain"], "gain"), lam=lam, **matrices)

@@ -32,7 +32,7 @@ contained. Each of its rows is affine in the projection S_r d of a
 disturbance vertex d onto one set row, so only the largest and the smallest
 projection can bind: the program has rows for those two per set row,
 whatever the number of disturbance vertices, and the feasible set of the
-rows for every vertex. The verifier evaluates the same two projections.
+rows for every vertex. The verifier computes them itself.
 On a paired set the robust program carries the rows of the first row r of
 each pair only. The row it drops at vertex v, extreme i and the partner r'
 has the left-hand side of the row it keeps at -v, the other extreme and r,
@@ -76,17 +76,6 @@ def contraction_level(lam) -> Union[float, str]:
     lam = float(lam)
     if not 0.0 <= lam < 1.0:
         raise ValueError("level must lie in [0, 1)")
-    return lam
-
-
-def certified_level(lam) -> float:
-    """The level rule for certificates: a number in [0, 1], where 1 is the
-    robust certificates' level. Above 1 the vertex and certificate checks
-    hold for closed loops that leave the set, so such a level certifies
-    nothing."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("certificate level must lie in [0, 1]")
     return lam
 
 
@@ -300,20 +289,18 @@ def _unpack_p(primal, offset: int, s_h) -> np.ndarray:
     return p_matrix
 
 
-def _build(build, what: str, *args) -> lp.LinearProgram:
-    """The program build(*args) makes. Finite data can still overflow the
-    float range in its products; such a program has no finite rows, and
-    the overflow is a SolverFailure. The callers pass a builder read from
-    the module globals at call time, so a wrapper set on the module sees
-    each call."""
+def _solve(build, what: str, *args) -> np.ndarray:
+    """The primal of the program build(*args) makes: the one place where a
+    program is built and solved. A program that overflows while being built
+    (finite data can still overflow in its products) or a solve that ends
+    neither feasible nor infeasible is a SolverFailure, an infeasible one an
+    InfeasibleProblem. Callers pass a builder read from the module globals
+    at call time, so a wrapper set on the module sees each call."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return build(*args)
+            program = build(*args)
     except FloatingPointError as exc:
         raise SolverFailure(f"{what}: the program overflows while being built ({exc})") from exc
-
-
-def _solve_or_raise(program: lp.LinearProgram, what: str) -> np.ndarray:
     sol = lp.solve(program)
     if sol.status == lp.LpStatus.INFEASIBLE:
         raise InfeasibleProblem(f"{what} is infeasible")
@@ -332,9 +319,8 @@ def synthesize(problem: SynthesisProblem) -> Certificate:
     'minimize' delegates to minimize_lambda."""
     if problem.disturbance is not None:
         data = problem.source
-        program = _build(build_robust_lp, "robust design", data, problem.state_set,
-                         problem.input_set, problem.disturbance)
-        primal = _solve_or_raise(program, "robust design")
+        primal = _solve(build_robust_lp, "robust design", data, problem.state_set,
+                        problem.input_set, problem.disturbance)
         g = _unpack_d(primal, data.samples, data.n)
         return Certificate(gain=extract_gain(data, g), lam=1.0, g_matrix=g)
     if problem.lam == MINIMIZE:
@@ -359,11 +345,28 @@ def _nominal_design(problem: SynthesisProblem, lam: Optional[float]) -> Certific
         route, build, q = "model-based", build_modelbased_lp, source.m
     else:
         route, build, q = "data-based", build_databased_lp, source.samples
-    program = _build(build, f"{route} {what}", source, problem.state_set,
-                     problem.input_set, lam)
-    primal = _solve_or_raise(program, f"{route} {what}")
+    primal = _solve(build, f"{route} {what}", source, problem.state_set,
+                    problem.input_set, lam)
     d = _unpack_d(primal, q, source.n)
     g = None if isinstance(source, PlantModel) else d
     return Certificate(gain=d if g is None else extract_gain(source, g),
                        lam=float(primal[-1]) if lam is None else lam, g_matrix=g,
                        p_matrix=_unpack_p(primal, q * source.n, problem.state_set.h_matrix))
+
+
+def find_certificate_matrix(f_matrix, cset: PolyhedralCSet, lam: float) -> Optional[np.ndarray]:
+    """Search for a certificate matrix P by linear programming; None when no
+    such P exists at the given level. The program is the nominal one with F
+    fixed: no decision matrix and no admissibility rows, and half the rows
+    of P on a centrally symmetric set. S F is formed inside the build, so its
+    overflow is a SolverFailure, as in every `_solve`. The P returned is the
+    full (n_s, n_s) one."""
+    f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
+    try:
+        primal = _solve(lambda: _nominal_lp(cset, cset.h_matrix @ f_matrix,
+                                            np.zeros((cset.num_rows, 0)),
+                                            np.zeros((0, 0)), float(lam)),
+                        "certificate search")
+    except InfeasibleProblem:
+        return None
+    return _unpack_p(primal, 0, cset.h_matrix)

@@ -16,6 +16,11 @@ stack goes through the same BLAS call as the product on its own (see
 `_images`), so the gauges and violations carry the same bits as a loop over
 vertices. The maxima over vertices keep a NaN, so a NaN anywhere fails the
 check.
+
+The module is a leaf: it imports only numpy, the standard library and
+`.polytopes`, nothing of the builder (`synthesis`) or the solver (`lp`), so a
+builder bug that makes a bad certificate cannot also make it pass here. The
+robust check computes its extreme disturbance projections itself for that.
 """
 
 from __future__ import annotations
@@ -25,10 +30,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import synthesis
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 DEFAULT_TOL = 1e-6
+
+
+def certified_level(lam) -> float:
+    """The level rule for certificates: a number in [0, 1], where 1 is the
+    robust certificates' level. Above 1 the vertex and certificate checks
+    hold for closed loops that leave the set, so such a level certifies
+    nothing."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("certificate level must lie in [0, 1]")
+    return lam
 
 
 def _images(matrix, points):
@@ -50,29 +65,6 @@ def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
     if np.max(p_matrix.sum(axis=1)) > lam + tol:
         return False
     return float(np.max(np.abs(p_matrix @ s_h - s_h @ f_matrix))) <= tol
-
-
-def find_certificate_matrix(f_matrix, cset: PolyhedralCSet, lam: float) -> Optional[np.ndarray]:
-    """Search for a certificate matrix P by linear programming; None when no
-    such P exists at the given level. The program is the nominal one with F
-    fixed: no decision matrix and no admissibility rows, and half the rows
-    of P on a centrally symmetric set. It is built and solved as synthesis
-    builds and solves its programs, so a program that overflows while being
-    built, or a solve that ends neither feasible nor infeasible, raises
-    synthesis.SolverFailure. The P returned is the full (n_s, n_s) one."""
-    f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
-    n_s = cset.num_rows
-
-    def build():
-        return synthesis._nominal_lp(cset, cset.h_matrix @ f_matrix, np.zeros((n_s, 0)),
-                                     np.zeros((0, 0)), float(lam))
-
-    program = synthesis._build(build, "certificate search")
-    try:
-        primal = synthesis._solve_or_raise(program, "certificate search")
-    except synthesis.InfeasibleProblem:
-        return None
-    return synthesis._unpack_p(primal, 0, cset.h_matrix)
 
 
 def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,
@@ -118,7 +110,9 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
     shifted propagations)."""
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
     s_h = cset.h_matrix
-    shift = synthesis._extreme_shifts(s_h, disturbance)
+    # [max, min] over the disturbance vertices d of S_r d, per set row r
+    proj = s_h @ disturbance.vertices.T
+    shift = np.column_stack([proj.max(axis=1), proj.min(axis=1)])
     base = s_h @ data.x1t @ g_matrix
     nominal = _images(base, cset.vertices)
     gs = _images(g_matrix, cset.vertices)
@@ -224,9 +218,9 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     and the gain (`check_data_consistency`). Robust certificates (no P) get
     the robust vertex test; when only data is available for them, the
     data-side conditions stand in for it. A level outside [0, 1] is a
-    ValueError (`synthesis.certified_level`).
+    ValueError (`certified_level`).
     """
-    synthesis.certified_level(certificate.lam)
+    certified_level(certificate.lam)
     gain = certificate.gain
     f_matrix = closed_loop(certificate, cset, input_set, data, plant)
     if certificate.p_matrix is None and disturbance is None:

@@ -264,7 +264,7 @@ def test_criterion_8_certificate_equivalence():
             f_matrix, cset, lam, tol=0.0)
         if abs(worst - lam) <= 1e-6:
             continue  # undecidable at the working tolerance
-        witness = verification.find_certificate_matrix(f_matrix, cset, lam)
+        witness = synthesis.find_certificate_matrix(f_matrix, cset, lam)
         agreed += (witness is not None) == holds
         contractive += holds
     ok = agreed == 100 and 20 <= contractive <= 80

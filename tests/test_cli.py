@@ -21,7 +21,8 @@ import oracles
 from ddinv import __version__, cli, fileio, lp, synthesis
 from ddinv.experiment import PlantModel, simulate_closed_loop
 from ddinv.polytopes import InputPolytope, validate_cset
-from ddinv.verification import closed_loop, find_certificate_matrix
+from ddinv.synthesis import find_certificate_matrix
+from ddinv.verification import closed_loop
 
 DEMO_CONFIG = {
     "model": {"A": [[0.8, 0.5], [-0.4, 1.2]], "B": [[0.0], [1.0]]},

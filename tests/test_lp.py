@@ -689,4 +689,4 @@ def test_phase_one_breakdown_has_its_own_status(monkeypatch):
                                    ineq_rhs=[1.0], lower_bounds=[0.0])
     assert lp.solve(slack_basis).status == lp.LpStatus.UNBOUNDED
     with pytest.raises(synthesis.SolverFailure, match="test: phase one broke down"):
-        synthesis._solve_or_raise(with_artificial, "test")
+        synthesis._solve(lambda: with_artificial, "test")

@@ -532,11 +532,11 @@ def test_certificate_search_on_a_symmetric_set_returns_the_full_p():
         # F maps every vertex to gauge 0.9, so a certificate exists at 0.95
         f_matrix = rng.normal(size=(n, n))
         f_matrix *= 0.9 / np.max(cset.h_matrix @ f_matrix @ cset.vertices.T)
-        p = verification.find_certificate_matrix(f_matrix, cset, 0.95)
+        p = synthesis.find_certificate_matrix(f_matrix, cset, 0.95)
         assert p.shape == (n_s, n_s)
         assert verification.check_invariance_certificate(f_matrix, cset, p, 0.95)
         # and none at a level below the worst vertex gauge
-        assert verification.find_certificate_matrix(f_matrix, cset, 0.85) is None
+        assert synthesis.find_certificate_matrix(f_matrix, cset, 0.85) is None
 
 
 def _hull_around_origin(rng, n):

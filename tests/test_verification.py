@@ -28,10 +28,10 @@ def test_certificate_check_on_contraction():
 
 def test_certificate_search_positive_and_negative():
     box = _unit_box()
-    p = verification.find_certificate_matrix(0.5 * np.eye(2), box, 0.5)
+    p = synthesis.find_certificate_matrix(0.5 * np.eye(2), box, 0.5)
     assert p is not None
     assert verification.check_invariance_certificate(0.5 * np.eye(2), box, p, 0.5)
-    assert verification.find_certificate_matrix(2.0 * np.eye(2), box, 0.99) is None
+    assert synthesis.find_certificate_matrix(2.0 * np.eye(2), box, 0.99) is None
     ok, worst = verification.check_vertex_contractivity(2.0 * np.eye(2), box, 0.99)
     assert not ok and worst == pytest.approx(2.0)
 
@@ -52,7 +52,7 @@ def test_failed_certificate_search_is_not_read_as_no_certificate(monkeypatch, st
     monkeypatch.setattr(lp, "solve", lambda prob: lp.LpSolution(status, residual=1e-3))
     with pytest.raises(synthesis.SolverFailure,
                        match=f"^certificate search: {FAILED_SEARCH_MESSAGES[status]}$"):
-        verification.find_certificate_matrix(0.5 * np.eye(2), box, 0.5)
+        synthesis.find_certificate_matrix(0.5 * np.eye(2), box, 0.5)
 
 
 def test_certificate_search_that_overflows_is_a_solver_failure():
@@ -61,7 +61,7 @@ def test_certificate_search_that_overflows_is_a_solver_failure():
     box = validate_cset(1e10 * np.vstack([np.eye(2), -np.eye(2)]))
     with pytest.raises(synthesis.SolverFailure,
                        match="^certificate search: the program overflows while being built"):
-        verification.find_certificate_matrix(1e300 * np.ones((2, 2)), box, 0.5)
+        synthesis.find_certificate_matrix(1e300 * np.ones((2, 2)), box, 0.5)
 
 
 def test_rounded_gain_sits_just_outside_tight_level(demo_plant, demo_state_set):
@@ -141,7 +141,7 @@ def test_certificate_existence_matches_vertex_test():
         f *= lam * (0.8 if trial % 2 == 0 else 1.25) / worst
         ok, worst = verification.check_vertex_contractivity(f, cset, lam, tol=0.0)
         assert abs(worst - lam) > 1e-6
-        p = verification.find_certificate_matrix(f, cset, lam)
+        p = synthesis.find_certificate_matrix(f, cset, lam)
         assert (p is not None) == ok
         if p is not None:
             assert verification.check_invariance_certificate(f, cset, p, lam,
@@ -356,7 +356,7 @@ def test_certificate_level_outside_zero_one_is_rejected(demo_state_set, demo_inp
     f_matrix = demo_data.x1t @ g
     forged = synthesis.Certificate(
         gain=demo_data.u0t @ g, lam=level, g_matrix=g,
-        p_matrix=verification.find_certificate_matrix(f_matrix, demo_state_set, 1.5))
+        p_matrix=synthesis.find_certificate_matrix(f_matrix, demo_state_set, 1.5))
     assert forged.p_matrix is not None
     _, worst = verification.check_vertex_contractivity(f_matrix, demo_state_set, 1.0)
     assert worst > 1.0
