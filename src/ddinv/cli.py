@@ -131,11 +131,9 @@ def _cmd_generate(args) -> int:
                      "is not finite")
     data = build_data_matrices(inputs, states)
 
-    order = 0
-    while is_persistently_exciting(inputs, order + 1):
-        order += 1
-        if order > plant.n + plant.m + 2:
-            break
+    # excitation of an order implies it at every lower one
+    order = next((k for k in range(plant.n + plant.m + 3, 0, -1)
+                  if is_persistently_exciting(inputs, k)), 0)
     target = plant.n + 1
     print(f"excitation order achieved: {order} (target {target})")
     full = data_has_full_row_rank(data)

@@ -40,12 +40,11 @@ def demo_plant() -> PlantModel:
     return PlantModel(A_MATRIX, B_MATRIX)
 
 
-def demo_experiment(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
-                    x0=DEFAULT_X0, amplitude: float = 1.0) -> ExperimentData:
-    """One open-loop run with uniform random input, the data everything in
-    the examples is synthesized from."""
+def demo_experiment(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> ExperimentData:
+    """One open-loop run from DEFAULT_X0 with uniform random input on
+    [-1, 1], the data everything in the examples is synthesized from."""
     plant = demo_plant()
     rng = np.random.default_rng(seed)
-    inputs = random_input_sequence(rng, samples, plant.m, amplitude)
-    states = simulate(plant, x0, inputs)
+    inputs = random_input_sequence(rng, samples, plant.m)
+    states = simulate(plant, DEFAULT_X0, inputs)
     return build_data_matrices(inputs, states)

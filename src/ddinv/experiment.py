@@ -81,13 +81,12 @@ class ExperimentData:
 
 
 def simulate(plant: PlantModel, x0, inputs, disturbances=None) -> np.ndarray:
-    """Roll the plant forward; returns the (T+1, n) state sequence."""
+    """Roll the plant forward on (T, m) inputs; returns the (T+1, n) state
+    sequence."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (plant.n,):
         raise ValueError("x0 dimension does not match the plant")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != plant.m:
-        inputs = inputs.reshape(-1, plant.m)
     T = inputs.shape[0]
     if disturbances is not None:
         disturbances = np.atleast_2d(np.asarray(disturbances, dtype=float)).reshape(T, plant.n)
@@ -101,8 +100,8 @@ def simulate(plant: PlantModel, x0, inputs, disturbances=None) -> np.ndarray:
     return states
 
 
-def simulate_closed_loop(plant: PlantModel, gain, x0, steps: int, disturbances=None):
-    """Run x+ = A x + B K x (+ d); returns (states, inputs)."""
+def simulate_closed_loop(plant: PlantModel, gain, x0, steps: int):
+    """Run x+ = A x + B K x; returns (states, inputs)."""
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     states = np.zeros((steps + 1, plant.n))
@@ -110,10 +109,7 @@ def simulate_closed_loop(plant: PlantModel, gain, x0, steps: int, disturbances=N
     states[0] = x0
     for t in range(steps):
         inputs[t] = gain @ states[t]
-        nxt = plant.a_matrix @ states[t] + plant.b_matrix @ inputs[t]
-        if disturbances is not None:
-            nxt = nxt + np.asarray(disturbances[t], dtype=float)
-        states[t + 1] = nxt
+        states[t + 1] = plant.a_matrix @ states[t] + plant.b_matrix @ inputs[t]
     return states, inputs
 
 
@@ -142,10 +138,8 @@ def hankel(sequence, start: int, depth: int, width: int) -> np.ndarray:
 
 def is_persistently_exciting(inputs, order: int) -> bool:
     """Excitation of a given order: the depth-order Hankel matrix of the
-    signal has full row rank."""
+    (T, m) signal has full row rank."""
     seq = np.asarray(inputs, dtype=float)
-    if seq.ndim == 1:
-        seq = seq.reshape(-1, 1)
     T, sigma = seq.shape
     width = T - order + 1
     if width < 1:

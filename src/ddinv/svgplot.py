@@ -47,7 +47,7 @@ def _scene(body, title) -> str:
     return "\n".join(parts)
 
 
-def state_plane_svg(ordered_vertices, lam=None, trajectory=None, title="") -> str:
+def state_plane_svg(ordered_vertices, trajectory, lam=None, title="") -> str:
     """Scene with the set polygon, contracted copies for shrinking powers of
     lam (drawn while the factor stays above SHRINK_FLOOR), and a trajectory."""
     verts = np.asarray(ordered_vertices, dtype=float)
@@ -72,25 +72,23 @@ def state_plane_svg(ordered_vertices, lam=None, trajectory=None, title="") -> st
     for k in range(0, len(ladder), len(verts)):
         body.append(f'<polygon points="{_points(ladder[k:k + len(verts)])}" fill="none" '
                     'stroke="#9ecae1" stroke-width="1" stroke-dasharray="4 3"/>')
-    if trajectory is not None:
-        path = _coords(np.atleast_2d(np.asarray(trajectory, dtype=float)), *lims)
-        body.append(f'<polyline points="{_points(path)}" fill="none" '
-                    'stroke="#d62728" stroke-width="1.5"/>')
-        body.extend(f'<circle cx="{sx}" cy="{sy}" r="2.5" fill="#d62728"/>' for sx, sy in path)
-        body.append(f'<circle cx="{path[0][0]}" cy="{path[0][1]}" r="4" fill="none" '
-                    'stroke="#d62728" stroke-width="1.5"/>')
+    path = _coords(np.atleast_2d(np.asarray(trajectory, dtype=float)), *lims)
+    body.append(f'<polyline points="{_points(path)}" fill="none" '
+                'stroke="#d62728" stroke-width="1.5"/>')
+    body.extend(f'<circle cx="{sx}" cy="{sy}" r="2.5" fill="#d62728"/>' for sx, sy in path)
+    body.append(f'<circle cx="{path[0][0]}" cy="{path[0][1]}" r="4" fill="none" '
+                'stroke="#d62728" stroke-width="1.5"/>')
     return _scene(body, title)
 
 
 def input_signal_svg(inputs, lower: float, upper: float, title="") -> str:
-    """Scalar input signal against its admissible band. An infinite side of
-    the band is not drawn and does not set the scale."""
+    """Scalar input signal of one or more steps against its admissible band.
+    An infinite side of the band is not drawn and does not set the scale."""
     u = np.asarray(inputs, dtype=float).reshape(-1)
     steps = len(u)
     bounds = [bound for bound in (lower, upper) if np.isfinite(bound)]
-    span = max([abs(bound) for bound in bounds]
-               + [float(np.max(np.abs(u))) if steps else 1.0]) or 1.0
-    lims = (-0.5, max(steps - 0.5, 0.5)), (-1.15 * span, 1.15 * span)
+    span = max([abs(bound) for bound in bounds] + [float(np.max(np.abs(u)))]) or 1.0
+    lims = (-0.5, steps - 0.5), (-1.15 * span, 1.15 * span)
 
     levels = _coords(np.column_stack([np.zeros(1 + len(bounds)), [0.0, *bounds]]), *lims)
     body = [f'<line x1="0" y1="{levels[0][1]}" x2="{WIDTH}" y2="{levels[0][1]}" '
@@ -98,9 +96,8 @@ def input_signal_svg(inputs, lower: float, upper: float, title="") -> str:
     body.extend(f'<line x1="0" y1="{by}" x2="{WIDTH}" y2="{by}" '
                 'stroke="#d62728" stroke-width="1" stroke-dasharray="6 4"/>'
                 for _, by in levels[1:])
-    if steps:
-        signal = _coords(np.column_stack([np.arange(steps, dtype=float), u]), *lims)
-        body.append(f'<polyline points="{_points(signal)}" fill="none" '
-                    'stroke="#1f77b4" stroke-width="1.5"/>')
-        body.extend(f'<circle cx="{sx}" cy="{sy}" r="2" fill="#1f77b4"/>' for sx, sy in signal)
+    signal = _coords(np.column_stack([np.arange(steps, dtype=float), u]), *lims)
+    body.append(f'<polyline points="{_points(signal)}" fill="none" '
+                'stroke="#1f77b4" stroke-width="1.5"/>')
+    body.extend(f'<circle cx="{sx}" cy="{sy}" r="2" fill="#1f77b4"/>' for sx, sy in signal)
     return _scene(body, title)

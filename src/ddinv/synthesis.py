@@ -23,8 +23,8 @@ rows meet them at the second rows once so swapped, since those rows of S
 are the negated first ones. So the halved program is feasible exactly when
 the full one is, at the same levels (Blanchini and Miani, Set-Theoretic
 Methods in Control, 2008), and `_unpack_p` rebuilds the full P in S's row
-order. A set whose rows do not pair within SYMMETRY_TOL gets the full
-program.
+order. A set whose rows do not pair within SYMMETRY_TOL pairs each row
+with itself, so the program carries every row of P: the full program.
 
 The robust program drops P, fixes the level at one, and tightens every
 vertex condition against the worst disturbance column the data could have
@@ -138,7 +138,8 @@ def _row_pairs(s_h):
     """(reps, partner) for the rows of S. When every row has exactly one
     other row that is its negative within SYMMETRY_TOL of S's largest
     magnitude, partner[i] is that row and reps is the first row of each pair,
-    in row order. Otherwise reps is every row and partner is None."""
+    in row order. Otherwise every row is its own partner and reps is every
+    row."""
     n_s = s_h.shape[0]
     unit = s_h / np.abs(s_h).max()
     close = np.abs(unit[:, None, :] + unit[None, :, :]).max(axis=2) <= SYMMETRY_TOL
@@ -146,7 +147,7 @@ def _row_pairs(s_h):
     rows = np.arange(n_s)
     # close is symmetric, so one close row each makes partner its own inverse
     if not (close.sum(axis=1) == 1).all() or (partner == rows).any():
-        return rows, None
+        return rows, rows
     return np.flatnonzero(rows < partner), partner
 
 
@@ -248,9 +249,7 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     reps, partner = _row_pairs(s_h)
     # the worst additive disturbance per set row comes off the right-hand
     # side; a carried row also stands for its partner's rows
-    hi = shift[reps, 0]
-    if partner is not None:
-        hi = np.maximum(hi, shift[partner[reps], 0])
+    hi = np.maximum(shift[reps, 0], shift[partner[reps], 0])
     admiss = input_set.h_matrix @ data.u0t
     ineq_rhs = np.concatenate([np.tile(1.0 - hi, verts.shape[0] * T * 2),
                                np.ones(verts.shape[0] * admiss.shape[0])])
@@ -281,8 +280,6 @@ def _unpack_p(primal, offset: int, s_h) -> np.ndarray:
     n_s = s_h.shape[0]
     reps, partner = _row_pairs(s_h)
     rows = primal[offset : offset + reps.size * n_s].reshape(reps.size, n_s)
-    if partner is None:
-        return rows.copy()
     p_matrix = np.empty((n_s, n_s))
     p_matrix[reps] = rows
     p_matrix[partner[reps]] = rows[:, partner]

@@ -114,6 +114,47 @@ def test_excitation_fails_when_window_missing():
     assert not experiment.is_persistently_exciting(np.ones((2, 1)), 5)
 
 
+def _order_upward(inputs, cap):
+    """The excitation order by ranking every order from 1 up, at most cap."""
+    order = 0
+    while experiment.is_persistently_exciting(inputs, order + 1):
+        order += 1
+        if order >= cap:
+            break
+    return order
+
+
+def _excitation_sequences(rng):
+    """Seeded input sequences of m = 1, 2 and T = 1..29 samples, from
+    signals that excite every order a window allows to signals that excite
+    none: uniform, constant, period 3, integer-valued, uniform scaled by
+    1e8 and 1e-8, and random walks; two draws of each."""
+    kinds = [lambda T, m: rng.uniform(-1.0, 1.0, (T, m)),
+             lambda T, m: np.full((T, m), rng.uniform(-1.0, 1.0)),
+             lambda T, m: np.resize(rng.uniform(-1.0, 1.0, (3, m)), (T, m)),
+             lambda T, m: rng.integers(-2, 3, (T, m)).astype(float),
+             lambda T, m: 1e8 * rng.uniform(-1.0, 1.0, (T, m)),
+             lambda T, m: 1e-8 * rng.uniform(-1.0, 1.0, (T, m)),
+             lambda T, m: np.cumsum(rng.normal(size=(T, m)), axis=0)]
+    return [kind(T, m) for m in (1, 2) for T in range(1, 30) for kind in kinds for _ in range(2)]
+
+
+def test_downward_excitation_scan_matches_the_upward_one():
+    # generate takes the first exciting order from n + m + 3 down, which is
+    # the order the upward scan stops at only if excitation of an order
+    # implies it at every lower one
+    sequences = _excitation_sequences(np.random.default_rng(30))
+    assert len(sequences) >= 600
+    orders = set()
+    for inputs in sequences:
+        for cap in range(2, 9):
+            downward = next((k for k in range(cap, 0, -1)
+                             if experiment.is_persistently_exciting(inputs, k)), 0)
+            assert downward == _order_upward(inputs, cap)
+            orders.add(downward)
+    assert orders == set(range(9))
+
+
 def test_demo_data_full_row_rank(demo_data):
     assert experiment.data_has_full_row_rank(demo_data)
     assert experiment.stacked_data_matrix(demo_data).shape == (3, 20)

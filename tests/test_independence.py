@@ -13,9 +13,11 @@ all.
   once took its projections from this helper; verify then accepted all 26
   of this case's certificates, and the case failed. With the check
   computing the projections itself, verify rejects 25 of the 26.
-- `_unpack_p` without the pair swap, and `_vertex_rows` with its two
-  factors swapped. verify has never rebuilt P or the admissibility rows,
-  so these cases pin that independence.
+- `_unpack_p` without the pair swap, `_unpack_p` returning P transposed,
+  `_row_pairs` with the partners crossed between the first two pairs, and
+  `_vertex_rows` with its two factors swapped. verify has never rebuilt P,
+  paired the set's rows or built the admissibility rows, so these cases pin
+  that independence.
 
 Not covered: a vertex lost by `polytopes.enumerate_vertices`. The builder
 and the verifier read the same `cset.vertices`, so both miss such a vertex.
@@ -37,6 +39,7 @@ from ddinv.experiment import (PlantModel, build_data_matrices,
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
 
 VERIFICATION_SOURCE = Path(__file__).resolve().parent.parent / "src" / "ddinv" / "verification.py"
+_UNPACK_P, _ROW_PAIRS = synthesis._unpack_p, synthesis._row_pairs
 
 
 def _rejections(problems):
@@ -109,12 +112,22 @@ def _unpack_p_without_pair_swap(primal, offset, s_h):
     n_s = s_h.shape[0]
     reps, partner = synthesis._row_pairs(s_h)
     rows = primal[offset : offset + reps.size * n_s].reshape(reps.size, n_s)
-    if partner is None:
-        return rows.copy()
     p_matrix = np.empty((n_s, n_s))
     p_matrix[reps] = rows
     p_matrix[partner[reps]] = rows
     return p_matrix
+
+
+def _unpack_p_transposed(primal, offset, s_h):
+    return _UNPACK_P(primal, offset, s_h).T.copy()
+
+
+def _row_pairs_crossed(s_h):
+    # the first two pairs (a, a') and (b, b') become (a, b') and (b, a')
+    reps, partner = _ROW_PAIRS(s_h)
+    (a, b), crossed = reps[:2], partner.copy()
+    crossed[[a, b, partner[a], partner[b]]] = partner[b], partner[a], b, a
+    return np.flatnonzero(np.arange(partner.size) < crossed), crossed
 
 
 def _vertex_rows_factors_swapped(verts, mat):
@@ -124,6 +137,8 @@ def _vertex_rows_factors_swapped(verts, mat):
 
 @pytest.mark.parametrize("helper, planted", [
     ("_unpack_p", _unpack_p_without_pair_swap),
+    ("_unpack_p", _unpack_p_transposed),
+    ("_row_pairs", _row_pairs_crossed),
     ("_vertex_rows", _vertex_rows_factors_swapped),
 ])
 def test_verify_catches_a_planted_nominal_builder_bug(monkeypatch, demo_state_set,

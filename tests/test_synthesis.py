@@ -514,7 +514,7 @@ def test_a_set_one_row_off_symmetric_builds_the_general_program(demo_plant, demo
     assert reps.size == 12 and np.array_equal(partner[partner], np.arange(24))
     rows[5, 0] += 1e-9
     cset = validate_cset(rows)
-    assert synthesis._row_pairs(rows)[1] is None
+    assert np.array_equal(synthesis._row_pairs(rows)[1], np.arange(24))
     for build, source in ((synthesis.build_modelbased_lp, demo_plant),
                           (synthesis.build_databased_lp, demo_data)):
         built = _program_arrays(build(source, cset, demo_input_set, None))
@@ -584,7 +584,7 @@ def test_a_set_one_row_off_symmetric_builds_the_full_robust_program():
     rows = _regular_polygon(8)
     assert synthesis._row_pairs(rows)[0].size == 4
     rows[3, 1] += 1e-9
-    assert synthesis._row_pairs(rows)[1] is None
+    assert np.array_equal(synthesis._row_pairs(rows)[1], np.arange(8))
     cset = validate_cset(rows)
     uset = InputPolytope(box_input_rows(1, 3.0))
     data = _disturbed_experiment(rng, 2, 6, 0.01)

@@ -1,4 +1,6 @@
+import dataclasses
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 from ddinv import lp, synthesis, verification
 from ddinv.polytopes import DisturbanceSet, InputPolytope, gauge, validate_cset
-from ddinv.experiment import PlantModel, build_data_matrices
-from generators import random_cset_rows
+from ddinv.experiment import (PlantModel, build_data_matrices, random_input_sequence,
+                              simulate)
+from generators import box_input_rows, random_cset_rows
 from oracles import robust_data_worst_loop
 
 
@@ -225,6 +228,40 @@ def test_robust_data_conditions_reject_nan_combiner():
     ok, worst = verification.check_robust_data_conditions(data, g, box, dset)
     assert not ok
     assert np.isnan(worst)
+
+
+def test_robust_certificate_on_the_plant_route_checks_the_plant_loop():
+    # acceptance criterion 5's designs: given the plant, verify judges a
+    # robust certificate by the robust condition on A + B K, so a gain
+    # scaled away from the one G realizes is judged by its own loop
+    rng = np.random.default_rng(55)
+    box = _unit_box()
+    uset = InputPolytope(box_input_rows(1, 5.0))
+    dset = DisturbanceSet(0.05 * np.array(list(product((1.0, -1.0), repeat=2))))
+    made = rejected = 0
+    for _ in range(20):
+        plant = PlantModel(rng.uniform(-0.45, 0.45, (2, 2)), rng.uniform(-1.0, 1.0, (2, 1)))
+        inputs = random_input_sequence(rng, 8, 1, 3.0)
+        data = build_data_matrices(inputs, simulate(plant, [0.0, 0.0], inputs,
+                                                    rng.uniform(-0.05, 0.05, (8, 2))))
+        try:
+            cert = synthesis.synthesize(synthesis.SynthesisProblem(
+                box, uset, 0.0, data, disturbance=dset))
+        except synthesis.InfeasibleProblem:
+            continue
+        made += 1
+        for scale in (1.0, 3.0):
+            scaled = dataclasses.replace(cert, gain=scale * cert.gain)
+            report = verification.verify_certificate(box, uset, scaled, data=data,
+                                                     plant=plant, disturbance=dset)
+            holds, _ = verification.check_robust_invariance(
+                plant.a_matrix + plant.b_matrix @ scaled.gain, box, dset)
+            assert report.robust_ok == holds
+            if scale == 1.0:
+                assert report.all_ok()
+            else:
+                rejected += not report.all_ok()
+    assert made >= 10 and rejected >= 1
 
 
 def test_admissibility_rejects_nan_gain():
