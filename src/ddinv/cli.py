@@ -5,6 +5,11 @@ synthesize (solve for a gain and write a certificate file with the
 verification report embedded), verify (recheck a certificate against a
 problem), simulate (roll the closed loop out and write CSV/SVG).
 
+The problem file alone picks the route; no option restates it. A
+disturbance block means robust design and robust checks, a data block
+means the design comes from the data, and a model block means the model's
+loop A + B K is the one that verify and simulate judge.
+
 Exit codes, which `main` alone maps exceptions to: 0 on success, 1 for
 usage, IO or validation trouble, a solver failure or a size too large to
 allocate, 2 for infeasibility, failed verification, or an initial state
@@ -31,7 +36,8 @@ from .polytopes import DisturbanceSet, gauge, ordered_vertices_2d
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
 from .verification import (DEFAULT_TOL, VerificationReport, _images, check_data_consistency,
-                           closed_loop, lyapunov_values, rollout, verify_certificate)
+                           closed_loop, data_explained, lyapunov_values, rollout,
+                           verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -157,19 +163,13 @@ def _cmd_synthesize(args) -> int:
             lam = fileio.contraction_level(args.lam if args.lam == "min" else float(args.lam))
         except ValueError:
             return _fail("--lambda takes 'min' or a number in [0, 1)")
-    if spec.data is not None and spec.model is not None:
-        return _fail("problem has both data and model; synthesis needs exactly one")
-    if args.robust and spec.disturbance is None:
-        return _fail("--robust needs a disturbance block in the problem")
-    disturbance = spec.disturbance if args.robust else None
     problem = SynthesisProblem(
-        state_set=spec.state_set, input_set=spec.input_set,
-        lam=0.0 if args.robust else lam,  # level unused on the robust path
+        state_set=spec.state_set, input_set=spec.input_set, lam=lam,
         source=spec.data if spec.data is not None else spec.model,
-        disturbance=disturbance)
+        disturbance=spec.disturbance)
     certificate = synthesize(problem)
     report = verify_certificate(spec.state_set, spec.input_set, certificate,
-                                data=spec.data, plant=spec.model, disturbance=disturbance)
+                                data=spec.data, plant=spec.model, disturbance=spec.disturbance)
     fileio.save_certificate(certificate, args.out, _report_to_dict(report),
                             fileio.file_digest(args.problem))
     print(f"gain: {np.array2string(certificate.gain, precision=6)}")
@@ -226,13 +226,18 @@ def _cmd_simulate(args) -> int:
     if args.steps < 1:
         return _fail("--steps must be positive")
 
-    if spec.model is None and certificate.p_matrix is None:
-        return _fail("simulating a robust certificate needs a model block; "
+    if spec.model is None and spec.disturbance is not None:
+        return _fail("simulating a problem with a disturbance block needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")
     if spec.model is None and not check_data_consistency(spec.data, certificate.g_matrix,
                                                          certificate.gain):
         print("error: the certificate fails X0 G = I or U0 G = K, so its gain does not "
               "drive the closed loop it certifies", file=sys.stderr)
+        return 2
+    if spec.model is None and not data_explained(spec.data):
+        print("error: no noise-free linear plant explains the data "
+              "(rank [U0; X0; X1] > rank [U0; X0]), so X1 G is not the closed loop "
+              "the gain drives", file=sys.stderr)
         return 2
     # one row per step: the state, the input K x and V(x)
     states = rollout(f_matrix, x0, args.steps)
@@ -299,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--out", required=True, help="certificate file to write")
     syn.add_argument("--lambda", dest="lam", default=None,
                      help="contraction level in [0,1) or 'min'")
-    syn.add_argument("--robust", action="store_true",
-                     help="robust design against the problem's disturbance set")
     syn.set_defaults(func=_cmd_synthesize)
 
     ver = sub.add_parser("verify", help="recheck a certificate against a problem")

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
+from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet, numerical_rank
 
 DEFAULT_TOL = 1e-6
 
@@ -207,6 +207,16 @@ def check_data_consistency(data, g_matrix, gain, tol: float = DEFAULT_TOL) -> bo
                     and np.max(np.abs(data.u0t @ g_matrix - gain)) <= tol)
 
 
+def data_explained(data) -> bool:
+    """rank [U0; X0; X1] = rank [U0; X0]: some linear plant maps every
+    (x(t), u(t)) of the data to x(t+1) exactly, which noise-free data from a
+    linear plant always satisfy. Disturbed data fail it unless T <= n + m and
+    [U0; X0] has rank T, where any X1 is explained and noise cannot be
+    seen."""
+    regressors = np.vstack([data.u0t, data.x0t])
+    return numerical_rank(np.vstack([regressors, data.x1t])) == numerical_rank(regressors)
+
+
 def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
                        data=None, plant=None, disturbance: Optional[DisturbanceSet] = None,
                        tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -215,34 +225,41 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     The closed-loop map comes from `closed_loop`, which refuses a
     certificate whose matrices do not fit the problem. On the data route (no
     plant) the certificate only counts when G is consistent with the data
-    and the gain (`check_data_consistency`). Robust certificates (no P) get
-    the robust vertex test; when only data is available for them, the
-    data-side conditions stand in for it. A level outside [0, 1] is a
-    ValueError (`certified_level`).
+    and the gain (`check_data_consistency`). The problem picks the checks,
+    whatever the certificate carries. With a disturbance set: the robust
+    vertex test on A + B K, or the data-side conditions that stand in for it
+    when there is no plant, with the worst gauge judged against the
+    certificate's level. Without one: P at the level, and on the data route
+    only for data that a noise-free plant explains (`data_explained`). A
+    certificate without P on a problem without a disturbance set, and a
+    level outside [0, 1] (`certified_level`), are a ValueError.
     """
     certified_level(certificate.lam)
     gain = certificate.gain
     f_matrix = closed_loop(certificate, cset, input_set, data, plant)
     if certificate.p_matrix is None and disturbance is None:
-        raise ValueError("certificate has no P; a disturbance set is required")
+        raise ValueError("certificate has no P, and the problem has no disturbance set "
+                         "to check it robustly against")
     # a certificate with huge entries may overflow to inf and NaN, which
     # every check fails
     with np.errstate(over="ignore", invalid="ignore"):
         admissible, worst_violation = check_admissibility(gain, cset, input_set, tol)
         consistent = plant is not None or check_data_consistency(
             data, certificate.g_matrix, gain, tol)
-        if certificate.p_matrix is None:
+        if disturbance is not None:
             if plant is not None:
-                robust, worst = check_robust_invariance(f_matrix, cset, disturbance, tol)
+                _, worst = check_robust_invariance(f_matrix, cset, disturbance, tol)
             else:
-                robust, worst = check_robust_data_conditions(
+                _, worst = check_robust_data_conditions(
                     data, certificate.g_matrix, cset, disturbance, tol)
+            robust = worst <= certificate.lam + tol
             return VerificationReport(
                 contractivity_ok=robust, certificate_ok=consistent,
                 admissibility_ok=admissible, worst_vertex_gauge=worst,
                 worst_input_violation=worst_violation, robust_ok=robust)
-        cert_ok = consistent and check_invariance_certificate(
-            f_matrix, cset, certificate.p_matrix, certificate.lam, tol)
+        cert_ok = (consistent and (plant is not None or data_explained(data))
+                   and check_invariance_certificate(f_matrix, cset, certificate.p_matrix,
+                                                    certificate.lam, tol))
         contract_ok, worst_gauge = check_vertex_contractivity(f_matrix, cset,
                                                               certificate.lam, tol)
     return VerificationReport(

@@ -22,7 +22,7 @@ from ddinv import __version__, cli, fileio, lp, synthesis
 from ddinv.experiment import PlantModel, simulate_closed_loop
 from ddinv.polytopes import InputPolytope, validate_cset
 from ddinv.synthesis import find_certificate_matrix
-from ddinv.verification import closed_loop
+from ddinv.verification import check_robust_invariance, closed_loop
 
 DEMO_CONFIG = {
     "model": {"A": [[0.8, 0.5], [-0.4, 1.2]], "B": [[0.0], [1.0]]},
@@ -240,12 +240,21 @@ def test_digest_mismatch_warns_but_verifies(tmp_path, demo_problem, capsys):
     assert "digest differs" in capsys.readouterr().err
 
 
-def test_problem_with_both_sources_is_rejected(tmp_path, demo_problem):
+def test_problem_with_both_sources_designs_from_data_and_judges_on_the_model(
+        tmp_path, demo_problem, capsys):
+    # the data give G and the gain, and the model's loop A + B K is the one
+    # judged: the true model passes it, a model with A[1][1] = 1.5 does not
     raw = json.loads(open(demo_problem).read())
-    raw["model"] = {"A": DEMO_CONFIG["model"]["A"], "B": DEMO_CONFIG["model"]["B"]}
-    open(demo_problem, "w").write(json.dumps(raw))
-    cert_path = str(tmp_path / "certificate.json")
-    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 1
+    for a22, code in ((1.2, 0), (1.5, 2)):
+        model = json.loads(json.dumps(DEMO_CONFIG["model"]))
+        model["A"][1][1] = a22
+        raw["model"] = model
+        open(demo_problem, "w").write(json.dumps(raw))
+        cert_path = str(tmp_path / f"certificate_{code}.json")
+        capsys.readouterr()
+        assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == code
+        assert fileio.load_certificate(cert_path)[0].g_matrix.shape == (20, 2)
+        assert capsys.readouterr().err == ("" if code == 0 else "verification failed\n")
 
 
 def test_robust_flow(tmp_path, capsys):
@@ -256,7 +265,7 @@ def test_robust_flow(tmp_path, capsys):
     assert spec.disturbance.vertices.shape == (4, 2)
 
     cert_path = str(tmp_path / "certificate.json")
-    assert cli.main(["synthesize", problem, "--robust", "--out", cert_path]) == 0
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
     record, _ = fileio.load_certificate(cert_path)
     assert record.lam == 1.0
     assert record.p_matrix is None and record.g_matrix is not None
@@ -270,10 +279,13 @@ def test_robust_flow(tmp_path, capsys):
                      "--steps", "10", "--out", str(tmp_path / "run")]) == 1
 
 
-def test_robust_flag_requires_disturbance(tmp_path, demo_problem):
-    cert_path = str(tmp_path / "certificate.json")
-    assert cli.main(["synthesize", demo_problem, "--robust",
-                     "--out", cert_path]) == 1
+def test_robust_flag_is_a_usage_error(tmp_path, demo_problem, capsys):
+    # the disturbance block, not a flag, selects robust design
+    cert_path = tmp_path / "certificate.json"
+    capsys.readouterr()
+    assert cli.main(["synthesize", demo_problem, "--robust", "--out", str(cert_path)]) == 1
+    assert "unrecognized arguments: --robust" in capsys.readouterr().err
+    assert not cert_path.exists()
 
 
 def test_robust_design_on_a_model_is_refused_by_the_problem(tmp_path, capsys):
@@ -285,7 +297,7 @@ def test_robust_design_on_a_model_is_refused_by_the_problem(tmp_path, capsys):
     del raw["data"]
     path.write_text(json.dumps(raw))
     capsys.readouterr()
-    assert cli.main(["synthesize", str(path), "--robust",
+    assert cli.main(["synthesize", str(path),
                      "--out", str(tmp_path / "certificate.json")]) == 1
     assert capsys.readouterr().err == "error: robust synthesis works on experiment data\n"
     assert not (tmp_path / "certificate.json").exists()
@@ -462,7 +474,7 @@ def test_failed_robust_design_solve_exits_one_naming_the_status(tmp_path, monkey
 
     monkeypatch.setattr(lp, "solve", failing)
     cert_path = tmp_path / "cert.json"
-    assert cli.main(["synthesize", problem, "--robust", "--out", str(cert_path)]) == 1
+    assert cli.main(["synthesize", problem, "--out", str(cert_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"{named}\n"), err
     assert len(calls) == 1 and not cert_path.exists()
@@ -561,10 +573,10 @@ def test_sizes_too_large_to_allocate_exit_one_and_write_nothing(tmp_path, demo_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, config", [
-    ([], DEMO_CONFIG), (["--robust"], {**DEMO_CONFIG, "disturbance_radius": 0.001}),
+@pytest.mark.parametrize("config", [
+    DEMO_CONFIG, {**DEMO_CONFIG, "disturbance_radius": 0.001},
 ], ids=["nominal", "robust"])
-def test_data_entry_near_the_float_limit_ends_in_one_error_line(tmp_path, flags, config):
+def test_data_entry_near_the_float_limit_ends_in_one_error_line(tmp_path, config):
     # a separate process, so that stderr shows any numpy warning as a user
     # would see it: the nominal program's tableau overflows in the simplex,
     # the robust one's rows overflow while the program is built
@@ -575,22 +587,86 @@ def test_data_entry_near_the_float_limit_ends_in_one_error_line(tmp_path, flags,
     problem.write_text(json.dumps(raw))
     out = tmp_path / "certificate.json"
     run = subprocess.run(
-        [sys.executable, "-m", "ddinv.cli", "synthesize", str(problem), "--out", str(out),
-         *flags], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "ddinv.cli", "synthesize", str(problem), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
     assert run.returncode == 1
     assert re.fullmatch(r"error: [^\n]+\n", run.stderr), run.stderr
     assert "Traceback" not in run.stderr and "Warning" not in run.stderr
-    if flags:
+    if "disturbance_radius" in config:
         assert "overflows while being built" in run.stderr
     assert not out.exists()
+
+
+def _quiet_main(argv):
+    """cli.main with its output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize("radius", [0.05, 1e-3, 1e-6])
+def test_plain_synthesize_on_disturbed_data_gives_only_robust_certificates(tmp_path, radius):
+    # a nominal design on these data once passed verify at levels near 1e-13
+    # while the true loop A + B K left the set; the disturbance block now
+    # selects robust design, and each certificate verify accepts holds on
+    # the true loop
+    plant = PlantModel(DEMO_CONFIG["model"]["A"], DEMO_CONFIG["model"]["B"])
+    config = _write_config(tmp_path, {**DEMO_CONFIG, "disturbance_radius": radius})
+    problem, cert_path = str(tmp_path / "problem.json"), str(tmp_path / "certificate.json")
+    accepted = 0
+    for seed in range(40):
+        assert _quiet_main(["generate", config, "--seed", str(seed), "--out", problem]) == 0
+        code = _quiet_main(["synthesize", problem, "--out", cert_path])
+        assert code in (0, 2)
+        if code != 0 or _quiet_main(["verify", problem, cert_path]) != 0:
+            continue
+        accepted += 1
+        record, _ = fileio.load_certificate(cert_path)
+        assert record.p_matrix is None and record.lam == 1.0
+        spec = fileio.load_problem(problem)
+        assert check_robust_invariance(plant.a_matrix + plant.b_matrix @ record.gain,
+                                       spec.state_set, spec.disturbance)[0]
+    assert accepted >= 35
+
+
+def test_nominal_certificate_on_disturbed_data_fails_verify(tmp_path, capsys):
+    # the library designs nominally from disturbed data; verify takes the
+    # route from the problem, not from the certificate's shape
+    problem = tmp_path / "problem.json"
+    config = _write_config(tmp_path, {**DEMO_CONFIG, "disturbance_radius": 1e-3})
+    assert cli.main(["generate", config, "--out", str(problem)]) == 0
+    spec = fileio.load_problem(str(problem))
+    cert = synthesis.synthesize(synthesis.SynthesisProblem(
+        spec.state_set, spec.input_set, synthesis.MINIMIZE, spec.data))
+    assert cert.p_matrix is not None and cert.lam < 1e-6
+    cert_path = str(tmp_path / "certificate.json")
+    fileio.save_certificate(cert, cert_path, {}, fileio.file_digest(str(problem)))
+    capsys.readouterr()
+    assert cli.main(["verify", str(problem), cert_path]) == 2
+    assert "robustness      FAILED" in capsys.readouterr().out
+    assert cli.main(["simulate", str(problem), cert_path, "--x0", "1,0",
+                     "--out", str(tmp_path / "run")]) == 1
+    assert "needs a model block" in capsys.readouterr().err
+
+    # without the disturbance block, the rank test of the data route fails it
+    raw = json.loads(problem.read_text())
+    del raw["disturbance"]
+    problem.write_text(json.dumps(raw))
+    assert cli.main(["verify", str(problem), cert_path]) == 2
+    out = capsys.readouterr().out
+    assert "certificate     FAILED" in out and "contractivity   ok" in out
+    assert cli.main(["simulate", str(problem), cert_path, "--x0", "1,0",
+                     "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no noise-free linear plant explains the data")
+    assert captured.out == "" and not list(tmp_path.glob("run*"))
 
 
 def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, capsys):
     problem = str(tmp_path / "problem.json")
     assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0
     cert_path = str(tmp_path / "certificate.json")
-    assert cli.main(["synthesize", problem, "--robust", "--out", cert_path]) == 0
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
     record, digest = fileio.load_certificate(cert_path)
     record.gain, record.g_matrix = record.gain / 2, record.g_matrix / 2
     fileio.save_certificate(record, cert_path, {}, digest)
@@ -900,16 +976,13 @@ def test_malformed_file_exits_one_without_traceback(tmp_path, demo_problem, caps
 
 
 def test_consecutive_commands_do_not_share_options(tmp_path, demo_problem):
-    problem = str(tmp_path / "robust_problem.json")
-    assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0
-    robust, plain = str(tmp_path / "robust.json"), str(tmp_path / "plain.json")
-    assert cli.main(["synthesize", problem, "--robust", "--out", robust]) == 0
-    assert cli.main(["synthesize", problem, "--out", plain]) == 0
-    assert fileio.load_certificate(robust)[0].p_matrix is None
-    assert fileio.load_certificate(plain)[0].p_matrix is not None
+    tight, plain = str(tmp_path / "tight.json"), str(tmp_path / "plain.json")
+    assert cli.main(["synthesize", demo_problem, "--lambda", "min", "--out", tight]) == 0
+    assert cli.main(["synthesize", demo_problem, "--out", plain]) == 0
+    assert fileio.load_certificate(tight)[0].lam < 0.84
+    assert fileio.load_certificate(plain)[0].lam == 0.84
 
-    cert_path = str(tmp_path / "certificate.json")
-    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    cert_path = plain
     for name, flags in (("svgrun", ["--format", "svg"]), ("fullrun", [])):
         assert cli.main(["simulate", demo_problem, cert_path, "--x0", "1,0",
                          "--out", str(tmp_path / name), *flags]) == 0
@@ -935,7 +1008,7 @@ def test_loaded_files_are_rewritten_byte_for_byte(tmp_path, demo_problem, case):
     assert cli.main(["generate", _write_config(tmp_path, config), "--out", problem]) == 0
     if case == "model":
         problem = _model_problem(tmp_path, problem)
-    runs = {"level": [[], ["--lambda", "min"]], "min": [[]], "robust": [["--robust"]],
+    runs = {"level": [[], ["--lambda", "min"]], "min": [[]], "robust": [[]],
             "model": [[], ["--lambda", "0.84"]]}[case]
     certificates = []
     for k, flags in enumerate(runs):
@@ -1025,7 +1098,7 @@ FUZZ_COMMANDS = {
     "certificate": [["verify", "{problem}", "{certificate}"],
                     ["simulate", "{problem}", "{certificate}", "--x0", "1,0", "--steps", "5",
                      "--out", "{out}"]],
-    "robust_problem": [["synthesize", "{robust_problem}", "--robust", "--out", "{out}.json"],
+    "robust_problem": [["synthesize", "{robust_problem}", "--out", "{out}.json"],
                        ["verify", "{robust_problem}", "{robust_certificate}"]],
     "robust_certificate": [["verify", "{robust_problem}", "{robust_certificate}"],
                            ["simulate", "{robust_problem}", "{robust_certificate}",
@@ -1045,7 +1118,7 @@ def fuzz_files(tmp_path_factory):
     assert cli.main(["generate", files["config"], "--out", files["problem"]]) == 0
     assert cli.main(["synthesize", files["problem"], "--out", files["certificate"]]) == 0
     assert cli.main(["generate", robust_config, "--out", files["robust_problem"]]) == 0
-    assert cli.main(["synthesize", files["robust_problem"], "--robust",
+    assert cli.main(["synthesize", files["robust_problem"],
                      "--out", files["robust_certificate"]]) == 0
     return files
 

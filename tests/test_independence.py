@@ -13,6 +13,9 @@ all.
   once took its projections from this helper; verify then accepted all 26
   of this case's certificates, and the case failed. With the check
   computing the projections itself, verify rejects 25 of the 26.
+- `_extreme_shifts` with its [max, min] columns swapped, so that the
+  builder tightens each row by the wrong extreme. verify rejects all 26 of
+  this case's certificates.
 - `_unpack_p` without the pair swap, `_unpack_p` returning P transposed,
   `_row_pairs` with the partners crossed between the first two pairs, and
   `_vertex_rows` with its two factors swapped. verify has never rebuilt P,
@@ -106,6 +109,17 @@ def test_verify_catches_a_dropped_min_projection(monkeypatch):
     monkeypatch.setattr(synthesis, "_extreme_shifts", min_dropped)
     made, rejected = _rejections(problems)
     assert made >= 20 and rejected >= 1
+
+
+def test_verify_catches_swapped_extreme_projections(monkeypatch):
+    # [min, max] for [max, min]: the sign of every extreme column flips
+    problems = _robust_pentagon_problems()
+    assert _rejections(problems)[1] == 0
+    original = synthesis._extreme_shifts
+    monkeypatch.setattr(synthesis, "_extreme_shifts",
+                        lambda s_h, disturbance: original(s_h, disturbance)[:, ::-1])
+    made, rejected = _rejections(problems)
+    assert made >= 20 and rejected == made
 
 
 def _unpack_p_without_pair_swap(primal, offset, s_h):

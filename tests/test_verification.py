@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddinv import lp, synthesis, verification
+from ddinv import demo, lp, synthesis, verification
 from ddinv.polytopes import DisturbanceSet, InputPolytope, gauge, validate_cset
 from ddinv.experiment import (PlantModel, build_data_matrices, random_input_sequence,
                               simulate)
@@ -403,3 +403,78 @@ def test_certificate_level_outside_zero_one_is_rejected(demo_state_set, demo_inp
                                            synthesis.Certificate(cert.gain, 1.0, cert.g_matrix,
                                                                  cert.p_matrix),
                                            data=demo_data).all_ok()
+
+
+def _disturbed_demo_data(seed, radius, samples=20):
+    """An open-loop run of the demo plant from the demo start, the input on
+    [-1, 1] and a disturbance uniform on the box of the radius, drawn in
+    the order `generate` draws them."""
+    plant = demo.demo_plant()
+    rng = np.random.default_rng(seed)
+    inputs = random_input_sequence(rng, samples, plant.m)
+    noise = rng.uniform(-radius, radius, size=(samples, plant.n))
+    return build_data_matrices(inputs, simulate(plant, demo.DEFAULT_X0, inputs, noise))
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-6, 1e-3, 0.05])
+def test_verify_accepts_no_nominal_certificate_that_the_true_loop_breaks(
+        monkeypatch, demo_plant, demo_state_set, demo_input_set, radius):
+    # disturbed data break X1 = A X0 + B U0, and a nominal design builds its
+    # loop X1 G partly out of the noise; without a disturbance set, verify
+    # accepts a certificate only on data that a noise-free plant explains
+    made = accepted = 0
+    for seed in range(40):
+        data = _disturbed_demo_data(seed, radius)
+        try:
+            cert = synthesis.synthesize(synthesis.SynthesisProblem(
+                demo_state_set, demo_input_set, synthesis.MINIMIZE, data))
+        except (synthesis.InfeasibleProblem, synthesis.SolverFailure):
+            continue
+        made += 1
+        report = verification.verify_certificate(demo_state_set, demo_input_set, cert,
+                                                 data=data)
+        _, true_level = verification.check_vertex_contractivity(
+            demo_plant.a_matrix + demo_plant.b_matrix @ cert.gain, demo_state_set, cert.lam)
+        if report.all_ok():
+            accepted += 1
+            assert true_level <= cert.lam + verification.DEFAULT_TOL
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "data_explained", lambda data: True)
+            without_rank_test = verification.verify_certificate(
+                demo_state_set, demo_input_set, cert, data=data)
+        if radius == 0.0:
+            # noise-free data pass the rank test: the report is the one without it
+            assert report == without_rank_test
+        else:
+            # X0 G = I, U0 G = K and P S = S X1 G all hold; the rank test alone fails
+            assert without_rank_test.all_ok() and not report.certificate_ok
+    assert made >= 36
+    assert accepted == (made if radius == 0.0 else 0)
+
+
+def test_a_certificate_without_p_needs_a_disturbance_set(demo_state_set, demo_input_set,
+                                                          demo_data):
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
+    robust_shaped = dataclasses.replace(cert, p_matrix=None)
+    with pytest.raises(ValueError, match="the problem has no disturbance set"):
+        verification.verify_certificate(demo_state_set, demo_input_set, robust_shaped,
+                                        data=demo_data)
+
+
+def test_a_disturbance_set_gets_the_robust_checks_at_the_certificate_level(
+        demo_state_set, demo_input_set, demo_data):
+    # the problem picks the checks: with a disturbance set, a nominal
+    # certificate is judged by its worst robust gauge against its own level
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, synthesis.MINIMIZE,
+                                   demo_data))
+    for radius in (0.0, 1e-3):
+        dset = DisturbanceSet(radius * np.array(list(product((1.0, -1.0), repeat=2))))
+        report = verification.verify_certificate(demo_state_set, demo_input_set, cert,
+                                                 data=demo_data, disturbance=dset)
+        _, worst = verification.check_robust_data_conditions(
+            demo_data, cert.g_matrix, demo_state_set, dset)
+        assert report.worst_vertex_gauge == worst
+        assert report.robust_ok == (worst <= cert.lam + verification.DEFAULT_TOL)
+        assert report.robust_ok == (radius == 0.0)
