@@ -4,7 +4,12 @@ Everything here works from first principles on the closed-loop map F: the
 certificate identity P S = S F with nonnegative P and row sums at most
 lambda, the equivalent vertex test via the gauge, and input admissibility at
 the vertices. Robust certificates are checked by pushing every vertex through
-F and adding the worst disturbance vertex.
+F and adding the worst disturbance vertex, at the level the check is given.
+
+On the data route F is X1 G, which is the closed loop A + B K only under one
+rule, `data_route_refusal`: X0 G = I, U0 G = K, and data that a noise-free
+plant explains. `verify_certificate` and the CLI's verify and simulate take
+the rule and its reasons from there.
 
 The certificate alone proves that the polyhedral Lyapunov function
 V(x) = max_i |row_i(S) x| decays along every trajectory, so no trajectory is
@@ -91,23 +96,24 @@ def check_admissibility(gain, cset: PolyhedralCSet, input_set: InputPolytope,
 
 
 def check_robust_invariance(f_matrix, cset: PolyhedralCSet,
-                            disturbance: DisturbanceSet,
+                            disturbance: DisturbanceSet, lam: float = 1.0,
                             tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
-    """Vertex test for robust invariance: F s + w stays in the set for every
-    set vertex s and disturbance vertex w. Returns (ok, worst gauge)."""
+    """Vertex test for robust contractivity at level lam: F s + w has gauge
+    at most lam for every set vertex s and disturbance vertex w; lam = 1 is
+    robust invariance. Returns (ok, worst gauge)."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     # points[v, i] = F s_v + w_i
     points = _images(f_matrix, cset.vertices)[:, None, :] + disturbance.vertices
     worst = float(np.maximum(0.0, np.max(_images(cset.h_matrix, points))))
-    return worst <= 1.0 + tol, worst
+    return worst <= lam + tol, worst
 
 
 def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
-                                 disturbance: DisturbanceSet,
+                                 disturbance: DisturbanceSet, lam: float = 1.0,
                                  tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
-    """Re-evaluate the robust vertex conditions directly from the data when
-    no model is available to form F. Returns (ok, worst gauge over all
-    shifted propagations)."""
+    """Re-evaluate the robust vertex conditions at level lam directly from
+    the data when no model is available to form F. Returns (ok, worst gauge
+    over all shifted propagations)."""
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
     s_h = cset.h_matrix
     # [max, min] over the disturbance vertices d of S_r d, per set row r
@@ -125,7 +131,7 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
             + shift[:, 0])
     # np.maximum keeps a NaN, so a NaN anywhere fails the check
     worst = float(np.maximum(0.0, np.max(rows)))
-    return worst <= 1.0 + tol, worst
+    return worst <= lam + tol, worst
 
 
 def lyapunov_values(cset: PolyhedralCSet, states) -> np.ndarray:
@@ -217,52 +223,58 @@ def data_explained(data) -> bool:
     return numerical_rank(np.vstack([regressors, data.x1t])) == numerical_rank(regressors)
 
 
+def data_route_refusal(data, certificate, tol: float = DEFAULT_TOL) -> Optional[str]:
+    """The data route's rule: X1 G is the loop A + B K of the stored gain only
+    when `check_data_consistency` holds and a noise-free plant explains the
+    data (`data_explained`). Returns None then, otherwise the reason why not."""
+    if not check_data_consistency(data, certificate.g_matrix, certificate.gain, tol):
+        return ("the certificate fails X0 G = I or U0 G = K, so its gain does not "
+                "drive the closed loop it certifies")
+    if not data_explained(data):
+        return ("no noise-free linear plant explains the data "
+                "(rank [U0; X0; X1] > rank [U0; X0]), so X1 G is not the closed loop "
+                "the gain drives")
+    return None
+
+
 def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
                        data=None, plant=None, disturbance: Optional[DisturbanceSet] = None,
                        tol: float = DEFAULT_TOL) -> VerificationReport:
     """Full report on a certificate.
 
-    The closed-loop map comes from `closed_loop`, which refuses a
-    certificate whose matrices do not fit the problem. On the data route (no
-    plant) the certificate only counts when G is consistent with the data
-    and the gain (`check_data_consistency`). The problem picks the checks,
+    The closed-loop map comes from `closed_loop`, which refuses a certificate
+    whose matrices do not fit the problem. The problem picks the checks,
     whatever the certificate carries. With a disturbance set: the robust
     vertex test on A + B K, or the data-side conditions that stand in for it
-    when there is no plant, with the worst gauge judged against the
-    certificate's level. Without one: P at the level, and on the data route
-    only for data that a noise-free plant explains (`data_explained`). A
-    certificate without P on a problem without a disturbance set, and a
-    level outside [0, 1] (`certified_level`), are a ValueError.
+    without a plant, at the certificate's level, and on the data route
+    `check_data_consistency`. Without one: P at the level, and on the data
+    route `data_route_refusal`. A certificate without P on a problem without a
+    disturbance set, and a level outside [0, 1] (`certified_level`), are a
+    ValueError.
     """
-    certified_level(certificate.lam)
-    gain = certificate.gain
+    lam, gain = certified_level(certificate.lam), certificate.gain
     f_matrix = closed_loop(certificate, cset, input_set, data, plant)
     if certificate.p_matrix is None and disturbance is None:
         raise ValueError("certificate has no P, and the problem has no disturbance set "
                          "to check it robustly against")
-    # a certificate with huge entries may overflow to inf and NaN, which
-    # every check fails
+    robust_ok = None
+    # a certificate with huge entries may overflow to inf and NaN, which every check fails
     with np.errstate(over="ignore", invalid="ignore"):
         admissible, worst_violation = check_admissibility(gain, cset, input_set, tol)
-        consistent = plant is not None or check_data_consistency(
-            data, certificate.g_matrix, gain, tol)
-        if disturbance is not None:
-            if plant is not None:
-                _, worst = check_robust_invariance(f_matrix, cset, disturbance, tol)
-            else:
-                _, worst = check_robust_data_conditions(
-                    data, certificate.g_matrix, cset, disturbance, tol)
-            robust = worst <= certificate.lam + tol
-            return VerificationReport(
-                contractivity_ok=robust, certificate_ok=consistent,
-                admissibility_ok=admissible, worst_vertex_gauge=worst,
-                worst_input_violation=worst_violation, robust_ok=robust)
-        cert_ok = (consistent and (plant is not None or data_explained(data))
-                   and check_invariance_certificate(f_matrix, cset, certificate.p_matrix,
-                                                    certificate.lam, tol))
-        contract_ok, worst_gauge = check_vertex_contractivity(f_matrix, cset,
-                                                              certificate.lam, tol)
+        if disturbance is None:
+            cert_ok = ((plant is not None or data_route_refusal(data, certificate, tol) is None)
+                       and check_invariance_certificate(f_matrix, cset, certificate.p_matrix,
+                                                        lam, tol))
+            contract_ok, worst = check_vertex_contractivity(f_matrix, cset, lam, tol)
+        else:
+            cert_ok = plant is not None or check_data_consistency(
+                data, certificate.g_matrix, gain, tol)
+            robust_ok, worst = (
+                check_robust_invariance(f_matrix, cset, disturbance, lam, tol) if plant is not None
+                else check_robust_data_conditions(data, certificate.g_matrix, cset, disturbance,
+                                                  lam, tol))
+            contract_ok = robust_ok
     return VerificationReport(
         contractivity_ok=contract_ok, certificate_ok=cert_ok,
-        admissibility_ok=admissible, worst_vertex_gauge=worst_gauge,
-        worst_input_violation=worst_violation)
+        admissibility_ok=admissible, worst_vertex_gauge=worst,
+        worst_input_violation=worst_violation, robust_ok=robust_ok)

@@ -157,7 +157,8 @@ def test_tampered_gain_fails_verification(tmp_path, demo_problem, capsys):
 
 def test_overflowing_decay_rollout_prints_no_warning(tmp_path, demo_problem, capsys):
     # a combiner scaled by 1e308 overflows the closed loop X1 G itself: the
-    # checks fail on its inf and NaN entries, with nothing on stderr
+    # checks fail on its inf and NaN entries, and stderr holds no warning,
+    # only the line that names the failed part of the data route
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
     record, digest = fileio.load_certificate(cert_path)
@@ -167,7 +168,8 @@ def test_overflowing_decay_rollout_prints_no_warning(tmp_path, demo_problem, cap
     assert cli.main(["verify", demo_problem, cert_path]) == 2
     captured = capsys.readouterr()
     assert "worst vertex gauge nan" in captured.out
-    assert captured.err == ""
+    assert captured.err == ("certificate failed: the certificate fails X0 G = I or U0 G = K, "
+                            "so its gain does not drive the closed loop it certifies\n")
 
 
 def test_certificate_with_an_old_report_key_still_verifies(tmp_path, demo_problem, capsys):
@@ -660,6 +662,62 @@ def test_nominal_certificate_on_disturbed_data_fails_verify(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: no noise-free linear plant explains the data")
     assert captured.out == "" and not list(tmp_path.glob("run*"))
+
+
+def test_a_zero_disturbance_radius_is_no_disturbance(tmp_path, capsys):
+    # a radius of 0 once wrote a disturbance block of corners at the origin,
+    # which made synthesize certify level 1 in place of the file's level
+    files = []
+    zero = {**DEMO_CONFIG, "disturbance_radius": 0}
+    for name, config in (("plain", DEMO_CONFIG), ("zero", zero)):
+        problem, cert_path = tmp_path / f"{name}.json", str(tmp_path / f"{name}_cert.json")
+        assert cli.main(["generate", _write_config(tmp_path, config, f"{name}_config.json"),
+                         "--out", str(problem)]) == 0
+        assert cli.main(["synthesize", str(problem), "--out", cert_path]) == 0
+        assert fileio.load_certificate(cert_path)[0].lam == 0.84
+        files.append(problem.read_bytes())
+    assert files[0] == files[1]
+    assert "disturbance" not in json.loads(files[1])
+
+
+@pytest.mark.parametrize("case", ["halved_g_and_p", "doubled_gain", "disturbed_data"])
+def test_verify_names_the_failed_part_of_the_data_route(tmp_path, capsys, case):
+    # verify and simulate read their reason from the one rule, so the two
+    # commands name the same failed condition in the same words
+    problem, cert_path = str(tmp_path / "problem.json"), str(tmp_path / "certificate.json")
+    config = ({**DEMO_CONFIG, "disturbance_radius": 1e-3} if case == "disturbed_data"
+              else DEMO_CONFIG)
+    assert cli.main(["generate", _write_config(tmp_path, config), "--out", problem]) == 0
+    if case == "disturbed_data":
+        spec = fileio.load_problem(problem)
+        record = synthesis.synthesize(synthesis.SynthesisProblem(
+            spec.state_set, spec.input_set, synthesis.MINIMIZE, spec.data))
+        raw = json.loads(Path(problem).read_text())
+        del raw["disturbance"]
+        Path(problem).write_text(json.dumps(raw))
+        digest = fileio.file_digest(problem)
+    else:
+        assert cli.main(["synthesize", problem, "--out", cert_path]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", problem, cert_path]) == 0
+        assert capsys.readouterr().err == ""
+        record, digest = fileio.load_certificate(cert_path)
+        if case == "halved_g_and_p":
+            record.g_matrix, record.p_matrix = record.g_matrix / 2, record.p_matrix / 2
+        else:
+            record.gain = 2 * record.gain
+    fileio.save_certificate(record, cert_path, {}, digest)
+    capsys.readouterr()
+    assert cli.main(["verify", problem, cert_path]) == 2
+    captured = capsys.readouterr()
+    assert "certificate     FAILED" in captured.out
+    assert captured.err.startswith("certificate failed: ") and captured.err.count("\n") == 1
+    reason = captured.err[len("certificate failed: "):]
+    assert cli.main(["simulate", problem, cert_path, "--x0", "1,0",
+                     "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {reason}"
+    assert reason.startswith("no noise-free linear plant" if case == "disturbed_data"
+                             else "the certificate fails X0 G = I or U0 G = K")
 
 
 def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, capsys):

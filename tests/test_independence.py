@@ -177,6 +177,14 @@ def _is_allowed_import(node):
     return all(top == "numpy" or top in sys.stdlib_module_names for top in tops)
 
 
+def _names(tree):
+    """Every name, attribute and imported name in a module's syntax tree."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names | {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
 def test_verification_is_a_leaf_module():
     # importing the module cannot show this: ddinv/__init__ imports every
     # module, so the source is read instead
@@ -184,9 +192,16 @@ def test_verification_is_a_leaf_module():
     imports = [node for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports and all(_is_allowed_import(node) for node in imports)
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not names & {"synthesis", "lp", "__import__", "import_module"}
+    assert not _names(tree) & {"synthesis", "lp", "__import__", "import_module"}
+
+
+def test_only_verification_names_the_data_route_checks():
+    # the data route's rule lives in verification.data_route_refusal; a
+    # module that called its two checks itself would hold a second copy
+    for source in sorted(VERIFICATION_SOURCE.parent.glob("*.py")):
+        if source != VERIFICATION_SOURCE:
+            names = _names(ast.parse(source.read_text()))
+            assert not names & {"check_data_consistency", "data_explained"}, source.name
 
 
 def test_certificate_search_lives_with_the_builder():

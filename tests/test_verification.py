@@ -463,7 +463,7 @@ def test_a_certificate_without_p_needs_a_disturbance_set(demo_state_set, demo_in
 
 
 def test_a_disturbance_set_gets_the_robust_checks_at_the_certificate_level(
-        demo_state_set, demo_input_set, demo_data):
+        demo_state_set, demo_input_set, demo_data, demo_plant):
     # the problem picks the checks: with a disturbance set, a nominal
     # certificate is judged by its worst robust gauge against its own level
     cert = synthesis.synthesize(
@@ -478,3 +478,16 @@ def test_a_disturbance_set_gets_the_robust_checks_at_the_certificate_level(
         assert report.worst_vertex_gauge == worst
         assert report.robust_ok == (worst <= cert.lam + verification.DEFAULT_TOL)
         assert report.robust_ok == (radius == 0.0)
+        # the report's verdict is the check's own, taken at the certificate's level
+        assert report.robust_ok == verification.check_robust_data_conditions(
+            demo_data, cert.g_matrix, demo_state_set, dset, cert.lam)[0]
+        # the plant route judges A + B K by the robust vertex test at that level
+        on_plant = verification.verify_certificate(demo_state_set, demo_input_set, cert,
+                                                   data=demo_data, plant=demo_plant,
+                                                   disturbance=dset)
+        holds, worst = verification.check_robust_invariance(
+            demo_plant.a_matrix + demo_plant.b_matrix @ cert.gain, demo_state_set, dset,
+            cert.lam)
+        assert on_plant.worst_vertex_gauge == worst
+        assert on_plant.robust_ok == on_plant.contractivity_ok == holds
+        assert on_plant.robust_ok == (radius == 0.0)
