@@ -36,7 +36,7 @@ from .polytopes import DisturbanceSet, gauge, ordered_vertices_2d
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
 from .verification import (DEFAULT_TOL, VerificationReport, _images, closed_loop,
-                           data_route_refusal, lyapunov_values, rollout, verify_certificate)
+                           loop_refusal, lyapunov_values, rollout, verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -181,19 +181,25 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _load_pair(args):
+    """The problem and the certificate that verify and simulate read, with a
+    warning when the certificate records another problem file's digest."""
     spec = fileio.load_problem(args.problem)
     certificate, digest = fileio.load_certificate(args.certificate)
-    report = verify_certificate(spec.state_set, spec.input_set, certificate,
-                                data=spec.data, plant=spec.model, disturbance=spec.disturbance)
     if digest and fileio.file_digest(args.problem) != digest:
         print("warning: problem file digest differs from the one recorded "
               "in the certificate", file=sys.stderr)
+    return spec, certificate
+
+
+def _cmd_verify(args) -> int:
+    spec, certificate = _load_pair(args)
+    report = verify_certificate(spec.state_set, spec.input_set, certificate,
+                                data=spec.data, plant=spec.model, disturbance=spec.disturbance)
     _print_report(report)
     if not report.all_ok():
-        # on the nominal data route, name the part of the rule that failed
-        refusal = (not report.certificate_ok and spec.model is None and spec.disturbance is None
-                   and data_route_refusal(spec.data, certificate))
+        # name the part of the loop rule that failed, if it did
+        refusal = loop_refusal(certificate, spec.data, spec.model, spec.disturbance)
         if refusal:
             print(f"certificate failed: {refusal}", file=sys.stderr)
         return 2
@@ -211,8 +217,7 @@ def _input_bounds(input_rows: np.ndarray):
 
 
 def _cmd_simulate(args) -> int:
-    spec = fileio.load_problem(args.problem)
-    certificate, _ = fileio.load_certificate(args.certificate)
+    spec, certificate = _load_pair(args)
     f_matrix = closed_loop(certificate, spec.state_set, spec.input_set, spec.data, spec.model)
     state_set, input_set = spec.state_set, spec.input_set
     try:
@@ -233,7 +238,7 @@ def _cmd_simulate(args) -> int:
     if spec.model is None and spec.disturbance is not None:
         return _fail("simulating a problem with a disturbance block needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")
-    refusal = spec.model is None and data_route_refusal(spec.data, certificate)
+    refusal = loop_refusal(certificate, spec.data, spec.model, spec.disturbance)
     if refusal:
         print(f"error: {refusal}", file=sys.stderr)
         return 2

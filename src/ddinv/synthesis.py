@@ -76,7 +76,7 @@ def contraction_level(lam) -> Union[float, str]:
     lam = float(lam)
     if not 0.0 <= lam < 1.0:
         raise ValueError("level must lie in [0, 1)")
-    return lam
+    return lam + 0.0  # -0.0 passes the range test, and + 0.0 makes it 0.0
 
 
 @dataclass

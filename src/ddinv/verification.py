@@ -6,10 +6,10 @@ lambda, the equivalent vertex test via the gauge, and input admissibility at
 the vertices. Robust certificates are checked by pushing every vertex through
 F and adding the worst disturbance vertex, at the level the check is given.
 
-On the data route F is X1 G, which is the closed loop A + B K only under one
-rule, `data_route_refusal`: X0 G = I, U0 G = K, and data that a noise-free
-plant explains. `verify_certificate` and the CLI's verify and simulate take
-the rule and its reasons from there.
+One rule, `loop_refusal`, decides whether F is the loop the stored gain
+drives: A + B K is, and X1 G is when X0 G = I, U0 G = K and, without a
+disturbance set, a noise-free plant explains the data. `verify_certificate`
+and the CLI's verify and simulate take the rule and its reasons from there.
 
 The certificate alone proves that the polyhedral Lyapunov function
 V(x) = max_i |row_i(S) x| decays along every trajectory, so no trajectory is
@@ -48,7 +48,7 @@ def certified_level(lam) -> float:
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("certificate level must lie in [0, 1]")
-    return lam
+    return lam + 0.0  # -0.0 passes the range test, and + 0.0 makes it 0.0
 
 
 def _images(matrix, points):
@@ -223,14 +223,18 @@ def data_explained(data) -> bool:
     return numerical_rank(np.vstack([regressors, data.x1t])) == numerical_rank(regressors)
 
 
-def data_route_refusal(data, certificate, tol: float = DEFAULT_TOL) -> Optional[str]:
-    """The data route's rule: X1 G is the loop A + B K of the stored gain only
-    when `check_data_consistency` holds and a noise-free plant explains the
-    data (`data_explained`). Returns None then, otherwise the reason why not."""
+def loop_refusal(certificate, data=None, plant=None, disturbance=None,
+                 tol: float = DEFAULT_TOL) -> Optional[str]:
+    """The loop rule: a plant's A + B K is the stored gain's loop, and X1 G
+    is only when `check_data_consistency` holds and, without a disturbance
+    set, a noise-free plant explains the data (`data_explained`). Returns
+    None then, otherwise the reason why not."""
+    if plant is not None:
+        return None
     if not check_data_consistency(data, certificate.g_matrix, certificate.gain, tol):
         return ("the certificate fails X0 G = I or U0 G = K, so its gain does not "
                 "drive the closed loop it certifies")
-    if not data_explained(data):
+    if disturbance is None and not data_explained(data):
         return ("no noise-free linear plant explains the data "
                 "(rank [U0; X0; X1] > rank [U0; X0]), so X1 G is not the closed loop "
                 "the gain drives")
@@ -244,13 +248,12 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
 
     The closed-loop map comes from `closed_loop`, which refuses a certificate
     whose matrices do not fit the problem. The problem picks the checks,
-    whatever the certificate carries. With a disturbance set: the robust
-    vertex test on A + B K, or the data-side conditions that stand in for it
-    without a plant, at the certificate's level, and on the data route
-    `check_data_consistency`. Without one: P at the level, and on the data
-    route `data_route_refusal`. A certificate without P on a problem without a
-    disturbance set, and a level outside [0, 1] (`certified_level`), are a
-    ValueError.
+    whatever the certificate carries. `certificate_ok` is the loop rule
+    (`loop_refusal`) and, without a disturbance set, P at the level. With a
+    disturbance set: the robust vertex test on A + B K, or the data-side
+    conditions that stand in for it without a plant, at the certificate's
+    level. A certificate without P on a problem without a disturbance set,
+    and a level outside [0, 1] (`certified_level`), are a ValueError.
     """
     lam, gain = certified_level(certificate.lam), certificate.gain
     f_matrix = closed_loop(certificate, cset, input_set, data, plant)
@@ -261,14 +264,12 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     # a certificate with huge entries may overflow to inf and NaN, which every check fails
     with np.errstate(over="ignore", invalid="ignore"):
         admissible, worst_violation = check_admissibility(gain, cset, input_set, tol)
+        cert_ok = loop_refusal(certificate, data, plant, disturbance, tol) is None and (
+            disturbance is not None
+            or check_invariance_certificate(f_matrix, cset, certificate.p_matrix, lam, tol))
         if disturbance is None:
-            cert_ok = ((plant is not None or data_route_refusal(data, certificate, tol) is None)
-                       and check_invariance_certificate(f_matrix, cset, certificate.p_matrix,
-                                                        lam, tol))
             contract_ok, worst = check_vertex_contractivity(f_matrix, cset, lam, tol)
         else:
-            cert_ok = plant is not None or check_data_consistency(
-                data, certificate.g_matrix, gain, tol)
             robust_ok, worst = (
                 check_robust_invariance(f_matrix, cset, disturbance, lam, tol) if plant is not None
                 else check_robust_data_conditions(data, certificate.g_matrix, cset, disturbance,

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import runpy
@@ -240,6 +241,20 @@ def test_digest_mismatch_warns_but_verifies(tmp_path, demo_problem, capsys):
     capsys.readouterr()
     assert cli.main(["verify", demo_problem, cert_path]) == 0
     assert "digest differs" in capsys.readouterr().err
+
+
+def test_digest_mismatch_warns_but_simulates(tmp_path, demo_problem, capsys):
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    raw = json.loads(open(demo_problem).read())
+    raw["meta"]["seed"] = 1234  # content change that leaves the data intact
+    open(demo_problem, "w").write(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["simulate", demo_problem, cert_path, "--x0", "1,0", "--format", "csv",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ("warning: problem file digest differs from the one "
+                                       "recorded in the certificate\n")
+    assert (tmp_path / "run.csv").exists()
 
 
 def test_problem_with_both_sources_designs_from_data_and_judges_on_the_model(
@@ -660,7 +675,10 @@ def test_nominal_certificate_on_disturbed_data_fails_verify(tmp_path, capsys):
     assert cli.main(["simulate", str(problem), cert_path, "--x0", "1,0",
                      "--out", str(tmp_path / "run")]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: no noise-free linear plant explains the data")
+    # the edit also moved the file's digest away from the recorded one
+    assert captured.err.startswith(
+        "warning: problem file digest differs from the one recorded in the certificate\n"
+        "error: no noise-free linear plant explains the data")
     assert captured.out == "" and not list(tmp_path.glob("run*"))
 
 
@@ -730,8 +748,10 @@ def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, ca
     fileio.save_certificate(record, cert_path, {}, digest)
     capsys.readouterr()
     assert cli.main(["verify", problem, cert_path]) == 2
-    out = capsys.readouterr().out
-    assert "robustness      ok" in out and "certificate     FAILED" in out
+    captured = capsys.readouterr()
+    assert "robustness      ok" in captured.out and "certificate     FAILED" in captured.out
+    assert captured.err == ("certificate failed: the certificate fails X0 G = I or U0 G = K, "
+                            "so its gain does not drive the closed loop it certifies\n")
 
 
 def test_nan_in_problem_data_exits_one(tmp_path, demo_problem, capsys):
@@ -784,6 +804,28 @@ def _plant_problem(tmp_path, config=DEMO_CONFIG):
     problem = str(tmp_path / "problem.json")
     fileio.save_problem(spec, problem)
     return problem
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_a_negative_zero_level_is_zero(tmp_path, capsys, where):
+    # 0.0 <= -0.0 holds, so a range test alone lets -0.0 through to the
+    # printed level and the certificate; F = 0 makes level 0 feasible
+    config = {"model": {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
+              "state_set": ROBUST_CONFIG["state_set"], "input_set": [[1.0], [-1.0]],
+              "lambda": 0.5}
+    problem = _plant_problem(tmp_path, config)
+    flags = ["--lambda", "-0"] if where == "flag" else []
+    if where == "file":
+        raw = json.loads(Path(problem).read_text())
+        raw["lambda"] = -0.0
+        Path(problem).write_text(json.dumps(raw))
+        assert '"lambda": -0.0' in Path(problem).read_text()
+    cert_path = tmp_path / "certificate.json"
+    capsys.readouterr()
+    assert cli.main(["synthesize", problem, "--out", str(cert_path), *flags]) == 0
+    assert "lambda: 0\n" in capsys.readouterr().out
+    lam = json.loads(cert_path.read_text())["lambda"]
+    assert lam == 0.0 and math.copysign(1.0, lam) == 1.0
 
 
 def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):

@@ -196,12 +196,38 @@ def test_verification_is_a_leaf_module():
 
 
 def test_only_verification_names_the_data_route_checks():
-    # the data route's rule lives in verification.data_route_refusal; a
-    # module that called its two checks itself would hold a second copy
+    # the loop rule lives in verification.loop_refusal; a module that
+    # called its two data checks itself would hold a second copy
     for source in sorted(VERIFICATION_SOURCE.parent.glob("*.py")):
         if source != VERIFICATION_SOURCE:
             names = _names(ast.parse(source.read_text()))
             assert not names & {"check_data_consistency", "data_explained"}, source.name
+
+
+def _route_tests(tree):
+    """The comparisons of a `.model` or `.disturbance` with None in a tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Attribute)
+            and node.left.attr in {"model", "disturbance"}
+            and all(isinstance(right, ast.Constant) and right.value is None
+                    for right in node.comparators)]
+
+
+def test_the_cli_leaves_the_loop_rule_to_verification():
+    # loop_refusal takes the model and the disturbance set and decides the
+    # route; a command that tested them itself would restate the rule.
+    # simulate's one test refuses a disturbance block without a model block
+    tree = ast.parse((VERIFICATION_SOURCE.parent / "cli.py").read_text())
+    commands = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not _route_tests(commands["_cmd_verify"])
+    simulate = commands["_cmd_simulate"]
+    refusals = [node for node in ast.walk(simulate)
+                if isinstance(node, ast.If) and _route_tests(node.test)]
+    assert len(refusals) == 1
+    (refusal,) = refusals
+    assert ({id(node) for node in _route_tests(simulate)}
+            == {id(node) for node in _route_tests(refusal.test)})
+    assert ast.unparse(refusal.body[0]).startswith("return _fail(")
 
 
 def test_certificate_search_lives_with_the_builder():

@@ -1,10 +1,11 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ddinv import lp, synthesis, verification
+from ddinv import demo, lp, synthesis, verification
 from ddinv.experiment import (ExperimentData, PlantModel, build_data_matrices,
                               random_input_sequence, simulate,
                               stacked_data_matrix)
@@ -28,6 +29,28 @@ def test_scalar_model_problem():
     assert abs(cert.gain[0, 0]) <= 1.0 + 1e-9
     report = verification.verify_certificate(cset, uset, cert, plant=plant)
     assert report.all_ok()
+
+
+def test_level_rules_turn_negative_zero_into_zero():
+    # 0.0 <= -0.0 holds, so the range tests alone let -0.0 through
+    for rule in (synthesis.contraction_level, verification.certified_level):
+        assert math.copysign(1.0, rule(-0.0)) == 1.0
+        assert math.copysign(1.0, rule(0.0)) == 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=synthesis.InfeasibleProblem,
+                   reason="the nominal data program depends on the state's units")
+def test_level_minimization_does_not_depend_on_the_state_units(demo_input_set, demo_data):
+    # the demo problem with the state in units of 2^-33, exactly: S 2^33 and
+    # X0, X1 / 2^33 describe the same loops, so the least level is the same
+    # 0.758333, yet the data program calls it infeasible from 2^33 on
+    def least_level(scale):
+        data = ExperimentData(demo_data.u0t, demo_data.x0t / scale, demo_data.x1t / scale)
+        return synthesis.synthesize(synthesis.SynthesisProblem(
+            validate_cset(demo.STATE_ROWS * scale), demo_input_set, synthesis.MINIMIZE,
+            data)).lam
+
+    assert least_level(2.0 ** 33) == pytest.approx(least_level(1.0), abs=1e-6)
 
 
 def test_demo_data_feasible_at_published_level(demo_state_set, demo_input_set, demo_data):
