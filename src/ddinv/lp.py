@@ -50,7 +50,10 @@ A pivot subtracts other[i] * row[j] from every entry tab[i, j], in place,
 with one BLAS call on the tableau's transpose, which is Fortran-ordered, so
 the call writes straight into it. How it rounds is decided on the full
 tableau: its width, and the pivot row's nonzero count there, the count here
-plus the leaving variable's 1 / pivot.
+plus the leaving variable's 1 / pivot. The kernels are scipy's, which the
+cached _blas imports on the first pivot, not with this module: importing
+ddinv loads numpy alone, a process that solves nothing never loads scipy,
+and a later pivot reads the module from the cache, with no import statement.
 - Few nonzeros (the robust programs have 3-5%): one dgemm with inner
   dimension one, C += alpha A B with alpha = -1, A = the pivot row and B =
   the pivot column. The kernel forms each product before adding it, so
@@ -85,11 +88,11 @@ residual.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dger
 
 TOL_FEAS = 1e-8
 # residual above which a returned point counts as breaking its program; the
@@ -194,6 +197,13 @@ def check_feasible(lp: LinearProgram, point, tol: float = TOL_FEAS) -> bool:
     return max_violation(lp, point) <= tol
 
 
+@functools.cache
+def _blas():
+    """scipy's BLAS module, imported on the first pivot, not with ddinv."""
+    from scipy.linalg import blas
+    return blas
+
+
 def _pivot(tab, row, col, width, keep_leaving):
     """Exchange the variable of column col with the basic variable of row
     `row`. The leaving variable takes over column col, which is zeroed when
@@ -213,9 +223,10 @@ def _pivot(tab, row, col, width, keep_leaving):
     # the pivot row goes in as a copy: it is part of what the BLAS calls
     # overwrite
     if np.count_nonzero(prow) + keep_leaving > SPARSE_PIVOT_SHARE * width:
-        dger(-1.0, prow.copy(), other, a=tab.T, overwrite_a=True)
+        _blas().dger(-1.0, prow.copy(), other, a=tab.T, overwrite_a=True)
     elif np.isfinite(other).all():
-        dgemm(-1.0, prow.copy()[:, None], other[None, :], beta=1.0, c=tab.T, overwrite_c=True)
+        _blas().dgemm(-1.0, prow.copy()[:, None], other[None, :], beta=1.0, c=tab.T,
+                      overwrite_c=True)
     else:
         # a zero of the row times a non-finite entry of `other` is NaN, not
         # the zero product that leaves the entry as it was

@@ -7,12 +7,15 @@ a trajectory; the input scene shows the input signal against its bounds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WIDTH = 640
 HEIGHT = 480
 MARGIN_FRAC = 0.10
 SHRINK_FLOOR = 0.05
+MAX_COPIES = 300
 
 
 def _coords(points, xlim, ylim) -> list:
@@ -49,7 +52,9 @@ def _scene(body, title) -> str:
 
 def state_plane_svg(ordered_vertices, trajectory, lam=None, title="") -> str:
     """Scene with the set polygon, contracted copies for shrinking powers of
-    lam (drawn while the factor stays above SHRINK_FLOOR), and a trajectory."""
+    lam (drawn while the factor stays above SHRINK_FLOOR), and a trajectory.
+    Every k-th power is drawn, k the smallest that keeps MAX_COPIES or fewer,
+    so k is 1 up to lam = 0.99 and a lam near 1 keeps the scene small."""
     verts = np.asarray(ordered_vertices, dtype=float)
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)
@@ -64,10 +69,11 @@ def state_plane_svg(ordered_vertices, trajectory, lam=None, title="") -> str:
             'stroke="#1f77b4" stroke-width="2"/>']
     factors = []
     if lam is not None and 0.0 < lam < 1.0:
-        factor = lam
+        step = lam ** (int(math.log(SHRINK_FLOOR) / math.log(lam)) // (MAX_COPIES + 1) + 1)
+        factor = step
         while factor >= SHRINK_FLOOR:
             factors.append(factor)
-            factor *= lam
+            factor *= step
     ladder = _coords(np.multiply.outer(factors, verts).reshape(-1, 2), *lims)
     for k in range(0, len(ladder), len(verts)):
         body.append(f'<polygon points="{_points(ladder[k:k + len(verts)])}" fill="none" '

@@ -452,6 +452,39 @@ def test_generate_and_load_run_without_the_solver(tmp_path, monkeypatch, config)
     assert (spec.disturbance is None) == ("disturbance_radius" not in config)
 
 
+def _run_fresh(lines):
+    """Run the code lines in a new interpreter that imports ddinv from this
+    checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "\n".join(["import sys", f"sys.path.insert(0, {src!r})", *lines])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported on the first pivot, not with the package
+    run = _run_fresh(["import ddinv, ddinv.cli",
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_generate_verify_and_simulate_run_without_scipy(tmp_path, demo_certified):
+    # none of the three solves, so a process that cannot import scipy runs
+    # them all; the certificate comes from a synthesize in this process
+    _, cert_path = demo_certified
+    cfg, problem = _write_config(tmp_path, DEMO_CONFIG), str(tmp_path / "problem.json")
+    commands = [["generate", cfg, "--out", problem], ["verify", problem, cert_path],
+                ["simulate", problem, cert_path, "--x0", "6,-0.5", "--steps", "50",
+                 "--out", str(tmp_path / "run")]]
+    run = _run_fresh(["sys.modules['scipy'] = None", "from ddinv import cli",
+                      *(f"assert cli.main({argv!r}) == 0, {argv[0]!r}" for argv in commands)])
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert "all checks passed" in run.stdout
+    assert (tmp_path / "run.svg").is_file() and (tmp_path / "run_input.svg").is_file()
+
+
 def test_generate_and_load_a_six_state_plant_with_a_disturbance_box(tmp_path):
     # the disturbance box has 2^6 corners and the state box 12 rows: both set
     # checks stay one small least-squares problem each

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,6 +374,20 @@ def _count_pivots(monkeypatch):
 
     monkeypatch.setattr(lp, "_pivot", counted)
     return calls
+
+
+def test_scipy_stays_off_the_import_and_pivot_paths():
+    # importing scipy at the top of lp would load it with the package, and an
+    # import statement in the pivot or the iteration would run on every pivot
+    tree = ast.parse(Path(lp.__file__).read_text())
+    modules = [alias.name if isinstance(node, ast.Import) else node.module or ""
+               for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names]
+    assert modules and not [name for name in modules if name.split(".")[0] == "scipy"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_pivot", "_run_simplex"):
+        assert not [node for node in ast.walk(functions[name])
+                    if isinstance(node, (ast.Import, ast.ImportFrom))], name
 
 
 def test_every_phase_one_pivot_goes_through_the_seam(monkeypatch):

@@ -1,4 +1,5 @@
 import re
+import time
 import warnings
 
 import numpy as np
@@ -28,7 +29,9 @@ def test_point_strings_match_the_per_point_frame():
                 == frame_points(points, xlim, ylim))
 
 
-@pytest.mark.parametrize("lam", [0.84, 0.99, None])
+# up to 0.99 the ladder draws every power of lam above the floor, as the
+# loop below does
+@pytest.mark.parametrize("lam", [0.5, 0.84, 0.9, 0.95, 0.99, None])
 def test_state_plane_scene_maps_every_point_as_the_per_point_frame(demo_state_set, lam):
     verts = ordered_vertices_2d(demo_state_set)
     trajectory = np.random.default_rng(4).uniform(-3.0, 3.0, size=(31, 2))
@@ -45,6 +48,22 @@ def test_state_plane_scene_maps_every_point_as_the_per_point_frame(demo_state_se
     assert re.findall(r'points="([^"]*)"', scene) == expected
     dots = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)" r="2.5"', scene)
     assert " ".join(f"{sx},{sy}" for sx, sy in dots) == frame_points(trajectory, *lims)
+
+
+@pytest.mark.parametrize("lam", [0.9999, 0.99999, 1.0 - 1e-6, 1.0 - 2.0 ** -53])
+def test_contracted_copies_stay_few_as_lam_nears_one(demo_state_set, lam):
+    # every power above the floor would be about 3.0 million copies at
+    # 1 - 1e-6; every k-th is drawn instead, down to the floor
+    verts = ordered_vertices_2d(demo_state_set)
+    start = time.perf_counter()
+    scene = svgplot.state_plane_svg(verts, lam=lam, trajectory=[[0.0, 0.0]])
+    assert time.perf_counter() - start < 0.5
+    copies = re.findall(r'points="([^"]*)" fill="none" stroke="#9ecae1"', scene)
+    assert 150 <= len(copies) <= svgplot.MAX_COPIES
+    lims = _state_plane_limits(verts)
+    smallest = [frame_points(verts * factor, *lims)
+                for factor in np.linspace(svgplot.SHRINK_FLOOR, 0.06, 2001)]
+    assert copies[-1] in smallest
 
 
 def test_input_scene_maps_every_point_as_the_per_point_frame():
