@@ -1,10 +1,11 @@
 """Dense two-phase primal simplex for the small linear programs built here.
 
-Standard form is reached by shifting variables with a finite bound, splitting
-free variables into differences of nonnegative pairs, and adding slacks.
+A variable is either nonnegative or free; a finite bound of any other kind
+is an inequality row of the program. Standard form is reached by splitting
+free variables into differences of nonnegative pairs and adding slacks.
 Pricing is deterministic: Dantzig's rule with lowest-index tie breaking,
 falling back to Bland's rule after a run of degenerate pivots so cycling
-cannot occur. Doubly bounded variables contribute an extra range row.
+cannot occur.
 
 The tableau keeps only the nonbasic columns, dictionary style: one
 C-ordered array [nonbasic columns | rhs] with the cost row last, where
@@ -132,7 +133,8 @@ def _as_matrix(value, cols, name):
 @dataclass
 class LinearProgram:
     """min objective @ z subject to eq_lhs z = eq_rhs, ineq_lhs z <= ineq_rhs,
-    lower_bounds <= z <= upper_bounds (infinities allowed)."""
+    and z >= 0 where the boolean mask nonneg is set; the other variables,
+    every one by default, are free."""
 
     num_vars: int
     objective: np.ndarray
@@ -140,8 +142,7 @@ class LinearProgram:
     eq_rhs: Optional[np.ndarray] = None
     ineq_lhs: Optional[np.ndarray] = None
     ineq_rhs: Optional[np.ndarray] = None
-    lower_bounds: Optional[np.ndarray] = None
-    upper_bounds: Optional[np.ndarray] = None
+    nonneg: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = self.num_vars
@@ -158,15 +159,10 @@ class LinearProgram:
             raise ValueError("eq_lhs and eq_rhs row counts differ")
         if self.ineq_lhs.shape[0] != self.ineq_rhs.shape[0]:
             raise ValueError("ineq_lhs and ineq_rhs row counts differ")
-        self.lower_bounds = (np.full(n, -np.inf) if self.lower_bounds is None
-                             else np.asarray(self.lower_bounds, dtype=float).reshape(-1))
-        self.upper_bounds = (np.full(n, np.inf) if self.upper_bounds is None
-                             else np.asarray(self.upper_bounds, dtype=float).reshape(-1))
-        if self.lower_bounds.shape != (n,) or self.upper_bounds.shape != (n,):
-            raise ValueError("bound vectors must have num_vars entries")
-        # a NaN bound compares False; a bound may be infinite, nothing else may be
-        if not np.all(self.lower_bounds <= self.upper_bounds):
-            raise ValueError("a lower bound exceeds its upper bound, or a bound is NaN")
+        self.nonneg = (np.zeros(n, dtype=bool) if self.nonneg is None
+                       else np.asarray(self.nonneg, dtype=bool).reshape(-1))
+        if self.nonneg.shape != (n,):
+            raise ValueError("nonneg must have num_vars entries")
         if not all(np.isfinite(part).all() for part in (self.objective, self.eq_lhs, self.eq_rhs,
                                                         self.ineq_lhs, self.ineq_rhs)):
             raise ValueError("objective, constraint rows and right-hand sides must be finite")
@@ -189,7 +185,7 @@ def max_violation(lp: LinearProgram, point) -> float:
         raise ValueError("point length does not match num_vars")
     return float(np.max(np.concatenate([
         np.abs(lp.eq_lhs @ z - lp.eq_rhs), lp.ineq_lhs @ z - lp.ineq_rhs,
-        lp.lower_bounds - z, z - lp.upper_bounds]), initial=0.0))
+        -z[lp.nonneg]]), initial=0.0))
 
 
 def check_feasible(lp: LinearProgram, point, tol: float = TOL_FEAS) -> bool:
@@ -294,23 +290,14 @@ def _run_simplex(tab, basis, slots, nrows, width, iter_cap):
 
 
 def _standard_columns(lp: LinearProgram):
-    """Variable transform z[i] = offset[i] + sign * s for each structural
-    column s, in variable order: a free variable becomes a +/- pair, a
-    variable with one finite bound is shifted (and mirrored for an upper
-    bound), and a doubly bounded one is shifted and gets a range row.
-    Returns (offsets, column variable, column sign, range columns, widths)."""
-    lo, hi = lp.lower_bounds, lp.upper_bounds
-    lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
-    free = lo_inf & hi_inf
-    offsets = np.where(lo_inf, np.where(hi_inf, 0.0, hi), lo)
-    counts = 1 + free
+    """Variable transform z[i] = sign * s for each structural column s, in
+    variable order: a nonnegative variable is one column, a free one a +/-
+    pair. Returns (column variable, column sign)."""
+    counts = 2 - lp.nonneg
     col_var = np.repeat(np.arange(lp.num_vars), counts)
-    first = np.cumsum(counts) - counts
     col_sign = np.ones(col_var.size)
-    col_sign[first[free] + 1] = -1.0
-    col_sign[first[lo_inf & ~hi_inf]] = -1.0
-    ranged = ~lo_inf & ~hi_inf
-    return offsets, col_var, col_sign, first[ranged], (hi - lo)[ranged]
+    col_sign[np.cumsum(counts)[~lp.nonneg] - 1] = -1.0
+    return col_var, col_sign
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -329,23 +316,18 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 
 def _simplex(lp: LinearProgram) -> LpSolution:
-    offsets, col_var, col_sign, range_cols, range_widths = _standard_columns(lp)
+    col_var, col_sign = _standard_columns(lp)
     n_eq = lp.eq_lhs.shape[0]
     n_in = lp.ineq_lhs.shape[0]
-    n_rng = range_cols.size
-    nrows = n_eq + n_in + n_rng
+    nrows = n_eq + n_in
     nstruct = col_var.size
-    n_slack = n_in + n_rng
-    n_real = nstruct + n_slack
+    n_real = nstruct + n_in
     width = n_real + 1
 
     # rows whose slack survives with +1 start with that slack basic; the
     # rest (equalities, inequalities flipped for a negative right-hand
     # side) start on an artificial, which has a basis marker but no column
-    rhs = np.zeros(nrows)
-    rhs[:n_eq] = lp.eq_rhs - lp.eq_lhs @ offsets
-    rhs[n_eq : n_eq + n_in] = lp.ineq_rhs - lp.ineq_lhs @ offsets
-    rhs[n_eq + n_in :] = range_widths
+    rhs = np.concatenate([lp.eq_rhs, lp.ineq_rhs])
     flip = rhs < 0
     slack_basic = ~flip
     slack_basic[:n_eq] = False
@@ -362,8 +344,7 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     slots = np.concatenate([np.arange(nstruct), nstruct + flip_rows - n_eq])
     tab = np.zeros((nrows + 1, slots.size + 1))
     np.multiply(lp.eq_lhs[:, col_var], col_sign, out=tab[:n_eq, :nstruct])
-    np.multiply(lp.ineq_lhs[:, col_var], col_sign, out=tab[n_eq : n_eq + n_in, :nstruct])
-    tab[n_eq + n_in + np.arange(n_rng), range_cols] = 1.0
+    np.multiply(lp.ineq_lhs[:, col_var], col_sign, out=tab[n_eq:nrows, :nstruct])
     tab[flip_rows, nstruct + np.arange(flip_rows.size)] = 1.0
     tab[np.flatnonzero(flip), :-1] *= -1.0
     tab[:nrows, -1] = np.where(flip, -rhs, rhs)
@@ -403,7 +384,7 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     def extract():
         values = np.zeros(n_real)
         values[basis] = np.maximum(tab[:nrows, -1], 0.0)
-        z = offsets.copy()
+        z = np.zeros(lp.num_vars)
         np.add.at(z, col_var, col_sign * values[:nstruct])
         return z
 

@@ -4,7 +4,9 @@ All programs share one variable layout convention: the decision matrix (the
 data combiner G, or the gain K in the model-based program) is stacked
 column-major first, then the rows of the nonnegative certificate matrix P
 that the program carries, row-major, then the contraction level when it is
-being minimized. Feasibility programs carry a zero objective.
+being minimized. The decision matrix is free; P and the level are
+nonnegative, and the level's cap below one is the last inequality row.
+Feasibility programs carry a zero objective.
 
 The model-based program asks for P >= 0 with row sums at most lambda and
 P S = S (A + B K), plus input admissibility at every vertex of the state
@@ -157,9 +159,10 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
     matrix D (q x n, stacked column-major): P >= 0 with P S = S F, the rows
     P 1 <= lam 1, then admiss D s <= 1 at every vertex s. P has a row for
     each of S's representative rows (`_row_pairs`). When given, the rows
-    consistency vec(D) = vec(I) close the equalities. lam=None minimizes
-    the level, the last variable, which then moves to the left of the row
-    sums."""
+    consistency vec(D) = vec(I) close the equalities. D is free, P
+    nonnegative. lam=None minimizes the level, the last variable, which is
+    nonnegative, moves to the left of the row sums and is capped by the last
+    row, lambda <= 1 - EPS_STRICT."""
     s_h = state_set.h_matrix
     n_s, n = s_h.shape
     reps = _row_pairs(s_h)[0]
@@ -187,21 +190,18 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
     sum_rows[:, p_off:p_end] = np.kron(np.eye(n_r), np.ones((1, n_s)))
     admiss_rows = np.zeros((verts.shape[0] * admiss.shape[0], nvars))
     admiss_rows[:, :p_off] = _vertex_rows(verts, admiss)
-    lower = np.full(nvars, -np.inf)
-    upper = np.full(nvars, np.inf)
-    lower[p_off:p_end] = 0.0
     objective = np.zeros(nvars)
+    ineq = [sum_rows, admiss_rows]
+    ineq_rhs = [np.full(n_r, 0.0 if lam is None else float(lam)), np.ones(admiss_rows.shape[0])]
     if lam is None:
         sum_rows[:, -1] = -1.0
-        lower[-1] = 0.0
-        upper[-1] = 1.0 - EPS_STRICT
         objective[-1] = 1.0
-    sum_rhs = np.zeros(n_r) if lam is None else np.full(n_r, float(lam))
+        ineq.append(np.eye(1, nvars, nvars - 1))
+        ineq_rhs.append([1.0 - EPS_STRICT])
     return lp.LinearProgram(
         num_vars=nvars, objective=objective, eq_lhs=eq, eq_rhs=eq_rhs,
-        ineq_lhs=np.vstack([sum_rows, admiss_rows]),
-        ineq_rhs=np.concatenate([sum_rhs, np.ones(admiss_rows.shape[0])]),
-        lower_bounds=lower, upper_bounds=upper)
+        ineq_lhs=np.vstack(ineq), ineq_rhs=np.concatenate(ineq_rhs),
+        nonneg=np.arange(nvars) >= p_off)
 
 
 def build_modelbased_lp(plant: PlantModel, state_set: PolyhedralCSet,

@@ -9,37 +9,48 @@ from ddinv.lp import LinearProgram
 from ddinv.numerics import numerical_rank
 
 
+def bound_rows(lower, upper):
+    """The finite bounds of lower <= z <= upper as inequality rows (lhs,
+    rhs): z_i <= upper_i, then -z_i <= -lower_i."""
+    eye = np.eye(lower.size)
+    above, below = np.isfinite(upper), np.isfinite(lower)
+    return np.vstack([eye[above], -eye[below]]), np.concatenate([upper[above], -lower[below]])
+
+
 def random_box_lp(rng, max_vars=4, max_rows=8):
-    """Random LP with box bounds on every variable, so the feasible region is
-    bounded and the basic-point oracle is conclusive. Mixes feasible and
-    infeasible instances."""
+    """Random LP in free variables with a box row pair on every variable,
+    after the random rows, so the feasible region is bounded and the
+    basic-point oracle is conclusive. Mixes feasible and infeasible
+    instances."""
     n = int(rng.integers(1, max_vars + 1))
     rows = int(rng.integers(1, max_rows + 1))
     lhs = rng.uniform(-1.0, 1.0, size=(rows, n))
     rhs = rng.uniform(-0.4, 1.0, size=rows)
     objective = rng.uniform(-1.0, 1.0, size=n)
     half = rng.uniform(0.5, 1.5, size=n)
-    return LinearProgram(num_vars=n, objective=objective,
-                         ineq_lhs=lhs, ineq_rhs=rhs,
-                         lower_bounds=-half, upper_bounds=half)
+    box, box_rhs = bound_rows(-half, half)
+    return LinearProgram(num_vars=n, objective=objective, ineq_lhs=np.vstack([lhs, box]),
+                         ineq_rhs=np.concatenate([rhs, box_rhs]))
 
 
 def lp_with_known_point(rng, max_vars=4, max_rows=8):
-    """Random LP feasible by construction; returns (lp, witness point)."""
+    """Random LP in free variables with the box |z_i| <= 2 as rows, feasible
+    by construction; returns (lp, witness point)."""
     n = int(rng.integers(1, max_vars + 1))
     rows = int(rng.integers(1, max_rows + 1))
     witness = rng.uniform(-0.8, 0.8, size=n)
     lhs = rng.uniform(-1.0, 1.0, size=(rows, n))
     rhs = lhs @ witness + rng.uniform(0.0, 1.0, size=rows)
     objective = rng.uniform(-1.0, 1.0, size=n)
-    prob = LinearProgram(num_vars=n, objective=objective,
-                         ineq_lhs=lhs, ineq_rhs=rhs,
-                         lower_bounds=np.full(n, -2.0), upper_bounds=np.full(n, 2.0))
+    box, box_rhs = bound_rows(np.full(n, -2.0), np.full(n, 2.0))
+    prob = LinearProgram(num_vars=n, objective=objective, ineq_lhs=np.vstack([lhs, box]),
+                         ineq_rhs=np.concatenate([rhs, box_rhs]))
     return prob, witness
 
 
 def unbounded_lp(rng, max_vars=4, max_rows=6):
-    """LP unbounded by construction: the last variable has no upper bound,
+    """LP in free variables unbounded by construction: bound rows hold every
+    variable in [-1, 1] but the last, which has only its lower bound row;
     every inequality row treats it nonpositively, and the objective pushes
     it up."""
     n = int(rng.integers(2, max_vars + 1))
@@ -52,21 +63,25 @@ def unbounded_lp(rng, max_vars=4, max_rows=6):
     lower = np.full(n, -1.0)
     upper = np.full(n, 1.0)
     upper[-1] = np.inf
-    return LinearProgram(num_vars=n, objective=objective,
-                         ineq_lhs=lhs, ineq_rhs=rhs,
-                         lower_bounds=lower, upper_bounds=upper)
+    bounds, bound_rhs = bound_rows(lower, upper)
+    return LinearProgram(num_vars=n, objective=objective, ineq_lhs=np.vstack([lhs, bounds]),
+                         ineq_rhs=np.concatenate([rhs, bound_rhs]))
 
 
 def mixed_bounds_lp(rng, max_vars=5, max_rows=6):
-    """Random LP whose variables are free, bounded below, bounded above or
-    ranged, with inequality rows of either right-hand-side sign (the
-    negative ones start on an artificial), equality rows of which the last
-    may repeat a combination of the others, and a zero objective one time
-    in four. Feasible, infeasible and unbounded instances all occur."""
+    """Random LP whose variables are nonnegative or free, each with no bound
+    row, a lower or an upper bound row, or both, after inequality rows of
+    either right-hand-side sign (the negative ones start on an artificial);
+    equality rows of which the last may repeat a combination of the others,
+    and a zero objective one time in four. Feasible, infeasible and
+    unbounded instances all occur. A variable is nonnegative when its upper
+    bound draw, used or not, is below 0.5, so a nonnegative variable with an
+    upper bound row lies in [0, u], as the minimized level does."""
     n = int(rng.integers(1, max_vars + 1))
     kind = rng.integers(0, 4, size=n)
     lower = np.where((kind == 1) | (kind == 3), rng.uniform(-1.0, 0.0, size=n), -np.inf)
-    upper = np.where((kind == 2) | (kind == 3), rng.uniform(0.0, 1.0, size=n), np.inf)
+    high = rng.uniform(0.0, 1.0, size=n)
+    upper = np.where((kind == 2) | (kind == 3), high, np.inf)
     rows = int(rng.integers(0, max_rows + 1))
     ineq = rng.uniform(-1.0, 1.0, size=(rows, n))
     ineq_rhs = rng.uniform(-0.5, 1.0, size=rows)
@@ -77,9 +92,11 @@ def mixed_bounds_lp(rng, max_vars=5, max_rows=6):
         weights = rng.uniform(-1.0, 1.0, size=eqs - 1)
         eq[-1], eq_rhs[-1] = weights @ eq[:-1], weights @ eq_rhs[:-1]
     objective = rng.uniform(-1.0, 1.0, size=n) * (rng.random() >= 0.25)
+    bounds, bound_rhs = bound_rows(lower, upper)
     return LinearProgram(num_vars=n, objective=objective, eq_lhs=eq, eq_rhs=eq_rhs,
-                         ineq_lhs=ineq, ineq_rhs=ineq_rhs,
-                         lower_bounds=lower, upper_bounds=upper)
+                         ineq_lhs=np.vstack([ineq, bounds]),
+                         ineq_rhs=np.concatenate([ineq_rhs, bound_rhs]),
+                         nonneg=high < 0.5)
 
 
 def random_cset_rows(rng, n, max_extra=3):

@@ -13,13 +13,16 @@ the library once ran; it calls `lp.solve`, as that test did.
 feasibility LPs, for the LP-free set checks to be compared against.
 `nominal_lp_loop` builds both nominal programs the way the two separate
 builders did, a block per vertex and per set row, and finds a centrally
-symmetric set's opposite rows with a loop of its own. `full_tableau_solve` is
-the simplex as it was before the library kept only nonbasic columns: the
-same pivots on a tableau that also stores every basic column, the slack
-identity included, so the library's condensed exchange can be pinned to it
-bit for bit. `simulate_rows_loop` and `frame_points` are the per-row CSV
-loop and the per-point screen mapping the `simulate` command and its plots
-once used, kept to pin the table and array forms that replaced them.
+symmetric set's opposite rows with a loop of its own; a minimized level's
+cap is its last inequality row. `full_tableau_solve` is the simplex as it
+was before the library kept only nonbasic columns: the same pivots on a
+tableau that also stores every basic column, the slack identity included,
+so the library's condensed exchange can be pinned to it bit for bit. It and
+`brute_force_lp` take the library's programs, whose variables are
+nonnegative or free. `simulate_rows_loop` and `frame_points` are the
+per-row CSV loop and the per-point screen mapping the `simulate` command
+and its plots once used, kept to pin the table and array forms that
+replaced them.
 `hankel_loop` fills a block Hankel matrix one block at a time, as
 `experiment.hankel` once did.
 """
@@ -40,7 +43,8 @@ from ddinv.lp import (BLAND_AFTER, GUARD_TOL, ITER_FACTOR, SPARSE_PIVOT_SHARE, T
 def brute_force_lp(prob, feas_tol=1e-9):
     """Classify a small LP with a bounded feasible region by enumerating all
     candidate basic points: solutions of num_vars active constraints drawn
-    from the equalities (always active), inequality rows and finite bounds.
+    from the equalities (always active), inequality rows and the bounds
+    z_i >= 0 of the nonnegative variables.
 
     Returns (status, value, point) with status 'optimal' or 'infeasible'.
     A bounded nonempty region always has a basic feasible point, so absence
@@ -51,13 +55,10 @@ def brute_force_lp(prob, feas_tol=1e-9):
             for a, b in zip(prob.eq_lhs, prob.eq_rhs)]
     cand = [(np.asarray(a, dtype=float), float(b))
             for a, b in zip(prob.ineq_lhs, prob.ineq_rhs)]
-    for i in range(n):
+    for i in np.flatnonzero(prob.nonneg):
         unit = np.zeros(n)
-        unit[i] = 1.0
-        if np.isfinite(prob.lower_bounds[i]):
-            cand.append((-unit, -float(prob.lower_bounds[i])))
-        if np.isfinite(prob.upper_bounds[i]):
-            cand.append((unit, float(prob.upper_bounds[i])))
+        unit[i] = -1.0
+        cand.append((unit, 0.0))
 
     def feasible(x):
         for a, b in mand:
@@ -335,19 +336,23 @@ def nominal_lp_loop(source, state_set, input_set, lam=None, pair_rows=True):
     sums = np.zeros((n_r, nvars))
     for k in range(n_r):
         sums[k, p_off + k * n_s : p_off + (k + 1) * n_s] = 1.0
-    lower = np.full(nvars, -np.inf)
-    upper = np.full(nvars, np.inf)
-    lower[p_off : p_off + n_r * n_s] = 0.0
+    nonneg = np.zeros(nvars, dtype=bool)
+    nonneg[p_off:] = True
     objective = np.zeros(nvars)
     if lam is None:
         sums[:, -1] = -1.0
-        lower[-1], upper[-1], objective[-1] = 0.0, 1.0 - 1e-6, 1.0
+        objective[-1] = 1.0
+        # the level's cap, lambda <= 1 - 1e-6
+        cap = np.zeros((1, nvars))
+        cap[0, -1] = 1.0
+        ineq.append(cap)
+        ineq_rhs.append(np.array([1.0 - 1e-6]))
     sum_rhs = np.zeros(n_r) if lam is None else np.full(n_r, float(lam))
     return lp.LinearProgram(
         num_vars=nvars, objective=objective,
         eq_lhs=np.vstack(eq), eq_rhs=np.concatenate(eq_rhs),
         ineq_lhs=np.vstack([sums] + ineq), ineq_rhs=np.concatenate([sum_rhs] + ineq_rhs),
-        lower_bounds=lower, upper_bounds=upper)
+        nonneg=nonneg)
 
 
 def full_tableau_pivot(tab, row, col):
@@ -428,22 +433,17 @@ def full_tableau_solve(lp: LinearProgram) -> LpSolution:
 
 
 def full_tableau_simplex(lp: LinearProgram) -> LpSolution:
-    offsets, col_var, col_sign, range_cols, range_widths = _standard_columns(lp)
+    col_var, col_sign = _standard_columns(lp)
     n_eq = lp.eq_lhs.shape[0]
-    n_in = lp.ineq_lhs.shape[0]
-    n_rng = range_cols.size
-    nrows = n_eq + n_in + n_rng
+    n_slack = lp.ineq_lhs.shape[0]
+    nrows = n_eq + n_slack
     nstruct = col_var.size
-    n_slack = n_in + n_rng
     n_real = nstruct + n_slack
 
     # rows whose slack survives with +1 start with that slack basic; the
     # rest (equalities, inequalities flipped for a negative right-hand
     # side) start on an artificial, which has a basis marker but no column
-    rhs = np.zeros(nrows)
-    rhs[:n_eq] = lp.eq_rhs - lp.eq_lhs @ offsets
-    rhs[n_eq : n_eq + n_in] = lp.ineq_rhs - lp.ineq_lhs @ offsets
-    rhs[n_eq + n_in :] = range_widths
+    rhs = np.concatenate([lp.eq_rhs, lp.ineq_rhs])
     flip = rhs < 0
     slack_basic = ~flip
     slack_basic[:n_eq] = False
@@ -453,8 +453,7 @@ def full_tableau_simplex(lp: LinearProgram) -> LpSolution:
     # one tableau: [structural | slack | rhs], cost row last
     tab = np.zeros((nrows + 1, n_real + 1))
     tab[:n_eq, :nstruct] = lp.eq_lhs[:, col_var] * col_sign
-    tab[n_eq : n_eq + n_in, :nstruct] = lp.ineq_lhs[:, col_var] * col_sign
-    tab[n_eq + n_in + np.arange(n_rng), range_cols] = 1.0
+    tab[n_eq:nrows, :nstruct] = lp.ineq_lhs[:, col_var] * col_sign
     slack_idx = np.arange(n_slack)
     tab[n_eq + slack_idx, nstruct + slack_idx] = 1.0
     tab[np.flatnonzero(flip), :n_real] *= -1.0
@@ -494,7 +493,7 @@ def full_tableau_simplex(lp: LinearProgram) -> LpSolution:
     def extract():
         values = np.zeros(n_real)
         values[basis] = np.maximum(tab[:nrows, -1], 0.0)
-        z = offsets.copy()
+        z = np.zeros(lp.num_vars)
         np.add.at(z, col_var, col_sign * values[:nstruct])
         return z
 

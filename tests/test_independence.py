@@ -22,13 +22,17 @@ all.
   paired the set's rows or built the admissibility rows, so these cases pin
   that independence.
 
-Not covered: a vertex lost by `polytopes.enumerate_vertices`. The builder
-and the verifier read the same `cset.vertices`, so both miss such a vertex.
-Catching it needs a check that the vertex list is closed under adjacency,
-which the verifier does not have yet.
+Not caught yet, and pinned as a strict xfail: a vertex lost by
+`polytopes.enumerate_vertices`. The builder and the verifier read the same
+`cset.vertices`, so both miss such a vertex: on the robust pentagon
+problems without their first vertex, the builder makes 7 certificates that
+fail against the full vertex list, and verify accepts all 7. Catching it
+needs a check that the vertex list is closed under adjacency, which the
+verifier does not have yet (ROADMAP item 11).
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -36,7 +40,7 @@ import numpy as np
 import pytest
 
 import ddinv
-from ddinv import synthesis, verification
+from ddinv import polytopes, synthesis, verification
 from ddinv.experiment import (PlantModel, build_data_matrices,
                               random_input_sequence, simulate)
 from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
@@ -163,6 +167,35 @@ def test_verify_catches_a_planted_nominal_builder_bug(monkeypatch, demo_state_se
     monkeypatch.setattr(synthesis, helper, planted)
     made, rejected = _rejections(problems)
     assert made >= 1 and rejected >= 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the builder and verify share one vertex list, so a vertex lost "
+                          "by enumerate_vertices is lost to both (ROADMAP item 11)")
+def test_verify_catches_a_lost_vertex(monkeypatch):
+    problems = _robust_pentagon_problems()
+    enumerate_vertices = polytopes.enumerate_vertices
+    monkeypatch.setattr(polytopes, "enumerate_vertices",
+                        lambda h_matrix: enumerate_vertices(h_matrix)[1:])
+    lost = validate_cset(problems[0].state_set.h_matrix)
+    # the certificates built on the set without its first vertex that fail
+    # against the full list
+    picked = []
+    for problem in problems:
+        try:
+            cert = synthesis.synthesize(dataclasses.replace(problem, state_set=lost))
+        except (synthesis.InfeasibleProblem, synthesis.SolverFailure):
+            continue
+        if not verification.verify_certificate(
+                problem.state_set, problem.input_set, cert, data=problem.source,
+                disturbance=problem.disturbance).all_ok():
+            picked.append((problem, cert))
+    if not picked:
+        pytest.fail("no certificate fails against the full vertex list")
+    for problem, cert in picked:
+        assert not verification.verify_certificate(
+            lost, problem.input_set, cert, data=problem.source,
+            disturbance=problem.disturbance).all_ok()
 
 
 def _is_allowed_import(node):

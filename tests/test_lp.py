@@ -18,7 +18,9 @@ from oracles import brute_force_lp, dense_pivot, fused_pivot
 
 
 def test_single_variable_lower_bound():
-    prob = lp.LinearProgram(num_vars=1, objective=[1.0], lower_bounds=[1.0])
+    # z >= 1 on a nonnegative z, written as the row -z <= -1
+    prob = lp.LinearProgram(num_vars=1, objective=[1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-1.0],
+                            nonneg=[True])
     sol = lp.solve(prob)
     assert sol.status == lp.LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
@@ -35,8 +37,7 @@ def test_single_variable_inequality_row():
 
 def test_two_variable_vertex_optimum():
     prob = lp.LinearProgram(num_vars=2, objective=[-1.0, -1.0],
-                            ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0],
-                            lower_bounds=[0.0, 0.0])
+                            ineq_lhs=[[1.0, 1.0]], ineq_rhs=[1.0], nonneg=[True, True])
     sol = lp.solve(prob)
     assert sol.status == lp.LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
@@ -45,13 +46,12 @@ def test_two_variable_vertex_optimum():
 
 def test_contradictory_rows_infeasible():
     prob = lp.LinearProgram(num_vars=1, objective=[0.0],
-                            ineq_lhs=[[1.0]], ineq_rhs=[-1.0],
-                            lower_bounds=[0.0])
+                            ineq_lhs=[[1.0]], ineq_rhs=[-1.0], nonneg=[True])
     assert lp.solve(prob).status == lp.LpStatus.INFEASIBLE
 
 
 def test_unbounded_direction():
-    prob = lp.LinearProgram(num_vars=1, objective=[-1.0], lower_bounds=[0.0])
+    prob = lp.LinearProgram(num_vars=1, objective=[-1.0], nonneg=[True])
     assert lp.solve(prob).status == lp.LpStatus.UNBOUNDED
 
 
@@ -75,16 +75,16 @@ def test_equality_system():
 
 
 def test_double_bounds_both_sides():
-    prob = lp.LinearProgram(num_vars=1, objective=[1.0],
-                            lower_bounds=[2.0], upper_bounds=[3.0])
-    assert lp.solve(prob).objective_value == pytest.approx(2.0, abs=1e-9)
-    prob = lp.LinearProgram(num_vars=1, objective=[-1.0],
-                            lower_bounds=[2.0], upper_bounds=[3.0])
-    assert lp.solve(prob).objective_value == pytest.approx(-3.0, abs=1e-9)
+    # 2 <= z <= 3 on a free z, as the rows z <= 3 and -z <= -2
+    for objective, value in (([1.0], 2.0), ([-1.0], -3.0)):
+        prob = lp.LinearProgram(num_vars=1, objective=objective, ineq_lhs=[[1.0], [-1.0]],
+                                ineq_rhs=[3.0, -2.0])
+        assert lp.solve(prob).objective_value == pytest.approx(value, abs=1e-9)
 
 
 def test_upper_bound_only_variable():
-    prob = lp.LinearProgram(num_vars=1, objective=[-1.0], upper_bounds=[4.0])
+    # z <= 4 on a free z: the optimum lies on the row
+    prob = lp.LinearProgram(num_vars=1, objective=[-1.0], ineq_lhs=[[1.0]], ineq_rhs=[4.0])
     sol = lp.solve(prob)
     assert sol.status == lp.LpStatus.OPTIMAL
     assert sol.primal[0] == pytest.approx(4.0, abs=1e-9)
@@ -93,7 +93,7 @@ def test_upper_bound_only_variable():
 def test_free_variable_with_equality():
     prob = lp.LinearProgram(num_vars=2, objective=[0.0, 1.0],
                             eq_lhs=[[1.0, 1.0]], eq_rhs=[0.0],
-                            lower_bounds=[-np.inf, -5.0])
+                            ineq_lhs=[[0.0, -1.0]], ineq_rhs=[5.0])
     sol = lp.solve(prob)
     assert sol.status == lp.LpStatus.OPTIMAL
     assert sol.primal[1] == pytest.approx(-5.0, abs=1e-9)
@@ -101,16 +101,15 @@ def test_free_variable_with_equality():
 
 
 def _degenerate_program():
-    # classic cycling-prone tableau
+    # classic cycling-prone tableau, with the rows z <= 1e3 last to bound it
     return lp.LinearProgram(
         num_vars=4,
         objective=[-0.75, 150.0, -0.02, 6.0],
-        ineq_lhs=[[0.25, -60.0, -1.0 / 25.0, 9.0],
-                  [0.5, -90.0, -1.0 / 50.0, 3.0],
-                  [0.0, 0.0, 1.0, 0.0]],
-        ineq_rhs=[0.0, 0.0, 1.0],
-        lower_bounds=np.zeros(4),
-        upper_bounds=np.full(4, 1e3))
+        ineq_lhs=np.vstack([[[0.25, -60.0, -1.0 / 25.0, 9.0],
+                             [0.5, -90.0, -1.0 / 50.0, 3.0],
+                             [0.0, 0.0, 1.0, 0.0]], np.eye(4)]),
+        ineq_rhs=[0.0, 0.0, 1.0] + [1e3] * 4,
+        nonneg=np.ones(4, dtype=bool))
 
 
 def test_degenerate_instance_terminates():
@@ -179,31 +178,22 @@ def test_construction_validation():
         lp.LinearProgram(num_vars=2, objective=[1.0])
     with pytest.raises(ValueError):
         lp.LinearProgram(num_vars=1, objective=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        lp.LinearProgram(num_vars=1, objective=[1.0],
-                         lower_bounds=[1.0], upper_bounds=[0.0])
+    with pytest.raises(ValueError, match="nonneg"):
+        lp.LinearProgram(num_vars=1, objective=[1.0], nonneg=[True, False])
 
 
 @pytest.mark.parametrize("field, value", [
     ("ineq_lhs", [[np.nan]]), ("ineq_rhs", [np.nan]), ("ineq_lhs", [[np.inf]]),
     ("ineq_rhs", [-np.inf]), ("objective", [np.nan]), ("objective", [-np.inf]),
-    ("eq_lhs", [[np.nan]]), ("eq_rhs", [np.inf]), ("lower_bounds", [np.nan]),
-    ("upper_bounds", [np.nan])])
+    ("eq_lhs", [[np.nan]]), ("eq_rhs", [np.inf])])
 def test_non_finite_program_data_is_refused(field, value):
     # minimize -z over z >= 0, z <= 1, z = 0.5: a NaN coefficient in z <= 1
     # used to give UNBOUNDED, and a NaN right-hand side a ratio-test crash
     program = dict(num_vars=1, objective=[-1.0], eq_lhs=[[1.0]], eq_rhs=[0.5],
-                   ineq_lhs=[[1.0]], ineq_rhs=[1.0], lower_bounds=[0.0])
+                   ineq_lhs=[[1.0]], ineq_rhs=[1.0], nonneg=[True])
     program[field] = value
     with pytest.raises(ValueError, match="NaN|finite"):
         lp.LinearProgram(**program)
-
-
-def test_infinite_bounds_are_accepted():
-    prob = lp.LinearProgram(num_vars=2, objective=[1.0, 1.0], ineq_lhs=[[-1.0, -1.0]],
-                            ineq_rhs=[-1.0], lower_bounds=[0.0, -np.inf],
-                            upper_bounds=[np.inf, 2.0])
-    assert lp.solve(prob).status == lp.LpStatus.OPTIMAL
 
 
 @pytest.mark.parametrize("layout, name", [(np.asfortranarray, "Fortran-ordered"),
@@ -397,7 +387,7 @@ def test_every_phase_one_pivot_goes_through_the_seam(monkeypatch):
     calls = _count_pivots(monkeypatch)
     prob = lp.LinearProgram(num_vars=2, objective=[0.0, 0.0],
                             eq_lhs=[[-1.0, 0.0], [0.0, 1.0]], eq_rhs=[0.0, 1.0],
-                            lower_bounds=[0.0, 0.0])
+                            nonneg=[True, True])
     sol = lp.solve(prob)
     assert sol.status == lp.LpStatus.FEASIBLE
     assert np.array_equal(sol.primal, [0.0, 1.0])
@@ -410,7 +400,7 @@ def test_every_phase_two_pivot_goes_through_the_seam(monkeypatch):
     calls = _count_pivots(monkeypatch)
     prob = lp.LinearProgram(num_vars=2, objective=[-1.0, -2.0],
                             ineq_lhs=[[1.0, 0.0], [0.0, 1.0]], ineq_rhs=[1.0, 1.0],
-                            lower_bounds=[0.0, 0.0])
+                            nonneg=[True, True])
     sol = lp.solve(prob)
     assert sol.status == lp.LpStatus.OPTIMAL
     assert sol.objective_value == -3.0
@@ -426,7 +416,7 @@ def test_tied_reduced_costs_enter_the_lowest_variable_index(monkeypatch):
     calls = _count_pivots(monkeypatch)
     prob = lp.LinearProgram(num_vars=3, objective=[1.0, -1.0, -1.0],
                             ineq_lhs=[[1.0, -1.0, 0.0]], ineq_rhs=[0.0],
-                            eq_lhs=[[1.0, 1.0, 1.0]], eq_rhs=[1.0], lower_bounds=np.zeros(3))
+                            eq_lhs=[[1.0, 1.0, 1.0]], eq_rhs=[1.0], nonneg=[True] * 3)
     sol = lp.solve(prob)
     assert calls == [(1, 0), (0, 1), (0, 2), (1, 0)]
     assert np.array_equal(sol.primal, [0.0, 0.0, 1.0])
@@ -444,7 +434,7 @@ def test_drive_out_enters_the_lowest_variable_index(monkeypatch):
                             ineq_lhs=[[-1.0, 0.0, -1.0, 1.0], [1.0, -1.0, 1.0, 1.0]],
                             ineq_rhs=[0.0, 0.0],
                             eq_lhs=[[-1.0, 0.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]],
-                            eq_rhs=[-1.0, 1.0], lower_bounds=np.zeros(4))
+                            eq_rhs=[-1.0, 1.0], nonneg=[True] * 4)
     sol = lp.solve(prob)
     assert calls[:5] == [(2, 3), (3, 0), (1, 1), (2, 3), (0, 2)]
     assert sol.status == lp.LpStatus.OPTIMAL
@@ -457,8 +447,7 @@ def test_point_that_breaks_the_program_is_withheld(shift_solver_points, objectiv
     # z1 + z2 >= 1 with z >= 0; moving the returned point by -1e-3 in z1
     # breaks either the row or the bound by 1e-3
     prob = lp.LinearProgram(num_vars=2, objective=objective,
-                            ineq_lhs=[[-1.0, -1.0]], ineq_rhs=[-1.0],
-                            lower_bounds=[0.0, 0.0])
+                            ineq_lhs=[[-1.0, -1.0]], ineq_rhs=[-1.0], nonneg=[True, True])
     assert lp.solve(prob).status == status
     shift_solver_points(np.array([-1e-3, 0.0]))
     sol = lp.solve(prob)
@@ -468,7 +457,7 @@ def test_point_that_breaks_the_program_is_withheld(shift_solver_points, objectiv
 
 
 def test_point_within_the_guard_tolerance_is_returned(shift_solver_points):
-    prob = lp.LinearProgram(num_vars=1, objective=[1.0], lower_bounds=[1.0])
+    prob = lp.LinearProgram(num_vars=1, objective=[1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-1.0])
     shift_solver_points(-0.5 * lp.GUARD_TOL)
     sol = lp.solve(prob)
     assert sol.status == lp.LpStatus.OPTIMAL
@@ -476,14 +465,15 @@ def test_point_within_the_guard_tolerance_is_returned(shift_solver_points):
 
 
 def test_max_violation_names_the_worst_constraint():
+    # z1 >= 0, and the rows z1 <= 0.5, z1 <= 2 and |z2| <= 1
     prob = lp.LinearProgram(num_vars=2, objective=[0.0, 0.0],
                             eq_lhs=[[1.0, 1.0]], eq_rhs=[1.0],
-                            ineq_lhs=[[1.0, 0.0]], ineq_rhs=[0.5],
-                            lower_bounds=[0.0, -1.0], upper_bounds=[2.0, 1.0])
+                            ineq_lhs=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                            ineq_rhs=[0.5, 2.0, 1.0, 1.0], nonneg=[True, False])
     assert lp.max_violation(prob, [0.5, 0.5]) == 0.0
     assert lp.max_violation(prob, [0.5, 0.75]) == 0.25     # equality
     assert lp.max_violation(prob, [0.875, 0.125]) == 0.375  # inequality row
-    assert lp.max_violation(prob, [-0.5, 1.5]) == 0.5       # both bounds
+    assert lp.max_violation(prob, [-0.5, 1.5]) == 0.5       # nonnegativity and a row
     # a non-finite point is never feasible
     assert np.isnan(lp.max_violation(prob, [np.nan, 0.5]))
     assert not lp.check_feasible(prob, [np.nan, 0.5])
@@ -700,10 +690,38 @@ def test_phase_one_breakdown_has_its_own_status(monkeypatch):
     # is a breakdown, not an iteration limit; phase two's ray stays UNBOUNDED
     monkeypatch.setattr(lp, "_run_simplex", lambda *args: "unbounded")
     with_artificial = lp.LinearProgram(num_vars=1, objective=[1.0], eq_lhs=[[1.0]],
-                                       eq_rhs=[1.0], lower_bounds=[0.0])
+                                       eq_rhs=[1.0], nonneg=[True])
     assert lp.solve(with_artificial).status == lp.LpStatus.PHASE_ONE_BREAKDOWN
     slack_basis = lp.LinearProgram(num_vars=1, objective=[1.0], ineq_lhs=[[1.0]],
-                                   ineq_rhs=[1.0], lower_bounds=[0.0])
+                                   ineq_rhs=[1.0], nonneg=[True])
     assert lp.solve(slack_basis).status == lp.LpStatus.UNBOUNDED
     with pytest.raises(synthesis.SolverFailure, match="test: phase one broke down"):
         synthesis._solve(lambda: with_artificial, "test")
+
+
+def _klee_minty(n):
+    """Klee and Minty's cube in n nonnegative variables: max sum 2^(n-j) z_j
+    with 2 sum_{j<i} 2^(i-j) z_j + z_i <= 5^i. Its right-hand sides are
+    positive, so every row starts on its slack, and Dantzig's rule visits
+    all 2^n vertices on the way to the optimum z_n = 5^n."""
+    lhs = np.eye(n)
+    for i in range(n):
+        lhs[i, :i] = 2.0 ** (i - np.arange(i) + 1)
+    return lp.LinearProgram(num_vars=n, objective=-2.0 ** (n - 1 - np.arange(n)), ineq_lhs=lhs,
+                            ineq_rhs=5.0 ** np.arange(1, n + 1), nonneg=[True] * n)
+
+
+def test_phase_two_stops_at_the_iteration_cap(monkeypatch):
+    # no phase one runs, so the 255 pivots are all phase two's; a cap of
+    # ITER_FACTOR times the 8 rows and 16 columns stops them at 240
+    calls = _count_pivots(monkeypatch)
+    sol = lp.solve(_klee_minty(8))
+    assert sol.status == lp.LpStatus.OPTIMAL
+    assert sol.objective_value == -5.0 ** 8
+    assert np.array_equal(sol.primal, [0.0] * 7 + [5.0 ** 8])
+    assert len(calls) == 2 ** 8 - 1
+    monkeypatch.setattr(lp, "ITER_FACTOR", 10)
+    calls.clear()
+    sol = lp.solve(_klee_minty(8))
+    assert sol.status == lp.LpStatus.ITERATION_LIMIT and sol.primal is None
+    assert len(calls) == 10 * (8 + 16)

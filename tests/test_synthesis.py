@@ -127,6 +127,32 @@ def test_minimize_level_on_demo(demo_state_set, demo_input_set, demo_plant, demo
     assert report.all_ok()
 
 
+_HEXAGON_ANGLES = 2.0 * np.pi * np.arange(6) / 6
+
+
+@pytest.mark.parametrize("rows", [np.vstack([np.eye(2), -np.eye(2)]),
+                                  np.column_stack([np.cos(_HEXAGON_ANGLES),
+                                                   np.sin(_HEXAGON_ANGLES)])],
+                         ids=["box", "hexagon"])
+def test_minimized_level_stops_at_its_cap(rows):
+    # A = a I with B = 0 has least level a on any set. The program caps the
+    # level at 1 - EPS_STRICT: a below the cap comes back, a at the cap
+    # comes back as the cap, and a above it is infeasible
+    cset = validate_cset(rows)
+    uset = InputPolytope([[1.0], [-1.0]])
+
+    def certificate(a):
+        plant = PlantModel(a * np.eye(2), np.zeros((2, 1)))
+        cert = synthesis.synthesize(synthesis.SynthesisProblem(cset, uset, "minimize", plant))
+        assert verification.verify_certificate(cset, uset, cert, plant=plant).all_ok()
+        return cert
+
+    assert certificate(1.0 - 2e-6).lam == pytest.approx(1.0 - 2e-6, rel=1e-12)
+    assert certificate(1.0 - 1e-6).lam == 1.0 - synthesis.EPS_STRICT
+    with pytest.raises(synthesis.InfeasibleProblem):
+        certificate(1.0 - 5e-7)
+
+
 def test_closed_loop_identity(demo_plant, demo_data, demo_state_set, demo_input_set):
     # with exact data any consistent combiner realizes A + B K exactly
     cert = synthesis.synthesize(
@@ -257,7 +283,7 @@ def test_nominal_agreement_on_random_plants():
 def _highs(program):
     return linprog(program.objective, A_ub=program.ineq_lhs, b_ub=program.ineq_rhs,
                    A_eq=program.eq_lhs, b_eq=program.eq_rhs,
-                   bounds=list(zip(program.lower_bounds, program.upper_bounds)),
+                   bounds=[(0.0 if nonneg else None, None) for nonneg in program.nonneg],
                    method="highs")
 
 
@@ -305,7 +331,7 @@ def test_simplex_verdicts_agree_with_highs_on_data_programs():
 
 def _program_arrays(program):
     return [np.asarray(program.num_vars), program.objective, program.eq_lhs, program.eq_rhs,
-            program.ineq_lhs, program.ineq_rhs, program.lower_bounds, program.upper_bounds]
+            program.ineq_lhs, program.ineq_rhs, program.nonneg]
 
 
 def test_nominal_builders_match_loop_oracle():
