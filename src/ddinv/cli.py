@@ -44,25 +44,6 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _count(value, name: str, least: int) -> int:
-    """A JSON integer of at least `least`; booleans and fractions are refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}")
-    return value
-
-
-def _magnitude(value, name: str) -> float:
-    """A finite non-negative JSON number r whose range [-r, r] has a finite
-    width, as the uniform draws of generate need."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 <= float(value) < np.inf):
-        raise ValueError(f"{name} must be a finite non-negative number")
-    if not 2.0 * float(value) < np.inf:
-        raise ValueError(f"{name} must be at most half the largest float, "
-                         f"so that [-{name}, {name}] has a finite width")
-    return float(value)
-
-
 def _json_number(value):
     """JSON has no non-finite numbers: those are written as 'inf', '-inf' or 'nan'."""
     return value if value is None or np.isfinite(value) else str(float(value))
@@ -99,22 +80,22 @@ def _cmd_generate(args) -> int:
         spec = fileio.parse_problem({**problem, "lambda": cfg.get("lambda", "min")},
                                     args.config)
         plant = spec.model
-        samples = _count(cfg["samples"], "samples", 1)
+        samples = fileio.integer(cfg["samples"], "samples", 1)
         # the experiment's arrays hold (samples + 1) rows of max(n, m) floats
         most = sys.maxsize // (8 * max(plant.n, plant.m)) - 1
         if samples > most:
             raise ValueError(f"samples must be at most {most}, the most rows of "
                              "the experiment that an array can hold")
-        seed = _count(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
+        seed = fileio.integer(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
         x0 = cfg.get("x0")
         x0 = np.zeros(plant.n) if x0 is None else fileio.number_list(x0, "x0")
         if x0.shape != (plant.n,):
             raise ValueError(f"x0 must hold {plant.n} numbers, one per state")
-        amplitude = _magnitude(cfg.get("input_amplitude", 1.0), "input_amplitude")
+        amplitude = fileio.magnitude(cfg.get("input_amplitude", 1.0), "input_amplitude")
         radius = cfg.get("disturbance_radius")
         if radius is not None:
-            radius = _magnitude(radius, "disturbance_radius")
-    except (TypeError, ValueError, OverflowError) as exc:
+            radius = fileio.magnitude(radius, "disturbance_radius")
+    except (TypeError, ValueError) as exc:
         return _fail(f"bad config: {args.config}: {exc}")
     floor = min_samples(plant.n, plant.m)
     if samples < floor:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import numerical_rank
+from .verification import _images, rollout
 
 
 @dataclass
@@ -101,16 +102,13 @@ def simulate(plant: PlantModel, x0, inputs, disturbances=None) -> np.ndarray:
 
 
 def simulate_closed_loop(plant: PlantModel, gain, x0, steps: int):
-    """Run x+ = A x + B K x; returns (states, inputs)."""
+    """Run x+ = (A + B K) x; returns (states, inputs), the inputs K x of
+    every state but the last. This is the rollout `ddinv simulate` writes
+    for a model problem, bit for bit."""
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    states = np.zeros((steps + 1, plant.n))
-    inputs = np.zeros((steps, plant.m))
-    states[0] = x0
-    for t in range(steps):
-        inputs[t] = gain @ states[t]
-        states[t + 1] = plant.a_matrix @ states[t] + plant.b_matrix @ inputs[t]
-    return states, inputs
+    states = rollout(plant.a_matrix + plant.b_matrix @ gain,
+                     np.asarray(x0, dtype=float).reshape(-1), steps)
+    return states, _images(gain, states[:-1])
 
 
 def build_data_matrices(inputs, states) -> ExperimentData:

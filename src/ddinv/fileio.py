@@ -8,7 +8,8 @@ module is the gate for outside input: a file that is not UTF-8 JSON, that
 nests too deep, that holds a number too large for a float, or whose content
 those objects refuse is a FileFormatError.
 `parse_problem` applies the same rules to a JSON object already read, such
-as the problem part of a generate config. A certificate file holds a
+as the problem part of a generate config, and `integer` and `magnitude`
+read the config's other numbers. A certificate file holds a
 `synthesis.Certificate` plus the verification report that `synthesize`
 embedded, the tool version and the digest of the problem file;
 `load_certificate` returns the certificate and the digest.
@@ -126,6 +127,23 @@ def _number(value, name: str) -> float:
         return float(value)
     except OverflowError as exc:
         raise FileFormatError(f"{name} is too large for a float") from exc
+
+
+def integer(value, name: str, least: int) -> int:
+    """A JSON integer of at least `least`; booleans and fractions are refused."""
+    if not (_is_number(value) and isinstance(value, int) and value >= least):
+        raise FileFormatError(f"{name} must be an integer of at least {least}")
+    return value
+
+
+def magnitude(value, name: str) -> float:
+    """A finite non-negative JSON number r whose range [-r, r] has a finite
+    width, as a uniform draw on it needs."""
+    r = _number(value, name)
+    if not 0.0 <= 2.0 * r < np.inf:
+        raise FileFormatError(f"{name} must be a finite non-negative number "
+                              "at most half the largest float")
+    return r
 
 
 def contraction_level(value):

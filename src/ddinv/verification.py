@@ -218,9 +218,12 @@ def data_explained(data) -> bool:
     (x(t), u(t)) of the data to x(t+1) exactly, which noise-free data from a
     linear plant always satisfy. Disturbed data fail it unless T <= n + m and
     [U0; X0] has rank T, where any X1 is explained and noise cannot be
-    seen."""
-    regressors = np.vstack([data.u0t, data.x0t])
-    return numerical_rank(np.vstack([regressors, data.x1t])) == numerical_rank(regressors)
+    seen. Each row is first brought to unit size by its own power of two,
+    as `polytopes` does with the rows of S, so the verdict is the same in
+    any units of the inputs and states."""
+    rows = np.vstack([data.u0t, data.x0t, data.x1t])
+    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+    return numerical_rank(rows) == numerical_rank(rows[:data.m + data.n])
 
 
 def loop_refusal(certificate, data=None, plant=None, disturbance=None,

@@ -771,6 +771,30 @@ def test_verify_names_the_failed_part_of_the_data_route(tmp_path, capsys, case):
                              else "the certificate fails X0 G = I or U0 G = K")
 
 
+def test_noisy_data_in_large_state_units_fail_the_rank_test(tmp_path, capsys):
+    # with the states written in units of 2^26, their rows once sat below the
+    # rank tolerance next to the inputs' rows, so the rank test called these
+    # disturbed data explained and both commands passed X1 G as the loop
+    generated = str(tmp_path / "generated.json")
+    config = _write_config(tmp_path, {**DEMO_CONFIG, "disturbance_radius": 0.05})
+    assert cli.main(["generate", config, "--out", generated]) == 0
+    data, scale = fileio.load_problem(generated).data, 2.0 ** 26
+    problem, cert_path = tmp_path / "problem.json", str(tmp_path / "certificate.json")
+    problem.write_text(json.dumps({
+        "state_set": (np.array(DEMO_CONFIG["state_set"]) * scale).tolist(),
+        "input_set": DEMO_CONFIG["input_set"], "lambda": "min",
+        "data": {"u0t": fileio.matrix_to_obj(data.u0t),
+                 "x0t": fileio.matrix_to_obj(data.x0t / scale),
+                 "x1t": fileio.matrix_to_obj(data.x1t / scale)}}))
+    capsys.readouterr()
+    assert cli.main(["synthesize", str(problem), "--out", cert_path]) == 2
+    assert capsys.readouterr().err == "verification failed\n"
+    assert cli.main(["verify", str(problem), cert_path]) == 2
+    assert capsys.readouterr().err == (
+        "certificate failed: no noise-free linear plant explains the data "
+        "(rank [U0; X0; X1] > rank [U0; X0]), so X1 G is not the closed loop the gain drives\n")
+
+
 def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, capsys):
     problem = str(tmp_path / "problem.json")
     assert cli.main(["generate", _write_config(tmp_path, ROBUST_CONFIG), "--out", problem]) == 0
@@ -875,7 +899,8 @@ def test_simulate_on_the_model_route_rolls_out_a_plus_b_k(tmp_path):
     plant = PlantModel(model["A"], model["B"])
     states, _ = simulate_closed_loop(plant, fileio.load_certificate(cert_path)[0].gain,
                                      [6.0, -0.5], 30)
-    np.testing.assert_allclose(rows[:, 1:3], states, rtol=1e-12, atol=1e-12)
+    # both roll out A + B K itself, so the CSV holds the library's states bit for bit
+    np.testing.assert_array_equal(rows[:, 1:3], states)
 
 
 CUBE_CONFIG = {
@@ -1040,6 +1065,19 @@ def test_too_many_samples_is_a_bad_config_that_names_the_field_and_the_file(tmp_
     assert captured.err.startswith(f"error: bad config: {config}: samples must be at most ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["input_amplitude", "disturbance_radius"])
+def test_an_oversized_magnitude_is_a_bad_config_that_names_it(tmp_path, capsys, name):
+    # the JSON integer 10**400 once reached float() in the CLI and read
+    # "int too large to convert to float"
+    config = _write_config(tmp_path, {**DEMO_CONFIG, name: 10**400})
+    out = tmp_path / "problem.json"
+    capsys.readouterr()
+    assert cli.main(["generate", config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config: {config}: {name} is too large for a float\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("target, content", [

@@ -263,6 +263,28 @@ def test_the_cli_leaves_the_loop_rule_to_verification():
     assert ast.unparse(refusal.body[0]).startswith("return _fail(")
 
 
+def _bool_tests(tree):
+    """The isinstance calls in a tree that name bool."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            and "bool" in _names(node.args[1])]
+
+
+def test_fileio_alone_reads_json_numbers_and_rollout_alone_steps_a_loop():
+    # a JSON number is an int or a float that is not a bool, and fileio's
+    # rules take it from there; experiment's closed-loop rollout is
+    # verification.rollout on A + B K. A second copy of either drifts
+    trees = {source.name: ast.parse(source.read_text())
+             for source in sorted(VERIFICATION_SOURCE.parent.glob("*.py"))}
+    assert _bool_tests(trees["fileio.py"])
+    assert [name for name, tree in trees.items() if _bool_tests(tree)] == ["fileio.py"]
+    (loop,) = [node for node in trees["experiment.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "simulate_closed_loop"]
+    assert not [node for node in ast.walk(loop)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert "rollout" in _names(loop)
+
+
 def test_certificate_search_lives_with_the_builder():
     assert ddinv.find_certificate_matrix is synthesis.find_certificate_matrix
     assert not hasattr(verification, "find_certificate_matrix")

@@ -570,13 +570,17 @@ def test_nonbasic_tableau_gives_the_full_tableau_bits(monkeypatch):
     # pivots and returns the same points, bit for bit; where its phase one
     # broke down it said ITERATION_LIMIT
     rng = np.random.default_rng(2025)
+    # the k-gon and tall robust programs come from streams of their own, so
+    # a draw more or less in a generator moves none of them; spawn leaves
+    # the parent stream as it was
+    kgon_rng, tall_rng = rng.spawn(2)
     programs = ([mixed_bounds_lp(rng) for _ in range(150)]
                 + [random_box_lp(rng) for _ in range(30)]
                 + [lp_with_known_point(rng)[0] for _ in range(30)]
                 + [unbounded_lp(rng) for _ in range(10)]
                 + _data_programs(rng, 12) + _robust_programs(rng) + [_degenerate_program()])
-    kgon_programs = _kgon_programs(rng)
-    tall_robust_programs = _tall_robust_programs(rng)
+    kgon_programs = _kgon_programs(kgon_rng)
+    tall_robust_programs = _tall_robust_programs(tall_rng)
     pivots = {"condensed": 0, "full": 0}
 
     def counting(name, original):

@@ -11,6 +11,12 @@ certificate as the same closed loop in other terms:
 - a permutation of the samples: the data columns and the rows of G;
 - a signed permutation Π of the state coordinates: S ↦ S Πᵀ, X ↦ Π X,
   G ↦ G Πᵀ, K ↦ K Πᵀ and the disturbance vertices D ↦ D Πᵀ;
+- a redundant row 0.5 S_i appended to S, with a row 0.5 P_i and a zero
+  column appended to P;
+- a repeated sample: one data column appended again, with a zero row
+  appended to G. This holds on the nominal route only: the robust
+  conditions subtract T times the disturbance per sample, so one more
+  sample moves the worst gauge;
 - a uniform change of units by 2^k: S ↦ 2^k S, X ↦ 2^-k X, G ↦ 2^k G,
   K ↦ 2^k K and D ↦ 2^-k D.
 
@@ -141,6 +147,23 @@ def _coordinates(case, rng):
         cert=replace(cert, gain=cert.gain @ signed.T, g_matrix=cert.g_matrix @ signed.T))
 
 
+def _redundant_row(case, rng):
+    i = int(rng.integers(case.rows.shape[0]))
+    p_matrix = case.cert.p_matrix
+    if p_matrix is not None:
+        p_matrix = np.pad(np.vstack([p_matrix, 0.5 * p_matrix[i]]), ((0, 0), (0, 1)))
+    return replace(case, rows=np.vstack([case.rows, 0.5 * case.rows[i]]),
+                   cert=replace(case.cert, p_matrix=p_matrix))
+
+
+def _repeated_sample(case, rng):
+    j = int(rng.integers(case.data.samples))
+    data, g_matrix = case.data, case.cert.g_matrix
+    return replace(case, data=ExperimentData(*(np.column_stack([mat, mat[:, j]])
+                                               for mat in (data.u0t, data.x0t, data.x1t))),
+                   cert=replace(case.cert, g_matrix=np.pad(g_matrix, ((0, 1), (0, 0)))))
+
+
 def _units(k):
     def rewrite(case, rng):
         scale, data, cert = 2.0 ** k, case.data, case.cert
@@ -170,10 +193,15 @@ def _assert_same_verdicts(cases, relation):
         assert _agree(after.worst_input_violation + 1.0, before.worst_input_violation + 1.0)
 
 
-@pytest.mark.parametrize("relation", [_rows, _samples, _coordinates],
-                         ids=["set_rows", "samples", "signed_coordinates"])
+@pytest.mark.parametrize("relation", [_rows, _samples, _coordinates, _redundant_row],
+                         ids=["set_rows", "samples", "signed_coordinates", "redundant_row"])
 def test_a_rewritten_certificate_gets_the_same_verdict(cases, relation):
     _assert_same_verdicts(cases, relation)
+
+
+def test_a_repeated_sample_gets_the_same_nominal_verdict(cases):
+    _assert_same_verdicts([case for case in cases if case.disturbance is None],
+                          _repeated_sample)
 
 
 @pytest.mark.xfail(strict=True, reason="verify judges P S = S F and U0 G = K with absolute "

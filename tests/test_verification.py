@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from ddinv import demo, lp, synthesis, verification
 from ddinv.polytopes import DisturbanceSet, InputPolytope, gauge, validate_cset
-from ddinv.experiment import (PlantModel, build_data_matrices, random_input_sequence,
-                              simulate)
+from ddinv.experiment import (ExperimentData, PlantModel, build_data_matrices,
+                              random_input_sequence, simulate)
 from generators import box_input_rows, random_cset_rows
 from oracles import robust_data_worst_loop
 
@@ -450,6 +450,31 @@ def test_verify_accepts_no_nominal_certificate_that_the_true_loop_breaks(
             assert without_rank_test.all_ok() and not report.certificate_ok
     assert made >= 36
     assert accepted == (made if radius == 0.0 else 0)
+
+
+def test_the_rank_test_does_not_depend_on_the_state_units(demo_input_set):
+    # with the states written in units of 2^k, the rank test once called
+    # disturbed data explained at every k >= 26, where six of the
+    # certificates built on them passed verify, and refused noise-free data
+    # at every k <= -30; the scaled sets and data make the same problems
+    made = 0
+    for seed, k in product((7, 8, 9), range(-40, 41, 2)):
+        scale = 2.0 ** k
+        noisy, clean = (_disturbed_demo_data(seed, radius) for radius in (0.05, 0.0))
+        noisy, clean = (ExperimentData(data.u0t, data.x0t / scale, data.x1t / scale)
+                        for data in (noisy, clean))
+        assert verification.data_explained(clean), (seed, k)
+        assert not verification.data_explained(noisy), (seed, k)
+        state_set = validate_cset(demo.STATE_ROWS * scale)
+        try:
+            cert = synthesis.synthesize(synthesis.SynthesisProblem(
+                state_set, demo_input_set, synthesis.MINIMIZE, noisy))
+        except (synthesis.InfeasibleProblem, synthesis.SolverFailure):
+            continue
+        made += 1
+        assert not verification.verify_certificate(state_set, demo_input_set, cert,
+                                                   data=noisy).all_ok(), (seed, k)
+    assert made >= 60
 
 
 def test_a_certificate_without_p_needs_a_disturbance_set(demo_state_set, demo_input_set,
