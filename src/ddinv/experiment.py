@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import numerical_rank
-from .verification import _images, rollout
+from .verification import _images, _unit_rows, rollout
 
 
 @dataclass
@@ -136,14 +136,15 @@ def hankel(sequence, start: int, depth: int, width: int) -> np.ndarray:
 
 def is_persistently_exciting(inputs, order: int) -> bool:
     """Excitation of a given order: the depth-order Hankel matrix of the
-    (T, m) signal has full row rank."""
+    (T, m) signal has full row rank, ranked with each row at unit size so
+    that no input's units move the verdict."""
     seq = np.asarray(inputs, dtype=float)
     T, sigma = seq.shape
     width = T - order + 1
     if width < 1:
         return False
     hank = hankel(seq, 0, order, width)
-    return numerical_rank(hank) == sigma * order
+    return numerical_rank(_unit_rows(hank)) == sigma * order
 
 
 def stacked_data_matrix(data: ExperimentData) -> np.ndarray:
@@ -153,8 +154,9 @@ def stacked_data_matrix(data: ExperimentData) -> np.ndarray:
 
 def data_has_full_row_rank(data: ExperimentData) -> bool:
     """The stacked input/state data matrix has rank m + n. This is the
-    condition under which the data replace the model without loss."""
-    return numerical_rank(stacked_data_matrix(data)) == data.m + data.n
+    condition under which the data replace the model without loss. Rows are
+    ranked at unit size, so the verdict does not move with the units."""
+    return numerical_rank(_unit_rows(stacked_data_matrix(data))) == data.m + data.n
 
 
 def min_samples(n: int, m: int) -> int:

@@ -16,6 +16,11 @@ V(x) = max_i |row_i(S) x| decays along every trajectory, so no trajectory is
 sampled: with E = P S - S F, |row_i(S) F x| <= lambda V(x) + |E_i|_1 |x|_inf.
 `rollout` and `lyapunov_values` serve simulation.
 
+`verify_certificate` judges with one tolerance, DEFAULT_TOL, the one
+`synthesize` records in every certificate, and only residuals without units:
+gauges, P S - S F at the vertices, and X0 G - I and U0 G - K in the data's
+power-of-two frame. So a certificate in other units gets the same verdict.
+
 The checks work on all vertices at once. Each matrix-vector product in a
 stack goes through the same BLAS call as the product on its own (see
 `_images`), so the gauges and violations carry the same bits as a loop over
@@ -61,7 +66,8 @@ def _images(matrix, points):
 def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
                                  lam: float, tol: float = DEFAULT_TOL) -> bool:
     """True when P is entrywise nonnegative, has row sums at most lam, and
-    satisfies P S = S F within tol."""
+    satisfies P S = S F within tol at every vertex: |(P S - S F) v| <= tol,
+    a residual in gauge units, which no change of the state's units moves."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     p_matrix = np.atleast_2d(np.asarray(p_matrix, dtype=float))
     s_h = cset.h_matrix
@@ -69,7 +75,7 @@ def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
         return False
     if np.max(p_matrix.sum(axis=1)) > lam + tol:
         return False
-    return float(np.max(np.abs(p_matrix @ s_h - s_h @ f_matrix))) <= tol
+    return float(np.max(np.abs(_images(p_matrix @ s_h - s_h @ f_matrix, cset.vertices)))) <= tol
 
 
 def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,
@@ -83,8 +89,8 @@ def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,
     return worst <= lam + tol, worst
 
 
-def check_admissibility(gain, cset: PolyhedralCSet, input_set: InputPolytope,
-                        tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
+def check_admissibility(gain, cset: PolyhedralCSet,
+                        input_set: InputPolytope) -> Tuple[bool, float]:
     """Feedback stays inside the input set on all of the state set, which
     for a linear gain reduces to the vertices. Returns (ok, worst violation),
     worst violation being max over vertices and input rows of U K s - 1."""
@@ -92,12 +98,11 @@ def check_admissibility(gain, cset: PolyhedralCSet, input_set: InputPolytope,
     u_h = input_set.h_matrix
     # np.max keeps a NaN, so a NaN gain fails the check
     worst = float(np.max(_images(u_h, _images(gain, cset.vertices))) - 1.0)
-    return worst <= tol, worst
+    return worst <= DEFAULT_TOL, worst
 
 
-def check_robust_invariance(f_matrix, cset: PolyhedralCSet,
-                            disturbance: DisturbanceSet, lam: float = 1.0,
-                            tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
+def check_robust_invariance(f_matrix, cset: PolyhedralCSet, disturbance: DisturbanceSet,
+                            lam: float = 1.0) -> Tuple[bool, float]:
     """Vertex test for robust contractivity at level lam: F s + w has gauge
     at most lam for every set vertex s and disturbance vertex w; lam = 1 is
     robust invariance. Returns (ok, worst gauge)."""
@@ -105,12 +110,12 @@ def check_robust_invariance(f_matrix, cset: PolyhedralCSet,
     # points[v, i] = F s_v + w_i
     points = _images(f_matrix, cset.vertices)[:, None, :] + disturbance.vertices
     worst = float(np.maximum(0.0, np.max(_images(cset.h_matrix, points))))
-    return worst <= lam + tol, worst
+    return worst <= lam + DEFAULT_TOL, worst
 
 
 def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
-                                 disturbance: DisturbanceSet, lam: float = 1.0,
-                                 tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
+                                 disturbance: DisturbanceSet,
+                                 lam: float = 1.0) -> Tuple[bool, float]:
     """Re-evaluate the robust vertex conditions at level lam directly from
     the data when no model is available to form F. Returns (ok, worst gauge
     over all shifted propagations)."""
@@ -131,7 +136,7 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
             + shift[:, 0])
     # np.maximum keeps a NaN, so a NaN anywhere fails the check
     worst = float(np.maximum(0.0, np.max(rows)))
-    return worst <= lam + tol, worst
+    return worst <= lam + DEFAULT_TOL, worst
 
 
 def lyapunov_values(cset: PolyhedralCSet, states) -> np.ndarray:
@@ -203,14 +208,31 @@ def rollout(f_matrix, starts, steps: int) -> np.ndarray:
     return states
 
 
-def check_data_consistency(data, g_matrix, gain, tol: float = DEFAULT_TOL) -> bool:
+def _row_exponents(mat) -> np.ndarray:
+    """Per row, the exponent of the power of two that brings its largest
+    magnitude into [0.5, 1), 0 for a zero row: the data's unit-free frame,
+    exact, as `polytopes` frames S's rows for the builder."""
+    return np.frexp(np.abs(mat).max(axis=1))[1]
+
+
+def _unit_rows(mat) -> np.ndarray:
+    """mat with each row brought to unit size by its `_row_exponents`."""
+    return np.ldexp(mat, -_row_exponents(mat)[:, None])
+
+
+def check_data_consistency(data, g_matrix, gain) -> bool:
     """X0 G = I, which makes X1 G the closed loop A + B K of K = U0 G, and
-    U0 G equal to the stored gain, both entrywise within tol."""
+    U0 G equal to the stored gain, both entrywise within DEFAULT_TOL in the
+    data's frame: D^-1 (X0 G - I) D and E^-1 (U0 G - K) D, with D and E the
+    `_row_exponents` of X0 and U0, do not move with the units."""
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
+    d_exp, e_exp = _row_exponents(data.x0t), _row_exponents(data.u0t)
     # a residual that overflows to inf fails, and a NaN one compares False
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.max(np.abs(data.x0t @ g_matrix - np.eye(data.n))) <= tol
-                    and np.max(np.abs(data.u0t @ g_matrix - gain)) <= tol)
+        x_resid = np.ldexp(data.x0t @ g_matrix - np.eye(data.n), d_exp - d_exp[:, None])
+        u_resid = np.ldexp(data.u0t @ g_matrix - gain, d_exp - e_exp[:, None])
+        return bool(np.max(np.abs(x_resid)) <= DEFAULT_TOL
+                    and np.max(np.abs(u_resid)) <= DEFAULT_TOL)
 
 
 def data_explained(data) -> bool:
@@ -218,23 +240,20 @@ def data_explained(data) -> bool:
     (x(t), u(t)) of the data to x(t+1) exactly, which noise-free data from a
     linear plant always satisfy. Disturbed data fail it unless T <= n + m and
     [U0; X0] has rank T, where any X1 is explained and noise cannot be
-    seen. Each row is first brought to unit size by its own power of two,
-    as `polytopes` does with the rows of S, so the verdict is the same in
-    any units of the inputs and states."""
-    rows = np.vstack([data.u0t, data.x0t, data.x1t])
-    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+    seen. Each row is first brought to unit size (`_unit_rows`), so the
+    verdict is the same in any units of the inputs and states."""
+    rows = _unit_rows(np.vstack([data.u0t, data.x0t, data.x1t]))
     return numerical_rank(rows) == numerical_rank(rows[:data.m + data.n])
 
 
-def loop_refusal(certificate, data=None, plant=None, disturbance=None,
-                 tol: float = DEFAULT_TOL) -> Optional[str]:
+def loop_refusal(certificate, data=None, plant=None, disturbance=None) -> Optional[str]:
     """The loop rule: a plant's A + B K is the stored gain's loop, and X1 G
     is only when `check_data_consistency` holds and, without a disturbance
     set, a noise-free plant explains the data (`data_explained`). Returns
     None then, otherwise the reason why not."""
     if plant is not None:
         return None
-    if not check_data_consistency(data, certificate.g_matrix, certificate.gain, tol):
+    if not check_data_consistency(data, certificate.g_matrix, certificate.gain):
         return ("the certificate fails X0 G = I or U0 G = K, so its gain does not "
                 "drive the closed loop it certifies")
     if disturbance is None and not data_explained(data):
@@ -245,8 +264,8 @@ def loop_refusal(certificate, data=None, plant=None, disturbance=None,
 
 
 def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
-                       data=None, plant=None, disturbance: Optional[DisturbanceSet] = None,
-                       tol: float = DEFAULT_TOL) -> VerificationReport:
+                       data=None, plant=None,
+                       disturbance: Optional[DisturbanceSet] = None) -> VerificationReport:
     """Full report on a certificate.
 
     The closed-loop map comes from `closed_loop`, which refuses a certificate
@@ -266,17 +285,17 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     robust_ok = None
     # a certificate with huge entries may overflow to inf and NaN, which every check fails
     with np.errstate(over="ignore", invalid="ignore"):
-        admissible, worst_violation = check_admissibility(gain, cset, input_set, tol)
-        cert_ok = loop_refusal(certificate, data, plant, disturbance, tol) is None and (
+        admissible, worst_violation = check_admissibility(gain, cset, input_set)
+        cert_ok = loop_refusal(certificate, data, plant, disturbance) is None and (
             disturbance is not None
-            or check_invariance_certificate(f_matrix, cset, certificate.p_matrix, lam, tol))
+            or check_invariance_certificate(f_matrix, cset, certificate.p_matrix, lam))
         if disturbance is None:
-            contract_ok, worst = check_vertex_contractivity(f_matrix, cset, lam, tol)
+            contract_ok, worst = check_vertex_contractivity(f_matrix, cset, lam)
         else:
             robust_ok, worst = (
-                check_robust_invariance(f_matrix, cset, disturbance, lam, tol) if plant is not None
+                check_robust_invariance(f_matrix, cset, disturbance, lam) if plant is not None
                 else check_robust_data_conditions(data, certificate.g_matrix, cset, disturbance,
-                                                  lam, tol))
+                                                  lam))
             contract_ok = robust_ok
     return VerificationReport(
         contractivity_ok=contract_ok, certificate_ok=cert_ok,

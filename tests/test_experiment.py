@@ -160,6 +160,20 @@ def test_demo_data_full_row_rank(demo_data):
     assert experiment.stacked_data_matrix(demo_data).shape == (3, 20)
 
 
+def test_the_rank_checks_do_not_depend_on_the_units(demo_data):
+    # ranked as stored, rows in units far apart read rank deficient: honest
+    # demo data with the states in units of 2^k at every k <= -29 and
+    # k >= 31, and order-3 excitation with the second input in units of 2^k
+    # at every |k| >= 30
+    inputs = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 2))
+    for k in range(-40, 41):
+        scale = 2.0 ** k
+        data = experiment.ExperimentData(demo_data.u0t, demo_data.x0t / scale,
+                                         demo_data.x1t / scale)
+        assert experiment.data_has_full_row_rank(data), k
+        assert experiment.is_persistently_exciting(inputs * [1.0, scale], 3), k
+
+
 def test_zero_experiment_is_rank_deficient(demo_plant):
     inputs = np.zeros((10, 1))
     states = experiment.simulate(demo_plant, [0.0, 0.0], inputs)

@@ -33,6 +33,7 @@ verifier does not have yet (ROADMAP item 11).
 
 import ast
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -226,6 +227,18 @@ def test_verification_is_a_leaf_module():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports and all(_is_allowed_import(node) for node in imports)
     assert not _names(tree) & {"synthesis", "lp", "__import__", "import_module"}
+
+
+def test_verify_keeps_one_tolerance():
+    # verify judges with DEFAULT_TOL, the tolerance synthesize records in every
+    # certificate; only the two loop checks can be asked to judge exactly or
+    # loosely
+    takes_a_tolerance = {
+        name for name, value in vars(verification).items()
+        if inspect.isfunction(value) and value.__module__ == verification.__name__
+        and any("tol" in param for param in inspect.signature(value).parameters)}
+    assert takes_a_tolerance == {"check_invariance_certificate", "check_vertex_contractivity"}
+    assert verification.DEFAULT_TOL == 1e-6
 
 
 def test_only_verification_names_the_data_route_checks():

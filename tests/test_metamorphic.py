@@ -17,15 +17,13 @@ certificate as the same closed loop in other terms:
   appended to G. This holds on the nominal route only: the robust
   conditions subtract T times the disturbance per sample, so one more
   sample moves the worst gauge;
-- a uniform change of units by 2^k: S ↦ 2^k S, X ↦ 2^-k X, G ↦ 2^k G,
-  K ↦ 2^k K and D ↦ 2^-k D.
+- a change of units by 2^k, uniform or one power of two per coordinate:
+  with Δ = diag(2^k), S ↦ S Δ, X ↦ Δ⁻¹ X, G ↦ G Δ, K ↦ K Δ and D ↦ D Δ⁻¹.
 
 The rewritten certificate must get the original's verdict, check by check.
 Its worst vertex gauge and its worst input gauge (the worst violation plus
 one) must agree within 1e-12 of the larger of the gauge and one, the set's
-boundary. The units relation fails at k = 34, where `verify` rejects honest
-nominal certificates: it judges P S = S F with an absolute tolerance, which
-grows with the units (ROADMAP item 22).
+boundary.
 """
 
 from dataclasses import dataclass, replace
@@ -38,7 +36,7 @@ import pytest
 from ddinv import demo, synthesis, verification
 from ddinv.experiment import (ExperimentData, build_data_matrices, random_input_sequence,
                               simulate)
-from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
+from ddinv.polytopes import DisturbanceSet, InputPolytope, PolytopeError, validate_cset
 from generators import box_input_rows, random_controllable_plant, random_cset_rows
 
 
@@ -165,11 +163,14 @@ def _repeated_sample(case, rng):
 
 
 def _units(k):
+    """The states in units of 2^k: k one exponent for every coordinate, or
+    one per coordinate."""
     def rewrite(case, rng):
-        scale, data, cert = 2.0 ** k, case.data, case.cert
+        scale, data, cert = 2.0 ** np.asarray(k, dtype=float), case.data, case.cert
+        column = np.reshape(scale, (-1, 1))
         return replace(
             case, rows=case.rows * scale,
-            data=ExperimentData(data.u0t, data.x0t / scale, data.x1t / scale),
+            data=ExperimentData(data.u0t, data.x0t / column, data.x1t / column),
             disturbance=None if case.disturbance is None else case.disturbance / scale,
             cert=replace(cert, gain=cert.gain * scale, g_matrix=cert.g_matrix * scale))
     return rewrite
@@ -204,8 +205,25 @@ def test_a_repeated_sample_gets_the_same_nominal_verdict(cases):
                           _repeated_sample)
 
 
-@pytest.mark.xfail(strict=True, reason="verify judges P S = S F and U0 G = K with absolute "
-                                       "tolerances, so its verdict depends on the state's "
-                                       "units (ROADMAP item 22)")
 def test_a_certificate_in_other_units_gets_the_same_verdict(cases):
     _assert_same_verdicts(cases, _units(34))
+
+
+def test_the_demo_certificates_get_the_same_verdict_in_any_power_of_two_units(cases):
+    # verify judged P S - S F and U0 G - K in the state's units, so these
+    # verdicts moved at every uniform k from 30 to 40 and on 38 of the
+    # per-coordinate pairs below
+    demo_cases = [case for case in cases
+                  if case.rows is demo.STATE_ROWS and case.disturbance is None]
+    assert len(demo_cases) == 2
+    for k in range(-40, 41):
+        _assert_same_verdicts(demo_cases, _units(k))
+    accepted = 0
+    for pair in product(range(-40, 41, 4), repeat=2):
+        try:
+            validate_cset(demo.STATE_ROWS * 2.0 ** np.array(pair, dtype=float))
+        except PolytopeError:
+            continue  # validate_cset still judges in the state's units
+        accepted += 1
+        _assert_same_verdicts(demo_cases, _units(pair))
+    assert accepted >= 259
