@@ -180,7 +180,8 @@ def _cmd_verify(args) -> int:
     _print_report(report)
     if not report.all_ok():
         # name the part of the loop rule that failed, if it did
-        refusal = loop_refusal(certificate, spec.data, spec.model, spec.disturbance)
+        refusal = loop_refusal(spec.state_set, spec.input_set, certificate, spec.data,
+                               spec.model, spec.disturbance)
         if refusal:
             print(f"certificate failed: {refusal}", file=sys.stderr)
         return 2
@@ -219,7 +220,8 @@ def _cmd_simulate(args) -> int:
     if spec.model is None and spec.disturbance is not None:
         return _fail("simulating a problem with a disturbance block needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")
-    refusal = loop_refusal(certificate, spec.data, spec.model, spec.disturbance)
+    refusal = loop_refusal(spec.state_set, spec.input_set, certificate, spec.data,
+                           spec.model, spec.disturbance)
     if refusal:
         print(f"error: {refusal}", file=sys.stderr)
         return 2

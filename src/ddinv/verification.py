@@ -18,8 +18,11 @@ sampled: with E = P S - S F, |row_i(S) F x| <= lambda V(x) + |E_i|_1 |x|_inf.
 
 `verify_certificate` judges with one tolerance, DEFAULT_TOL, the one
 `synthesize` records in every certificate, and only residuals without units:
-gauges, P S - S F at the vertices, and X0 G - I and U0 G - K in the data's
-power-of-two frame. So a certificate in other units gets the same verdict.
+gauges, and P S - S F, X0 G - I and U0 G - K in the set's frame, where each
+state is in the power of two that brings its column of S to unit size and
+each input likewise by the input rows (`_column_exponents`). The frame is
+the problem's, not the data's, so neither other units nor an experiment
+that excites one state far less than another moves a verdict.
 
 The checks work on all vertices at once. Each matrix-vector product in a
 stack goes through the same BLAS call as the product on its own (see
@@ -31,6 +34,9 @@ The module is a leaf: it imports only numpy, the standard library and
 `.polytopes`, nothing of the builder (`synthesis`) or the solver (`lp`), so a
 builder bug that makes a bad certificate cannot also make it pass here. The
 robust check computes its extreme disturbance projections itself for that.
+What it still shares with the builder is the set's vertex list, which the
+vertex, admissibility and robust checks use; the certificate identity and
+the data consistency use no vertex (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -63,19 +69,27 @@ def _images(matrix, points):
     return np.matmul(matrix, points[..., None])[..., 0]
 
 
-def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix,
-                                 lam: float, tol: float = DEFAULT_TOL) -> bool:
+def _column_exponents(mat) -> np.ndarray:
+    """Per column, the exponent of the power of two that brings its largest
+    magnitude into [0.5, 1): the set's unit-free frame for a state (columns
+    of S) or an input (columns of the input rows), exact."""
+    return np.frexp(np.abs(mat).max(axis=0))[1]
+
+
+def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix, lam: float) -> bool:
     """True when P is entrywise nonnegative, has row sums at most lam, and
-    satisfies P S = S F within tol at every vertex: |(P S - S F) v| <= tol,
-    a residual in gauge units, which no change of the state's units moves."""
+    satisfies P S = S F entrywise within DEFAULT_TOL in the set's frame:
+    (P S - S F) C^-1, with C the `_column_exponents` of S, does not move
+    with the state's units, and needs no vertex."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     p_matrix = np.atleast_2d(np.asarray(p_matrix, dtype=float))
     s_h = cset.h_matrix
-    if np.min(p_matrix) < -tol:
+    if np.min(p_matrix) < -DEFAULT_TOL:
         return False
-    if np.max(p_matrix.sum(axis=1)) > lam + tol:
+    if np.max(p_matrix.sum(axis=1)) > lam + DEFAULT_TOL:
         return False
-    return float(np.max(np.abs(_images(p_matrix @ s_h - s_h @ f_matrix, cset.vertices)))) <= tol
+    resid = np.ldexp(p_matrix @ s_h - s_h @ f_matrix, -_column_exponents(s_h))
+    return float(np.max(np.abs(resid))) <= DEFAULT_TOL
 
 
 def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,
@@ -208,29 +222,27 @@ def rollout(f_matrix, starts, steps: int) -> np.ndarray:
     return states
 
 
-def _row_exponents(mat) -> np.ndarray:
-    """Per row, the exponent of the power of two that brings its largest
-    magnitude into [0.5, 1), 0 for a zero row: the data's unit-free frame,
-    exact, as `polytopes` frames S's rows for the builder."""
-    return np.frexp(np.abs(mat).max(axis=1))[1]
-
-
 def _unit_rows(mat) -> np.ndarray:
-    """mat with each row brought to unit size by its `_row_exponents`."""
-    return np.ldexp(mat, -_row_exponents(mat)[:, None])
+    """mat with each row brought to unit size by a power of two, 0 for a
+    zero row: the data's unit-free frame for a rank, exact, as `polytopes`
+    frames S's rows for the builder."""
+    return np.ldexp(mat, -np.frexp(np.abs(mat).max(axis=1))[1][:, None])
 
 
-def check_data_consistency(data, g_matrix, gain) -> bool:
+def check_data_consistency(data, g_matrix, gain, cset: PolyhedralCSet,
+                           input_set: InputPolytope) -> bool:
     """X0 G = I, which makes X1 G the closed loop A + B K of K = U0 G, and
     U0 G equal to the stored gain, both entrywise within DEFAULT_TOL in the
-    data's frame: D^-1 (X0 G - I) D and E^-1 (U0 G - K) D, with D and E the
-    `_row_exponents` of X0 and U0, do not move with the units."""
+    set's frame: C (X0 G - I) C^-1 and D (U0 G - K) C^-1, with C and D the
+    `_column_exponents` of S and of the input rows. The frame is the
+    problem's, so no change of units and no uneven experiment widens it."""
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
-    d_exp, e_exp = _row_exponents(data.x0t), _row_exponents(data.u0t)
+    c_exp = _column_exponents(cset.h_matrix)
+    d_exp = _column_exponents(input_set.h_matrix)
     # a residual that overflows to inf fails, and a NaN one compares False
     with np.errstate(over="ignore", invalid="ignore"):
-        x_resid = np.ldexp(data.x0t @ g_matrix - np.eye(data.n), d_exp - d_exp[:, None])
-        u_resid = np.ldexp(data.u0t @ g_matrix - gain, d_exp - e_exp[:, None])
+        x_resid = np.ldexp(data.x0t @ g_matrix - np.eye(data.n), c_exp[:, None] - c_exp)
+        u_resid = np.ldexp(data.u0t @ g_matrix - gain, d_exp[:, None] - c_exp)
         return bool(np.max(np.abs(x_resid)) <= DEFAULT_TOL
                     and np.max(np.abs(u_resid)) <= DEFAULT_TOL)
 
@@ -246,14 +258,16 @@ def data_explained(data) -> bool:
     return numerical_rank(rows) == numerical_rank(rows[:data.m + data.n])
 
 
-def loop_refusal(certificate, data=None, plant=None, disturbance=None) -> Optional[str]:
+def loop_refusal(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
+                 data=None, plant=None, disturbance=None) -> Optional[str]:
     """The loop rule: a plant's A + B K is the stored gain's loop, and X1 G
     is only when `check_data_consistency` holds and, without a disturbance
     set, a noise-free plant explains the data (`data_explained`). Returns
     None then, otherwise the reason why not."""
     if plant is not None:
         return None
-    if not check_data_consistency(data, certificate.g_matrix, certificate.gain):
+    if not check_data_consistency(data, certificate.g_matrix, certificate.gain, cset,
+                                  input_set):
         return ("the certificate fails X0 G = I or U0 G = K, so its gain does not "
                 "drive the closed loop it certifies")
     if disturbance is None and not data_explained(data):
@@ -286,7 +300,8 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     # a certificate with huge entries may overflow to inf and NaN, which every check fails
     with np.errstate(over="ignore", invalid="ignore"):
         admissible, worst_violation = check_admissibility(gain, cset, input_set)
-        cert_ok = loop_refusal(certificate, data, plant, disturbance) is None and (
+        cert_ok = loop_refusal(cset, input_set, certificate, data, plant,
+                               disturbance) is None and (
             disturbance is not None
             or check_invariance_certificate(f_matrix, cset, certificate.p_matrix, lam))
         if disturbance is None:

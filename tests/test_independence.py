@@ -231,13 +231,13 @@ def test_verification_is_a_leaf_module():
 
 def test_verify_keeps_one_tolerance():
     # verify judges with DEFAULT_TOL, the tolerance synthesize records in every
-    # certificate; only the two loop checks can be asked to judge exactly or
-    # loosely
+    # certificate; only the vertex check can be asked to judge a loop exactly
+    # or loosely
     takes_a_tolerance = {
         name for name, value in vars(verification).items()
         if inspect.isfunction(value) and value.__module__ == verification.__name__
         and any("tol" in param for param in inspect.signature(value).parameters)}
-    assert takes_a_tolerance == {"check_invariance_certificate", "check_vertex_contractivity"}
+    assert takes_a_tolerance == {"check_vertex_contractivity"}
     assert verification.DEFAULT_TOL == 1e-6
 
 

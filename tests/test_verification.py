@@ -147,8 +147,8 @@ def test_certificate_existence_matches_vertex_test():
         p = synthesis.find_certificate_matrix(f, cset, lam)
         assert (p is not None) == ok
         if p is not None:
-            assert verification.check_invariance_certificate(f, cset, p, lam,
-                                                             tol=1e-7)
+            assert verification.check_invariance_certificate(f, cset, p, lam)
+            assert np.max(np.abs(p @ cset.h_matrix - cset.h_matrix @ f)) <= 1e-7
         seen[ok] += 1
     assert seen[True] >= 3 and seen[False] >= 3
 
@@ -365,19 +365,48 @@ def _halved(cert):
 def test_data_consistency_rejects_forged_combiners(demo_state_set, demo_input_set, demo_data):
     cert = synthesis.synthesize(
         synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
-    check = verification.check_data_consistency
-    assert check(demo_data, cert.g_matrix, cert.gain)
+
+    def check(g_matrix, gain):
+        return verification.check_data_consistency(demo_data, g_matrix, gain,
+                                                   demo_state_set, demo_input_set)
+
+    assert check(cert.g_matrix, cert.gain)
     # G / 2 keeps P / 2 a valid certificate of X1 G / 2, but X0 G / 2 = I / 2
     forged = _halved(cert)
-    assert not check(demo_data, forged.g_matrix, forged.gain)
+    assert not check(forged.g_matrix, forged.gain)
     report = verification.verify_certificate(demo_state_set, demo_input_set, forged,
                                              data=demo_data)
     assert report.contractivity_ok and report.admissibility_ok
     assert not report.certificate_ok and not report.all_ok()
-    assert not check(demo_data, cert.g_matrix, cert.gain + 1e-3)
+    assert not check(cert.g_matrix, cert.gain + 1e-3)
     g = cert.g_matrix.copy()
     g[0, 0] = np.nan
-    assert not check(demo_data, g, cert.gain)
+    assert not check(g, cert.gain)
+
+
+def test_an_unevenly_excited_experiment_does_not_widen_the_data_consistency(
+        demo_state_set, demo_input_set):
+    # inputs on [-1e-4, 1e-4] keep x2 near 1e-4 while x1 starts at 1; the
+    # demo set is left as it is. X0 G - I = 1e-3 in its corner: judged in
+    # the data's own row frame that is 2^-14 smaller, inside 1e-6, and the
+    # certificate passed; in the set's frame it is 1e-3 and fails
+    plant = PlantModel(np.array([[0.5, 0.2], [0.0, 0.5]]), np.array([[0.0], [1.0]]))
+    inputs = random_input_sequence(np.random.default_rng(7), 20, 1, amplitude=1e-4)
+    data = build_data_matrices(inputs, simulate(plant, [1.0, 0.0], inputs))
+    assert np.abs(data.x0t).max(axis=1)[1] < 2.0 ** -13
+    cert = synthesis.synthesize(
+        synthesis.SynthesisProblem(demo_state_set, demo_input_set, "minimize", data))
+    g = cert.g_matrix + np.linalg.pinv(data.x0t) @ np.array([[0.0, 1e-3], [0.0, 0.0]])
+    lam = cert.lam + 0.02
+    forged = synthesis.Certificate(
+        gain=data.u0t @ g, lam=lam, g_matrix=g,
+        p_matrix=synthesis.find_certificate_matrix(data.x1t @ g, demo_state_set, lam))
+    assert np.max(np.abs(data.x0t @ g - np.eye(2) - [[0.0, 1e-3], [0.0, 0.0]])) < 1e-12
+    report = verification.verify_certificate(demo_state_set, demo_input_set, forged, data=data)
+    assert report.contractivity_ok and report.admissibility_ok
+    assert not report.certificate_ok and not report.all_ok()
+    assert "X0 G = I" in verification.loop_refusal(demo_state_set, demo_input_set, forged,
+                                                   data=data)
 
 
 @pytest.mark.parametrize("level", [1.5, 1e308, -0.5, np.nan])
