@@ -20,6 +20,16 @@ column the full tableau would give it, 1 / pivot on the pivot row and
 have 16·T + 8 inequality rows on 2·T·n structural columns, so the slack
 identity this leaves out filled four fifths of the full tableau's width.
 
+The tableau is written in place: np.zeros, then each row block of the
+program column by column into the structural columns, one run of the
+nonneg mask at a time (_write_columns). A run of nonnegative variables is
+one block copy; a run of free ones is two strided writes, the columns into
+the even slots of their pairs and the columns times -1.0 into the odd ones.
+Those are the products of the gathered form mat[:, col_var] * col_sign, so
+the tableau has its bytes, but no gathered copy of the program is made: on
+the robust programs that copy was as large as the tableau, and with it on
+fresh pages the build took more time than the pivots.
+
 Artificials never have a column. The phase-one cost row is minus the sum
 of the rows that start on one, and an artificial that leaves the basis
 never returns: its slot is zeroed. This is exact: the restricted phase one
@@ -289,6 +299,27 @@ def _run_simplex(tab, basis, slots, nrows, width, iter_cap):
     return "iteration_limit"
 
 
+def _write_columns(out, mat, nonneg):
+    """Write mat[:, col_var] * col_sign (`_standard_columns`) into out, one
+    run of the nonneg mask at a time: a run of nonnegative variables is one
+    block copy, a run of free ones its columns into the even slots and the
+    columns times -1.0 into the odd ones. Those are the products the gathered
+    form computes, so out takes its bytes, the sign of every zero included,
+    without the gathered copy."""
+    edges = np.flatnonzero(nonneg[1:] != nonneg[:-1]) + 1
+    col = 0
+    for start, end in zip([0, *edges], [*edges, nonneg.size]):
+        run = mat[:, start:end]
+        span = (end - start) * (1 if nonneg[start] else 2)
+        block = out[:, col:col + span]
+        col += span
+        if nonneg[start]:
+            block[...] = run
+        else:
+            block[:, ::2] = run
+            np.multiply(run, -1.0, out=block[:, 1::2])
+
+
 def _standard_columns(lp: LinearProgram):
     """Variable transform z[i] = sign * s for each structural column s, in
     variable order: a nonnegative variable is one column, a free one a +/-
@@ -343,8 +374,8 @@ def _simplex(lp: LinearProgram) -> LpSolution:
     flip_rows = n_eq + np.flatnonzero(flip[n_eq:])
     slots = np.concatenate([np.arange(nstruct), nstruct + flip_rows - n_eq])
     tab = np.zeros((nrows + 1, slots.size + 1))
-    np.multiply(lp.eq_lhs[:, col_var], col_sign, out=tab[:n_eq, :nstruct])
-    np.multiply(lp.ineq_lhs[:, col_var], col_sign, out=tab[n_eq:nrows, :nstruct])
+    _write_columns(tab[:n_eq, :nstruct], lp.eq_lhs, lp.nonneg)
+    _write_columns(tab[n_eq:nrows, :nstruct], lp.ineq_lhs, lp.nonneg)
     tab[flip_rows, nstruct + np.arange(flip_rows.size)] = 1.0
     tab[np.flatnonzero(flip), :-1] *= -1.0
     tab[:nrows, -1] = np.where(flip, -rhs, rhs)

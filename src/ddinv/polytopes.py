@@ -9,15 +9,21 @@ batched linear algebra. Boundedness and a disturbance hull's hold on the
 origin are each one nonnegative least-squares problem, whose residual is zero
 exactly when the set passes, solved by Lawson and Hanson's active-set method.
 
-No rule here depends on the size of the set. Each check runs on its matrix
-times the power of two that brings the largest entry into [0.5, 1)
-(_unit_scale). That scaling is exact, so every product, solve and norm is
-the unscaled one times a power of two, and none overflows or underflows for
-the size of the set alone. The rank and boundedness checks read only row
-directions, so they see each row at unit size by its own power of two
-(_unit_rows), and no rule depends on one row's size next to another's either.
-Vertices are told apart by the rows active at them, and a row's activity
-|row . v - 1| has no unit.
+No rule here depends on the units of the state. Set validation runs in
+the set's column frame (_column_frame): H with each column times the power
+of two that brings its largest entry into [0.5, 1), so each coordinate is
+measured in a unit the set fixes. In that frame x becomes x times those
+powers of two, coordinate by coordinate, exactly: LU with partial pivoting
+picks the same pivots on column-scaled rows, so every solve, product and
+norm there is the unscaled one with each coordinate scaled by its power of
+two, the vertices come back column by column with the bits they have in
+any other power-of-two units, and none overflows or underflows for the
+units alone. The rank and boundedness checks read only row directions, so
+they see each row of the frame at unit size by its own power of two
+(_unit_rows), and no rule depends on one row's size next to another's
+either. The disturbance hull check brings each coordinate of the vertices
+to unit size the same way. Vertices are told apart by the rows active at
+them, and a row's activity |row . v - 1| has no unit.
 """
 
 from __future__ import annotations
@@ -99,12 +105,13 @@ class DisturbanceSet:
     def _hull_contains_origin(self) -> bool:
         """Whether weights w >= 0 with sum 1 put the origin at sum_i w_i d_i:
         the least-squares residual of [D^T; 1^T] w = (0, 1) over w >= 0, with
-        D brought to unit size by _unit_scale, is at most NNLS_TOL."""
-        scaled = _unit_scale(self.vertices)[0]
-        nd, n = scaled.shape
+        each coordinate of D brought to unit size by its own power of two
+        (_unit_rows of D^T), is at most NNLS_TOL."""
+        scaled = _unit_rows(self.vertices.T)
+        n, nd = scaled.shape
         target = np.zeros(n + 1)
         target[-1] = 1.0
-        _, resid = _nonneg_least_squares(np.vstack([scaled.T, np.ones(nd)]),
+        _, resid = _nonneg_least_squares(np.vstack([scaled, np.ones(nd)]),
                                          target, "disturbance hull check")
         return resid <= NNLS_TOL
 
@@ -113,14 +120,13 @@ class DisturbanceSet:
         return self.vertices.shape[1]
 
 
-def _unit_scale(mat: np.ndarray):
-    """mat times 2^-e, with e chosen so that the largest magnitude lies in
-    [0.5, 1), and e. Scaling by a power of two is exact, so a product, solve
-    or norm of the result carries the bits of the unscaled one times a power
-    of two, and none of them overflows or underflows where the set itself is
-    representable."""
-    exp = int(np.frexp(np.abs(mat).max(initial=0.0))[1])
-    return np.ldexp(mat, -exp), exp
+def _column_frame(h_matrix: np.ndarray):
+    """h_matrix with each column times the power of two that brings its
+    largest magnitude into [0.5, 1), and those exponents, one per column; a
+    zero column stays zero. The scaling is exact: a point x of the set is
+    the point x * 2^exp of the frame's."""
+    exp = np.frexp(np.abs(h_matrix).max(axis=0, initial=0.0))[1]
+    return np.ldexp(h_matrix, -exp), exp
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
@@ -198,8 +204,10 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     Candidate points solve H_J x = 1 for an invertible row subset J and are
     kept when the rows of J are active at them and every row holds. Two candidates are the same vertex when
     the same rows are active at them, |H v - 1| <= ACTIVE_TOL, and the first
-    one found stands for the vertex. The work runs on H scaled by _unit_scale
-    and the vertices are scaled back, so every bit is the same at any scale.
+    one found stands for the vertex, which must have n independent active
+    rows. The work runs in the column frame (_column_frame) and the vertices
+    are scaled back column by column, so every bit is the same in any
+    power-of-two units of the state.
 
     All subsets are solved in one batched call. A subset is skipped when its
     LU factorization meets an exactly zero pivot (slogdet sign 0), the same
@@ -207,17 +215,19 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     gesv one matrix at a time, so the candidates and their order match a
     subset-by-subset loop.
     """
-    h_matrix, exp = _unit_scale(np.atleast_2d(np.asarray(h_matrix, dtype=float)))
+    h_matrix = np.atleast_2d(np.asarray(h_matrix, dtype=float))
     n_rows, n = h_matrix.shape
     if n == 0:
         raise PolytopeError("H has no columns: a set needs at least one dimension")
-    # a row that the scale makes subnormal has lost its precision, so its
+    h_matrix, exp = _column_frame(h_matrix)
+    # a row that the frame makes subnormal has lost its precision, so its
     # vertices could not be told apart from rounding
     sizes = np.abs(h_matrix).max(axis=1)
     if ((sizes > 0.0) & (sizes < np.finfo(float).tiny)).any():
         raise PolytopeError("rows too different in size: scaled with the largest, a row "
                             "falls below the smallest normal float")
-    if numerical_rank(_unit_rows(h_matrix)) < n:
+    rows = _unit_rows(h_matrix)
+    if numerical_rank(rows) < n:
         raise RankDeficientError("H must have full column rank")
     _check_bounded(h_matrix)
     ones = np.ones(n)
@@ -232,13 +242,19 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     # does in the subset-by-subset form
     keep = (np.isfinite(cands).all(axis=1) & ~(resid > ACTIVE_TOL)
             & ~(images.max(axis=1) > 1.0 + VERTEX_FEAS_TOL))
+    actives = np.abs(images[keep] - 1.0) <= ACTIVE_TOL
     first = {}
-    for index, active in zip(np.flatnonzero(keep), np.abs(images[keep] - 1.0) <= ACTIVE_TOL):
-        first.setdefault(active.tobytes(), index)
+    for pos, active in enumerate(actives):
+        first.setdefault(active.tobytes(), pos)
+    picks = list(first.values())
+    # zeroing a vertex's inactive rows keeps the singular values of its
+    # active ones, so one stacked call ranks every vertex
+    if (numerical_rank(np.where(actives[picks][:, :, None], rows, 0.0)) < n).any():
+        raise PolytopeError("vertex lacks n independent active rows")
     # a vertex past the largest float comes back infinite, for validate_cset
     # to refuse
     with np.errstate(over="ignore"):
-        return np.ldexp(cands[list(first.values())], -exp)
+        return np.ldexp(cands[np.flatnonzero(keep)[picks]], -exp)
 
 
 def validate_cset(h_matrix) -> PolyhedralCSet:
@@ -255,11 +271,6 @@ def validate_cset(h_matrix) -> PolyhedralCSet:
         raise PolytopeError("no vertices found; representation is degenerate")
     if not np.isfinite(verts).all():
         raise PolytopeError("set too large: a vertex lies past the largest float")
-    # zeroing a vertex's inactive rows keeps the singular values of its
-    # active ones, so one stacked call ranks every vertex
-    active = np.abs(verts @ h_matrix.T - 1.0) <= ACTIVE_TOL
-    if (numerical_rank(np.where(active[:, :, None], _unit_rows(h_matrix), 0.0)) < n).any():
-        raise PolytopeError("vertex lacks n independent active rows")
     return PolyhedralCSet(h_matrix=h_matrix, vertices=verts)
 
 

@@ -124,10 +124,13 @@ class Certificate:
         self.lam = float(self.lam)
 
 
-def _vertex_rows(verts, mat) -> np.ndarray:
-    """kron(s, mat) for every vertex s, stacked; mat may have no columns."""
+def _vertex_rows(verts, mat, out):
+    """Write kron(s, mat) for every vertex s, stacked, into out, an
+    (n_v * rows, n * q) block; splitting each of its axes in two gives a view,
+    so the product lands in out. mat may have no columns."""
     (n_v, n), (rows, q) = verts.shape, mat.shape
-    return (verts[:, None, :, None] * mat[None, :, None, :]).reshape(n_v * rows, n * q)
+    np.multiply(verts[:, None, :, None], mat[None, :, None, :],
+                out=out.reshape(n_v, rows, n, q))
 
 
 def _extreme_shifts(s_h, disturbance: DisturbanceSet) -> np.ndarray:
@@ -189,7 +192,7 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
     sum_rows = np.zeros((n_r, nvars))
     sum_rows[:, p_off:p_end] = np.kron(np.eye(n_r), np.ones((1, n_s)))
     admiss_rows = np.zeros((verts.shape[0] * admiss.shape[0], nvars))
-    admiss_rows[:, :p_off] = _vertex_rows(verts, admiss)
+    _vertex_rows(verts, admiss, admiss_rows[:, :p_off])
     objective = np.zeros(nvars)
     ineq = [sum_rows, admiss_rows]
     ineq_rhs = [np.full(n_r, 0.0 if lam is None else float(lam)), np.ones(admiss_rows.shape[0])]
@@ -251,14 +254,17 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     # side; a carried row also stands for its partner's rows
     hi = np.maximum(shift[reps, 0], shift[partner[reps], 0])
     admiss = input_set.h_matrix @ data.u0t
+    block = prop[:, :, reps].reshape(-1, T)
+    n_prop = verts.shape[0] * block.shape[0]
+    ineq_lhs = np.empty((n_prop + verts.shape[0] * admiss.shape[0], T * n))
+    _vertex_rows(verts, block, ineq_lhs[:n_prop])
+    _vertex_rows(verts, admiss, ineq_lhs[n_prop:])
     ineq_rhs = np.concatenate([np.tile(1.0 - hi, verts.shape[0] * T * 2),
                                np.ones(verts.shape[0] * admiss.shape[0])])
     return lp.LinearProgram(
         num_vars=T * n, objective=np.zeros(T * n),
         eq_lhs=np.kron(np.eye(n), data.x0t), eq_rhs=np.eye(n).ravel(),
-        ineq_lhs=np.vstack([_vertex_rows(verts, prop[:, :, reps].reshape(-1, T)),
-                            _vertex_rows(verts, admiss)]),
-        ineq_rhs=ineq_rhs)
+        ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs)
 
 
 def extract_gain(data: ExperimentData, g_matrix) -> np.ndarray:

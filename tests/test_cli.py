@@ -296,6 +296,27 @@ def test_robust_flow(tmp_path, capsys):
                      "--steps", "10", "--out", str(tmp_path / "run")]) == 1
 
 
+def test_a_disturbance_segment_off_the_origin_is_refused_by_every_command(tmp_path, capsys):
+    # the segment from (-0.001, 1e-13) to (0.001, 1e-13) misses the origin;
+    # judged with one power of two for both coordinates, the hull check once
+    # took it for a set around the origin, and synthesize and verify both
+    # exited 0 on it
+    config = _write_config(tmp_path, {**DEMO_CONFIG, "disturbance_radius": 0.001})
+    problem, cert_path = tmp_path / "problem.json", str(tmp_path / "certificate.json")
+    assert cli.main(["generate", config, "--out", str(problem)]) == 0
+    assert cli.main(["synthesize", str(problem), "--out", cert_path]) == 0
+    raw = json.loads(problem.read_text())
+    raw["disturbance"]["vertices"] = [[0.001, 1e-13], [-0.001, 1e-13]]
+    problem.write_text(json.dumps(raw))
+    capsys.readouterr()
+    refusal = "error: invalid problem: disturbance hull must contain the origin\n"
+    assert cli.main(["synthesize", str(problem), "--out", str(tmp_path / "other.json")]) == 1
+    assert capsys.readouterr().err == refusal
+    assert not (tmp_path / "other.json").exists()
+    assert cli.main(["verify", str(problem), cert_path]) == 1
+    assert capsys.readouterr().err == refusal
+
+
 def test_robust_flag_is_a_usage_error(tmp_path, demo_problem, capsys):
     # the disturbance block, not a flag, selects robust design
     cert_path = tmp_path / "certificate.json"

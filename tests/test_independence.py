@@ -149,9 +149,9 @@ def _row_pairs_crossed(s_h):
     return np.flatnonzero(np.arange(partner.size) < crossed), crossed
 
 
-def _vertex_rows_factors_swapped(verts, mat):
+def _vertex_rows_factors_swapped(verts, mat, out):
     (n_v, n), (rows, q) = verts.shape, mat.shape
-    return (mat[None, :, :, None] * verts[:, None, None, :]).reshape(n_v * rows, n * q)
+    out[...] = (mat[None, :, :, None] * verts[:, None, None, :]).reshape(n_v * rows, n * q)
 
 
 @pytest.mark.parametrize("helper, planted", [

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,20 +527,21 @@ def _tall_robust_programs(rng, per_shape=2):
     input interval [-5, 5], for T = 24 and 40 (392 and 648 rows, the box's
     opposite rows paired). Their pivot rows are sparse on the full
     tableau's width and nearly full on the columns kept."""
-    box = np.vstack([np.eye(2), -np.eye(2)])
+    return [synthesis.build_robust_lp(*_tall_robust_problem(rng, samples))
+            for samples in (24, 40) for _ in range(per_shape)]
+
+
+def _tall_robust_problem(rng, samples):
+    """build_robust_lp's arguments for one of `_tall_robust_programs`."""
+    radius = 0.05 / samples
+    plant = random_controllable_plant(rng, 2, 1, spectral_radius=0.3)
+    inputs = random_input_sequence(rng, samples, 1)
+    states = simulate(plant, rng.uniform(-0.5, 0.5, size=2), inputs,
+                      rng.uniform(-radius, radius, size=(samples, 2)))
     corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-    programs = []
-    for samples in (24, 40):
-        radius = 0.05 / samples
-        for _ in range(per_shape):
-            plant = random_controllable_plant(rng, 2, 1, spectral_radius=0.3)
-            inputs = random_input_sequence(rng, samples, 1)
-            states = simulate(plant, rng.uniform(-0.5, 0.5, size=2), inputs,
-                              rng.uniform(-radius, radius, size=(samples, 2)))
-            programs.append(synthesis.build_robust_lp(
-                build_data_matrices(inputs, states), validate_cset(box),
-                InputPolytope([[0.2], [-0.2]]), DisturbanceSet(radius * corners)))
-    return programs
+    return (build_data_matrices(inputs, states),
+            validate_cset(np.vstack([np.eye(2), -np.eye(2)])),
+            InputPolytope([[0.2], [-0.2]]), DisturbanceSet(radius * corners))
 
 
 def _kgon_programs(rng, per_shape=2):
@@ -687,6 +689,61 @@ def test_robust_tableau_keeps_no_slack_identity(monkeypatch):
     monkeypatch.setattr(lp, "_pivot", recorded)
     assert lp.solve(program).status == lp.LpStatus.FEASIBLE
     assert widths and set(widths) == {2 * samples * n + 1}
+
+
+@pytest.mark.parametrize("nonneg", [
+    [True, False, False, True, True, False, True, False, False],
+    [False, True] * 4, [False] * 5, [True] * 5, [False], [True],
+], ids=["runs", "alternating", "all-free", "all-nonnegative", "one-free", "one-nonnegative"])
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_tableau_columns_are_the_gathered_product_byte_for_byte(nonneg, rows):
+    # the columns are written run by run, not gathered: their bytes, the
+    # sign of every zero included, are those of mat[:, col_var] * col_sign
+    rng = np.random.default_rng(len(nonneg) * 10 + rows)
+    nonneg = np.array(nonneg)
+    mat = rng.normal(size=(rows, nonneg.size))
+    zeros = rng.random(mat.shape) < 0.4
+    mat[zeros] = np.copysign(0.0, rng.normal(size=zeros.sum()))
+    if rows == 7:
+        mat[0], mat[1] = 0.0, -0.0
+    col_var, col_sign = lp._standard_columns(
+        lp.LinearProgram(num_vars=nonneg.size, objective=np.zeros(nonneg.size), nonneg=nonneg))
+    out = np.full((rows, col_var.size), np.nan)
+    lp._write_columns(out, mat, nonneg)
+    assert out.tobytes() == (mat[:, col_var] * col_sign).tobytes()
+
+
+def _traced_peak(call):
+    """call's result and the most memory it held at once above what was
+    held before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_tall_robust_program_is_built_and_solved_without_a_program_sized_copy():
+    # the T = 40 box program (648 x 80): the builder writes its row blocks
+    # into one matrix, with no stacked copy, and the simplex writes the
+    # columns into the tableau, with no gathered copy of the program; each
+    # copy would add about one matrix's or one tableau's bytes
+    args = _tall_robust_problem(np.random.default_rng(40), 40)
+    program = synthesis.build_robust_lp(*args)
+    assert program.ineq_lhs.shape == (648, 80)
+    assert lp.solve(program).status == lp.LpStatus.FEASIBLE
+    rebuilt, build_peak = _traced_peak(lambda: synthesis.build_robust_lp(*args))
+    assert build_peak < 2.0 * rebuilt.ineq_lhs.nbytes
+    # every variable free and every inequality right-hand side positive: the
+    # tableau is [2 T n structural columns | rhs] on every row and the cost
+    assert not program.nonneg.any() and (program.ineq_rhs > 0.0).all()
+    tableau_bytes = 8 * (program.eq_lhs.shape[0] + program.ineq_lhs.shape[0] + 1) * (
+        2 * program.num_vars + 1)
+    sol, solve_peak = _traced_peak(lambda: lp.solve(program))
+    assert sol.status == lp.LpStatus.FEASIBLE
+    assert solve_peak < 1.25 * tableau_bytes
 
 
 def test_phase_one_breakdown_has_its_own_status(monkeypatch):

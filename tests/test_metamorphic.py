@@ -36,7 +36,7 @@ import pytest
 from ddinv import demo, synthesis, verification
 from ddinv.experiment import (ExperimentData, build_data_matrices, random_input_sequence,
                               simulate)
-from ddinv.polytopes import DisturbanceSet, InputPolytope, PolytopeError, validate_cset
+from ddinv.polytopes import DisturbanceSet, InputPolytope, validate_cset
 from generators import box_input_rows, random_controllable_plant, random_cset_rows
 
 
@@ -212,18 +212,13 @@ def test_a_certificate_in_other_units_gets_the_same_verdict(cases):
 def test_the_demo_certificates_get_the_same_verdict_in_any_power_of_two_units(cases):
     # verify judged P S - S F and U0 G - K in the state's units, so these
     # verdicts moved at every uniform k from 30 to 40 and on 38 of the
-    # per-coordinate pairs below
+    # per-coordinate pairs below; validate_cset judged in them too, and
+    # refused 182 of the 441 pairs. Each rewritten set is validated again
+    # (`_report`), so every pair is accepted here
     demo_cases = [case for case in cases
                   if case.rows is demo.STATE_ROWS and case.disturbance is None]
     assert len(demo_cases) == 2
     for k in range(-40, 41):
         _assert_same_verdicts(demo_cases, _units(k))
-    accepted = 0
     for pair in product(range(-40, 41, 4), repeat=2):
-        try:
-            validate_cset(demo.STATE_ROWS * 2.0 ** np.array(pair, dtype=float))
-        except PolytopeError:
-            continue  # validate_cset still judges in the state's units
-        accepted += 1
         _assert_same_verdicts(demo_cases, _units(pair))
-    assert accepted >= 259
