@@ -8,6 +8,10 @@ No check here solves an LP. Vertices come from the n-row subsets of H in
 batched linear algebra. Boundedness and a disturbance hull's hold on the
 origin are each one nonnegative least-squares problem, whose residual is zero
 exactly when the set passes, solved by Lawson and Hanson's active-set method.
+Each is first tried at its obvious witness, a point of the least squares'
+feasible set that a centrally symmetric set or disturbance makes exact; a
+witness that passes gives the verdict of the least squares' optimum, and
+otherwise the least squares runs.
 
 No rule here depends on the units of the state. Set validation runs in
 the set's column frame (_column_frame): H with each column times the power
@@ -106,13 +110,22 @@ class DisturbanceSet:
         """Whether weights w >= 0 with sum 1 put the origin at sum_i w_i d_i:
         the least-squares residual of [D^T; 1^T] w = (0, 1) over w >= 0, with
         each coordinate of D brought to unit size by its own power of two
-        (_unit_rows of D^T), is at most NNLS_TOL."""
+        (_unit_rows of D^T), is at most NNLS_TOL.
+
+        Equal weights 1/n_d are tried first. They are a feasible point, so
+        the least squares' optimum has a residual at most theirs, and when
+        theirs is at most NNLS_TOL the verdict is True without the solve,
+        which stops on its gradient tolerance and can stop a little above
+        that optimum. A larger residual decides nothing, and the least
+        squares runs."""
         scaled = _unit_rows(self.vertices.T)
         n, nd = scaled.shape
+        mat = np.vstack([scaled, np.ones(nd)])
         target = np.zeros(n + 1)
         target[-1] = 1.0
-        _, resid = _nonneg_least_squares(np.vstack([scaled, np.ones(nd)]),
-                                         target, "disturbance hull check")
+        if np.linalg.norm(mat @ np.full(nd, 1.0 / nd) - target) <= NNLS_TOL:
+            return True
+        _, resid = _nonneg_least_squares(mat, target, "disturbance hull check")
         return resid <= NNLS_TOL
 
     @property
@@ -188,11 +201,19 @@ def _check_bounded(h_matrix: np.ndarray):
     when H^T y = 0 has a solution y > 0 (Stiemke's transposition theorem).
     With unit rows G and y = 1 + z, that is a zero residual of the least
     squares G^T z = -G^T 1 over z >= 0, up to NNLS_TOL times sum(y), the
-    largest |G^T y| can be."""
+    largest |G^T y| can be.
+
+    y = 1, z = 0, is tried first. The least squares' optimum has a residual
+    at most |G^T 1|, the residual at z = 0, and its tolerance NNLS_TOL (m + sum(z))
+    is at least NNLS_TOL m for m rows. So |G^T 1| <= NNLS_TOL m is the
+    verdict "bounded" of that optimum, and a larger one decides nothing:
+    the least squares runs."""
     rows = _unit_rows(h_matrix)
     norms = np.linalg.norm(rows, axis=1)
     rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     pull = rows.sum(axis=0)
+    if np.linalg.norm(pull) <= NNLS_TOL * rows.shape[0]:
+        return
     extra, resid = _nonneg_least_squares(rows.T, -pull, "boundedness check")
     if resid > NNLS_TOL * (rows.shape[0] + extra.sum()):
         raise UnboundedSetError("set is unbounded: its rows do not positively span the space")

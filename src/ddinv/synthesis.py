@@ -51,7 +51,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import lp
-from .experiment import ExperimentData, PlantModel
+from .experiment import ExperimentData, PlantModel, data_has_full_row_rank
 from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 EPS_STRICT = 1e-6
@@ -127,7 +127,9 @@ class Certificate:
 def _vertex_rows(verts, mat, out):
     """Write kron(s, mat) for every vertex s, stacked, into out, an
     (n_v * rows, n * q) block; splitting each of its axes in two gives a view,
-    so the product lands in out. mat may have no columns."""
+    so the product lands in out. mat may have no columns. With verts the
+    identity, out is kron(I, mat) with np.kron's bytes: the same products,
+    without its reshapes and its copy."""
     (n_v, n), (rows, q) = verts.shape, mat.shape
     np.multiply(verts[:, None, :, None], mat[None, :, None, :],
                 out=out.reshape(n_v, rows, n, q))
@@ -162,7 +164,8 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
     matrix D (q x n, stacked column-major): P >= 0 with P S = S F, the rows
     P 1 <= lam 1, then admiss D s <= 1 at every vertex s. P has a row for
     each of S's representative rows (`_row_pairs`). When given, the rows
-    consistency vec(D) = vec(I) close the equalities. D is free, P
+    kron(I, consistency) vec(D) = vec(I), that is consistency D = I, close
+    the equalities. D is free, P
     nonnegative. lam=None minimizes the level, the last variable, which is
     nonnegative, moves to the left of the row sums and is capped by the last
     row, lambda <= 1 - EPS_STRICT."""
@@ -177,20 +180,19 @@ def _nominal_lp(state_set: PolyhedralCSet, s_f0, s_m, admiss, lam,
     nvars = p_end + (1 if lam is None else 0)
 
     # P S = S F row by row: S^T p_i - kron(I, (s_m)_i) vec(D) = (s_f0)_i
-    eq = np.zeros((n_r * n, nvars))
-    eq[:, :p_off] = -(np.eye(n)[None, :, :, None] * s_m[:, None, None, :]).reshape(n_r * n, p_off)
+    n_eq = n_r * n
+    eq = np.zeros((n_eq + (0 if consistency is None else n * n), nvars))
+    eq[:n_eq, :p_off] = -(np.eye(n)[None, :, :, None] * s_m[:, None, None, :]).reshape(n_eq, p_off)
     # S^T on the diagonal of an (n_r, n, n_r, n_s) view of the P columns
     diag = np.arange(n_r)
-    eq[:, p_off:p_end].reshape(n_r, n, n_r, n_s)[diag, :, diag] = s_h.T
+    eq[:n_eq, p_off:p_end].reshape(n_r, n, n_r, n_s)[diag, :, diag] = s_h.T
     eq_rhs = s_f0.ravel()
     if consistency is not None:
-        rows = np.zeros((consistency.shape[0], nvars))
-        rows[:, :p_off] = consistency
-        eq = np.vstack([eq, rows])
+        _vertex_rows(np.eye(n), consistency, eq[n_eq:, :p_off])
         eq_rhs = np.concatenate([eq_rhs, np.eye(n).ravel()])
 
     sum_rows = np.zeros((n_r, nvars))
-    sum_rows[:, p_off:p_end] = np.kron(np.eye(n_r), np.ones((1, n_s)))
+    _vertex_rows(np.eye(n_r), np.ones((1, n_s)), sum_rows[:, p_off:p_end])
     admiss_rows = np.zeros((verts.shape[0] * admiss.shape[0], nvars))
     _vertex_rows(verts, admiss, admiss_rows[:, :p_off])
     objective = np.zeros(nvars)
@@ -221,7 +223,7 @@ def build_databased_lp(data: ExperimentData, state_set: PolyhedralCSet,
     the level."""
     return _nominal_lp(state_set, np.zeros((state_set.num_rows, data.n)),
                        state_set.h_matrix @ data.x1t, input_set.h_matrix @ data.u0t,
-                       lam, np.kron(np.eye(data.n), data.x0t))
+                       lam, data.x0t)
 
 
 def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
@@ -261,9 +263,12 @@ def build_robust_lp(data: ExperimentData, state_set: PolyhedralCSet,
     _vertex_rows(verts, admiss, ineq_lhs[n_prop:])
     ineq_rhs = np.concatenate([np.tile(1.0 - hi, verts.shape[0] * T * 2),
                                np.ones(verts.shape[0] * admiss.shape[0])])
+    # X0 G = I
+    eq_lhs = np.empty((n * n, T * n))
+    _vertex_rows(np.eye(n), data.x0t, eq_lhs)
     return lp.LinearProgram(
         num_vars=T * n, objective=np.zeros(T * n),
-        eq_lhs=np.kron(np.eye(n), data.x0t), eq_rhs=np.eye(n).ravel(),
+        eq_lhs=eq_lhs, eq_rhs=np.eye(n).ravel(),
         ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs)
 
 
@@ -341,15 +346,25 @@ def minimize_lambda(problem: SynthesisProblem) -> Certificate:
 
 def _nominal_design(problem: SynthesisProblem, lam: Optional[float]) -> Certificate:
     """Design from the model or the data at level lam, or at the smallest
-    level when lam is None."""
+    level when lam is None. An infeasible data program on data whose
+    [U0; X0] lacks full row rank says so: only with that rank does it
+    decide as the model's program would."""
     what = "level minimization" if lam is None else f"design at level {lam}"
     source = problem.source
     if isinstance(source, PlantModel):
         route, build, q = "model-based", build_modelbased_lp, source.m
     else:
         route, build, q = "data-based", build_databased_lp, source.samples
-    primal = _solve(build, f"{route} {what}", source, problem.state_set,
-                    problem.input_set, lam)
+    try:
+        primal = _solve(build, f"{route} {what}", source, problem.state_set,
+                        problem.input_set, lam)
+    except InfeasibleProblem as exc:
+        if isinstance(source, PlantModel) or data_has_full_row_rank(source):
+            raise
+        raise InfeasibleProblem(
+            f"{exc}; but [U0; X0] lacks full row rank (m + n = {source.m + source.n}), "
+            "the rank condition under which the data decide as the plant would, "
+            "so a gain for the plant may still exist") from exc
     d = _unpack_d(primal, q, source.n)
     g = None if isinstance(source, PlantModel) else d
     return Certificate(gain=d if g is None else extract_gain(source, g),

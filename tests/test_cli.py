@@ -137,6 +137,35 @@ def test_infeasible_level_exits_two(tmp_path, demo_problem, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_infeasible_on_full_rank_data_names_no_rank(tmp_path, demo_problem, capsys, monkeypatch):
+    ranked = []
+    monkeypatch.setattr(synthesis, "data_has_full_row_rank",
+                        lambda data: ranked.append(data) or True)
+    cert_path = str(tmp_path / "certificate.json")
+    assert cli.main(["synthesize", demo_problem, "--out", cert_path]) == 0
+    assert ranked == []  # a feasible verdict needs no rank
+    capsys.readouterr()
+    assert cli.main(["synthesize", demo_problem, "--lambda", "0.2", "--out", cert_path]) == 2
+    assert capsys.readouterr().err == "infeasible: data-based design at level 0.2 is infeasible\n"
+    assert len(ranked) == 1
+
+
+def test_infeasible_on_short_data_names_the_rank_condition(tmp_path, capsys):
+    # two samples cannot give [U0; X0] rank 3, so "infeasible" says nothing
+    # about the plant, whose least level is 0.758333
+    cfg = _write_config(tmp_path, {**DEMO_CONFIG, "samples": 2})
+    problem = str(tmp_path / "problem.json")
+    assert cli.main(["generate", cfg, "--out", problem]) == 0
+    capsys.readouterr()
+    cert_path = tmp_path / "certificate.json"
+    assert cli.main(["synthesize", problem, "--lambda", "min", "--out", str(cert_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: data-based level minimization is infeasible; "
+                          "but [U0; X0] lacks full row rank (m + n = 3)")
+    assert "a gain for the plant may still exist" in err
+    assert len(err.splitlines()) == 1 and not cert_path.exists()
+
+
 def test_bad_lambda_value_exits_one(tmp_path, demo_problem):
     cert_path = str(tmp_path / "certificate.json")
     assert cli.main(["synthesize", demo_problem, "--lambda", "1.5",

@@ -480,12 +480,79 @@ def test_hull_check_on_many_vertices_agrees_with_highs():
 
 
 def test_least_squares_past_its_step_cap_is_a_clean_set_error(monkeypatch):
+    # a triangle and a triangle disturbance: no witness decides them, so
+    # the least squares runs and meets the cap
     monkeypatch.setattr(polytopes, "NNLS_ITER_FACTOR", 0)
     with pytest.raises(polytopes.PolytopeError, match="^boundedness check failed: no answer") as info:
-        polytopes.validate_cset(BOX_2D)
+        polytopes.validate_cset([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     assert not isinstance(info.value, polytopes.UnboundedSetError)
     with pytest.raises(polytopes.PolytopeError, match="^disturbance hull check failed: no answer"):
-        polytopes.DisturbanceSet(DIST_BOX)
+        polytopes.DisturbanceSet(0.05 * np.array([[2.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+
+
+def _witness_sweep_rows(rng, case, n):
+    """Rows (or vertices) in n dimensions, shuffled: opposite pairs, as they
+    are or perturbed, opposite pairs with a near copy of a row or two, or
+    general rows about a random center."""
+    half = rng.normal(size=(int(rng.integers(1, 5)), n))
+    rows = np.vstack([half, -half])
+    if case == "perturbed":
+        rows += 10.0 ** rng.uniform(-11.0, -8.0) * rng.normal(size=rows.shape)
+    elif case == "near-parallel":
+        copied = rows[rng.integers(rows.shape[0], size=int(rng.integers(1, 3)))]
+        rows = np.vstack([rows, copied + 1e-6 * rng.normal(size=copied.shape)])
+    elif case == "general":
+        rows = (rng.normal(size=(int(rng.integers(n + 1, n + 6)), n))
+                + rng.uniform(0.0, 1.0) * rng.normal(size=n))
+    return rows[rng.permutation(rows.shape[0])]
+
+
+def test_a_witness_never_overrules_the_least_squares(monkeypatch):
+    # each check first tries one feasible point of its least squares; that
+    # point may decide only what the least squares' optimum decides. The
+    # hull solve stops on a gradient tolerance, and on a few nearly
+    # symmetric hulls it stops above the equal weights' residual: there the
+    # witness is the one that is right, as HiGHS says
+    solve = polytopes._nonneg_least_squares
+    calls = []
+    monkeypatch.setattr(polytopes, "_nonneg_least_squares",
+                        lambda *args: calls.append(args) or solve(*args))
+    rng = np.random.default_rng(73)
+    decided = {"bounded": 0, "hull": 0}
+    stopped_short = 0
+    for index in range(2400):
+        case = ("symmetric", "perturbed", "near-parallel", "general")[index % 4]
+        rows = _witness_sweep_rows(rng, case, int(rng.integers(1, 5)))
+        units = polytopes._unit_rows(rows)
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        extra, resid = solve(units.T, -units.sum(axis=0), "test")
+        expected = resid <= polytopes.NNLS_TOL * (rows.shape[0] + extra.sum())
+        calls.clear()
+        try:
+            polytopes._check_bounded(rows)
+            bounded = True
+        except polytopes.UnboundedSetError:
+            bounded = False
+        assert bounded == expected, (case, rows.tolist())
+        decided["bounded"] += not calls
+
+        verts = _witness_sweep_rows(rng, case, int(rng.integers(1, 5)))
+        mat = np.vstack([polytopes._unit_rows(verts.T), np.ones(verts.shape[0])])
+        target = np.eye(1, mat.shape[0], mat.shape[0] - 1)[0]
+        resid = solve(mat, target, "test")[1]
+        dset = polytopes.DisturbanceSet.__new__(polytopes.DisturbanceSet)
+        dset.vertices = verts
+        calls.clear()
+        holds = dset._hull_contains_origin()
+        if holds != (resid <= polytopes.NNLS_TOL):
+            weights = np.full(verts.shape[0], 1.0 / verts.shape[0])
+            assert not calls and resid > np.linalg.norm(mat @ weights - target), verts.tolist()
+            assert hull_holds_origin_highs(verts), verts.tolist()
+            stopped_short += 1
+        decided["hull"] += not calls
+    for check, count in decided.items():
+        assert 1000 <= count <= 2400 - 500, (check, count)
+    assert stopped_short <= 10
 
 
 def test_least_squares_matches_scipy_nnls():
