@@ -36,7 +36,7 @@ from .polytopes import DisturbanceSet, gauge, ordered_vertices_2d
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
 from .verification import (DEFAULT_TOL, VerificationReport, _images, closed_loop,
-                           loop_refusal, lyapunov_values, rollout, verify_certificate)
+                           lyapunov_values, rollout, verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -45,8 +45,11 @@ def _fail(message: str) -> int:
 
 
 def _json_number(value):
-    """JSON has no non-finite numbers: those are written as 'inf', '-inf' or 'nan'."""
-    return value if value is None or np.isfinite(value) else str(float(value))
+    """JSON has no non-finite numbers: those are written as 'inf', '-inf' or
+    'nan'. None and strings pass as they are."""
+    if value is None or isinstance(value, str) or np.isfinite(value):
+        return value
+    return str(float(value))
 
 
 def _report_to_dict(report: VerificationReport) -> dict:
@@ -54,7 +57,9 @@ def _report_to_dict(report: VerificationReport) -> dict:
     return {**fields, "tolerance": DEFAULT_TOL}
 
 
-def _print_report(report: VerificationReport):
+def _print_report(report: VerificationReport) -> bool:
+    """Print the report, and the loop rule's refusal, if any, as a
+    `certificate failed:` line on stderr. Returns `all_ok()`."""
     def word(flag):
         return "ok" if flag else "FAILED"
 
@@ -67,6 +72,9 @@ def _print_report(report: VerificationReport):
         print("robustness      n/a")
     else:
         print(f"robustness      {word(report.robust_ok)}")
+    if report.loop_refusal:
+        print(f"certificate failed: {report.loop_refusal}", file=sys.stderr)
+    return report.all_ok()
 
 
 def _cmd_generate(args) -> int:
@@ -154,9 +162,9 @@ def _cmd_synthesize(args) -> int:
                             fileio.file_digest(args.problem))
     print(f"gain: {np.array2string(certificate.gain, precision=6)}")
     print(f"lambda: {certificate.lam:.9g}")
-    _print_report(report)
+    verified = _print_report(report)
     print(f"wrote {args.out}")
-    if not report.all_ok():
+    if not verified:
         print("verification failed", file=sys.stderr)
         return 2
     return 0
@@ -177,13 +185,7 @@ def _cmd_verify(args) -> int:
     spec, certificate = _load_pair(args)
     report = verify_certificate(spec.state_set, spec.input_set, certificate,
                                 data=spec.data, plant=spec.model, disturbance=spec.disturbance)
-    _print_report(report)
-    if not report.all_ok():
-        # name the part of the loop rule that failed, if it did
-        refusal = loop_refusal(spec.state_set, spec.input_set, certificate, spec.data,
-                               spec.model, spec.disturbance)
-        if refusal:
-            print(f"certificate failed: {refusal}", file=sys.stderr)
+    if not _print_report(report):
         return 2
     print("all checks passed")
     return 0
@@ -200,7 +202,8 @@ def _input_bounds(input_rows: np.ndarray):
 
 def _cmd_simulate(args) -> int:
     spec, certificate = _load_pair(args)
-    f_matrix = closed_loop(certificate, spec.state_set, spec.input_set, spec.data, spec.model)
+    f_matrix, refusal = closed_loop(certificate, spec.state_set, spec.input_set, spec.data,
+                                    spec.model, spec.disturbance)
     state_set, input_set = spec.state_set, spec.input_set
     try:
         x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
@@ -220,8 +223,6 @@ def _cmd_simulate(args) -> int:
     if spec.model is None and spec.disturbance is not None:
         return _fail("simulating a problem with a disturbance block needs a model block; "
                      "the disturbed closed loop cannot be rebuilt from data")
-    refusal = loop_refusal(spec.state_set, spec.input_set, certificate, spec.data,
-                           spec.model, spec.disturbance)
     if refusal:
         print(f"error: {refusal}", file=sys.stderr)
         return 2
@@ -342,7 +343,8 @@ def main(argv=None) -> int:
         return _fail(f"out of memory: {exc}")
     except (OSError, ValueError, SolverFailure) as exc:
         # ValueError covers FileFormatError, PolytopeError and the shape
-        # errors of closed_loop; any other type is a bug and stays loud
+        # errors that closed_loop raises before it judges the loop; any
+        # other type is a bug and stays loud
         return _fail(str(exc))
 
 

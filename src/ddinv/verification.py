@@ -6,10 +6,12 @@ lambda, the equivalent vertex test via the gauge, and input admissibility at
 the vertices. Robust certificates are checked by pushing every vertex through
 F and adding the worst disturbance vertex, at the level the check is given.
 
-One rule, `loop_refusal`, decides whether F is the loop the stored gain
-drives: A + B K is, and X1 G is when X0 G = I, U0 G = K and, without a
-disturbance set, a noise-free plant explains the data. `verify_certificate`
-and the CLI's verify and simulate take the rule and its reasons from there.
+One call, `closed_loop`, forms F and judges it by the loop rule: A + B K
+is the loop the stored gain drives, and X1 G is when X0 G = I, U0 G = K
+and, without a disturbance set, a noise-free plant explains the data. It
+returns F with the rule's refusal, so no caller forms the loop without its
+verdict; `verify_certificate` keeps the refusal in its report, and the
+CLI's verify and simulate take the rule and its reasons from there.
 
 The certificate alone proves that the polyhedral Lyapunov function
 V(x) = max_i |row_i(S) x| decays along every trajectory, so no trajectory is
@@ -92,15 +94,15 @@ def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix, lam: 
     return float(np.max(np.abs(resid))) <= DEFAULT_TOL
 
 
-def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet, lam: float,
-                               tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
-    """Map every vertex through F and compare its gauge against lam.
-    Returns (ok, worst observed gauge)."""
+def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet,
+                               lam: float) -> Tuple[bool, float]:
+    """Map every vertex through F and compare its gauge against lam within
+    DEFAULT_TOL. Returns (ok, worst observed gauge)."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     images = _images(f_matrix, cset.vertices)
     # np.maximum and np.max keep a NaN, so a NaN closed loop fails the check
     worst = float(np.maximum(0.0, np.max(_images(cset.h_matrix, images))))
-    return worst <= lam + tol, worst
+    return worst <= lam + DEFAULT_TOL, worst
 
 
 def check_admissibility(gain, cset: PolyhedralCSet,
@@ -175,38 +177,10 @@ class VerificationReport:
     worst_vertex_gauge: float
     worst_input_violation: float
     robust_ok: Optional[bool] = None
+    loop_refusal: Optional[str] = None
 
     def all_ok(self) -> bool:
-        checks = [self.contractivity_ok, self.certificate_ok, self.admissibility_ok]
-        if self.robust_ok is not None:
-            checks.append(self.robust_ok)
-        return all(checks)
-
-
-def closed_loop(certificate, cset: PolyhedralCSet, input_set: InputPolytope,
-                data=None, plant=None) -> np.ndarray:
-    """The closed-loop map the certificate stands for: A + B K when the
-    plant is given, otherwise X1 G from the data. A gain, P or G whose shape
-    does not fit the problem, a G without data, or a problem that gives no
-    way to form the loop is a ValueError. Entries too large may overflow to
-    inf and NaN, which is left to the caller to judge."""
-    n, m = cset.dim, input_set.dim
-    if certificate.gain.shape != (m, n):
-        raise ValueError(f"gain shape {certificate.gain.shape} does not match ({m}, {n})")
-    if (certificate.p_matrix is not None
-            and certificate.p_matrix.shape != (cset.num_rows,) * 2):
-        raise ValueError("p_matrix shape does not match the state set")
-    if certificate.g_matrix is not None:
-        if data is None:
-            raise ValueError("certificate carries a data combiner but the problem has no data")
-        if certificate.g_matrix.shape != (data.samples, n):
-            raise ValueError("g_matrix shape does not match the data")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if plant is not None:
-            return plant.a_matrix + plant.b_matrix @ certificate.gain
-        if certificate.g_matrix is not None:
-            return data.x1t @ certificate.g_matrix
-    raise ValueError("no way to form the closed loop: it needs a plant or data with a combiner G")
+        return all((self.contractivity_ok, self.certificate_ok, self.admissibility_ok))
 
 
 def rollout(f_matrix, starts, steps: int) -> np.ndarray:
@@ -258,23 +232,47 @@ def data_explained(data) -> bool:
     return numerical_rank(rows) == numerical_rank(rows[:data.m + data.n])
 
 
-def loop_refusal(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
-                 data=None, plant=None, disturbance=None) -> Optional[str]:
-    """The loop rule: a plant's A + B K is the stored gain's loop, and X1 G
-    is only when `check_data_consistency` holds and, without a disturbance
-    set, a noise-free plant explains the data (`data_explained`). Returns
-    None then, otherwise the reason why not."""
-    if plant is not None:
-        return None
+def closed_loop(certificate, cset: PolyhedralCSet, input_set: InputPolytope,
+                data=None, plant=None,
+                disturbance: Optional[DisturbanceSet] = None) -> Tuple[np.ndarray, Optional[str]]:
+    """The closed-loop map the certificate stands for, A + B K when the
+    plant is given, otherwise X1 G from the data, and the loop rule's
+    refusal of it: None when F is the stored gain's loop, otherwise the
+    reason why not. A plant's A + B K is, and X1 G is only when
+    `check_data_consistency` holds and, without a disturbance set, a
+    noise-free plant explains the data (`data_explained`).
+
+    A gain, P or G whose shape does not fit the problem, a G without data,
+    or a problem that gives no way to form the loop is a ValueError. Entries
+    too large may overflow to inf and NaN, which is left to the caller to
+    judge."""
+    n, m = cset.dim, input_set.dim
+    if certificate.gain.shape != (m, n):
+        raise ValueError(f"gain shape {certificate.gain.shape} does not match ({m}, {n})")
+    if (certificate.p_matrix is not None
+            and certificate.p_matrix.shape != (cset.num_rows,) * 2):
+        raise ValueError("p_matrix shape does not match the state set")
+    if certificate.g_matrix is not None:
+        if data is None:
+            raise ValueError("certificate carries a data combiner but the problem has no data")
+        if certificate.g_matrix.shape != (data.samples, n):
+            raise ValueError("g_matrix shape does not match the data")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plant is not None:
+            return plant.a_matrix + plant.b_matrix @ certificate.gain, None
+        if certificate.g_matrix is None:
+            raise ValueError("no way to form the closed loop: it needs a plant or data "
+                             "with a combiner G")
+        f_matrix = data.x1t @ certificate.g_matrix
     if not check_data_consistency(data, certificate.g_matrix, certificate.gain, cset,
                                   input_set):
-        return ("the certificate fails X0 G = I or U0 G = K, so its gain does not "
-                "drive the closed loop it certifies")
+        return f_matrix, ("the certificate fails X0 G = I or U0 G = K, so its gain does not "
+                          "drive the closed loop it certifies")
     if disturbance is None and not data_explained(data):
-        return ("no noise-free linear plant explains the data "
-                "(rank [U0; X0; X1] > rank [U0; X0]), so X1 G is not the closed loop "
-                "the gain drives")
-    return None
+        return f_matrix, ("no noise-free linear plant explains the data "
+                          "(rank [U0; X0; X1] > rank [U0; X0]), so X1 G is not the closed "
+                          "loop the gain drives")
+    return f_matrix, None
 
 
 def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certificate,
@@ -282,37 +280,36 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
                        disturbance: Optional[DisturbanceSet] = None) -> VerificationReport:
     """Full report on a certificate.
 
-    The closed-loop map comes from `closed_loop`, which refuses a certificate
-    whose matrices do not fit the problem. The problem picks the checks,
-    whatever the certificate carries. `certificate_ok` is the loop rule
-    (`loop_refusal`) and, without a disturbance set, P at the level. With a
-    disturbance set: the robust vertex test on A + B K, or the data-side
-    conditions that stand in for it without a plant, at the certificate's
-    level. A certificate without P on a problem without a disturbance set,
-    and a level outside [0, 1] (`certified_level`), are a ValueError.
+    The closed-loop map and the loop rule's refusal come from `closed_loop`,
+    which refuses a certificate whose matrices do not fit the problem; the
+    report keeps the refusal as `loop_refusal`. The problem picks the checks,
+    whatever the certificate carries. `certificate_ok` is the loop rule and,
+    without a disturbance set, P at the level. With a disturbance set: the
+    robust vertex test on A + B K, or the data-side conditions that stand in
+    for it without a plant, at the certificate's level. A certificate
+    without P on a problem without a disturbance set, and a level outside
+    [0, 1] (`certified_level`), are a ValueError.
     """
     lam, gain = certified_level(certificate.lam), certificate.gain
-    f_matrix = closed_loop(certificate, cset, input_set, data, plant)
+    f_matrix, refusal = closed_loop(certificate, cset, input_set, data, plant, disturbance)
     if certificate.p_matrix is None and disturbance is None:
         raise ValueError("certificate has no P, and the problem has no disturbance set "
                          "to check it robustly against")
-    robust_ok = None
     # a certificate with huge entries may overflow to inf and NaN, which every check fails
     with np.errstate(over="ignore", invalid="ignore"):
         admissible, worst_violation = check_admissibility(gain, cset, input_set)
-        cert_ok = loop_refusal(cset, input_set, certificate, data, plant,
-                               disturbance) is None and (
+        cert_ok = refusal is None and (
             disturbance is not None
             or check_invariance_certificate(f_matrix, cset, certificate.p_matrix, lam))
         if disturbance is None:
             contract_ok, worst = check_vertex_contractivity(f_matrix, cset, lam)
         else:
-            robust_ok, worst = (
+            contract_ok, worst = (
                 check_robust_invariance(f_matrix, cset, disturbance, lam) if plant is not None
                 else check_robust_data_conditions(data, certificate.g_matrix, cset, disturbance,
                                                   lam))
-            contract_ok = robust_ok
     return VerificationReport(
         contractivity_ok=contract_ok, certificate_ok=cert_ok,
         admissibility_ok=admissible, worst_vertex_gauge=worst,
-        worst_input_violation=worst_violation, robust_ok=robust_ok)
+        worst_input_violation=worst_violation,
+        robust_ok=None if disturbance is None else contract_ok, loop_refusal=refusal)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ddinv import __version__, cli, fileio, lp, synthesis
+from ddinv import __version__, cli, fileio, lp, synthesis, verification
 from ddinv.experiment import PlantModel, simulate_closed_loop
 from ddinv.polytopes import InputPolytope, validate_cset
 from ddinv.synthesis import find_certificate_matrix
@@ -821,10 +821,13 @@ def test_verify_names_the_failed_part_of_the_data_route(tmp_path, capsys, case):
                              else "the certificate fails X0 G = I or U0 G = K")
 
 
-def test_noisy_data_in_large_state_units_fail_the_rank_test(tmp_path, capsys):
-    # with the states written in units of 2^26, their rows once sat below the
-    # rank tolerance next to the inputs' rows, so the rank test called these
-    # disturbed data explained and both commands passed X1 G as the loop
+RANK_REFUSAL = ("no noise-free linear plant explains the data (rank [U0; X0; X1] > "
+                "rank [U0; X0]), so X1 G is not the closed loop the gain drives")
+
+
+def _noisy_problem_in_large_state_units(tmp_path):
+    """A problem file of disturbed demo data without a disturbance block,
+    the states written in units of 2^26, and the path of its certificate."""
     generated = str(tmp_path / "generated.json")
     config = _write_config(tmp_path, {**DEMO_CONFIG, "disturbance_radius": 0.05})
     assert cli.main(["generate", config, "--out", generated]) == 0
@@ -836,13 +839,46 @@ def test_noisy_data_in_large_state_units_fail_the_rank_test(tmp_path, capsys):
         "data": {"u0t": fileio.matrix_to_obj(data.u0t),
                  "x0t": fileio.matrix_to_obj(data.x0t / scale),
                  "x1t": fileio.matrix_to_obj(data.x1t / scale)}}))
+    return str(problem), cert_path
+
+
+def test_noisy_data_in_large_state_units_fail_the_rank_test(tmp_path, capsys):
+    # with the states written in units of 2^26, their rows once sat below the
+    # rank tolerance next to the inputs' rows, so the rank test called these
+    # disturbed data explained and both commands passed X1 G as the loop
+    problem, cert_path = _noisy_problem_in_large_state_units(tmp_path)
     capsys.readouterr()
-    assert cli.main(["synthesize", str(problem), "--out", cert_path]) == 2
-    assert capsys.readouterr().err == "verification failed\n"
-    assert cli.main(["verify", str(problem), cert_path]) == 2
-    assert capsys.readouterr().err == (
-        "certificate failed: no noise-free linear plant explains the data "
-        "(rank [U0; X0; X1] > rank [U0; X0]), so X1 G is not the closed loop the gain drives\n")
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 2
+    assert capsys.readouterr().err == (f"certificate failed: {RANK_REFUSAL}\n"
+                                       "verification failed\n")
+    assert cli.main(["verify", problem, cert_path]) == 2
+    assert capsys.readouterr().err == f"certificate failed: {RANK_REFUSAL}\n"
+
+
+def test_a_refused_loop_is_named_in_the_certificate(tmp_path):
+    problem, cert_path = _noisy_problem_in_large_state_units(tmp_path)
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 2
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    text = Path(cert_path).read_text()
+    assert json.loads(text, parse_constant=refuse)["verification"]["loop_refusal"] == RANK_REFUSAL
+    certificate, _ = fileio.load_certificate(cert_path)
+    assert certificate.g_matrix is not None
+
+
+def test_verify_asks_the_loop_rule_once(tmp_path, monkeypatch, capsys):
+    problem, cert_path = _noisy_problem_in_large_state_units(tmp_path)
+    assert cli.main(["synthesize", problem, "--out", cert_path]) == 2
+    calls = []
+    consistency = verification.check_data_consistency
+    monkeypatch.setattr(verification, "check_data_consistency",
+                        lambda *args: calls.append(args) or consistency(*args))
+    capsys.readouterr()
+    assert cli.main(["verify", problem, cert_path]) == 2
+    assert len(calls) == 1
+    assert capsys.readouterr().err == f"certificate failed: {RANK_REFUSAL}\n"
 
 
 def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, capsys):
@@ -984,9 +1020,9 @@ def test_simulate_csv_matches_the_row_by_row_loop(tmp_path, demo_problem, route,
     certificate, _ = fileio.load_certificate(cert_path)
     with open(prefix + ".csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
+    f_matrix, _ = closed_loop(certificate, spec.state_set, spec.input_set, spec.data, spec.model)
     assert rows == oracles.simulate_rows_loop(
-        closed_loop(certificate, spec.state_set, spec.input_set, spec.data, spec.model),
-        certificate.gain, spec.state_set,
+        f_matrix, certificate.gain, spec.state_set,
         [float(v) for v in start.split(",")], steps)
 
 

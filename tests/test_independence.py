@@ -231,18 +231,17 @@ def test_verification_is_a_leaf_module():
 
 def test_verify_keeps_one_tolerance():
     # verify judges with DEFAULT_TOL, the tolerance synthesize records in every
-    # certificate; only the vertex check can be asked to judge a loop exactly
-    # or loosely
+    # certificate, and no check can be asked to judge a loop exactly or loosely
     takes_a_tolerance = {
         name for name, value in vars(verification).items()
         if inspect.isfunction(value) and value.__module__ == verification.__name__
         and any("tol" in param for param in inspect.signature(value).parameters)}
-    assert takes_a_tolerance == {"check_vertex_contractivity"}
+    assert not takes_a_tolerance
     assert verification.DEFAULT_TOL == 1e-6
 
 
 def test_only_verification_names_the_data_route_checks():
-    # the loop rule lives in verification.loop_refusal; a module that
+    # the loop rule lives in verification.closed_loop; a module that
     # called its two data checks itself would hold a second copy
     for source in sorted(VERIFICATION_SOURCE.parent.glob("*.py")):
         if source != VERIFICATION_SOURCE:
@@ -260,7 +259,7 @@ def _route_tests(tree):
 
 
 def test_the_cli_leaves_the_loop_rule_to_verification():
-    # loop_refusal takes the model and the disturbance set and decides the
+    # closed_loop takes the model and the disturbance set and decides the
     # route; a command that tested them itself would restate the rule.
     # simulate's one test refuses a disturbance block without a model block
     tree = ast.parse((VERIFICATION_SOURCE.parent / "cli.py").read_text())

@@ -69,15 +69,13 @@ def test_certificate_search_that_overflows_is_a_solver_failure():
 
 def test_rounded_gain_sits_just_outside_tight_level(demo_plant, demo_state_set):
     # three-decimal rounding of the tight design overshoots the level by 2e-4,
-    # so the outcome flips with the tolerance used
+    # so the outcome flips with the tolerance used: a loose 1e-3 passes it,
+    # the check's own 1e-6 does not
     gain = np.array([[0.313, -0.671]])
     f = demo_plant.a_matrix + demo_plant.b_matrix @ gain
-    ok_loose, worst = verification.check_vertex_contractivity(
-        f, demo_state_set, 0.84, tol=1e-3)
-    assert ok_loose
+    ok_tight, worst = verification.check_vertex_contractivity(f, demo_state_set, 0.84)
+    assert worst <= 0.84 + 1e-3
     assert worst == pytest.approx(0.8402, abs=1e-12)
-    ok_tight, _ = verification.check_vertex_contractivity(
-        f, demo_state_set, 0.84, tol=1e-6)
     assert not ok_tight
 
 
@@ -140,9 +138,10 @@ def test_certificate_existence_matches_vertex_test():
         f = rng.uniform(-1, 1, (n, n))
         lam = float(rng.uniform(0.3, 0.95))
         # rescale so the instance lands clearly on one side of the level
-        _, worst = verification.check_vertex_contractivity(f, cset, lam, tol=0.0)
+        _, worst = verification.check_vertex_contractivity(f, cset, lam)
         f *= lam * (0.8 if trial % 2 == 0 else 1.25) / worst
-        ok, worst = verification.check_vertex_contractivity(f, cset, lam, tol=0.0)
+        _, worst = verification.check_vertex_contractivity(f, cset, lam)
+        ok = worst <= lam
         assert abs(worst - lam) > 1e-6
         p = synthesis.find_certificate_matrix(f, cset, lam)
         assert (p is not None) == ok
@@ -307,13 +306,35 @@ def test_closed_loop_follows_the_route(demo_plant, demo_data, demo_state_set, de
     cert = synthesis.synthesize(
         synthesis.SynthesisProblem(demo_state_set, demo_input_set, 0.84, demo_data))
     sets = (demo_state_set, demo_input_set)
-    assert np.array_equal(verification.closed_loop(cert, *sets, data=demo_data),
-                          demo_data.x1t @ cert.g_matrix)
-    assert np.array_equal(verification.closed_loop(cert, *sets, data=demo_data, plant=demo_plant),
-                          demo_plant.a_matrix + demo_plant.b_matrix @ cert.gain)
+    f_data, _ = verification.closed_loop(cert, *sets, data=demo_data)
+    assert np.array_equal(f_data, demo_data.x1t @ cert.g_matrix)
+    f_plant, _ = verification.closed_loop(cert, *sets, data=demo_data, plant=demo_plant)
+    assert np.array_equal(f_plant, demo_plant.a_matrix + demo_plant.b_matrix @ cert.gain)
     model_cert = synthesis.Certificate(gain=cert.gain, lam=0.84)
     with pytest.raises(ValueError, match="plant or data"):
         verification.closed_loop(model_cert, *sets, data=demo_data)
+
+
+def test_closed_loop_judges_the_loop_on_every_route(demo_plant, demo_data, demo_state_set,
+                                                     demo_input_set):
+    sets = (demo_state_set, demo_input_set)
+    cert = synthesis.synthesize(synthesis.SynthesisProblem(*sets, 0.84, demo_data))
+    scaled = synthesis.Certificate(gain=1.5 * cert.gain, lam=cert.lam,
+                                   g_matrix=1.5 * cert.g_matrix, p_matrix=cert.p_matrix)
+    # a plant's A + B K is the gain's loop whatever G says
+    assert verification.closed_loop(scaled, *sets, data=demo_data, plant=demo_plant)[1] is None
+    assert verification.closed_loop(cert, *sets, data=demo_data)[1] is None
+    f_matrix, refusal = verification.closed_loop(scaled, *sets, data=demo_data)
+    assert np.array_equal(f_matrix, demo_data.x1t @ scaled.g_matrix)
+    assert refusal == ("the certificate fails X0 G = I or U0 G = K, so its gain does not "
+                       "drive the closed loop it certifies")
+    noisy = _disturbed_demo_data(7, 0.05)
+    nominal = synthesis.synthesize(synthesis.SynthesisProblem(*sets, synthesis.MINIMIZE, noisy))
+    assert verification.closed_loop(nominal, *sets, data=noisy)[1] == (
+        "no noise-free linear plant explains the data (rank [U0; X0; X1] > rank [U0; X0]), "
+        "so X1 G is not the closed loop the gain drives")
+    box = DisturbanceSet(0.05 * np.array([[1.0, 1], [1, -1], [-1, 1], [-1, -1]]))
+    assert verification.closed_loop(nominal, *sets, data=noisy, disturbance=box)[1] is None
 
 
 @pytest.mark.parametrize("case, match", [
@@ -405,8 +426,8 @@ def test_an_unevenly_excited_experiment_does_not_widen_the_data_consistency(
     report = verification.verify_certificate(demo_state_set, demo_input_set, forged, data=data)
     assert report.contractivity_ok and report.admissibility_ok
     assert not report.certificate_ok and not report.all_ok()
-    assert "X0 G = I" in verification.loop_refusal(demo_state_set, demo_input_set, forged,
-                                                   data=data)
+    _, refusal = verification.closed_loop(forged, demo_state_set, demo_input_set, data=data)
+    assert "X0 G = I" in refusal
 
 
 @pytest.mark.parametrize("level", [1.5, 1e308, -0.5, np.nan])
