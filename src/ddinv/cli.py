@@ -31,12 +31,13 @@ import numpy as np
 from . import fileio, svgplot
 from .experiment import (build_data_matrices,
                          data_has_full_row_rank, is_persistently_exciting,
-                         min_samples, random_input_sequence, simulate)
+                         min_samples, random_input_sequence, rollout, simulate)
+from .numerics import images
 from .polytopes import DisturbanceSet, gauge, ordered_vertices_2d
 from .synthesis import (InfeasibleProblem, SolverFailure,
                         SynthesisProblem, synthesize)
-from .verification import (DEFAULT_TOL, VerificationReport, _images, closed_loop,
-                           lyapunov_values, rollout, verify_certificate)
+from .verification import (DEFAULT_TOL, VerificationReport, closed_loop,
+                           lyapunov_values, verify_certificate)
 
 
 def _fail(message: str) -> int:
@@ -68,10 +69,6 @@ def _print_report(report: VerificationReport) -> bool:
     print(f"certificate     {word(report.certificate_ok)}")
     print(f"admissibility   {word(report.admissibility_ok)}   "
           f"worst input violation {report.worst_input_violation:.9g}")
-    if report.robust_ok is None:
-        print("robustness      n/a")
-    else:
-        print(f"robustness      {word(report.robust_ok)}")
     if report.loop_refusal:
         print(f"certificate failed: {report.loop_refusal}", file=sys.stderr)
     return report.all_ok()
@@ -229,7 +226,7 @@ def _cmd_simulate(args) -> int:
     # one row per step: the state, the input K x and V(x)
     states = rollout(f_matrix, x0, args.steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.column_stack([states, _images(certificate.gain, states),
+        table = np.column_stack([states, images(certificate.gain, states),
                                  lyapunov_values(state_set, states)])
     overflow = ~np.isfinite(table).all(axis=1)
     if overflow.any():

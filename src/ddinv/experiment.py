@@ -1,4 +1,5 @@
-"""Open-loop experiments and the rank conditions on the collected data.
+"""Open-loop experiments, closed-loop simulation, and the rank conditions
+on the collected data.
 
 States and inputs are stored time-major: a length-T input sequence is a
 (T, m) array and the matching state sequence is (T+1, n). The data matrices
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import numerical_rank
-from .verification import _images, _unit_rows, rollout
+from .numerics import images, numerical_rank, unit_rows
 
 
 @dataclass
@@ -101,6 +101,19 @@ def simulate(plant: PlantModel, x0, inputs, disturbances=None) -> np.ndarray:
     return states
 
 
+def rollout(f_matrix, starts, steps: int) -> np.ndarray:
+    """States x(t+1) = F x(t) from every start at once, time on the first
+    axis: shape (steps + 1,) + starts.shape. An unstable F may overflow to
+    inf and NaN, which is left to the caller to judge."""
+    starts = np.asarray(starts, dtype=float)
+    states = np.empty((steps + 1,) + starts.shape)
+    states[0] = starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            states[t + 1] = images(f_matrix, states[t])
+    return states
+
+
 def simulate_closed_loop(plant: PlantModel, gain, x0, steps: int):
     """Run x+ = (A + B K) x; returns (states, inputs), the inputs K x of
     every state but the last. This is the rollout `ddinv simulate` writes
@@ -108,7 +121,7 @@ def simulate_closed_loop(plant: PlantModel, gain, x0, steps: int):
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
     states = rollout(plant.a_matrix + plant.b_matrix @ gain,
                      np.asarray(x0, dtype=float).reshape(-1), steps)
-    return states, _images(gain, states[:-1])
+    return states, images(gain, states[:-1])
 
 
 def build_data_matrices(inputs, states) -> ExperimentData:
@@ -144,7 +157,7 @@ def is_persistently_exciting(inputs, order: int) -> bool:
     if width < 1:
         return False
     hank = hankel(seq, 0, order, width)
-    return numerical_rank(_unit_rows(hank)) == sigma * order
+    return numerical_rank(unit_rows(hank)) == sigma * order
 
 
 def stacked_data_matrix(data: ExperimentData) -> np.ndarray:
@@ -156,7 +169,7 @@ def data_has_full_row_rank(data: ExperimentData) -> bool:
     """The stacked input/state data matrix has rank m + n. This is the
     condition under which the data replace the model without loss. Rows are
     ranked at unit size, so the verdict does not move with the units."""
-    return numerical_rank(_unit_rows(stacked_data_matrix(data))) == data.m + data.n
+    return numerical_rank(unit_rows(stacked_data_matrix(data))) == data.m + data.n
 
 
 def min_samples(n: int, m: int) -> int:

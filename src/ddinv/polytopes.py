@@ -14,20 +14,20 @@ witness that passes gives the verdict of the least squares' optimum, and
 otherwise the least squares runs.
 
 No rule here depends on the units of the state. Set validation runs in
-the set's column frame (_column_frame): H with each column times the power
-of two that brings its largest entry into [0.5, 1), so each coordinate is
-measured in a unit the set fixes. In that frame x becomes x times those
-powers of two, coordinate by coordinate, exactly: LU with partial pivoting
-picks the same pivots on column-scaled rows, so every solve, product and
-norm there is the unscaled one with each coordinate scaled by its power of
-two, the vertices come back column by column with the bits they have in
-any other power-of-two units, and none overflows or underflows for the
-units alone. The rank and boundedness checks read only row directions, so
-they see each row of the frame at unit size by its own power of two
-(_unit_rows), and no rule depends on one row's size next to another's
-either. The disturbance hull check brings each coordinate of the vertices
-to unit size the same way. Vertices are told apart by the rows active at
-them, and a row's activity |row . v - 1| has no unit.
+the set's column frame (`numerics.column_exponents`): H with each column
+times the power of two that brings its largest entry into [0.5, 1), so each
+coordinate is measured in a unit the set fixes. In that frame x becomes x
+times those powers of two, coordinate by coordinate, exactly: LU with
+partial pivoting picks the same pivots on column-scaled rows, so every
+solve, product and norm there is the unscaled one with each coordinate
+scaled by its power of two, the vertices come back column by column with
+the bits they have in any other power-of-two units, and none overflows or
+underflows for the units alone. The rank and boundedness checks read only
+row directions, so they see each row of the frame at unit size by its own
+power of two (`numerics.unit_rows`), and no rule depends on one row's size
+next to another's either. The disturbance hull check brings each coordinate
+of the vertices to unit size the same way. Vertices are told apart by the
+rows active at them, and a row's activity |row . v - 1| has no unit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .numerics import numerical_rank
+from .numerics import column_exponents, numerical_rank, unit_rows
 
 VERTEX_FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-7
@@ -110,7 +110,7 @@ class DisturbanceSet:
         """Whether weights w >= 0 with sum 1 put the origin at sum_i w_i d_i:
         the least-squares residual of [D^T; 1^T] w = (0, 1) over w >= 0, with
         each coordinate of D brought to unit size by its own power of two
-        (_unit_rows of D^T), is at most NNLS_TOL.
+        (`numerics.unit_rows` of D^T), is at most NNLS_TOL.
 
         Equal weights 1/n_d are tried first. They are a feasible point, so
         the least squares' optimum has a residual at most theirs, and when
@@ -118,7 +118,7 @@ class DisturbanceSet:
         which stops on its gradient tolerance and can stop a little above
         that optimum. A larger residual decides nothing, and the least
         squares runs."""
-        scaled = _unit_rows(self.vertices.T)
+        scaled = unit_rows(self.vertices.T)
         n, nd = scaled.shape
         mat = np.vstack([scaled, np.ones(nd)])
         target = np.zeros(n + 1)
@@ -131,21 +131,6 @@ class DisturbanceSet:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-
-def _column_frame(h_matrix: np.ndarray):
-    """h_matrix with each column times the power of two that brings its
-    largest magnitude into [0.5, 1), and those exponents, one per column; a
-    zero column stays zero. The scaling is exact: a point x of the set is
-    the point x * 2^exp of the frame's."""
-    exp = np.frexp(np.abs(h_matrix).max(axis=0, initial=0.0))[1]
-    return np.ldexp(h_matrix, -exp), exp
-
-
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    """mat with each row times the power of two that brings its largest
-    magnitude into [0.5, 1); a zero row stays zero."""
-    return np.ldexp(mat, -np.frexp(np.abs(mat).max(axis=1))[1][:, None])
 
 
 def _nonneg_least_squares(mat: np.ndarray, rhs: np.ndarray, what: str):
@@ -208,7 +193,7 @@ def _check_bounded(h_matrix: np.ndarray):
     is at least NNLS_TOL m for m rows. So |G^T 1| <= NNLS_TOL m is the
     verdict "bounded" of that optimum, and a larger one decides nothing:
     the least squares runs."""
-    rows = _unit_rows(h_matrix)
+    rows = unit_rows(h_matrix)
     norms = np.linalg.norm(rows, axis=1)
     rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     pull = rows.sum(axis=0)
@@ -223,12 +208,13 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     """All vertices of {x : H x <= 1} by enumerating row subsets of size n.
 
     Candidate points solve H_J x = 1 for an invertible row subset J and are
-    kept when the rows of J are active at them and every row holds. Two candidates are the same vertex when
-    the same rows are active at them, |H v - 1| <= ACTIVE_TOL, and the first
-    one found stands for the vertex, which must have n independent active
-    rows. The work runs in the column frame (_column_frame) and the vertices
-    are scaled back column by column, so every bit is the same in any
-    power-of-two units of the state.
+    kept when the rows of J are active at them and every row holds. Two
+    candidates are the same vertex when the same rows are active at them,
+    |H v - 1| <= ACTIVE_TOL, and the first one found stands for the vertex,
+    which must have n independent active rows. The work runs in the column
+    frame (`numerics.column_exponents`) and the vertices are scaled back
+    column by column, so every bit is the same in any power-of-two units of
+    the state.
 
     All subsets are solved in one batched call. A subset is skipped when its
     LU factorization meets an exactly zero pivot (slogdet sign 0), the same
@@ -240,14 +226,15 @@ def enumerate_vertices(h_matrix) -> np.ndarray:
     n_rows, n = h_matrix.shape
     if n == 0:
         raise PolytopeError("H has no columns: a set needs at least one dimension")
-    h_matrix, exp = _column_frame(h_matrix)
+    exp = column_exponents(h_matrix)
+    h_matrix = np.ldexp(h_matrix, -exp)
     # a row that the frame makes subnormal has lost its precision, so its
     # vertices could not be told apart from rounding
     sizes = np.abs(h_matrix).max(axis=1)
     if ((sizes > 0.0) & (sizes < np.finfo(float).tiny)).any():
         raise PolytopeError("rows too different in size: scaled with the largest, a row "
                             "falls below the smallest normal float")
-    rows = _unit_rows(h_matrix)
+    rows = unit_rows(h_matrix)
     if numerical_rank(rows) < n:
         raise RankDeficientError("H must have full column rank")
     _check_bounded(h_matrix)

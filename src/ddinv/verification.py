@@ -16,29 +16,29 @@ CLI's verify and simulate take the rule and its reasons from there.
 The certificate alone proves that the polyhedral Lyapunov function
 V(x) = max_i |row_i(S) x| decays along every trajectory, so no trajectory is
 sampled: with E = P S - S F, |row_i(S) F x| <= lambda V(x) + |E_i|_1 |x|_inf.
-`rollout` and `lyapunov_values` serve simulation.
 
 `verify_certificate` judges with one tolerance, DEFAULT_TOL, the one
 `synthesize` records in every certificate, and only residuals without units:
 gauges, and P S - S F, X0 G - I and U0 G - K in the set's frame, where each
 state is in the power of two that brings its column of S to unit size and
-each input likewise by the input rows (`_column_exponents`). The frame is
-the problem's, not the data's, so neither other units nor an experiment
-that excites one state far less than another moves a verdict.
+each input likewise by the input rows (`numerics.column_exponents`). The
+frame is the problem's, not the data's, so neither other units nor an
+experiment that excites one state far less than another moves a verdict.
 
 The checks work on all vertices at once. Each matrix-vector product in a
 stack goes through the same BLAS call as the product on its own (see
-`_images`), so the gauges and violations carry the same bits as a loop over
-vertices. The maxima over vertices keep a NaN, so a NaN anywhere fails the
-check.
+`numerics.images`), so the gauges and violations carry the same bits as a
+loop over vertices. The maxima over vertices keep a NaN, so a NaN anywhere
+fails the check.
 
-The module is a leaf: it imports only numpy, the standard library and
-`.polytopes`, nothing of the builder (`synthesis`) or the solver (`lp`), so a
-builder bug that makes a bad certificate cannot also make it pass here. The
-robust check computes its extreme disturbance projections itself for that.
-What it still shares with the builder is the set's vertex list, which the
-vertex, admissibility and robust checks use; the certificate identity and
-the data consistency use no vertex (ROADMAP item 11).
+The module is a leaf: it imports only numpy, the standard library,
+`.numerics` and `.polytopes`, nothing of the builder (`synthesis`) or the
+solver (`lp`), so a builder bug that makes a bad certificate cannot also make
+it pass here. The robust check computes its extreme disturbance projections
+itself for that. What it still shares with the builder is the set's vertex
+list, which the vertex, admissibility and robust checks use, and the
+numerics rules: the rank rule and the power-of-two frames. The certificate
+identity and the data consistency use no vertex (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet, numerical_rank
+from .numerics import column_exponents, images, numerical_rank, unit_rows
+from .polytopes import DisturbanceSet, InputPolytope, PolyhedralCSet
 
 DEFAULT_TOL = 1e-6
 
@@ -64,24 +65,10 @@ def certified_level(lam) -> float:
     return lam + 0.0  # -0.0 passes the range test, and + 0.0 makes it 0.0
 
 
-def _images(matrix, points):
-    """matrix @ p for every p along the last axis of points. numpy runs the
-    stack as one matrix-vector product per point, the same BLAS call as
-    matrix @ p on its own, so the results match that bit for bit."""
-    return np.matmul(matrix, points[..., None])[..., 0]
-
-
-def _column_exponents(mat) -> np.ndarray:
-    """Per column, the exponent of the power of two that brings its largest
-    magnitude into [0.5, 1): the set's unit-free frame for a state (columns
-    of S) or an input (columns of the input rows), exact."""
-    return np.frexp(np.abs(mat).max(axis=0))[1]
-
-
 def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix, lam: float) -> bool:
     """True when P is entrywise nonnegative, has row sums at most lam, and
     satisfies P S = S F entrywise within DEFAULT_TOL in the set's frame:
-    (P S - S F) C^-1, with C the `_column_exponents` of S, does not move
+    (P S - S F) C^-1, with C the `column_exponents` of S, does not move
     with the state's units, and needs no vertex."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     p_matrix = np.atleast_2d(np.asarray(p_matrix, dtype=float))
@@ -90,7 +77,7 @@ def check_invariance_certificate(f_matrix, cset: PolyhedralCSet, p_matrix, lam: 
         return False
     if np.max(p_matrix.sum(axis=1)) > lam + DEFAULT_TOL:
         return False
-    resid = np.ldexp(p_matrix @ s_h - s_h @ f_matrix, -_column_exponents(s_h))
+    resid = np.ldexp(p_matrix @ s_h - s_h @ f_matrix, -column_exponents(s_h))
     return float(np.max(np.abs(resid))) <= DEFAULT_TOL
 
 
@@ -99,9 +86,9 @@ def check_vertex_contractivity(f_matrix, cset: PolyhedralCSet,
     """Map every vertex through F and compare its gauge against lam within
     DEFAULT_TOL. Returns (ok, worst observed gauge)."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
-    images = _images(f_matrix, cset.vertices)
+    mapped = images(f_matrix, cset.vertices)
     # np.maximum and np.max keep a NaN, so a NaN closed loop fails the check
-    worst = float(np.maximum(0.0, np.max(_images(cset.h_matrix, images))))
+    worst = float(np.maximum(0.0, np.max(images(cset.h_matrix, mapped))))
     return worst <= lam + DEFAULT_TOL, worst
 
 
@@ -113,7 +100,7 @@ def check_admissibility(gain, cset: PolyhedralCSet,
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
     u_h = input_set.h_matrix
     # np.max keeps a NaN, so a NaN gain fails the check
-    worst = float(np.max(_images(u_h, _images(gain, cset.vertices))) - 1.0)
+    worst = float(np.max(images(u_h, images(gain, cset.vertices))) - 1.0)
     return worst <= DEFAULT_TOL, worst
 
 
@@ -124,8 +111,8 @@ def check_robust_invariance(f_matrix, cset: PolyhedralCSet, disturbance: Disturb
     robust invariance. Returns (ok, worst gauge)."""
     f_matrix = np.atleast_2d(np.asarray(f_matrix, dtype=float))
     # points[v, i] = F s_v + w_i
-    points = _images(f_matrix, cset.vertices)[:, None, :] + disturbance.vertices
-    worst = float(np.maximum(0.0, np.max(_images(cset.h_matrix, points))))
+    points = images(f_matrix, cset.vertices)[:, None, :] + disturbance.vertices
+    worst = float(np.maximum(0.0, np.max(images(cset.h_matrix, points))))
     return worst <= lam + DEFAULT_TOL, worst
 
 
@@ -141,8 +128,8 @@ def check_robust_data_conditions(data, g_matrix, cset: PolyhedralCSet,
     proj = s_h @ disturbance.vertices.T
     shift = np.column_stack([proj.max(axis=1), proj.min(axis=1)])
     base = s_h @ data.x1t @ g_matrix
-    nominal = _images(base, cset.vertices)
-    gs = _images(g_matrix, cset.vertices)
+    nominal = images(base, cset.vertices)
+    gs = images(g_matrix, cset.vertices)
     # subtracting the column spike j changes row r by T * shift[r, i] * gs[j];
     # rows[v, i, j] over (vertex, extreme projection, sample). Each row is
     # monotone in S_r d, roundings included, so the largest and the smallest
@@ -161,7 +148,7 @@ def lyapunov_values(cset: PolyhedralCSet, states) -> np.ndarray:
     large for V to be finite gives inf or NaN, which is left to the caller
     to judge."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.max(np.abs(_images(cset.h_matrix, np.asarray(states, dtype=float))), axis=-1)
+        return np.max(np.abs(images(cset.h_matrix, np.asarray(states, dtype=float))), axis=-1)
 
 
 def lyapunov_value(cset: PolyhedralCSet, x) -> float:
@@ -176,31 +163,10 @@ class VerificationReport:
     admissibility_ok: bool
     worst_vertex_gauge: float
     worst_input_violation: float
-    robust_ok: Optional[bool] = None
     loop_refusal: Optional[str] = None
 
     def all_ok(self) -> bool:
         return all((self.contractivity_ok, self.certificate_ok, self.admissibility_ok))
-
-
-def rollout(f_matrix, starts, steps: int) -> np.ndarray:
-    """States x(t+1) = F x(t) from every start at once, time on the first
-    axis: shape (steps + 1,) + starts.shape. An unstable F may overflow to
-    inf and NaN, which is left to the caller to judge."""
-    starts = np.asarray(starts, dtype=float)
-    states = np.empty((steps + 1,) + starts.shape)
-    states[0] = starts
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            states[t + 1] = _images(f_matrix, states[t])
-    return states
-
-
-def _unit_rows(mat) -> np.ndarray:
-    """mat with each row brought to unit size by a power of two, 0 for a
-    zero row: the data's unit-free frame for a rank, exact, as `polytopes`
-    frames S's rows for the builder."""
-    return np.ldexp(mat, -np.frexp(np.abs(mat).max(axis=1))[1][:, None])
 
 
 def check_data_consistency(data, g_matrix, gain, cset: PolyhedralCSet,
@@ -208,11 +174,11 @@ def check_data_consistency(data, g_matrix, gain, cset: PolyhedralCSet,
     """X0 G = I, which makes X1 G the closed loop A + B K of K = U0 G, and
     U0 G equal to the stored gain, both entrywise within DEFAULT_TOL in the
     set's frame: C (X0 G - I) C^-1 and D (U0 G - K) C^-1, with C and D the
-    `_column_exponents` of S and of the input rows. The frame is the
+    `column_exponents` of S and of the input rows. The frame is the
     problem's, so no change of units and no uneven experiment widens it."""
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
-    c_exp = _column_exponents(cset.h_matrix)
-    d_exp = _column_exponents(input_set.h_matrix)
+    c_exp = column_exponents(cset.h_matrix)
+    d_exp = column_exponents(input_set.h_matrix)
     # a residual that overflows to inf fails, and a NaN one compares False
     with np.errstate(over="ignore", invalid="ignore"):
         x_resid = np.ldexp(data.x0t @ g_matrix - np.eye(data.n), c_exp[:, None] - c_exp)
@@ -226,9 +192,9 @@ def data_explained(data) -> bool:
     (x(t), u(t)) of the data to x(t+1) exactly, which noise-free data from a
     linear plant always satisfy. Disturbed data fail it unless T <= n + m and
     [U0; X0] has rank T, where any X1 is explained and noise cannot be
-    seen. Each row is first brought to unit size (`_unit_rows`), so the
+    seen. Each row is first brought to unit size (`unit_rows`), so the
     verdict is the same in any units of the inputs and states."""
-    rows = _unit_rows(np.vstack([data.u0t, data.x0t, data.x1t]))
+    rows = unit_rows(np.vstack([data.u0t, data.x0t, data.x1t]))
     return numerical_rank(rows) == numerical_rank(rows[:data.m + data.n])
 
 
@@ -311,5 +277,4 @@ def verify_certificate(cset: PolyhedralCSet, input_set: InputPolytope, certifica
     return VerificationReport(
         contractivity_ok=contract_ok, certificate_ok=cert_ok,
         admissibility_ok=admissible, worst_vertex_gauge=worst,
-        worst_input_violation=worst_violation,
-        robust_ok=None if disturbance is None else contract_ok, loop_refusal=refusal)
+        worst_input_violation=worst_violation, loop_refusal=refusal)

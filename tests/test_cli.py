@@ -220,6 +220,26 @@ def test_certificate_with_an_old_report_key_still_verifies(tmp_path, demo_proble
     assert resaved.read_bytes() == cert_path.read_bytes()
 
 
+@pytest.mark.parametrize("config, robust_ok", [(DEMO_CONFIG, None), (ROBUST_CONFIG, True)])
+def test_certificate_with_a_robust_ok_key_still_verifies(tmp_path, capsys, config, robust_ok):
+    # reports once carried robust_ok: null without a disturbance set, and
+    # otherwise contractivity_ok's value. Such a certificate still loads,
+    # and verify prints what it prints for the certificate without the key
+    problem, cert_path = str(tmp_path / "problem.json"), tmp_path / "certificate.json"
+    assert cli.main(["generate", _write_config(tmp_path, config), "--out", problem]) == 0
+    assert cli.main(["synthesize", problem, "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", problem, str(cert_path)]) == 0
+    fresh = capsys.readouterr()
+    raw = json.loads(cert_path.read_text())
+    assert "robust_ok" not in raw["verification"]
+    raw["verification"]["robust_ok"] = robust_ok
+    cert_path.write_text(fileio.canonical_dumps(raw))
+    assert fileio.load_certificate(str(cert_path))[0].lam == raw["lambda"]
+    assert cli.main(["verify", problem, str(cert_path)]) == 0
+    assert capsys.readouterr() == fresh
+
+
 @pytest.fixture(scope="module")
 def demo_certified(tmp_path_factory):
     """A demo problem and the certificate synthesize writes for it."""
@@ -315,7 +335,7 @@ def test_robust_flow(tmp_path, capsys):
     record, _ = fileio.load_certificate(cert_path)
     assert record.lam == 1.0
     assert record.p_matrix is None and record.g_matrix is not None
-    assert json.loads(Path(cert_path).read_text())["verification"]["robust_ok"] is True
+    assert json.loads(Path(cert_path).read_text())["verification"]["contractivity_ok"] is True
 
     capsys.readouterr()
     assert cli.main(["verify", problem, cert_path]) == 0
@@ -743,7 +763,7 @@ def test_nominal_certificate_on_disturbed_data_fails_verify(tmp_path, capsys):
     fileio.save_certificate(cert, cert_path, {}, fileio.file_digest(str(problem)))
     capsys.readouterr()
     assert cli.main(["verify", str(problem), cert_path]) == 2
-    assert "robustness      FAILED" in capsys.readouterr().out
+    assert "contractivity   FAILED" in capsys.readouterr().out
     assert cli.main(["simulate", str(problem), cert_path, "--x0", "1,0",
                      "--out", str(tmp_path / "run")]) == 1
     assert "needs a model block" in capsys.readouterr().err
@@ -892,7 +912,7 @@ def test_robust_certificate_with_scaled_combiner_fails_verification(tmp_path, ca
     capsys.readouterr()
     assert cli.main(["verify", problem, cert_path]) == 2
     captured = capsys.readouterr()
-    assert "robustness      ok" in captured.out and "certificate     FAILED" in captured.out
+    assert "contractivity   ok" in captured.out and "certificate     FAILED" in captured.out
     assert captured.err == ("certificate failed: the certificate fails X0 G = I or U0 G = K, "
                             "so its gain does not drive the closed loop it certifies\n")
 

@@ -199,15 +199,15 @@ def test_verify_catches_a_lost_vertex(monkeypatch):
             disturbance=problem.disturbance).all_ok()
 
 
-def _is_allowed_import(node):
-    """numpy, a standard-library module, or the sibling `.polytopes`."""
+def _is_allowed_import(node, siblings=("numerics", "polytopes")):
+    """numpy, a standard-library module, or one of the siblings named."""
     if isinstance(node, ast.Import):
         tops = [alias.name.split(".")[0] for alias in node.names]
     elif node.level == 0:
         tops = [node.module.split(".")[0]]
     else:
-        return node.level == 1 and (node.module == "polytopes" or (
-            node.module is None and all(alias.name == "polytopes" for alias in node.names)))
+        return node.level == 1 and (node.module in siblings or (
+            node.module is None and all(alias.name in siblings for alias in node.names)))
     return all(top == "numpy" or top in sys.stdlib_module_names for top in tops)
 
 
@@ -275,6 +275,12 @@ def test_the_cli_leaves_the_loop_rule_to_verification():
     assert ast.unparse(refusal.body[0]).startswith("return _fail(")
 
 
+def _sources():
+    """Every ddinv module's syntax tree, by module name."""
+    return {source.stem: ast.parse(source.read_text())
+            for source in sorted(VERIFICATION_SOURCE.parent.glob("*.py"))}
+
+
 def _bool_tests(tree):
     """The isinstance calls in a tree that name bool."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -285,16 +291,69 @@ def _bool_tests(tree):
 def test_fileio_alone_reads_json_numbers_and_rollout_alone_steps_a_loop():
     # a JSON number is an int or a float that is not a bool, and fileio's
     # rules take it from there; experiment's closed-loop rollout is
-    # verification.rollout on A + B K. A second copy of either drifts
-    trees = {source.name: ast.parse(source.read_text())
-             for source in sorted(VERIFICATION_SOURCE.parent.glob("*.py"))}
-    assert _bool_tests(trees["fileio.py"])
-    assert [name for name, tree in trees.items() if _bool_tests(tree)] == ["fileio.py"]
-    (loop,) = [node for node in trees["experiment.py"].body
+    # experiment.rollout on A + B K. A second copy of either drifts
+    trees = _sources()
+    assert _bool_tests(trees["fileio"])
+    assert [name for name, tree in trees.items() if _bool_tests(tree)] == ["fileio"]
+    (loop,) = [node for node in trees["experiment"].body
                if isinstance(node, ast.FunctionDef) and node.name == "simulate_closed_loop"]
     assert not [node for node in ast.walk(loop)
                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert "rollout" in _names(loop)
+
+
+def _siblings(tree):
+    """The ddinv modules a module imports, by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+    return found
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_borrows_a_siblings_private_helper():
+    # a helper another module needs belongs in a shared home such as
+    # numerics, where it is public, not in the module that wrote it first
+    trees = _sources()
+    for name, tree in trees.items():
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names]
+        read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id in modules]
+        assert not [item for item in imported + read if _private(item)], name
+
+
+def test_the_builder_loads_nothing_of_verification():
+    # the builder and the verifier share numerics and polytopes, never each
+    # other's code, so a rule that the builder runs cannot come from verify
+    trees = _sources()
+    loaded, todo = set(), ["synthesis"]
+    while todo:
+        name = todo.pop()
+        if name not in loaded:
+            loaded.add(name)
+            todo.extend(_siblings(trees[name]) & trees.keys())
+    assert "lp" in loaded and "numerics" in loaded
+    assert "verification" not in loaded
+
+
+def test_numerics_is_the_one_home_of_the_frames():
+    # the power-of-two frames take their exponents from np.frexp in
+    # numerics alone, and numerics rests on numpy and the standard library
+    trees = _sources()
+    assert [name for name, tree in trees.items() if "frexp" in _names(tree)] == ["numerics"]
+    imports = [node for node in ast.walk(trees["numerics"])
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(_is_allowed_import(node, siblings=()) for node in imports)
 
 
 def test_certificate_search_lives_with_the_builder():

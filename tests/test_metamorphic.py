@@ -177,8 +177,7 @@ def _units(k):
 
 
 def _verdict(report):
-    return (report.contractivity_ok, report.certificate_ok, report.admissibility_ok,
-            report.robust_ok)
+    return (report.contractivity_ok, report.certificate_ok, report.admissibility_ok)
 
 
 def _agree(a, b):

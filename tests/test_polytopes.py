@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from ddinv import lp, polytopes
-from ddinv.numerics import numerical_rank
+from ddinv.numerics import numerical_rank, unit_rows
 from generators import contains, random_cset_rows
 from oracles import (bounded_coordinate_lps, hull_holds_origin_highs,
                      polygon_rows_from_vertices, positively_spans_highs, same_point_set,
@@ -523,7 +523,7 @@ def test_a_witness_never_overrules_the_least_squares(monkeypatch):
     for index in range(2400):
         case = ("symmetric", "perturbed", "near-parallel", "general")[index % 4]
         rows = _witness_sweep_rows(rng, case, int(rng.integers(1, 5)))
-        units = polytopes._unit_rows(rows)
+        units = unit_rows(rows)
         units /= np.linalg.norm(units, axis=1)[:, None]
         extra, resid = solve(units.T, -units.sum(axis=0), "test")
         expected = resid <= polytopes.NNLS_TOL * (rows.shape[0] + extra.sum())
@@ -537,7 +537,7 @@ def test_a_witness_never_overrules_the_least_squares(monkeypatch):
         decided["bounded"] += not calls
 
         verts = _witness_sweep_rows(rng, case, int(rng.integers(1, 5)))
-        mat = np.vstack([polytopes._unit_rows(verts.T), np.ones(verts.shape[0])])
+        mat = np.vstack([unit_rows(verts.T), np.ones(verts.shape[0])])
         target = np.eye(1, mat.shape[0], mat.shape[0] - 1)[0]
         resid = solve(mat, target, "test")[1]
         dset = polytopes.DisturbanceSet.__new__(polytopes.DisturbanceSet)
@@ -569,6 +569,60 @@ def test_least_squares_matches_scipy_nnls():
         assert (weights >= 0.0).all()
         assert resid == pytest.approx(np.linalg.norm(mat @ weights - rhs), abs=1e-12)
         assert resid == pytest.approx(nnls(mat, rhs)[1], rel=1e-9, abs=1e-12), (mat, rhs)
+
+
+def _squashed(rng, points):
+    """points times I + (t - 1) u u^T for a random unit vector u and a
+    relative thickness t in [1e-7, 1e-6): the same set, made thin along u."""
+    u = rng.normal(size=points.shape[1])
+    u /= np.linalg.norm(u)
+    return points + (10.0 ** rng.uniform(-7.0, -6.0) - 1.0) * np.outer(points @ u, u)
+
+
+THIN_SETS_STOP_SHORT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="Lawson-Hanson's gradient stop is absolute, so on sets thin along a diagonal it "
+           "ends above the optimum, where scipy's nnls reaches it (ROADMAP item 28)")
+
+
+@THIN_SETS_STOP_SHORT
+def test_a_thin_disturbance_hull_about_the_origin_is_accepted():
+    # the origin at a random convex combination of the vertices, squashed:
+    # a linear image keeps the origin in the hull
+    rng = np.random.default_rng(83)
+    refused = []
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        verts = rng.normal(size=(int(rng.integers(n + 1, n + 5)), n))
+        verts = _squashed(rng, verts - rng.dirichlet(np.ones(verts.shape[0])) @ verts)
+        mat = np.vstack([unit_rows(verts.T), np.ones(verts.shape[0])])
+        target = np.eye(1, mat.shape[0], mat.shape[0] - 1)[0]
+        assert nnls(mat, target)[1] <= polytopes.NNLS_TOL
+        try:
+            polytopes.DisturbanceSet(verts)
+        except ValueError as exc:
+            assert str(exc) == "disturbance hull must contain the origin"
+            refused.append(verts.tolist())
+    assert not refused, (len(refused), refused[0])
+
+
+@THIN_SETS_STOP_SHORT
+def test_a_long_bounded_set_is_bounded():
+    # a bounded set stretched by I + (1/t - 1) u u^T: its rows times the
+    # inverse stretch, which squashes them along u
+    rng = np.random.default_rng(89)
+    refused = []
+    for _ in range(200):
+        rows = _squashed(rng, random_cset_rows(rng, int(rng.integers(2, 5))))
+        units = unit_rows(rows)
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        extra, resid = nnls(units.T, -units.sum(axis=0))
+        assert resid <= polytopes.NNLS_TOL * (rows.shape[0] + extra.sum())
+        try:
+            polytopes._check_bounded(rows)
+        except polytopes.UnboundedSetError:
+            refused.append(rows.tolist())
+    assert not refused, (len(refused), refused[0])
 
 
 def test_boundedness_check_agrees_with_highs_on_lines_and_near_parallel_rows():

@@ -747,7 +747,7 @@ def test_paired_robust_certificates_pass_the_full_check(rows):
             continue
         report = verification.verify_certificate(cset, uset, cert, data=data,
                                                  disturbance=dset)
-        assert report.robust_ok and report.all_ok()
+        assert report.contractivity_ok and report.all_ok()
         certified += 1
     assert certified >= 5
 

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddinv import demo, lp, synthesis, verification
+from ddinv import demo, experiment, lp, synthesis, verification
 from ddinv.polytopes import DisturbanceSet, InputPolytope, gauge, validate_cset
 from ddinv.experiment import (ExperimentData, PlantModel, build_data_matrices,
                               random_input_sequence, simulate)
@@ -174,7 +174,6 @@ def test_full_report_on_demo(demo_state_set, demo_input_set, demo_data):
     assert report.contractivity_ok == (report.worst_vertex_gauge
                                        <= 0.84 + verification.DEFAULT_TOL)
     assert report.worst_input_violation <= verification.DEFAULT_TOL
-    assert report.robust_ok is None
 
 
 def test_report_flags_bad_gain(demo_plant, demo_state_set, demo_input_set):
@@ -255,7 +254,7 @@ def test_robust_certificate_on_the_plant_route_checks_the_plant_loop():
                                                      plant=plant, disturbance=dset)
             holds, _ = verification.check_robust_invariance(
                 plant.a_matrix + plant.b_matrix @ scaled.gain, box, dset)
-            assert report.robust_ok == holds
+            assert report.contractivity_ok == holds
             if scale == 1.0:
                 assert report.all_ok()
             else:
@@ -369,13 +368,13 @@ def test_rollout_matches_the_step_loop():
     rng = np.random.default_rng(17)
     f = rng.normal(scale=0.6, size=(3, 3))
     starts = rng.normal(size=(5, 3))
-    states = verification.rollout(f, starts, 20)
+    states = experiment.rollout(f, starts, 20)
     assert states.shape == (21, 5, 3)
     for k, x in enumerate(starts):
         for t in range(21):
             assert states[t, k].tobytes() == x.tobytes()
             x = f @ x
-    assert verification.rollout(f, starts[2], 20).tobytes() == states[:, 2].tobytes()
+    assert experiment.rollout(f, starts[2], 20).tobytes() == states[:, 2].tobytes()
 
 
 def _halved(cert):
@@ -551,10 +550,10 @@ def test_a_disturbance_set_gets_the_robust_checks_at_the_certificate_level(
         _, worst = verification.check_robust_data_conditions(
             demo_data, cert.g_matrix, demo_state_set, dset)
         assert report.worst_vertex_gauge == worst
-        assert report.robust_ok == (worst <= cert.lam + verification.DEFAULT_TOL)
-        assert report.robust_ok == (radius == 0.0)
+        assert report.contractivity_ok == (worst <= cert.lam + verification.DEFAULT_TOL)
+        assert report.contractivity_ok == (radius == 0.0)
         # the report's verdict is the check's own, taken at the certificate's level
-        assert report.robust_ok == verification.check_robust_data_conditions(
+        assert report.contractivity_ok == verification.check_robust_data_conditions(
             demo_data, cert.g_matrix, demo_state_set, dset, cert.lam)[0]
         # the plant route judges A + B K by the robust vertex test at that level
         on_plant = verification.verify_certificate(demo_state_set, demo_input_set, cert,
@@ -564,5 +563,5 @@ def test_a_disturbance_set_gets_the_robust_checks_at_the_certificate_level(
             demo_plant.a_matrix + demo_plant.b_matrix @ cert.gain, demo_state_set, dset,
             cert.lam)
         assert on_plant.worst_vertex_gauge == worst
-        assert on_plant.robust_ok == on_plant.contractivity_ok == holds
-        assert on_plant.robust_ok == (radius == 0.0)
+        assert on_plant.contractivity_ok == holds
+        assert on_plant.contractivity_ok == (radius == 0.0)
